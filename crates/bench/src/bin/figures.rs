@@ -9,7 +9,8 @@
 //!
 //! Targets: `fig7`, `fig7-fixed`, `fig8`, `fig9`, `fig10`, `ablations`,
 //! `chaos`, `partition`, `durability`, `detector`, `failslow`,
-//! `demotion`, `theory`, `all`.
+//! `demotion`, `theory`, `all`. An unknown target is a usage error (exit
+//! code 2).
 
 use custody_bench::{
     ablation_delay_table, ablation_inter_table, ablation_intra_table, ablation_placement_table,
@@ -18,6 +19,23 @@ use custody_bench::{
     fig7_table, fig8_table, fig9_table, partition_table, run_sweep, theory_quality_table,
     FigureOptions,
 };
+
+const TARGETS: [&str; 14] = [
+    "fig7",
+    "fig7-fixed",
+    "fig8",
+    "fig9",
+    "fig10",
+    "ablations",
+    "chaos",
+    "partition",
+    "durability",
+    "detector",
+    "failslow",
+    "demotion",
+    "theory",
+    "all",
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -44,6 +62,15 @@ fn main() {
     }
     if targets.is_empty() {
         targets.push("all".into());
+    }
+    if let Some(bad) = targets.iter().find(|t| !TARGETS.contains(&t.as_str())) {
+        eprintln!(
+            "figures: unknown target {bad:?}\n\
+             usage: figures [--quick] [--jobs N] [--seed N] [TARGET...]\n\
+             targets: {}",
+            TARGETS.join(" ")
+        );
+        std::process::exit(2);
     }
     let all = targets.iter().any(|t| t == "all");
     let wants = |t: &str| all || targets.iter().any(|x| x == t);

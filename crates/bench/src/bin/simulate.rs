@@ -11,12 +11,13 @@
 //!     [--failslow <sick-fraction>[:<fault-prob>]] [--no-quarantine] \
 //!     [--partition <split-fraction>[:<mean-heal-secs>]] \
 //!     [--corruption <latent-fraction>[:<scrub-interval-secs>]] \
-//!     [--demotion soft|hard|off] [--retry-budget <n>] \
+//!     [--demotion soft|off] [--retry-budget <n>] \
 //!     [--trace out.tsv] [--analyze]
 //! ```
 //!
 //! With `--baseline <allocator>` the same configuration is run twice and
-//! the comparison printed; `--trace` writes the per-task TSV log.
+//! the comparison printed; `--trace` writes the per-task TSV log. An
+//! unknown `--demotion` mode is a usage error (exit code 2).
 
 use custody_core::AllocatorKind;
 use custody_dfs::NodeId;
@@ -72,6 +73,12 @@ fn parse_scheduler(s: &str) -> SchedulerKind {
     }
 }
 
+/// Reports a bad command line and exits with the usage-error code.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("simulate: {msg}");
+    std::process::exit(2);
+}
+
 fn main() {
     let mut workload = WorkloadKind::Sort;
     let mut nodes = 25usize;
@@ -94,7 +101,7 @@ fn main() {
     let mut partition: Option<custody_sim::PartitionConfig> = None;
     let mut corruption: Option<custody_sim::CorruptionConfig> = None;
     let mut no_quarantine = false;
-    let mut demotion: Option<String> = None;
+    let mut demotion: Option<bool> = None;
     let mut retry_budget: Option<usize> = None;
     let mut trace_path: Option<String> = None;
     let mut analyze = false;
@@ -197,7 +204,13 @@ fn main() {
                 });
             }
             "--no-quarantine" => no_quarantine = true,
-            "--demotion" => demotion = Some(val()),
+            "--demotion" => {
+                demotion = Some(match val().as_str() {
+                    "soft" => true,
+                    "off" => false,
+                    other => usage_error(&format!("unknown demotion mode {other:?} (soft|off)")),
+                });
+            }
             "--retry-budget" => {
                 retry_budget = Some(val().parse().expect("--retry-budget <n>"));
             }
@@ -244,12 +257,8 @@ fn main() {
         if no_quarantine {
             fs = fs.with_detection(false);
         }
-        match demotion.as_deref() {
-            Some("soft") => fs = fs.with_demotion(true).with_soft_demotion(true),
-            Some("hard") => fs = fs.with_demotion(true).with_soft_demotion(false),
-            Some("off") => fs = fs.with_demotion(false),
-            Some(other) => panic!("unknown demotion mode {other:?} (soft|hard|off)"),
-            None => {}
+        if let Some(on) = demotion {
+            fs = fs.with_demotion(on);
         }
         if let Some(budget) = retry_budget {
             fs = fs.with_retry_budget(budget);

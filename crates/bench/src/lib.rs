@@ -129,7 +129,7 @@ pub fn fig7_fixed_quota_table(opts: &FigureOptions) -> String {
 }
 
 /// Where the driver's time went: cumulative allocator wall time, executed
-/// rounds, and rounds the incremental engine skipped outright, aggregated
+/// rounds, and rounds skipped outright, aggregated
 /// over a sweep's runs. Printed by the `figures` binary so regressions in
 /// allocator cost show up next to the figures they would distort.
 pub fn allocator_cost_summary(cells: &[ComparisonCell]) -> String {
@@ -758,17 +758,15 @@ pub fn failslow_table(opts: &FigureOptions) -> String {
     )
 }
 
-/// Soft-vs-hard demotion sweep: busy Custody batches under lingering
-/// suspect-band gray failures (2–4x slowdowns that never look dead
-/// enough to quarantine), comparing cost-based soft demotion (suspect
-/// nodes get a worse rational key but stay offerable, graded by how
-/// sick they look) against binary hard demotion (every suspect equally
-/// last in the filler, locality and replica picks health-blind). The
-/// per-cell effect is small — a work-conserving cluster self-paces its
-/// slow executors — so every variant is averaged over 24 seeds; what
-/// remains is the steering gain: soft places local tasks on the healthy
-/// replica and prefers the mildly limping CPU over the badly limping
-/// disk, which a binary verdict cannot express.
+/// Demotion sweep: busy Custody batches under lingering suspect-band
+/// gray failures (2–4x slowdowns that never look dead enough to
+/// quarantine), comparing cost-based soft demotion (suspect nodes get a
+/// worse rational key but stay offerable, graded by how sick they look)
+/// against demotion off (suspects placed as if healthy). The per-cell
+/// effect is small — a work-conserving cluster self-paces its slow
+/// executors — so every variant is averaged over 24 seeds; what remains
+/// is the steering gain: soft places local tasks on the healthy replica
+/// and prefers the mildly limping CPU over the badly limping disk.
 pub fn demotion_table(opts: &FigureOptions) -> String {
     use custody_sim::experiment::demotion_sweep;
     let nodes = 20;
@@ -780,26 +778,26 @@ pub fn demotion_table(opts: &FigureOptions) -> String {
         rows.push(vec![
             format!("{:.0} %", cell.sick_fraction * 100.0),
             format!("{:.2} s", cell.soft.jct.mean()),
-            format!("{:.2} s", cell.hard.jct.mean()),
+            format!("{:.2} s", cell.off.jct.mean()),
             format!("{:+.1} %", cell.soft_gain_pct()),
             format!("{:+.2} pp", cell.soft_locality_gain_points()),
             cell.soft.onsets.to_string(),
-            format!("{} / {}", cell.soft.task_retries, cell.hard.task_retries),
+            format!("{} / {}", cell.soft.task_retries, cell.off.task_retries),
         ]);
     }
     format!(
-        "Demotion sweep — soft (cost-based) vs hard (binary) demotion of suspect nodes,\n\
+        "Demotion sweep — soft (cost-based) demotion of suspect nodes vs none,\n\
          WordCount, {nodes} nodes, 24 seeds per cell, quarantine out of reach (gain =\n\
-         mean-JCT reduction from soft demotion, positive = pricing beat banishing)\n{}",
+         mean-JCT reduction from soft demotion, positive = pricing beat ignoring)\n{}",
         render_table(
             &[
                 "sick",
                 "soft jct",
-                "hard jct",
+                "off jct",
                 "soft gain",
                 "locality Δ",
                 "onsets",
-                "retries s/h"
+                "retries s/o"
             ],
             &rows
         )

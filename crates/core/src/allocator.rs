@@ -174,15 +174,6 @@ pub trait ExecutorAllocator {
     /// the demand justifies.
     fn allocate(&mut self, view: &AllocationView, rng: &mut SimRng) -> Vec<Assignment>;
 
-    /// Installs the set of health-demoted nodes before a round: nodes the
-    /// gray-failure detector believes are limping (suspect/probation).
-    /// Allocators with discretionary placement should prefer other hosts
-    /// when they have free choice; the default ignores the hint, which is
-    /// correct for data-unaware baselines (and keeps behaviour identical
-    /// when the health layer is off — the driver only calls this with a
-    /// non-trivial set when detection is enabled).
-    fn set_demoted_nodes(&mut self, _nodes: &[NodeId]) {}
-
     /// Installs per-node health costs before a round (soft demotion):
     /// instead of excluding suspect nodes outright, locality bought on
     /// them earns less credit and the filler visits them last, so their

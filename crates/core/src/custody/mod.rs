@@ -98,10 +98,6 @@ pub enum InterPolicy {
 pub struct CustodyAllocator {
     intra: IntraPolicy,
     inter: InterPolicy,
-    /// Health-demoted nodes from the gray-failure detector; the filler
-    /// phase avoids them while alternatives exist. Empty (the default)
-    /// leaves allocation byte-identical to a build without demotion.
-    demoted: Vec<NodeId>,
     /// Per-node health costs (soft demotion): suspect nodes cost more
     /// instead of vanishing. Empty (the default) keeps the count-based
     /// cost model.
@@ -146,18 +142,12 @@ impl ExecutorAllocator for CustodyAllocator {
         let scratch = std::mem::take(&mut self.scratch);
         let mut round = Round::recycled(view, scratch)
             .with_policies(self.inter, self.intra)
-            .with_demoted(&self.demoted)
             .with_health_costs(&self.health_costs);
         round.locality_phase();
         round.filler_phase();
         let (assignments, scratch) = round.finish();
         self.scratch = scratch;
         assignments
-    }
-
-    fn set_demoted_nodes(&mut self, nodes: &[NodeId]) {
-        self.demoted.clear();
-        self.demoted.extend_from_slice(nodes);
     }
 
     fn set_node_health_costs(&mut self, costs: &[(NodeId, HealthCost)]) {
@@ -517,35 +507,6 @@ mod tests {
                 .with_intra(IntraPolicy::RoundRobinFair)
                 .name(),
             "custody-naive-both"
-        );
-    }
-
-    /// The trait-level demotion hint steers the filler away from a sick
-    /// node, and clearing it restores the original pick.
-    #[test]
-    fn demotion_hint_steers_filler_and_clears() {
-        let execs = toy_executors(2);
-        let view = AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
-            // Preferred node 9 exists nowhere: pure filler traffic.
-            apps: vec![fresh_app(0, 1, vec![job(0, vec![task(0, &[9])])])],
-        };
-        let mut alloc = CustodyAllocator::new();
-        let mut rng = SimRng::seed_from_u64(0);
-        assert_eq!(
-            alloc.allocate(&view, &mut rng)[0].executor,
-            ExecutorId::new(0)
-        );
-        alloc.set_demoted_nodes(&[NodeId::new(0)]);
-        assert_eq!(
-            alloc.allocate(&view, &mut rng)[0].executor,
-            ExecutorId::new(1)
-        );
-        alloc.set_demoted_nodes(&[]);
-        assert_eq!(
-            alloc.allocate(&view, &mut rng)[0].executor,
-            ExecutorId::new(0)
         );
     }
 

@@ -241,7 +241,6 @@ pub struct RoundScratch {
     idle_lists: Vec<Vec<ExecutorId>>,
     node_cursor: Vec<u32>,
     global_idle: Vec<IdleEntry>,
-    demoted: Vec<bool>,
     cost_credit: Vec<u32>,
     filler_tiers: Vec<u32>,
     tier_cursor: Vec<usize>,
@@ -265,10 +264,9 @@ pub struct Round {
     node_cursor: Vec<u32>,
     /// Every idle executor, ascending by id (the order `BTreeSet` gave).
     global_idle: Vec<IdleEntry>,
-    /// Skip-ahead cursors over `global_idle`: entries before them are
-    /// known-taken (and, for the filler cursor, known-demoted).
+    /// Skip-ahead cursor over `global_idle`: entries before it are
+    /// known-taken.
     global_cursor: usize,
-    filler_cursor: usize,
     idle_count: usize,
     apps: Vec<RoundApp>,
     /// Σ over apps of `node_demand`, indexed by slot — makes
@@ -277,11 +275,6 @@ pub struct Round {
     assignments: Vec<Assignment>,
     inter: InterPolicy,
     intra: IntraPolicy,
-    /// Health-demoted nodes (dense by **raw** node id): the filler avoids
-    /// them while any non-demoted node still has an idle executor. Empty
-    /// in the common case, in which every path is byte-identical to a
-    /// round with no demotion support at all.
-    demoted: Vec<bool>,
     /// Per-node health credit (dense by raw node id, `1/cost_scale`
     /// units); nodes beyond the table carry full credit. Meaningful only
     /// while `cost_scale > 0`.
@@ -320,7 +313,6 @@ impl Round {
             mut idle_lists,
             mut node_cursor,
             mut global_idle,
-            mut demoted,
             mut cost_credit,
             mut filler_tiers,
             mut tier_cursor,
@@ -331,7 +323,6 @@ impl Round {
         versions.clear();
         versions.resize(view.apps.len(), 0);
         nodes.clear();
-        demoted.clear();
         cost_credit.clear();
         filler_tiers.clear();
         tier_cursor.clear();
@@ -433,14 +424,12 @@ impl Round {
             node_cursor,
             global_idle,
             global_cursor: 0,
-            filler_cursor: 0,
             idle_count: view.idle.len(),
             apps,
             total_node_demand,
             assignments: Vec::new(),
             inter: InterPolicy::default(),
             intra: IntraPolicy::default(),
-            demoted,
             cost_credit,
             cost_scale: 0,
             filler_tiers,
@@ -460,23 +449,6 @@ impl Round {
         self.inter = inter;
         self.intra = intra;
         self.rebuild_heap();
-        self
-    }
-
-    /// Installs the health-demoted node set. Locality grants still use
-    /// demoted nodes (the data is there and moving it costs more than the
-    /// slowdown), but the filler — which has free choice — prefers
-    /// non-demoted hosts. An empty set leaves every pick byte-identical
-    /// to a round without demotion.
-    pub fn with_demoted(mut self, nodes: &[NodeId]) -> Self {
-        self.demoted.clear();
-        for &n in nodes {
-            let i = n.index();
-            if i >= self.demoted.len() {
-                self.demoted.resize(i + 1, false);
-            }
-            self.demoted[i] = true;
-        }
         self
     }
 
@@ -703,9 +675,8 @@ impl Round {
     }
 
     /// Takes the lowest-id idle executor anywhere (filler phase),
-    /// preferring non-demoted hosts and falling back to demoted ones only
-    /// when nothing else is idle. The cursors only move forward: an entry
-    /// skipped as taken stays taken, and demotion is fixed for the round,
+    /// lowest health-cost tier first when a cost table is installed. The
+    /// cursors only move forward: an entry skipped as taken stays taken,
     /// so the scans are amortized O(idle) per round.
     fn take_any_executor(&mut self) -> Option<ExecutorId> {
         if self.cost_scale > 0 {
@@ -732,29 +703,15 @@ impl Round {
                     return self.take_on_slot(e.slot as usize);
                 }
             }
-        } else if !self.demoted.is_empty() {
-            while let Some(&e) = self.global_idle.get(self.filler_cursor) {
-                if e.pos < self.node_cursor[e.slot as usize] {
-                    self.filler_cursor += 1;
-                    continue;
-                }
-                let raw = self.nodes.keys()[e.slot as usize] as usize;
-                if self.demoted.get(raw).copied().unwrap_or(false) {
-                    self.filler_cursor += 1;
-                    continue;
-                }
-                // The first untaken entry of a slot sits exactly at its
-                // cursor: earlier positions have lower ids, appear earlier
-                // here, and were skipped only because they were taken.
-                debug_assert_eq!(e.pos, self.node_cursor[e.slot as usize]);
-                return self.take_on_slot(e.slot as usize);
-            }
         }
         while let Some(&e) = self.global_idle.get(self.global_cursor) {
             if e.pos < self.node_cursor[e.slot as usize] {
                 self.global_cursor += 1;
                 continue;
             }
+            // The first untaken entry of a slot sits exactly at its
+            // cursor: earlier positions have lower ids, appear earlier
+            // here, and were skipped only because they were taken.
             debug_assert_eq!(e.pos, self.node_cursor[e.slot as usize]);
             return self.take_on_slot(e.slot as usize);
         }
@@ -915,7 +872,6 @@ impl Round {
             idle_lists,
             node_cursor,
             global_idle,
-            demoted,
             total_node_demand,
             assignments,
             cost_credit,
@@ -942,7 +898,6 @@ impl Round {
                 idle_lists,
                 node_cursor,
                 global_idle,
-                demoted,
                 cost_credit,
                 filler_tiers,
                 tier_cursor,
@@ -1091,65 +1046,6 @@ mod tests {
         assert_eq!(round.contention_excluding(NodeId::new(0), 1), 1);
         assert_eq!(round.contention_excluding(NodeId::new(5), 1), 1);
         assert_eq!(round.contention_excluding(NodeId::new(9), 0), 0);
-    }
-
-    /// One filler-only task (preferred node 5 has no executor): the filler
-    /// would normally hand out executor 0 on node 0; demoting node 0 must
-    /// steer it to node 1, and demoting everything must fall back rather
-    /// than starve the task.
-    #[test]
-    fn filler_avoids_demoted_nodes_until_forced() {
-        let mk_view = || {
-            let execs: Vec<ExecutorInfo> = (0..2)
-                .map(|i| ExecutorInfo {
-                    id: ExecutorId::new(i),
-                    node: NodeId::new(i),
-                })
-                .collect();
-            AllocationView {
-                idle: execs.clone(),
-                all_executors: execs,
-                apps: vec![AppState {
-                    app: AppId::new(0),
-                    quota: 1,
-                    held: 0,
-                    local_jobs: 0,
-                    total_jobs: 1,
-                    local_tasks: 0,
-                    total_tasks: 1,
-                    pending_jobs: vec![JobDemand {
-                        job: JobId::new(0),
-                        unsatisfied_inputs: vec![TaskDemand {
-                            task_index: 0,
-                            preferred_nodes: [NodeId::new(5)].into(),
-                        }],
-                        pending_tasks: 1,
-                        total_inputs: 1,
-                        satisfied_inputs: 0,
-                    }],
-                }],
-            }
-        };
-        let grant_with = |demoted: &[NodeId]| {
-            let view = mk_view();
-            let mut round = Round::new(&view).with_demoted(demoted);
-            round.locality_phase();
-            round.filler_phase();
-            round.into_assignments()
-        };
-        let plain = grant_with(&[]);
-        assert_eq!(plain.len(), 1);
-        assert_eq!(plain[0].executor, ExecutorId::new(0), "lowest id wins");
-        let steered = grant_with(&[NodeId::new(0)]);
-        assert_eq!(steered.len(), 1);
-        assert_eq!(
-            steered[0].executor,
-            ExecutorId::new(1),
-            "demoted node 0 is passed over"
-        );
-        let forced = grant_with(&[NodeId::new(0), NodeId::new(1)]);
-        assert_eq!(forced.len(), 1, "all-demoted falls back, never starves");
-        assert_eq!(forced[0].executor, ExecutorId::new(0));
     }
 
     /// Filler-only demand across three nodes with distinct health costs:

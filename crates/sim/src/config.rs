@@ -259,9 +259,11 @@ pub struct FailSlowConfig {
     /// Off, the layer injects slowdowns and faults but never reacts —
     /// the ablation baseline of the fail-slow sweep.
     pub detection: bool,
-    /// Demote suspect/probation nodes in the allocator's filler pick
-    /// order (the `core` toggle; quarantine exclusion is unconditional
-    /// whenever detection is on).
+    /// Soft demotion: feed suspect/probation nodes into the allocator as
+    /// bucketed health *costs* — locality on them earns less credit and
+    /// the filler visits them last — instead of treating them as healthy.
+    /// Quarantine exclusion past [`quarantine_ratio`](Self::quarantine_ratio)
+    /// is unconditional whenever detection is on.
     pub demotion: bool,
     /// Completed-task samples a node needs before the detector judges it.
     pub min_samples: usize,
@@ -276,13 +278,6 @@ pub struct FailSlowConfig {
     /// Probe-task completions a probation node must serve before the
     /// detector re-judges it (back to healthy or back to quarantine).
     pub probation_probes: usize,
-    /// Soft demotion: feed suspect/probation nodes into the allocator as
-    /// bucketed health *costs* (locality on them earns less credit, the
-    /// filler visits them last) instead of the binary demoted-set
-    /// exclusion. Hard quarantine past
-    /// [`quarantine_ratio`](Self::quarantine_ratio) is retained either
-    /// way. Off restores the PR-5 binary demotion.
-    pub soft_demotion: bool,
     /// Bucket scale `S` of the health-cost grid: a node at peer ratio `m`
     /// earns credit `round(S/m)` of `S` per local task.
     pub cost_scale: u32,
@@ -317,7 +312,6 @@ impl Default for FailSlowConfig {
             quarantine_ratio: 2.5,
             probation_delay_secs: 15.0,
             probation_probes: 3,
-            soft_demotion: true,
             cost_scale: 8,
             cost_cap_ratio: 4.0,
         }
@@ -356,16 +350,11 @@ impl FailSlowConfig {
         self
     }
 
-    /// Enables or disables demotion of suspect/probation nodes in the
-    /// allocator (quarantine exclusion stays on whenever detection is).
+    /// Enables or disables soft demotion of suspect/probation nodes in
+    /// the allocator (quarantine exclusion stays on whenever detection
+    /// is).
     pub fn with_demotion(mut self, demotion: bool) -> Self {
         self.demotion = demotion;
-        self
-    }
-
-    /// Chooses soft (cost-based) vs. hard (binary exclusion) demotion.
-    pub fn with_soft_demotion(mut self, soft: bool) -> Self {
-        self.soft_demotion = soft;
         self
     }
 
@@ -459,7 +448,7 @@ impl FailSlowConfig {
                 self.probation_probes > 0,
                 "probation needs at least one probe"
             );
-            if self.demotion && self.soft_demotion {
+            if self.demotion {
                 assert!(
                     (1..=64).contains(&self.cost_scale),
                     "cost scale must be in 1..=64"
@@ -1006,12 +995,6 @@ pub struct SimConfig {
     pub speculation: Option<SpeculationConfig>,
     /// Master seed; all randomness derives from it.
     pub seed: u64,
-    /// Use the incremental allocation engine: cached per-job demand
-    /// views, a cached executor list, and skipping of provably-idempotent
-    /// allocation rounds. Results are bit-identical either way (guarded
-    /// by a golden test); the flag exists so the scan-everything path can
-    /// be selected for cross-checking and profiling.
-    pub incremental: bool,
 }
 
 impl SimConfig {
@@ -1040,7 +1023,6 @@ impl SimConfig {
             audit: false,
             speculation: None,
             seed,
-            incremental: true,
         }
     }
 
@@ -1063,7 +1045,6 @@ impl SimConfig {
             audit: false,
             speculation: None,
             seed,
-            incremental: true,
         }
     }
 
@@ -1152,12 +1133,6 @@ impl SimConfig {
     /// straggler policy — the `with_speculation(true)` convenience form.
     pub fn with_speculation_enabled(mut self, enabled: bool) -> Self {
         self.speculation = enabled.then(SpeculationConfig::default);
-        self
-    }
-
-    /// Toggles the incremental allocation engine (on by default).
-    pub fn with_incremental(mut self, incremental: bool) -> Self {
-        self.incremental = incremental;
         self
     }
 

@@ -18,7 +18,7 @@
 //!   against the post-failure replica map; exactly the jobs whose tasks
 //!   re-queued or whose preferred lists actually changed are dirtied
 //!   (the invariant auditor cross-checks this precision after every
-//!   event), and the executor list is invalidated.
+//!   event).
 //!
 //! Dirty jobs sit in an explicit work list, so a refresh costs O(dirtied)
 //! rather than O(all jobs) — at 100k nodes × thousands of jobs the
@@ -40,8 +40,8 @@ use crate::job::{RuntimeJob, TaskState};
 
 /// Computes one job's allocator-facing demand; `None` when the job wants
 /// nothing (finished, or no runnable stage has unlaunched tasks). Single
-/// source of truth shared by the incremental cache and the
-/// scan-everything fallback path, so the two can never drift.
+/// source of truth shared by the cache's refresh and its audit, so the
+/// two can never drift.
 pub(crate) fn job_demand_of(job: &RuntimeJob) -> Option<JobDemand> {
     let pending = job.pending_tasks();
     if job.is_finished() || pending == 0 {
@@ -87,8 +87,8 @@ pub(crate) struct DemandCache {
     /// Registered once at submission (input blocks never change), so
     /// replica churn on a block dirties exactly its readers.
     watchers: Vec<Vec<u32>>,
-    /// The cluster's full executor list — static until a machine fails.
-    all_executors: Option<Vec<ExecutorInfo>>,
+    /// The cluster's full executor list (the cluster never changes shape).
+    all_executors: Vec<ExecutorInfo>,
     /// Some job's demand (or app accounting) changed since the last
     /// executed round.
     demand_changed: bool,
@@ -97,14 +97,21 @@ pub(crate) struct DemandCache {
 }
 
 impl DemandCache {
-    pub fn new(num_apps: usize) -> Self {
+    pub fn new(num_apps: usize, cluster: &ClusterState) -> Self {
         DemandCache {
             demand: Vec::new(),
             dirty: Vec::new(),
             dirty_list: Vec::new(),
             active: vec![Vec::new(); num_apps],
             watchers: Vec::new(),
-            all_executors: None,
+            all_executors: cluster
+                .executors()
+                .iter()
+                .map(|e| ExecutorInfo {
+                    id: e.id,
+                    node: e.node,
+                })
+                .collect(),
             demand_changed: true,
             pool_changed: true,
         }
@@ -155,11 +162,6 @@ impl DemandCache {
         out.dedup();
     }
 
-    /// Drops the cached executor list (a machine failed).
-    pub fn invalidate_executors(&mut self) {
-        self.all_executors = None;
-    }
-
     /// Records that the idle pool gained or lost an executor.
     pub fn mark_pool_changed(&mut self) {
         self.pool_changed = true;
@@ -169,6 +171,11 @@ impl DemandCache {
     /// re-running the allocator would reproduce its exact outcome.
     pub fn is_quiescent(&self) -> bool {
         !self.demand_changed && !self.pool_changed
+    }
+
+    /// No job's cached demand is stale: a view built now needs no refresh.
+    pub fn is_fresh(&self) -> bool {
+        self.dirty_list.is_empty()
     }
 
     /// Resets the change flags at the start of an executed round; grants
@@ -241,17 +248,8 @@ impl DemandCache {
         }
     }
 
-    /// The full executor list, recomputed only after an invalidation.
-    pub fn all_executors(&mut self, cluster: &ClusterState) -> &[ExecutorInfo] {
-        self.all_executors.get_or_insert_with(|| {
-            cluster
-                .executors()
-                .iter()
-                .map(|e| ExecutorInfo {
-                    id: e.id,
-                    node: e.node,
-                })
-                .collect()
-        })
+    /// The cluster's full executor list.
+    pub fn all_executors(&self) -> &[ExecutorInfo] {
+        &self.all_executors
     }
 }

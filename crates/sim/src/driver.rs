@@ -48,17 +48,16 @@
 use std::collections::BTreeSet;
 
 use custody_cluster::{ClusterState, ExecutorId};
-use custody_core::{AllocationView, AppState, ExecutorAllocator, ExecutorInfo, JobDemand};
+use custody_core::{AllocationView, AppState, ExecutorAllocator, ExecutorInfo};
 use custody_dfs::{DatasetId, NameNode};
 use custody_scheduler::speculation::{SpeculationConfig, SpeculationPolicy};
 use custody_scheduler::{Placement, RunnableTask, TaskScheduler};
 use custody_simcore::dist::{Distribution, Exponential, TruncatedNormal, Zipf};
-use custody_simcore::stats::Summary;
 use custody_simcore::{DenseSet, EventQueue, SimDuration, SimRng, SimTime};
 use custody_workload::{AppId, DatasetMode, JobId, JobSpec, SubmissionSchedule};
 
 use crate::config::{ChaosConfig, ControlPlaneConfig, SimConfig};
-use crate::demand::{job_demand_of, DemandCache};
+use crate::demand::DemandCache;
 use crate::job::{RuntimeJob, TaskState};
 use crate::metrics::{AppMetrics, RunMetrics, SimOutcome};
 use crate::trace::{TaskRecord, TaskTrace};
@@ -370,95 +369,22 @@ struct Driver {
     /// Remote input reads are slowed while `now < degraded_until`.
     degraded_until: SimTime,
     remote_reads_in_flight: usize,
-    allocation_rounds: usize,
-    events_processed: usize,
-    nodes_failed: usize,
-    nodes_recovered: usize,
-    executor_faults: usize,
-    degraded_windows: usize,
-    tasks_requeued: usize,
-    clones_won: usize,
-    clones_lost: usize,
-    /// Blocks whose last replica lived on a failed/suspected node.
-    blocks_lost: usize,
-    /// Suspicions raised against nodes that were actually alive.
-    false_suspicions: usize,
-    /// Seconds from physical failure to suspicion, per true suspicion.
-    detection_latency: Summary,
-    /// Leases revoked because they expired without renewal.
-    leases_revoked: usize,
-    /// Master crash/recovery cycles survived.
-    master_recoveries: usize,
-    /// Finish events fenced by the executor-epoch check.
-    stale_finishes_fenced: usize,
-    /// Stale finishes that slipped past fencing (the auditor asserts 0).
-    unfenced_stale_finishes: usize,
-    /// Fail-slow episodes that began.
-    failslow_onsets: usize,
-    /// Transient task faults injected.
-    task_faults_injected: usize,
-    /// Faulted attempts re-queued within their job's retry budget.
-    task_retries: usize,
-    /// Jobs failed cleanly after exhausting their retry budget.
-    jobs_failed: usize,
-    /// Health-detector quarantine transitions taken.
-    nodes_quarantined: usize,
-    /// Quarantines of nodes whose slowdown was not physically active.
-    false_quarantines: usize,
-    /// Seconds from slowdown onset to quarantine, per true quarantine.
-    quarantine_latency: Summary,
-    /// Probe tasks launched on probation nodes.
-    probes_launched: usize,
-    /// Partition episodes that opened.
-    partition_episodes: usize,
-    /// Finish reports deferred because their node could not reach the
-    /// master (each bouncing report counted once).
-    partition_finishes_deferred: usize,
-    /// Deferred Finish reports ultimately rejected by the epoch fence on
-    /// delivery — minority work the master had already re-run elsewhere.
-    partition_finishes_fenced: usize,
-    /// Live minority attempts discarded because of the partition: ghost
-    /// dispatches rolled back at reconnect plus running work fenced by
-    /// belief-driven kills of reachable-no-more nodes.
-    partition_work_discarded: usize,
-    /// Seconds from heal to settled beliefs, per reconverged episode.
-    partition_reconverge: Summary,
-    /// Replicas that silently rotted (latent seeding + arrivals).
-    replicas_corrupted: usize,
-    /// Corrupt replicas discovered by a failed verified read.
-    corrupt_reads_detected: usize,
-    /// Corrupt replicas discovered by the background scrubber.
-    scrub_detections: usize,
-    /// Seconds from rot onset to detection, once per detected mark.
-    corruption_detection: Summary,
-    /// Replicas re-created by the unified repair pipeline (instant and
-    /// paced paths both).
-    replicas_repaired: usize,
-    /// Blocks that lost their last intact replica (tombstoned).
-    blocks_unavailable: usize,
-    /// Tombstoned blocks that regained an intact replica.
-    blocks_recovered: usize,
-    /// Jobs failed cleanly by an unavailability deadline.
-    jobs_failed_unavailable: usize,
+    /// The run's counters, incremented in place; `finish` fills in the
+    /// end-of-run fields and hands the struct out whole.
+    metrics: RunMetrics,
     /// Open fault disruptions: (fault time, tasks it displaced that have
     /// not relaunched yet). Drained sets record their drain time into
-    /// `requeue_drain` — the recovery-time-to-stable-locality metric.
+    /// `requeue_drain_secs` — the recovery-time-to-stable-locality metric.
     open_disruptions: Vec<(SimTime, BTreeSet<TaskKey>)>,
-    requeue_drain: Summary,
-    /// Largest event-queue length seen.
-    peak_queue_len: usize,
     /// Run the invariant auditor after every event (always in debug
     /// builds; `SimConfig::audit` opts release builds in).
     audit_enabled: bool,
     /// Optional per-task trace collector.
     trace: Option<TaskTrace>,
-    /// Incremental engine enabled (config flag; results identical).
-    incremental: bool,
     /// Per-job demand cache + change tracking.
     cache: DemandCache,
     /// Outcome of the previous allocation round.
     last_round: LastRound,
-    rounds_skipped: usize,
     /// Wall-clock spent building views and allocating.
     alloc_wall: std::time::Duration,
     /// Wall-clock spent popping the event queue.
@@ -717,6 +643,7 @@ impl Driver {
         };
 
         let num_nodes = cluster.num_nodes();
+        let cache = DemandCache::new(campaign.num_apps(), &cluster);
         // Dataset creation placed initial replicas directly; the change
         // journal tracks mutations *after* this point (jobs resolve their
         // preferred nodes from scratch at submission anyway).
@@ -763,52 +690,15 @@ impl Driver {
             perma_down: vec![false; num_nodes],
             degraded_until: SimTime::ZERO,
             remote_reads_in_flight: 0,
-            allocation_rounds: 0,
-            events_processed: 0,
-            nodes_failed: 0,
-            nodes_recovered: 0,
-            executor_faults: 0,
-            degraded_windows: 0,
-            tasks_requeued: 0,
-            clones_won: 0,
-            clones_lost: 0,
-            blocks_lost: 0,
-            false_suspicions: 0,
-            detection_latency: Summary::new(),
-            leases_revoked: 0,
-            master_recoveries: 0,
-            stale_finishes_fenced: 0,
-            unfenced_stale_finishes: 0,
-            failslow_onsets: 0,
-            task_faults_injected: 0,
-            task_retries: 0,
-            jobs_failed: 0,
-            nodes_quarantined: 0,
-            false_quarantines: 0,
-            quarantine_latency: Summary::new(),
-            probes_launched: 0,
-            partition_episodes: 0,
-            partition_finishes_deferred: 0,
-            partition_finishes_fenced: 0,
-            partition_work_discarded: 0,
-            partition_reconverge: Summary::new(),
-            replicas_corrupted,
-            corrupt_reads_detected: 0,
-            scrub_detections: 0,
-            corruption_detection: Summary::new(),
-            replicas_repaired: 0,
-            blocks_unavailable: 0,
-            blocks_recovered: 0,
-            jobs_failed_unavailable: 0,
+            metrics: RunMetrics {
+                replicas_corrupted,
+                ..RunMetrics::default()
+            },
             open_disruptions: Vec::new(),
-            requeue_drain: Summary::new(),
-            peak_queue_len: 0,
             audit_enabled: cfg!(debug_assertions) || config.audit,
             trace: None,
-            incremental: config.incremental,
-            cache: DemandCache::new(campaign.num_apps()),
+            cache,
             last_round: LastRound::None,
-            rounds_skipped: 0,
             alloc_wall: std::time::Duration::ZERO,
             event_wall: std::time::Duration::ZERO,
             demand_wall: std::time::Duration::ZERO,
@@ -851,7 +741,7 @@ impl Driver {
     /// recovery replays. Dispatch (release/allocate/offer) runs after
     /// every event, exactly as in the main loop.
     fn handle_event(&mut self, event: Event, now: SimTime) {
-        self.events_processed += 1;
+        self.metrics.events_processed += 1;
         match event {
             Event::Submit { app, seq } => self.on_submit(app, seq, now),
             Event::Finish { executor, epoch } => self.on_finish(executor, epoch, now),
@@ -888,7 +778,7 @@ impl Driver {
             // interval the first time the rejoined minority looks clean.
             self.check_partition_reconverge(now);
         }
-        self.peak_queue_len = self.peak_queue_len.max(self.queue.len());
+        self.metrics.peak_queue_len = self.metrics.peak_queue_len.max(self.queue.len());
     }
 
     /// Whether this run keeps a checkpoint + WAL (master recovery).
@@ -984,7 +874,7 @@ impl Driver {
                 // retry loop bounces it until a delivery succeeds
                 // (a heal is always pending, so it always drains).
                 if p.deferred.insert((executor.index(), epoch)) {
-                    self.partition_finishes_deferred += 1;
+                    self.metrics.partition_finishes_deferred += 1;
                 }
                 self.queue.schedule(
                     now + SimDuration::from_secs_f64(p.cfg.redelivery_secs),
@@ -997,21 +887,21 @@ impl Driver {
                 // epoch went stale while it bounced: the master already
                 // re-ran the work elsewhere — rejected and counted,
                 // never double-completed.
-                self.partition_finishes_fenced += 1;
+                self.metrics.partition_finishes_fenced += 1;
             }
         }
         let state = &mut self.exec_state[executor.index()];
         if state.dead || state.epoch != epoch {
             // Stale completion for a task killed by a failure (or, in
             // detector mode, fenced out by a belief-kill's epoch bump).
-            self.stale_finishes_fenced += 1;
+            self.metrics.stale_finishes_fenced += 1;
             return;
         }
         let Some(running) = state.running.take() else {
             if self.detector.is_some() {
                 // A stale finish that slipped past epoch fencing — never
                 // expected; the auditor asserts this stays zero.
-                self.unfenced_stale_finishes += 1;
+                self.metrics.unfenced_stale_finishes += 1;
                 return;
             }
             panic!("finish on idle executor"); // lint: allow(panic) — driver invariant: Finish events target executors with a running task
@@ -1035,7 +925,7 @@ impl Driver {
                     .block
                     .expect("input attempt has a block"); // lint: allow(panic) — read_from is only set for input-stage attempts
                 if self.namenode.is_replica_corrupt(block, src) {
-                    self.corrupt_reads_detected += 1;
+                    self.metrics.corrupt_reads_detected += 1;
                     self.detect_corrupt(block, src, now);
                     self.on_corrupt_read_fault(running, now);
                     return;
@@ -1069,7 +959,7 @@ impl Driver {
         {
             // The other attempt of a speculated task won the race.
             if running.is_clone {
-                self.clones_lost += 1;
+                self.metrics.clones_lost += 1;
             }
             return;
         }
@@ -1078,7 +968,7 @@ impl Driver {
         // the original attempt it beat).
         self.rebind_attempt(&running);
         if running.is_clone {
-            self.clones_won += 1;
+            self.metrics.clones_won += 1;
         }
         // Auditor invariant 14, completion half: no task ever completes
         // off a corrupted replica — the verified-read gate above diverts
@@ -1189,7 +1079,7 @@ impl Driver {
         let key = (running.job_idx, running.stage, running.task);
         if self.jobs[key.0].stages[key.1].tasks[key.2].state == TaskState::Done {
             if running.is_clone {
-                self.clones_lost += 1;
+                self.metrics.clones_lost += 1;
             }
             return false;
         }
@@ -1203,7 +1093,7 @@ impl Driver {
             // The survivor carries on and owns the record from here.
             self.rebind_attempt(&twin);
             if running.is_clone {
-                self.clones_lost += 1;
+                self.metrics.clones_lost += 1;
             }
             return false;
         }
@@ -1244,9 +1134,9 @@ impl Driver {
             spec.cloned.remove(&key);
         }
         if running.is_clone {
-            self.clones_lost += 1;
+            self.metrics.clones_lost += 1;
         }
-        self.tasks_requeued += 1;
+        self.metrics.tasks_requeued += 1;
         true
     }
 
@@ -1257,7 +1147,7 @@ impl Driver {
     /// task is gated behind exponential backoff with jitter; beyond it,
     /// the whole job fails cleanly.
     fn on_task_fault(&mut self, running: RunningTask, now: SimTime) {
-        self.task_faults_injected += 1;
+        self.metrics.task_faults_injected += 1;
         if !self.on_attempt_killed(&running, now) {
             return; // a twin survives (or the race was already lost)
         }
@@ -1268,7 +1158,7 @@ impl Driver {
             return;
         }
         self.jobs[j].retries += 1;
-        self.task_retries += 1;
+        self.metrics.task_retries += 1;
         let attempt = self.jobs[j].retries;
         let backoff = policy.backoff(attempt, &mut self.taskfault_rng);
         self.retry_gates
@@ -1314,7 +1204,7 @@ impl Driver {
             !set.is_empty()
         });
         self.jobs[j].mark_failed(now);
-        self.jobs_failed += 1;
+        self.metrics.jobs_failed += 1;
         self.cache.mark_job(j);
     }
 
@@ -1372,7 +1262,7 @@ impl Driver {
     /// on them are re-queued, and unlaunched input tasks re-resolve their
     /// preferred nodes against the post-failure replica map.
     fn on_node_fail(&mut self, node: custody_dfs::NodeId, now: SimTime) {
-        self.nodes_failed += 1;
+        self.metrics.nodes_failed += 1;
         self.node_down[node.index()] = Some(FaultKind::Machine);
         if self.detector.is_some() {
             // The master learns nothing here: only heartbeat silence
@@ -1380,7 +1270,7 @@ impl Driver {
             self.phys_fail(node, now, FaultKind::Machine);
             return;
         }
-        self.blocks_lost += self.namenode.fail_node(node).len();
+        self.metrics.blocks_lost += self.namenode.fail_node(node).len();
         // Crash repair goes through the unified scheduler: instant in
         // bare-oracle runs, paced (and priority-ordered) whenever a
         // pacing layer is active — crash debt no longer jumps the queue
@@ -1389,7 +1279,6 @@ impl Driver {
 
         self.kill_executors_on(node, now);
         self.refresh_all_preferred();
-        self.cache.invalidate_executors();
         self.cache.mark_pool_changed();
     }
 
@@ -1426,7 +1315,7 @@ impl Driver {
             None => self.on_node_fail(node, now),
             Some(FaultKind::ExecutorsOnly) => {
                 self.node_down[node.index()] = Some(FaultKind::Machine);
-                self.nodes_failed += 1;
+                self.metrics.nodes_failed += 1;
                 if let Some(d) = &mut self.detector {
                     // Escalation destroys the disk; the DFS channel gets
                     // a fresh incarnation and the master finds out via
@@ -1435,7 +1324,7 @@ impl Driver {
                     d.data_lost[node.index()] = true;
                     d.phys_down_at[node.index()] = now;
                 } else {
-                    self.blocks_lost += self.namenode.fail_node(node).len();
+                    self.metrics.blocks_lost += self.namenode.fail_node(node).len();
                     self.schedule_repair(now);
                     self.refresh_all_preferred();
                 }
@@ -1449,14 +1338,13 @@ impl Driver {
     /// its DataNode (and replicas) survive, so nothing is re-replicated
     /// and preferred nodes are unchanged.
     fn on_executor_fault(&mut self, node: custody_dfs::NodeId, now: SimTime) {
-        self.executor_faults += 1;
+        self.metrics.executor_faults += 1;
         self.node_down[node.index()] = Some(FaultKind::ExecutorsOnly);
         if self.detector.is_some() {
             self.phys_fail(node, now, FaultKind::ExecutorsOnly);
             return;
         }
         self.kill_executors_on(node, now);
-        self.cache.invalidate_executors();
         self.cache.mark_pool_changed();
     }
 
@@ -1474,7 +1362,7 @@ impl Driver {
             .expect("recovering a node that is up"); // lint: allow(panic) — recover events are only scheduled for down nodes
         if self.detector.is_some() {
             self.phys_recover(node, kind, now);
-            self.nodes_recovered += 1;
+            self.metrics.nodes_recovered += 1;
             return;
         }
         if kind == FaultKind::Machine {
@@ -1488,7 +1376,7 @@ impl Driver {
             state.idle_since = now;
             self.pool.insert(e.index());
         }
-        self.nodes_recovered += 1;
+        self.metrics.nodes_recovered += 1;
         self.cache.mark_pool_changed();
     }
 
@@ -1512,7 +1400,7 @@ impl Driver {
             self.degraded_until = self
                 .degraded_until
                 .max(now + SimDuration::from_secs_f64(window));
-            self.degraded_windows += 1;
+            self.metrics.degraded_windows += 1;
             return;
         }
         let exec_only = self.chaos_rng.chance(chaos.executor_only_fraction);
@@ -1548,7 +1436,8 @@ impl Driver {
             if set.is_empty() {
                 let at = *at;
                 self.open_disruptions.remove(i);
-                self.requeue_drain
+                self.metrics
+                    .requeue_drain_secs
                     .push(now.saturating_since(at).as_secs_f64());
             } else {
                 i += 1;
@@ -1609,31 +1498,38 @@ impl Driver {
 
     /// Step 2: one allocation round through the cluster manager.
     ///
-    /// With the incremental engine on, a round whose inputs are unchanged
-    /// since the previous *zero-grant* round is skipped: the allocator is
-    /// a deterministic function of the view (none of the allocators draw
-    /// randomness on a zero-grant call — `StaticRandom` draws once on its
-    /// first call, `DynamicOffer` advances its cursor only on grants), so
-    /// re-running it would grant nothing again. The skip replays the
-    /// previous round's counting so metrics stay bit-identical.
+    /// A round whose inputs are unchanged since the previous *zero-grant*
+    /// round is skipped: the allocator is a deterministic function of the
+    /// view (none of the allocators draw randomness on a zero-grant call —
+    /// `StaticRandom` draws once on its first call, `DynamicOffer`
+    /// advances its cursor only on grants), so re-running it would grant
+    /// nothing again. The skip replays the previous round's counting so
+    /// metrics stay bit-identical; with the auditor on, every skip is
+    /// re-derived first (`audit_skipped_round`).
     fn allocation_round(&mut self, now: SimTime) -> usize {
         if self.pool.is_empty() {
             self.last_round = LastRound::EmptyPool;
             return 0;
         }
-        if self.incremental && self.cache.is_quiescent() {
+        if self.cache.is_quiescent() {
             match self.last_round {
                 // Same non-empty pool, same demand: the allocator would
                 // see the identical view it granted nothing from.
                 LastRound::Counted(0) => {
-                    self.allocation_rounds += 1;
-                    self.rounds_skipped += 1;
+                    if self.audit_enabled {
+                        self.audit_skipped_round();
+                    }
+                    self.metrics.allocation_rounds += 1;
+                    self.metrics.rounds_skipped += 1;
                     return 0;
                 }
                 // Same pool, still nothing wanted: the early return would
                 // fire again without reaching the allocator.
                 LastRound::NoDemand => {
-                    self.rounds_skipped += 1;
+                    if self.audit_enabled {
+                        self.audit_skipped_round();
+                    }
+                    self.metrics.rounds_skipped += 1;
                     return 0;
                 }
                 // A granting round dirties the pool and `EmptyPool` with a
@@ -1644,31 +1540,16 @@ impl Driver {
         }
         let started = std::time::Instant::now();
         self.cache.begin_round();
-        let view = self.build_view();
+        self.refresh_demand();
+        let view = self.view();
         if view.total_demand() == 0 {
             self.alloc_wall += started.elapsed();
             self.last_round = LastRound::NoDemand;
             return 0;
         }
-        self.allocation_rounds += 1;
-        if let Some(h) = &self.health {
-            if h.cfg.detection && h.cfg.demotion {
-                if h.cfg.soft_demotion {
-                    // Soft demotion: suspect/probation nodes cost more —
-                    // locality on them earns less credit and the filler
-                    // visits them last — instead of vanishing. Allocators
-                    // that ignore the hint (the data-unaware baselines)
-                    // are free to.
-                    let costs = h.health_costs();
-                    self.allocator.set_node_health_costs(&costs);
-                } else {
-                    // Hard demotion (the PR-5 binary ablation): drop
-                    // suspect/probation nodes to the back of the filler
-                    // pick order outright.
-                    let demoted = h.demoted_nodes();
-                    self.allocator.set_demoted_nodes(&demoted);
-                }
-            }
+        self.metrics.allocation_rounds += 1;
+        if let Some(costs) = self.demotion_costs() {
+            self.allocator.set_node_health_costs(&costs);
         }
         let assignments = self.allocator.allocate(&view, &mut self.alloc_rng);
         self.alloc_wall += started.elapsed();
@@ -1699,12 +1580,28 @@ impl Driver {
         granted
     }
 
-    fn build_view(&mut self) -> AllocationView {
-        if self.incremental {
-            let started = std::time::Instant::now();
-            self.cache.refresh(&self.jobs);
-            self.demand_wall += started.elapsed();
-        }
+    /// The per-node health costs the allocator prices placements with
+    /// when demotion is on: suspect/probation nodes cost more — locality
+    /// on them earns less credit and the filler visits them last —
+    /// instead of vanishing. Allocators that ignore the hint (the
+    /// data-unaware baselines) are free to.
+    fn demotion_costs(&self) -> Option<Vec<(custody_dfs::NodeId, custody_core::HealthCost)>> {
+        self.health
+            .as_ref()
+            .filter(|h| h.cfg.detection && h.cfg.demotion)
+            .map(HealthLayer::health_costs)
+    }
+
+    /// Recomputes the demand of every job dirtied since the last refresh.
+    fn refresh_demand(&mut self) {
+        let started = std::time::Instant::now();
+        self.cache.refresh(&self.jobs);
+        self.demand_wall += started.elapsed();
+    }
+
+    /// The allocator's view of the idle pool and every application's
+    /// cached demand (fresh after [`refresh_demand`](Self::refresh_demand)).
+    fn view(&self) -> AllocationView {
         // Quarantined nodes' executors stay pooled but invisible: the
         // allocator can only grant what the view offers, so nothing is
         // ever placed on a node the health detector has excluded.
@@ -1718,49 +1615,24 @@ impl Driver {
             })
             .filter(|info| self.node_schedulable(info.node))
             .collect();
-        let all_executors: Vec<ExecutorInfo> = if self.incremental {
-            self.cache.all_executors(&self.cluster).to_vec()
-        } else {
-            self.cluster
-                .executors()
-                .iter()
-                .map(|e| ExecutorInfo {
-                    id: e.id,
-                    node: e.node,
-                })
-                .collect()
-        };
-        let incremental = self.incremental;
-        let cache = &self.cache;
-        let jobs = &self.jobs;
         let apps = self
             .apps
             .iter()
             .enumerate()
-            .map(|(i, a)| {
-                let pending_jobs: Vec<JobDemand> = if incremental {
-                    cache.active_demands(i)
-                } else {
-                    a.jobs
-                        .iter()
-                        .filter_map(|&j| job_demand_of(&jobs[j]))
-                        .collect()
-                };
-                AppState {
-                    app: AppId::new(i),
-                    quota: a.quota,
-                    held: a.held.len(),
-                    local_jobs: a.local_jobs,
-                    total_jobs: a.total_jobs,
-                    local_tasks: a.local_tasks,
-                    total_tasks: a.total_tasks,
-                    pending_jobs,
-                }
+            .map(|(i, a)| AppState {
+                app: AppId::new(i),
+                quota: a.quota,
+                held: a.held.len(),
+                local_jobs: a.local_jobs,
+                total_jobs: a.total_jobs,
+                local_tasks: a.local_tasks,
+                total_tasks: a.total_tasks,
+                pending_jobs: self.cache.active_demands(i),
             })
             .collect();
         AllocationView {
             idle,
-            all_executors,
+            all_executors: self.cache.all_executors().to_vec(),
             apps,
         }
     }
@@ -2214,7 +2086,7 @@ impl Driver {
         self.queue.schedule(at, Event::Wake);
     }
 
-    fn finish(mut self) -> (SimOutcome, TaskTrace) {
+    fn finish(self) -> (SimOutcome, TaskTrace) {
         let makespan = self.queue.now();
         // Sanity: every submitted job must have completed.
         for job in &self.jobs {
@@ -2252,9 +2124,8 @@ impl Driver {
                 "deferred Finish reports never delivered after heal"
             );
         }
-        let nodes_failed = self.nodes_failed;
-        let tasks_requeued = self.tasks_requeued;
-        let tasks_speculated = self.speculation.as_ref().map_or(0, |s| s.launches);
+        let mut m = self.metrics;
+        m.tasks_speculated = self.speculation.as_ref().map_or(0, |s| s.launches);
         // End-of-run metric self-consistency: every clone's race resolved
         // one way or the other, and recoveries never outnumber the faults
         // that caused them. `nodes_recovered` counts executor-only fault
@@ -2262,144 +2133,95 @@ impl Driver {
         // sum — not `nodes_failed` alone (executor-only chaos runs have
         // `nodes_failed == 0` with recoveries present).
         assert!(
-            self.clones_won + self.clones_lost <= tasks_speculated,
-            "clone races resolved ({} + {}) exceed clones launched ({tasks_speculated})",
-            self.clones_won,
-            self.clones_lost,
+            m.clones_won + m.clones_lost <= m.tasks_speculated,
+            "clone races resolved ({} + {}) exceed clones launched ({})",
+            m.clones_won,
+            m.clones_lost,
+            m.tasks_speculated,
         );
         assert!(
-            self.nodes_recovered <= nodes_failed + self.executor_faults,
+            m.nodes_recovered <= m.nodes_failed + m.executor_faults,
             "{} recoveries exceed {} machine + {} executor-only faults",
-            self.nodes_recovered,
-            nodes_failed,
-            self.executor_faults,
+            m.nodes_recovered,
+            m.nodes_failed,
+            m.executor_faults,
         );
         // Partition accounting closes over the whole run: every fenced
         // minority Finish was first deferred and then hit the epoch
         // fence, reconvergence is measured at most once per episode, and
         // a run without the layer has nothing on any partition counter.
         assert!(
-            self.partition_finishes_fenced <= self.partition_finishes_deferred,
+            m.partition_finishes_fenced <= m.partition_finishes_deferred,
             "{} partition-fenced Finishes exceed {} ever deferred",
-            self.partition_finishes_fenced,
-            self.partition_finishes_deferred,
+            m.partition_finishes_fenced,
+            m.partition_finishes_deferred,
         );
         assert!(
-            self.partition_finishes_fenced <= self.stale_finishes_fenced,
+            m.partition_finishes_fenced <= m.stale_finishes_fenced,
             "a partition-fenced Finish bypassed the epoch fence",
         );
         assert!(
-            self.partition_reconverge.count() <= self.partition_episodes,
+            m.partition_reconverge_secs.count() <= m.partition_episodes,
             "{} reconvergences measured for {} episodes",
-            self.partition_reconverge.count(),
-            self.partition_episodes,
+            m.partition_reconverge_secs.count(),
+            m.partition_episodes,
         );
         if let Some(p) = &self.partition {
             assert!(
-                self.partition_episodes <= p.cfg.max_episodes,
+                m.partition_episodes <= p.cfg.max_episodes,
                 "{} episodes exceed the configured cap {}",
-                self.partition_episodes,
+                m.partition_episodes,
                 p.cfg.max_episodes,
             );
         } else {
-            assert_eq!(self.partition_episodes, 0, "episodes without a layer");
-            assert_eq!(self.partition_finishes_deferred, 0);
-            assert_eq!(self.partition_work_discarded, 0);
+            assert_eq!(m.partition_episodes, 0, "episodes without a layer");
+            assert_eq!(m.partition_finishes_deferred, 0);
+            assert_eq!(m.partition_work_discarded, 0);
         }
         // Durability ledger at end of run: split the damage into
         // at-risk (exactly one intact copy left), unavailable
         // (tombstoned, still no intact copy), and permanently lost
         // (no intact copy at all, detected or not). Without the layer
         // every corruption counter must be untouched.
-        let (blocks_at_risk, blocks_permanently_lost) = match &self.durability {
+        match &self.durability {
             Some(d) => {
                 assert_eq!(
-                    self.blocks_unavailable,
-                    self.blocks_recovered + d.unavailable.len(),
+                    m.blocks_unavailable,
+                    m.blocks_recovered + d.unavailable.len(),
                     "unavailability ledger out of balance at end of run"
                 );
-                let mut at_risk = 0;
-                let mut lost = 0;
                 for b in 0..self.namenode.num_blocks() {
                     match self
                         .namenode
                         .clean_replica_count(custody_dfs::BlockId::new(b))
                     {
-                        0 => lost += 1,
-                        1 => at_risk += 1,
+                        0 => m.blocks_permanently_lost += 1,
+                        1 => m.blocks_at_risk += 1,
                         _ => {}
                     }
                 }
-                (at_risk, lost)
             }
             None => {
-                assert_eq!(self.replicas_corrupted, 0, "corruption without a layer");
-                assert_eq!(self.corrupt_reads_detected, 0);
-                assert_eq!(self.scrub_detections, 0);
-                assert_eq!(self.blocks_unavailable, 0);
-                assert_eq!(self.blocks_recovered, 0);
-                assert_eq!(self.jobs_failed_unavailable, 0);
-                (0, 0)
+                assert_eq!(m.replicas_corrupted, 0, "corruption without a layer");
+                assert_eq!(m.corrupt_reads_detected, 0);
+                assert_eq!(m.scrub_detections, 0);
+                assert_eq!(m.blocks_unavailable, 0);
+                assert_eq!(m.blocks_recovered, 0);
+                assert_eq!(m.jobs_failed_unavailable, 0);
             }
-        };
-        let jobs_completed = self.apps.iter().map(|a| a.metrics.jobs_completed).sum();
-        let trace = self.trace.take().unwrap_or_default();
+        }
+        m.per_app = self.apps.into_iter().map(|a| a.metrics).collect();
+        m.jobs_completed = m.per_app.iter().map(|a| a.jobs_completed).sum();
+        m.makespan = makespan;
+        m.allocator_wall_secs = self.alloc_wall.as_secs_f64();
+        m.event_pop_wall_secs = self.event_wall.as_secs_f64();
+        m.demand_wall_secs = self.demand_wall.as_secs_f64();
+        m.peak_rss_bytes = crate::metrics::peak_rss_bytes();
         let outcome = SimOutcome {
             label: String::new(),
-            cluster_metrics: RunMetrics {
-                per_app: self.apps.into_iter().map(|a| a.metrics).collect(),
-                jobs_completed,
-                makespan,
-                allocation_rounds: self.allocation_rounds,
-                rounds_skipped: self.rounds_skipped,
-                allocator_wall_secs: self.alloc_wall.as_secs_f64(),
-                event_pop_wall_secs: self.event_wall.as_secs_f64(),
-                demand_wall_secs: self.demand_wall.as_secs_f64(),
-                peak_rss_bytes: crate::metrics::peak_rss_bytes(),
-                events_processed: self.events_processed,
-                nodes_failed,
-                nodes_recovered: self.nodes_recovered,
-                executor_faults: self.executor_faults,
-                degraded_windows: self.degraded_windows,
-                tasks_requeued,
-                tasks_speculated,
-                clones_won: self.clones_won,
-                clones_lost: self.clones_lost,
-                requeue_drain_secs: self.requeue_drain,
-                peak_queue_len: self.peak_queue_len,
-                blocks_lost: self.blocks_lost,
-                false_suspicions: self.false_suspicions,
-                detection_latency_secs: self.detection_latency,
-                leases_revoked: self.leases_revoked,
-                master_recoveries: self.master_recoveries,
-                stale_finishes_fenced: self.stale_finishes_fenced,
-                unfenced_stale_finishes: self.unfenced_stale_finishes,
-                failslow_onsets: self.failslow_onsets,
-                task_faults_injected: self.task_faults_injected,
-                task_retries: self.task_retries,
-                jobs_failed: self.jobs_failed,
-                nodes_quarantined: self.nodes_quarantined,
-                false_quarantines: self.false_quarantines,
-                quarantine_latency_secs: self.quarantine_latency,
-                probes_launched: self.probes_launched,
-                partition_episodes: self.partition_episodes,
-                partition_finishes_deferred: self.partition_finishes_deferred,
-                partition_finishes_fenced: self.partition_finishes_fenced,
-                partition_work_discarded: self.partition_work_discarded,
-                partition_reconverge_secs: self.partition_reconverge,
-                replicas_corrupted: self.replicas_corrupted,
-                corrupt_reads_detected: self.corrupt_reads_detected,
-                scrub_detections: self.scrub_detections,
-                corruption_detection_secs: self.corruption_detection,
-                replicas_repaired: self.replicas_repaired,
-                blocks_unavailable: self.blocks_unavailable,
-                blocks_recovered: self.blocks_recovered,
-                blocks_at_risk,
-                blocks_permanently_lost,
-                jobs_failed_unavailable: self.jobs_failed_unavailable,
-            },
+            cluster_metrics: m,
         };
-        (outcome, trace)
+        (outcome, self.trace.unwrap_or_default())
     }
 }
 
@@ -2916,7 +2738,7 @@ mod tests {
         // counter the way a buggy rollback would.
         for _ in 0..40 {
             let Some(ev) = driver.queue.pop() else { break };
-            driver.events_processed += 1;
+            driver.metrics.events_processed += 1;
             let now = ev.time;
             match ev.event {
                 Event::Submit { app, seq } => driver.on_submit(app, seq, now),

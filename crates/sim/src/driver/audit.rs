@@ -36,7 +36,11 @@
 //!    agreement between the driver's fault records and DataNode
 //!    decommission state.
 //! 9. **Demand-cache freshness** — every clean cache slot matches a
-//!    from-scratch recomputation (incremental engine only).
+//!    from-scratch recomputation, and every skipped allocation round is
+//!    one the allocator would really have wasted: re-derived on the spot
+//!    (without touching driver state), a round skipped after a
+//!    demand-free round sees no demand, and one skipped after a
+//!    zero-grant round gets no grant from a copy of the allocator.
 //! 10. **Belief coherence** (detector mode) — executor death tracks
 //!     suspicion/lease-revocation belief exactly, DFS decommissions
 //!     track DataNode suspicion, ownership and leases form a bijection,
@@ -71,7 +75,7 @@ use custody_cluster::HealthState;
 
 use crate::job::TaskState;
 
-use super::{Driver, FaultKind};
+use super::{Driver, FaultKind, LastRound};
 
 impl Driver {
     /// Checks every driver invariant, panicking with a description of
@@ -88,14 +92,46 @@ impl Driver {
         );
         self.audit_topology();
         self.audit_preferred();
-        if self.incremental {
-            self.cache.audit(&self.jobs);
-        }
+        self.cache.audit(&self.jobs);
         if self.health.is_some() {
             self.audit_health();
         }
         self.audit_partition();
         self.audit_durability();
+    }
+
+    /// Invariant 9, skip half: called in place of a skipped allocation
+    /// round, it rebuilds that round's view — the quiescent cache has
+    /// nothing to refresh — and checks the replayed outcome is the one
+    /// running the round would produce: no demand after a demand-free
+    /// round, and no grant after a zero-grant round from a copy of the
+    /// allocator drawing on a copy of its RNG stream. Driver state is left
+    /// untouched, so an audited run stays bit-identical to an unaudited
+    /// one.
+    pub(super) fn audit_skipped_round(&self) {
+        assert!(
+            self.cache.is_fresh(),
+            "round skipped with stale demand in the cache"
+        );
+        let view = self.view();
+        if self.last_round == LastRound::NoDemand {
+            assert_eq!(
+                view.total_demand(),
+                0,
+                "round skipped as demand-free while an application wants executors"
+            );
+            return;
+        }
+        let mut allocator = self.allocator.clone_box();
+        if let Some(costs) = self.demotion_costs() {
+            allocator.set_node_health_costs(&costs);
+        }
+        let grants = allocator.allocate(&view, &mut self.alloc_rng.clone());
+        assert!(
+            grants.is_empty(),
+            "skipped round would have granted {} executors",
+            grants.len()
+        );
     }
 
     /// Invariant 14: durability discipline — counter hygiene without the
@@ -108,32 +144,32 @@ impl Driver {
     fn audit_durability(&self) {
         let Some(d) = &self.durability else {
             assert_eq!(
-                self.replicas_corrupted, 0,
+                self.metrics.replicas_corrupted, 0,
                 "corrupted replicas counted without the layer"
             );
             assert_eq!(
-                self.corrupt_reads_detected, 0,
+                self.metrics.corrupt_reads_detected, 0,
                 "corrupt reads counted without the layer"
             );
             assert_eq!(
-                self.scrub_detections, 0,
+                self.metrics.scrub_detections, 0,
                 "scrub detections counted without the layer"
             );
             assert_eq!(
-                self.corruption_detection.count(),
+                self.metrics.corruption_detection_secs.count(),
                 0,
                 "detection latency recorded without the layer"
             );
             assert_eq!(
-                self.blocks_unavailable, 0,
+                self.metrics.blocks_unavailable, 0,
                 "blocks tombstoned without the layer"
             );
             assert_eq!(
-                self.blocks_recovered, 0,
+                self.metrics.blocks_recovered, 0,
                 "tombstones lifted without the layer"
             );
             assert_eq!(
-                self.jobs_failed_unavailable, 0,
+                self.metrics.jobs_failed_unavailable, 0,
                 "jobs failed for unavailability without the layer"
             );
             return;
@@ -141,8 +177,8 @@ impl Driver {
         // Ledger self-consistency: every tombstone ever raised is either
         // still standing or was lifted by a recovery.
         assert_eq!(
-            self.blocks_unavailable,
-            self.blocks_recovered + d.unavailable.len(),
+            self.metrics.blocks_unavailable,
+            self.metrics.blocks_recovered + d.unavailable.len(),
             "unavailability ledger out of balance"
         );
         // Every standing tombstone is justified: no intact copy exists.
@@ -163,29 +199,29 @@ impl Driver {
                 .len();
         }
         assert!(
-            marks_total <= self.replicas_corrupted,
+            marks_total <= self.metrics.replicas_corrupted,
             "{marks_total} live corruption marks exceed {} ever injected",
-            self.replicas_corrupted
+            self.metrics.replicas_corrupted
         );
         // Onset entries are inserted once per successful mark; stale
         // entries (the replica crashed away before detection) are legal,
         // so only the insertion bound holds.
         assert!(
-            d.onset.len() <= self.replicas_corrupted,
+            d.onset.len() <= self.metrics.replicas_corrupted,
             "{} onset entries exceed {} marks ever injected",
             d.onset.len(),
-            self.replicas_corrupted
+            self.metrics.replicas_corrupted
         );
         // Detection accounting: every latency sample came from a read or
         // scrub detection (a detection whose onset already drained — a
         // re-read of a tombstoned sole copy — counts no second sample).
         assert!(
-            self.corruption_detection.count()
-                <= self.corrupt_reads_detected + self.scrub_detections,
+            self.metrics.corruption_detection_secs.count()
+                <= self.metrics.corrupt_reads_detected + self.metrics.scrub_detections,
             "more detection-latency samples than detections"
         );
         assert!(
-            self.jobs_failed_unavailable <= self.jobs_failed,
+            self.metrics.jobs_failed_unavailable <= self.metrics.jobs_failed,
             "unavailability job failures exceed total job failures"
         );
         // Backoff-gate hygiene (also checked by the health audit when
@@ -209,23 +245,23 @@ impl Driver {
     fn audit_partition(&self) {
         let Some(p) = &self.partition else {
             assert_eq!(
-                self.partition_episodes, 0,
+                self.metrics.partition_episodes, 0,
                 "partition episodes counted without the layer"
             );
             assert_eq!(
-                self.partition_finishes_deferred, 0,
+                self.metrics.partition_finishes_deferred, 0,
                 "deferred finishes counted without the layer"
             );
             assert_eq!(
-                self.partition_finishes_fenced, 0,
+                self.metrics.partition_finishes_fenced, 0,
                 "partition-fenced finishes counted without the layer"
             );
             assert_eq!(
-                self.partition_work_discarded, 0,
+                self.metrics.partition_work_discarded, 0,
                 "partition-discarded work counted without the layer"
             );
             assert_eq!(
-                self.partition_reconverge.count(),
+                self.metrics.partition_reconverge_secs.count(),
                 0,
                 "reconvergence samples recorded without the layer"
             );
@@ -253,22 +289,23 @@ impl Driver {
             );
         }
         assert!(
-            self.partition_finishes_fenced + p.deferred.len() <= self.partition_finishes_deferred,
+            self.metrics.partition_finishes_fenced + p.deferred.len()
+                <= self.metrics.partition_finishes_deferred,
             "fenced ({}) + bouncing ({}) deferred reports exceed deferrals ({})",
-            self.partition_finishes_fenced,
+            self.metrics.partition_finishes_fenced,
             p.deferred.len(),
-            self.partition_finishes_deferred,
+            self.metrics.partition_finishes_deferred,
         );
         assert!(
-            self.partition_finishes_fenced <= self.stale_finishes_fenced,
+            self.metrics.partition_finishes_fenced <= self.metrics.stale_finishes_fenced,
             "a partition-fenced Finish bypassed the epoch fence"
         );
         assert!(
-            self.partition_episodes <= p.cfg.max_episodes,
+            self.metrics.partition_episodes <= p.cfg.max_episodes,
             "episode budget exceeded"
         );
         assert!(
-            !c.split_active() || self.partition_episodes >= 1,
+            !c.split_active() || self.metrics.partition_episodes >= 1,
             "active split without an episode on record"
         );
         assert!(
@@ -563,7 +600,7 @@ impl Driver {
             }
         }
         assert!(
-            self.blocks_lost == 0 || self.nodes_failed > 0,
+            self.metrics.blocks_lost == 0 || self.metrics.nodes_failed > 0,
             "blocks recorded lost without any machine loss"
         );
         self.namenode.check_invariants();
@@ -620,11 +657,11 @@ impl Driver {
             );
         }
         assert!(
-            self.blocks_lost == 0 || self.nodes_failed > 0,
+            self.metrics.blocks_lost == 0 || self.metrics.nodes_failed > 0,
             "blocks recorded lost without any machine loss"
         );
         assert_eq!(
-            self.unfenced_stale_finishes, 0,
+            self.metrics.unfenced_stale_finishes, 0,
             "a stale completion slipped past epoch fencing"
         );
     }

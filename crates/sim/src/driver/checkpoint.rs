@@ -70,6 +70,7 @@ impl Driver {
             (ev.time, ev.seq, ev.event),
             "recovered master is not at the interrupted event"
         );
+        ghost.metrics.master_recoveries = self.metrics.master_recoveries;
         assert_converged(self, &ghost);
         ghost.trace = self.trace.take();
         ghost.alloc_wall = self.alloc_wall;
@@ -78,7 +79,7 @@ impl Driver {
         ghost.checkpoint = self.checkpoint.take();
         ghost.wal = wal;
         ghost.crash_rng = self.crash_rng.clone();
-        ghost.master_recoveries = self.master_recoveries + 1;
+        ghost.metrics.master_recoveries += 1;
         *self = *ghost;
     }
 }
@@ -133,45 +134,18 @@ fn assert_converged(live: &Driver, ghost: &Driver) {
     check!(perma_down);
     check!(degraded_until);
     check!(remote_reads_in_flight);
-    check!(allocation_rounds);
-    check!(rounds_skipped);
+    check!(metrics);
     check!(last_round);
-    check!(events_processed);
-    check!(nodes_failed);
-    check!(nodes_recovered);
-    check!(executor_faults);
-    check!(degraded_windows);
-    check!(tasks_requeued);
-    check!(clones_won);
-    check!(clones_lost);
-    check!(blocks_lost);
-    check!(false_suspicions);
-    check!(detection_latency);
-    check!(leases_revoked);
-    check!(stale_finishes_fenced);
-    check!(unfenced_stale_finishes);
     check!(health);
     check!(failslow_rng);
     check!(taskfault_rng);
     check!(retry_gates);
-    check!(failslow_onsets);
-    check!(task_faults_injected);
-    check!(task_retries);
-    check!(jobs_failed);
-    check!(nodes_quarantined);
-    check!(false_quarantines);
-    check!(quarantine_latency);
-    check!(probes_launched);
     check!(partition);
     check!(partition_rng);
-    check!(partition_episodes);
-    check!(partition_finishes_deferred);
-    check!(partition_finishes_fenced);
-    check!(partition_work_discarded);
-    check!(partition_reconverge);
+    check!(durability);
+    check!(corruption_rng);
+    check!(repair_armed);
     check!(open_disruptions);
-    check!(requeue_drain);
-    check!(peak_queue_len);
     check!(cache);
     assert_eq!(
         live.apps.len(),

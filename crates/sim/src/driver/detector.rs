@@ -278,7 +278,6 @@ impl Driver {
         }
         if reinstated {
             self.cache.mark_pool_changed();
-            self.cache.invalidate_executors();
         }
         // Ghost reaping: a running attempt whose launch epoch no longer
         // matches belongs to an incarnation that restarted underneath the
@@ -398,17 +397,17 @@ impl Driver {
         d.exec_suspected[node.index()] = true;
         if self.node_down[node.index()].is_some() {
             let down_at = d.phys_down_at[node.index()];
-            self.detection_latency
+            self.metrics
+                .detection_latency_secs
                 .push(now.saturating_since(down_at).as_secs_f64());
         } else {
-            self.false_suspicions += 1;
+            self.metrics.false_suspicions += 1;
         }
         // Work still physically running behind the cut is about to be
         // fenced and re-run: score it as partition-discarded.
         let executors: Vec<ExecutorId> = self.cluster.executors_on(node).to_vec();
         self.note_minority_discards(&executors);
         self.kill_executors_on(node, now);
-        self.cache.invalidate_executors();
         self.cache.mark_pool_changed();
     }
 
@@ -423,14 +422,15 @@ impl Driver {
         let lost = d.data_lost[node.index()];
         if self.node_down[node.index()] == Some(FaultKind::Machine) {
             let down_at = d.phys_down_at[node.index()];
-            self.detection_latency
+            self.metrics
+                .detection_latency_secs
                 .push(now.saturating_since(down_at).as_secs_f64());
         } else {
-            self.false_suspicions += 1;
+            self.metrics.false_suspicions += 1;
         }
         let pinned = self.namenode.suspect_node(node);
         if lost {
-            self.blocks_lost += pinned.len();
+            self.metrics.blocks_lost += pinned.len();
         }
         // Suspicion storms (a whole minority timing out together) and
         // corruption drops share the unified repair queue: paced batches
@@ -461,7 +461,7 @@ impl Driver {
         self.note_minority_discards(&expired);
         let mut displaced: BTreeSet<TaskKey> = BTreeSet::new();
         for &e in &expired {
-            self.leases_revoked += 1;
+            self.metrics.leases_revoked += 1;
             // Drops the lease as part of the kill.
             self.kill_executor(e, now, &mut displaced);
         }
@@ -469,7 +469,6 @@ impl Driver {
             self.open_disruptions.push((now, displaced));
         }
         if !expired.is_empty() {
-            self.cache.invalidate_executors();
             self.cache.mark_pool_changed();
         }
         let d = self.detector.as_mut().expect("checked above"); // lint: allow(panic) — guarded by the enclosing branch

@@ -126,7 +126,7 @@ impl Driver {
         debug_assert!(marked, "candidate replica was intact and registered");
         let d = self.durability.as_mut().expect("layer checked above"); // lint: allow(panic) — guarded by the let-else at the top
         d.onset.insert((block, node), now);
-        self.replicas_corrupted += 1;
+        self.metrics.replicas_corrupted += 1;
     }
 
     /// Whether `node` currently has an active fail-slow condition whose
@@ -168,7 +168,7 @@ impl Driver {
             (start + width) % total
         };
         for (block, node) in found {
-            self.scrub_detections += 1;
+            self.metrics.scrub_detections += 1;
             self.detect_corrupt(block, node, now);
         }
         self.queue.schedule(
@@ -187,7 +187,8 @@ impl Driver {
     pub(super) fn detect_corrupt(&mut self, block: BlockId, node: NodeId, now: SimTime) {
         let d = self.durability.as_mut().expect("detection without layer"); // lint: allow(panic) — detection paths only run when the layer is configured
         if let Some(onset) = d.onset.remove(&(block, node)) {
-            self.corruption_detection
+            self.metrics
+                .corruption_detection_secs
                 .push(now.saturating_since(onset).as_secs_f64());
         }
         if self.namenode.drop_corrupt_replica(block, node) {
@@ -197,7 +198,7 @@ impl Driver {
             let d = self.durability.as_mut().expect("checked above"); // lint: allow(panic) — guarded at the top of the function
             if d.unavailable.insert(block) {
                 let deadline = SimDuration::from_secs_f64(d.cfg.unavailability_deadline_secs);
-                self.blocks_unavailable += 1;
+                self.metrics.blocks_unavailable += 1;
                 self.queue
                     .schedule(now + deadline, Event::UnavailabilityDeadline { block });
             }
@@ -224,7 +225,7 @@ impl Driver {
             return;
         }
         self.jobs[j].retries += 1;
-        self.task_retries += 1;
+        self.metrics.task_retries += 1;
         let attempt = self.jobs[j].retries;
         let backoff = policy.backoff(attempt, &mut self.corruption_rng);
         self.retry_gates
@@ -254,7 +255,7 @@ impl Driver {
             .collect();
         for j in victims {
             self.fail_job(j, now);
-            self.jobs_failed_unavailable += 1;
+            self.metrics.jobs_failed_unavailable += 1;
         }
     }
 
@@ -302,7 +303,7 @@ impl Driver {
             .collect();
         for block in recovered {
             d.unavailable.remove(&block);
-            self.blocks_recovered += 1;
+            self.metrics.blocks_recovered += 1;
         }
     }
 
@@ -316,7 +317,7 @@ impl Driver {
         if self.durability.is_some() || self.partition.is_some() {
             self.arm_repair_tick(now);
         } else {
-            self.replicas_repaired += self.namenode.restore_replication(&mut self.fail_rng);
+            self.metrics.replicas_repaired += self.namenode.restore_replication(&mut self.fail_rng);
         }
     }
 
@@ -363,7 +364,7 @@ impl Driver {
             self.namenode
                 .restore_replication_batch(&mut self.fail_rng, batch)
         };
-        self.replicas_repaired += created;
+        self.metrics.replicas_repaired += created;
         if created > 0 {
             self.refresh_all_preferred();
         }

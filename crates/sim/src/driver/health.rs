@@ -208,18 +208,6 @@ impl HealthLayer {
         p.min(1.0)
     }
 
-    /// Nodes the allocator should demote in its pick order: suspects and
-    /// probationers (quarantined nodes are excluded outright, not merely
-    /// demoted).
-    pub(crate) fn demoted_nodes(&self) -> Vec<NodeId> {
-        self.belief
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.state.is_demoted())
-            .map(|(n, _)| NodeId::new(n))
-            .collect()
-    }
-
     /// Mean of the node's sample window, if it holds at least `min`
     /// samples.
     fn node_mean(&self, node: usize, min: usize) -> Option<f64> {
@@ -319,7 +307,7 @@ impl Driver {
         debug_assert!(!s.active, "overlapping fail-slow episodes");
         s.active = true;
         s.since = now;
-        self.failslow_onsets += 1;
+        self.metrics.failslow_onsets += 1;
         if episodic {
             let len = Exponential::with_mean(mean_episode).sample(&mut self.failslow_rng);
             self.queue.schedule(
@@ -429,7 +417,7 @@ impl Driver {
     }
 
     /// Re-buckets the node's health cost from its current belief state
-    /// and peer ratio (soft demotion only). Suspects are priced at their
+    /// and peer ratio (demotion on only). Suspects are priced at their
     /// measured ratio, probationers at the suspect threshold (weak
     /// evidence: the old window was discarded), healthy and quarantined
     /// nodes at neutral. A bucket change dirties the cached idle view —
@@ -439,7 +427,7 @@ impl Driver {
             return;
         };
         let cfg = h.cfg;
-        if !(cfg.detection && cfg.demotion && cfg.soft_demotion) {
+        if !(cfg.detection && cfg.demotion) {
             return;
         }
         let next = match h.belief[node.index()].state {
@@ -507,18 +495,19 @@ impl Driver {
         let h = self.health.as_mut().expect("checked above"); // lint: allow(panic) — guarded by the enclosing branch
         h.belief[node.index()].quarantined_at = now;
         let delay = SimDuration::from_secs_f64(h.cfg.probation_delay_secs);
-        self.nodes_quarantined += 1;
+        self.metrics.nodes_quarantined += 1;
         if truly_slow {
             let since = onset.expect("active sickness has an onset"); // lint: allow(panic) — an onset is recorded when the sickness begins
                                                                       // Detection latency is scored once per episode: a flapping
                                                                       // re-quarantine of an already-caught slowdown says nothing
                                                                       // about how fast the detector notices.
             if last_quarantine < since || last_quarantine == SimTime::ZERO {
-                self.quarantine_latency
+                self.metrics
+                    .quarantine_latency_secs
                     .push(now.saturating_since(since).as_secs_f64());
             }
         } else {
-            self.false_quarantines += 1;
+            self.metrics.false_quarantines += 1;
         }
         self.queue
             .schedule(now + delay, Event::ProbationStart { node });
@@ -559,7 +548,7 @@ impl Driver {
         );
         if b.state == HealthState::Probation {
             b.probes_started += 1;
-            self.probes_launched += 1;
+            self.metrics.probes_launched += 1;
             if b.probes_started >= cap {
                 // The node just stopped accepting placements; the cached
                 // idle view must not replay it as available.

@@ -90,7 +90,7 @@ impl Driver {
     /// flap regime and the heal time, and open the split.
     pub(super) fn on_partition_start(&mut self, now: SimTime) {
         let Some(p) = &self.partition else { return };
-        if self.partition_idle() || self.partition_episodes >= p.cfg.max_episodes {
+        if self.partition_idle() || self.metrics.partition_episodes >= p.cfg.max_episodes {
             return; // run drained or episode budget spent
         }
         let cfg = p.cfg;
@@ -121,7 +121,7 @@ impl Driver {
         // superseded: the cluster is disturbed again.
         p.awaiting_reconverge = None;
         let episode = p.episode_seq;
-        self.partition_episodes += 1;
+        self.metrics.partition_episodes += 1;
         self.queue.schedule(
             now + SimDuration::from_secs_f64(heal_in),
             Event::PartitionHeal,
@@ -182,7 +182,7 @@ impl Driver {
     /// or the arrival lands beyond the horizon.
     fn schedule_next_partition(&mut self, now: SimTime) {
         let Some(p) = &self.partition else { return };
-        if self.partition_idle() || self.partition_episodes >= p.cfg.max_episodes {
+        if self.partition_idle() || self.metrics.partition_episodes >= p.cfg.max_episodes {
             return;
         }
         let cfg = p.cfg;
@@ -249,7 +249,7 @@ impl Driver {
                     .checked_sub(1)
                     .expect("remote-read counter underflow"); // lint: allow(panic) — the counter was incremented when the launch was accounted
             }
-            self.partition_work_discarded += 1;
+            self.metrics.partition_work_discarded += 1;
             if self.on_attempt_killed(&running, now) {
                 displaced.insert((running.job_idx, running.stage, running.task));
             }
@@ -275,7 +275,7 @@ impl Driver {
             }
             let st = &self.exec_state[e.index()];
             if !st.dead && st.running.is_some() {
-                self.partition_work_discarded += 1;
+                self.metrics.partition_work_discarded += 1;
             }
         }
     }
@@ -316,7 +316,8 @@ impl Driver {
                 .all(|&e| !self.exec_state[e.index()].dead)
         });
         if settled {
-            self.partition_reconverge
+            self.metrics
+                .partition_reconverge_secs
                 .push(now.saturating_since(healed_at).as_secs_f64());
             self.partition
                 .as_mut()

@@ -409,36 +409,36 @@ pub fn failslow_sweep(
     cells
 }
 
-/// One cell of the soft-vs-hard demotion sweep: one sick fraction, two
-/// Custody variants riding identical physical sickness schedules — soft
-/// demotion (suspect nodes cost more in the allocator's rational key)
-/// vs. hard demotion (the PR-5 binary exclusion). Detection is on in
-/// both; only what the allocator does with the belief differs.
+/// One cell of the demotion sweep: one sick fraction, two Custody
+/// variants riding identical physical sickness schedules — soft demotion
+/// (suspect nodes cost more in the allocator's rational key) vs. demotion
+/// off (suspects placed as if healthy). Detection is on in both; only
+/// whether the allocator uses the belief differs.
 #[derive(Debug, Clone)]
 pub struct DemotionCell {
     /// Fraction of nodes that develop a slowdown in this cell.
     pub sick_fraction: f64,
     /// Cost-based soft demotion.
     pub soft: FailSlowVariant,
-    /// Binary hard demotion.
-    pub hard: FailSlowVariant,
+    /// Demotion off.
+    pub off: FailSlowVariant,
 }
 
 impl DemotionCell {
-    /// Mean-JCT gain of soft over hard demotion, in percent; positive
-    /// means pricing sick capacity beats excluding it.
+    /// Mean-JCT gain of soft demotion over none, in percent; positive
+    /// means pricing sick capacity beats ignoring the detector's belief.
     pub fn soft_gain_pct(&self) -> f64 {
-        let (s, h) = (self.soft.jct.mean(), self.hard.jct.mean());
-        if h == 0.0 {
+        let (s, o) = (self.soft.jct.mean(), self.off.jct.mean());
+        if o == 0.0 {
             0.0
         } else {
-            (h - s) / h * 100.0
+            (o - s) / o * 100.0
         }
     }
 
-    /// Mean-locality gain of soft over hard demotion, in points.
+    /// Mean-locality gain of soft demotion over none, in points.
     pub fn soft_locality_gain_points(&self) -> f64 {
-        (self.soft.locality.mean() - self.hard.locality.mean()) * 100.0
+        (self.soft.locality.mean() - self.off.locality.mean()) * 100.0
     }
 }
 
@@ -449,11 +449,11 @@ impl DemotionCell {
 /// lingering gray failure that never looks dead enough to banish — and
 /// the sweep isolates what the allocator does with that belief. The
 /// severe profile's 20x factors plus its 2.4 quarantine ratio would
-/// rocket every sick node straight into quarantine, which soft and hard
-/// demotion treat identically. The three fault kinds get *different*
+/// rocket every sick node straight into quarantine, which every demotion
+/// setting treats identically. The three fault kinds get *different*
 /// factors: a heterogeneously sick cluster is exactly where a graded
-/// cost model can beat a binary verdict — a binary demoted set cannot
-/// prefer the mildly limping CPU over the badly limping disk.
+/// cost model pays — it can prefer the mildly limping CPU over the badly
+/// limping disk.
 fn lingering_failslow(sick_fraction: f64) -> crate::config::FailSlowConfig {
     let mut fs = severe_failslow(sick_fraction, true);
     fs.disk_factor = 4.0;
@@ -464,13 +464,13 @@ fn lingering_failslow(sick_fraction: f64) -> crate::config::FailSlowConfig {
 }
 
 /// The demotion sweep: saturated Custody batches with lingering
-/// suspect-band gray failures at increasing sick fractions, soft vs.
-/// hard demotion per cell. Saturation is the regime where the
+/// suspect-band gray failures at increasing sick fractions, soft
+/// demotion vs. none per cell. Saturation is the regime where the
 /// distinction matters — a busy batch cannot afford to starve 10–30% of
 /// its capacity, so pricing sick nodes into the cost model (graded
 /// filler order, health-weighted locality credit, healthiest-replica
-/// pick) should beat the binary exclusion. Cells run in parallel and
-/// are ordered by increasing sick fraction.
+/// pick) must earn its keep against treating them as healthy. Cells run
+/// in parallel and are ordered by increasing sick fraction.
 pub fn demotion_sweep(
     num_nodes: usize,
     jobs_per_app: usize,
@@ -482,7 +482,7 @@ pub fn demotion_sweep(
         .flat_map(|&f| [(f, true), (f, false)])
         .collect();
     let seeds = seeds.to_vec();
-    let variants = custody_simcore::par_map(&grid, move |&(fraction, soft)| {
+    let variants = custody_simcore::par_map(&grid, move |&(fraction, demotion)| {
         let runs: Vec<RunMetrics> = seeds
             .iter()
             .map(|&seed| {
@@ -492,7 +492,7 @@ pub fn demotion_sweep(
                     AllocatorKind::Custody,
                     seed,
                 )
-                .with_failslow(lingering_failslow(fraction).with_soft_demotion(soft));
+                .with_failslow(lingering_failslow(fraction).with_demotion(demotion));
                 cfg.campaign = cfg.campaign.with_jobs_per_app(jobs_per_app);
                 Simulation::run(&cfg).cluster_metrics
             })
@@ -505,7 +505,7 @@ pub fn demotion_sweep(
         .map(|(&fraction, chunk)| DemotionCell {
             sick_fraction: fraction,
             soft: chunk[0].clone(),
-            hard: chunk[1].clone(),
+            off: chunk[1].clone(),
         })
         .collect();
     cells.sort_by(|a, b| a.sick_fraction.total_cmp(&b.sick_fraction));
@@ -813,16 +813,16 @@ mod tests {
         assert_eq!(cells.len(), 2);
         // Ordered healthy → sick (increasing fraction).
         assert!(cells[0].sick_fraction < cells[1].sick_fraction);
-        // No sick nodes: soft and hard demotion see identical clusters
-        // and the detector never fires, so the gap is exactly zero.
+        // No sick nodes: both variants see identical clusters and the
+        // detector never fires, so the gap is exactly zero.
         assert_eq!(cells[0].soft.onsets, 0);
-        assert_eq!(cells[0].soft.jct.mean(), cells[0].hard.jct.mean());
+        assert_eq!(cells[0].soft.jct.mean(), cells[0].off.jct.mean());
         assert!(cells[0].soft_gain_pct().abs() < 1e-9);
         // Sick cell: slowdowns set in on both variants, comparisons stay
         // finite.
         let sick = &cells[1];
         assert!(sick.soft.onsets > 0, "no slowdown drawn");
-        assert!(sick.hard.onsets > 0, "no slowdown drawn");
+        assert!(sick.off.onsets > 0, "no slowdown drawn");
         assert!(sick.soft_gain_pct().is_finite());
         assert!(sick.soft_locality_gain_points().is_finite());
     }

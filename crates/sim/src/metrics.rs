@@ -70,8 +70,9 @@ impl AppMetrics {
     }
 }
 
-/// Metrics of one whole run.
-#[derive(Debug, Clone, PartialEq)]
+/// Metrics of one whole run. The driver increments the counters in place
+/// during the run and fills in the end-of-run fields when it finishes.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunMetrics {
     /// Per-application breakdown, app-id order.
     pub per_app: Vec<AppMetrics>,
@@ -81,9 +82,9 @@ pub struct RunMetrics {
     pub makespan: SimTime,
     /// Allocation rounds executed.
     pub allocation_rounds: usize,
-    /// Allocation rounds the incremental engine skipped because neither
-    /// the idle pool nor any application's demand changed since the last
-    /// zero-grant round (their outcome is replayed, not recomputed).
+    /// Allocation rounds skipped because neither the idle pool nor any
+    /// application's demand changed since the last zero-grant round
+    /// (their outcome is replayed, not recomputed).
     pub rounds_skipped: usize,
     /// Cumulative wall-clock time spent building allocation views and
     /// running the allocator, in seconds. Real time, not simulated time —
@@ -357,52 +358,8 @@ mod tests {
             jobs_completed: 4,
             makespan: SimTime::from_secs(100),
             allocation_rounds: 10,
-            rounds_skipped: 0,
-            allocator_wall_secs: 0.0,
-            event_pop_wall_secs: 0.0,
-            demand_wall_secs: 0.0,
-            peak_rss_bytes: 0,
             events_processed: 50,
-            nodes_failed: 0,
-            nodes_recovered: 0,
-            executor_faults: 0,
-            degraded_windows: 0,
-            tasks_requeued: 0,
-            tasks_speculated: 0,
-            clones_won: 0,
-            clones_lost: 0,
-            requeue_drain_secs: Summary::new(),
-            peak_queue_len: 0,
-            blocks_lost: 0,
-            false_suspicions: 0,
-            detection_latency_secs: Summary::new(),
-            leases_revoked: 0,
-            master_recoveries: 0,
-            stale_finishes_fenced: 0,
-            unfenced_stale_finishes: 0,
-            failslow_onsets: 0,
-            task_faults_injected: 0,
-            task_retries: 0,
-            jobs_failed: 0,
-            nodes_quarantined: 0,
-            false_quarantines: 0,
-            quarantine_latency_secs: Summary::new(),
-            probes_launched: 0,
-            partition_episodes: 0,
-            partition_finishes_deferred: 0,
-            partition_finishes_fenced: 0,
-            partition_work_discarded: 0,
-            partition_reconverge_secs: Summary::new(),
-            replicas_corrupted: 0,
-            corrupt_reads_detected: 0,
-            scrub_detections: 0,
-            corruption_detection_secs: Summary::new(),
-            replicas_repaired: 0,
-            blocks_unavailable: 0,
-            blocks_recovered: 0,
-            blocks_at_risk: 0,
-            blocks_permanently_lost: 0,
-            jobs_failed_unavailable: 0,
+            ..Default::default()
         };
         assert_eq!(run.input_locality().count(), 4);
         assert_eq!(run.job_completion_secs().count(), 4);
@@ -412,58 +369,7 @@ mod tests {
 
     #[test]
     fn min_fraction_of_empty_run_is_capped() {
-        let run = RunMetrics {
-            per_app: vec![],
-            jobs_completed: 0,
-            makespan: SimTime::ZERO,
-            allocation_rounds: 0,
-            rounds_skipped: 0,
-            allocator_wall_secs: 0.0,
-            event_pop_wall_secs: 0.0,
-            demand_wall_secs: 0.0,
-            peak_rss_bytes: 0,
-            events_processed: 0,
-            nodes_failed: 0,
-            nodes_recovered: 0,
-            executor_faults: 0,
-            degraded_windows: 0,
-            tasks_requeued: 0,
-            tasks_speculated: 0,
-            clones_won: 0,
-            clones_lost: 0,
-            requeue_drain_secs: Summary::new(),
-            peak_queue_len: 0,
-            blocks_lost: 0,
-            false_suspicions: 0,
-            detection_latency_secs: Summary::new(),
-            leases_revoked: 0,
-            master_recoveries: 0,
-            stale_finishes_fenced: 0,
-            unfenced_stale_finishes: 0,
-            failslow_onsets: 0,
-            task_faults_injected: 0,
-            task_retries: 0,
-            jobs_failed: 0,
-            nodes_quarantined: 0,
-            false_quarantines: 0,
-            quarantine_latency_secs: Summary::new(),
-            probes_launched: 0,
-            partition_episodes: 0,
-            partition_finishes_deferred: 0,
-            partition_finishes_fenced: 0,
-            partition_work_discarded: 0,
-            partition_reconverge_secs: Summary::new(),
-            replicas_corrupted: 0,
-            corrupt_reads_detected: 0,
-            scrub_detections: 0,
-            corruption_detection_secs: Summary::new(),
-            replicas_repaired: 0,
-            blocks_unavailable: 0,
-            blocks_recovered: 0,
-            blocks_at_risk: 0,
-            blocks_permanently_lost: 0,
-            jobs_failed_unavailable: 0,
-        };
+        let run = RunMetrics::default();
         assert_eq!(run.min_local_job_fraction(), 1.0);
     }
 }

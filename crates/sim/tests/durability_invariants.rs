@@ -236,3 +236,44 @@ fn composed_chaos_failslow_partition_corruption_fuzz() {
         }
     }
 }
+
+/// Master crashes over a rotting store: every recovery replays the WAL
+/// from the last checkpoint and must converge on the whole durability
+/// state — corruption ground truth, tombstones, the scrub cursor, the
+/// `"corruption"` stream, the armed repair tick and every run counter —
+/// or the convergence check panics. Crashes only strike on chaos-fault
+/// pops, so chaos rides along. Audited, so it checks the same in release
+/// builds.
+#[test]
+fn master_recovery_converges_on_durability_state() {
+    let chaos = ChaosConfig::default()
+        .with_mean_time_between_faults(8.0)
+        .with_horizon(150.0);
+    let cp = ControlPlaneConfig::default()
+        .with_checkpoints(10.0)
+        .with_master_crash_fraction(0.5);
+    // Scrub ticks every 5 s so most replayed WAL windows hold one.
+    let mut cc = rotten().with_scrub_interval(5.0);
+    cc.retry_budget = 32;
+    let (mut recoveries, mut corrupted) = (0, 0);
+    for seed in [5, 23, 47] {
+        let cfg = SimConfig::small_demo(seed)
+            .with_chaos(chaos)
+            .with_control_plane(cp)
+            .with_corruption(cc)
+            .with_audit(true);
+        let out = Simulation::run(&cfg).cluster_metrics;
+        assert_eq!(
+            out.jobs_completed + out.jobs_failed,
+            12,
+            "seed {seed}: job accounting broke across master recoveries"
+        );
+        recoveries += out.master_recoveries;
+        corrupted += out.replicas_corrupted;
+    }
+    assert!(
+        recoveries > 0,
+        "no master crash fired — the test tests nothing"
+    );
+    assert!(corrupted > 0, "no replica rotted — the test tests nothing");
+}
