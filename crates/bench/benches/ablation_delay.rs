@@ -2,7 +2,7 @@
 //! the sweep, then times the delay scheduler's offer path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use custody_bench::{ablation_delay_table, FigureOptions};
+use custody_bench::{print_figures, FigureOptions};
 use custody_dfs::NodeId;
 use custody_scheduler::{DelayScheduler, RunnableTask, TaskScheduler};
 use custody_simcore::{SimDuration, SimRng, SimTime};
@@ -26,7 +26,7 @@ fn runnable(seed: u64, n: usize) -> Vec<RunnableTask> {
 }
 
 fn bench(c: &mut Criterion) {
-    println!("{}", ablation_delay_table(&FigureOptions::quick()));
+    print_figures(&FigureOptions::quick(), |t| t == "ablation-delay");
 
     let tasks = runnable(1, 200);
     let mut g = c.benchmark_group("ablation_delay");

@@ -3,7 +3,7 @@
 //! then times a full Custody allocation round at 100-node scale.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use custody_bench::{ablation_inter_table, FigureOptions};
+use custody_bench::{print_figures, FigureOptions};
 use custody_cluster::ExecutorId;
 use custody_core::{
     AllocationView, AppState, CustodyAllocator, ExecutorAllocator, ExecutorInfo, JobDemand,
@@ -65,7 +65,7 @@ fn big_view(seed: u64) -> AllocationView {
 }
 
 fn bench(c: &mut Criterion) {
-    println!("{}", ablation_inter_table(&FigureOptions::quick()));
+    print_figures(&FigureOptions::quick(), |t| t == "ablation-inter");
 
     let view = big_view(1);
     let mut rng = SimRng::seed_from_u64(2);

@@ -3,7 +3,7 @@
 //! the two one-shot matching strategies on a synthetic instance.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use custody_bench::{ablation_intra_table, FigureOptions};
+use custody_bench::{print_figures, FigureOptions};
 use custody_core::theory::{greedy_local_jobs, roundrobin_local_jobs};
 use custody_simcore::SimRng;
 
@@ -23,7 +23,7 @@ fn instance(seed: u64) -> Vec<Vec<Vec<usize>>> {
 }
 
 fn bench(c: &mut Criterion) {
-    println!("{}", ablation_intra_table(&FigureOptions::quick()));
+    print_figures(&FigureOptions::quick(), |t| t == "ablation-intra");
 
     let jobs = instance(1);
     let mut g = c.benchmark_group("ablation_intra");

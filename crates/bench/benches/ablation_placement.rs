@@ -3,12 +3,12 @@
 //! times dataset creation under each policy.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use custody_bench::{ablation_placement_table, FigureOptions};
+use custody_bench::{print_figures, FigureOptions};
 use custody_dfs::{NameNode, PopularityPlacement, RandomPlacement, DEFAULT_BLOCK_SIZE};
 use custody_simcore::SimRng;
 
 fn bench(c: &mut Criterion) {
-    println!("{}", ablation_placement_table(&FigureOptions::quick()));
+    print_figures(&FigureOptions::quick(), |t| t == "ablation-placement");
 
     let mut g = c.benchmark_group("ablation_placement");
     g.bench_function("create_dataset_random_8gb", |b| {

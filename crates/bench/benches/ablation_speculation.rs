@@ -2,12 +2,12 @@
 //! comparison, then times the straggler-detection policy.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use custody_bench::{ablation_speculation_table, FigureOptions};
+use custody_bench::{print_figures, FigureOptions};
 use custody_scheduler::speculation::{SpeculationConfig, SpeculationPolicy};
 use custody_simcore::{SimDuration, SimTime};
 
 fn bench(c: &mut Criterion) {
-    println!("{}", ablation_speculation_table(&FigureOptions::quick()));
+    print_figures(&FigureOptions::quick(), |t| t == "ablation-speculation");
 
     let mut g = c.benchmark_group("ablation_speculation");
     g.bench_function("should_speculate_1000_completions", |b| {

@@ -5,7 +5,7 @@
 //! auditor's overhead is tracked release-to-release.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use custody_bench::{chaos_table, FigureOptions};
+use custody_bench::{print_figures, FigureOptions};
 use custody_sim::{AllocatorKind, ChaosConfig, SimConfig, Simulation, WorkloadKind};
 
 fn chaotic_config(audit: bool) -> SimConfig {
@@ -20,7 +20,7 @@ fn chaotic_config(audit: bool) -> SimConfig {
 }
 
 fn bench(c: &mut Criterion) {
-    println!("{}", chaos_table(&FigureOptions::quick()));
+    print_figures(&FigureOptions::quick(), |t| t == "chaos");
 
     let mut g = c.benchmark_group("chaos_sweep");
     g.sample_size(10);

@@ -3,12 +3,11 @@
 //! (congested) configuration where delay accounting is hottest.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use custody_bench::{fig10_table, run_sweep, FigureOptions};
+use custody_bench::{print_figures, FigureOptions};
 use custody_sim::{AllocatorKind, SimConfig, Simulation, WorkloadKind};
 
 fn bench(c: &mut Criterion) {
-    let opts = FigureOptions::quick();
-    println!("{}", fig10_table(&run_sweep(&opts)));
+    print_figures(&FigureOptions::quick(), |t| t == "fig10");
 
     let mut g = c.benchmark_group("fig10");
     g.sample_size(10);

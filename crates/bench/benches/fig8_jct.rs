@@ -2,12 +2,11 @@
 //! Prints the regenerated figure rows, then times full campaign runs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use custody_bench::{fig8_table, run_sweep, FigureOptions};
+use custody_bench::{print_figures, FigureOptions};
 use custody_sim::{AllocatorKind, SimConfig, Simulation, WorkloadKind};
 
 fn bench(c: &mut Criterion) {
-    let opts = FigureOptions::quick();
-    println!("{}", fig8_table(&run_sweep(&opts)));
+    print_figures(&FigureOptions::quick(), |t| t == "fig8");
 
     let mut g = c.benchmark_group("fig8");
     g.sample_size(10);

@@ -3,12 +3,11 @@
 //! 100-node simulation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use custody_bench::{fig9_table, run_sweep, FigureOptions};
+use custody_bench::{print_figures, FigureOptions};
 use custody_sim::{AllocatorKind, SimConfig, Simulation, WorkloadKind};
 
 fn bench(c: &mut Criterion) {
-    let opts = FigureOptions::quick();
-    println!("{}", fig9_table(&run_sweep(&opts)));
+    print_figures(&FigureOptions::quick(), |t| t == "fig9");
 
     let mut g = c.benchmark_group("fig9");
     g.sample_size(10);

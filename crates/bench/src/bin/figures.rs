@@ -7,125 +7,55 @@
 //! cargo run --release -p custody-bench --bin figures -- --jobs 10 --seed 7 fig10
 //! ```
 //!
-//! Targets: `fig7`, `fig7-fixed`, `fig8`, `fig9`, `fig10`, `ablations`,
-//! `chaos`, `partition`, `durability`, `detector`, `failslow`,
-//! `demotion`, `theory`, `all`. An unknown target is a usage error (exit
-//! code 2).
+//! Targets are the scenario table's (`custody_sim::experiment::scenarios`)
+//! plus `theory` and `all`. An unknown target, or a missing or
+//! non-numeric `--jobs`/`--seed` value, is a usage error (exit code 2).
 
-use custody_bench::{
-    ablation_delay_table, ablation_inter_table, ablation_intra_table, ablation_placement_table,
-    ablation_speculation_table, allocator_cost_summary, chaos_table, demotion_table,
-    detector_table, durability_table, failslow_table, fig10_table, fig7_fixed_quota_table,
-    fig7_table, fig8_table, fig9_table, partition_table, run_sweep, theory_quality_table,
-    FigureOptions,
-};
+use std::str::FromStr;
 
-const TARGETS: [&str; 14] = [
-    "fig7",
-    "fig7-fixed",
-    "fig8",
-    "fig9",
-    "fig10",
-    "ablations",
-    "chaos",
-    "partition",
-    "durability",
-    "detector",
-    "failslow",
-    "demotion",
-    "theory",
-    "all",
-];
+use custody_bench::{print_figures, targets, FigureOptions};
+use custody_sim::experiment::PAPER_CLUSTER_SIZES;
+
+fn usage(problem: &str) -> ! {
+    eprintln!(
+        "figures: {problem}\n\
+         usage: figures [--quick] [--jobs N] [--seed N] [TARGET...]\n\
+         targets: {}",
+        targets().join(" ")
+    );
+    std::process::exit(2)
+}
+
+fn number<T: FromStr>(flag: &str, value: Option<String>) -> T {
+    value
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| usage(&format!("{flag} requires a number")))
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut opts = FigureOptions::default();
-    let mut targets: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
+    let mut wanted: Vec<String> = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => opts = FigureOptions::quick(),
-            "--jobs" => {
-                opts.jobs_per_app = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--jobs requires a number");
-            }
-            "--seed" => {
-                opts.seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed requires a number");
-            }
-            other => targets.push(other.to_string()),
+            "--jobs" => opts.jobs_per_app = number(&a, args.next()),
+            "--seed" => opts.seed = number(&a, args.next()),
+            _ => wanted.push(a),
         }
     }
-    if targets.is_empty() {
-        targets.push("all".into());
+    if wanted.is_empty() {
+        wanted.push("all".into());
     }
-    if let Some(bad) = targets.iter().find(|t| !TARGETS.contains(&t.as_str())) {
-        eprintln!(
-            "figures: unknown target {bad:?}\n\
-             usage: figures [--quick] [--jobs N] [--seed N] [TARGET...]\n\
-             targets: {}",
-            TARGETS.join(" ")
-        );
-        std::process::exit(2);
+    let known = targets();
+    if let Some(bad) = wanted.iter().find(|t| !known.contains(&t.as_str())) {
+        usage(&format!("unknown target {bad:?}"));
     }
-    let all = targets.iter().any(|t| t == "all");
-    let wants = |t: &str| all || targets.iter().any(|x| x == t);
+    let all = wanted.iter().any(|t| t == "all");
 
     println!(
         "custody figures — jobs/app={} seed={} sizes={:?}\n",
-        opts.jobs_per_app, opts.seed, opts.sizes
+        opts.jobs_per_app, opts.seed, PAPER_CLUSTER_SIZES
     );
-
-    // Figs 7–10 share one sweep.
-    if wants("fig7") || wants("fig8") || wants("fig9") || wants("fig10") {
-        let cells = run_sweep(&opts);
-        if wants("fig7") {
-            println!("{}", fig7_table(&cells));
-        }
-        if wants("fig8") {
-            println!("{}", fig8_table(&cells));
-        }
-        if wants("fig9") {
-            println!("{}", fig9_table(&cells));
-        }
-        if wants("fig10") {
-            println!("{}", fig10_table(&cells));
-        }
-        println!("{}", allocator_cost_summary(&cells));
-    }
-    if wants("fig7-fixed") || wants("fig7") {
-        println!("{}", fig7_fixed_quota_table(&opts));
-    }
-    if wants("ablations") {
-        println!("{}", ablation_intra_table(&opts));
-        println!("{}", ablation_inter_table(&opts));
-        println!("{}", ablation_placement_table(&opts));
-        println!("{}", ablation_delay_table(&opts));
-        println!("{}", ablation_speculation_table(&opts));
-    }
-    if wants("chaos") {
-        println!("{}", chaos_table(&opts));
-    }
-    if wants("partition") {
-        println!("{}", partition_table(&opts));
-    }
-    if wants("durability") {
-        println!("{}", durability_table(&opts));
-    }
-    if wants("detector") {
-        println!("{}", detector_table(&opts));
-    }
-    if wants("failslow") {
-        println!("{}", failslow_table(&opts));
-    }
-    if wants("demotion") {
-        println!("{}", demotion_table(&opts));
-    }
-    if wants("theory") {
-        println!("{}", theory_quality_table(500, opts.seed));
-    }
+    print_figures(&opts, |t| all || wanted.iter().any(|w| w == t));
 }

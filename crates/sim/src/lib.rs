@@ -33,7 +33,6 @@ pub mod experiment;
 pub mod job;
 pub mod metrics;
 pub mod report;
-pub mod sweep;
 pub mod trace;
 
 pub use config::{
@@ -42,7 +41,6 @@ pub use config::{
 };
 pub use driver::Simulation;
 pub use metrics::{AppMetrics, RunMetrics, SimOutcome};
-pub use sweep::{Sweep, SweepResult};
 pub use trace::{TaskRecord, TaskTrace};
 
 // Re-exports so downstream code can configure runs with one import.
