@@ -16,16 +16,22 @@
 //! ```
 //!
 //! With `--baseline <allocator>` the same configuration is run twice and
-//! the comparison printed; `--trace` writes the per-task TSV log. An
-//! unknown `--demotion` mode is a usage error (exit code 2).
+//! the comparison printed; `--trace` writes the per-task TSV log. Every
+//! bad argument — an unknown flag or name, a value that does not parse,
+//! or a configuration `SimConfig::validate` rejects — is a one-line
+//! usage error with exit code 2.
 
 use custody_core::AllocatorKind;
 use custody_dfs::NodeId;
 use custody_scheduler::speculation::SpeculationConfig;
 use custody_scheduler::SchedulerKind;
 use custody_sim::report::summary_row;
-use custody_sim::{NodeFailure, PlacementKind, QuotaMode, SimConfig, Simulation, WorkloadKind};
+use custody_sim::{
+    ChaosConfig, ControlPlaneConfig, CorruptionConfig, FailSlowConfig, NodeFailure,
+    PartitionConfig, PlacementKind, QuotaMode, SimConfig, Simulation, WorkloadKind,
+};
 use custody_simcore::{SimDuration, SimTime};
+use std::str::FromStr;
 
 fn parse_workload(s: &str) -> WorkloadKind {
     match s {
@@ -34,7 +40,9 @@ fn parse_workload(s: &str) -> WorkloadKind {
         "sort" => WorkloadKind::Sort,
         "sqlscan" => WorkloadKind::SqlScan,
         "kmeans" => WorkloadKind::KMeans,
-        other => panic!("unknown workload {other:?} (pagerank|wordcount|sort|sqlscan|kmeans)"),
+        other => usage_error(&format!(
+            "unknown workload {other:?} (pagerank|wordcount|sort|sqlscan|kmeans)"
+        )),
     }
 }
 
@@ -46,7 +54,10 @@ fn parse_allocator(s: &str) -> AllocatorKind {
         "dynamic-offer" => AllocatorKind::DynamicOffer,
         "custody-fair-intra" => AllocatorKind::CustodyFairIntra,
         "custody-naive-inter" => AllocatorKind::CustodyNaiveInter,
-        other => panic!("unknown allocator {other:?}"),
+        other => usage_error(&format!(
+            "unknown allocator {other:?} (custody|spark-static|static-random|dynamic-offer|\
+             custody-fair-intra|custody-naive-inter)"
+        )),
     }
 }
 
@@ -56,20 +67,24 @@ fn parse_placement(s: &str) -> PlacementKind {
         "round-robin" => PlacementKind::RoundRobin,
         "popularity" => PlacementKind::Popularity,
         "rack-aware" => PlacementKind::RackAware,
-        other => panic!("unknown placement {other:?}"),
+        other => usage_error(&format!(
+            "unknown placement {other:?} (random|round-robin|popularity|rack-aware)"
+        )),
     }
 }
 
 fn parse_scheduler(s: &str) -> SchedulerKind {
     if let Some(ms) = s.strip_prefix("delay:") {
-        let ms: u64 = ms.parse().expect("delay:<milliseconds>");
+        let ms: u64 = parse("--scheduler delay:<milliseconds>", ms);
         return SchedulerKind::Delay(SimDuration::from_millis(ms));
     }
     match s {
         "delay" => SchedulerKind::spark_default(),
         "fifo" => SchedulerKind::Fifo,
         "locality-first" => SchedulerKind::LocalityFirst,
-        other => panic!("unknown scheduler {other:?}"),
+        other => usage_error(&format!(
+            "unknown scheduler {other:?} (delay|delay:<ms>|fifo|locality-first)"
+        )),
     }
 }
 
@@ -77,6 +92,21 @@ fn parse_scheduler(s: &str) -> SchedulerKind {
 fn usage_error(msg: &str) -> ! {
     eprintln!("simulate: {msg}");
     std::process::exit(2);
+}
+
+/// Parses the value `v` given as `what`, or exits with a usage error.
+fn parse<T: FromStr>(what: &str, v: &str) -> T {
+    v.parse()
+        .unwrap_or_else(|_| usage_error(&format!("{what}: cannot parse {v:?}")))
+}
+
+/// Parses an `<a>[:<b>]` value, or exits with a usage error quoting
+/// `usage`.
+fn pair<A: FromStr, B: FromStr>(usage: &str, v: &str) -> (A, Option<B>) {
+    match v.split_once(':') {
+        Some((a, b)) => (parse(usage, a), Some(parse(usage, b))),
+        None => (parse(usage, v), None),
+    }
 }
 
 fn main() {
@@ -91,15 +121,15 @@ fn main() {
     let mut quota: Option<usize> = None;
     let mut scheduler = SchedulerKind::spark_default();
     let mut failures: Vec<NodeFailure> = Vec::new();
-    let mut chaos: Option<custody_sim::ChaosConfig> = None;
-    let mut control_plane: Option<custody_sim::ControlPlaneConfig> = None;
+    let mut chaos: Option<ChaosConfig> = None;
+    let mut control_plane: Option<ControlPlaneConfig> = None;
     let mut checkpoint_secs: Option<f64> = None;
     let mut master_crash: Option<f64> = None;
     let mut audit = false;
     let mut speculation = false;
-    let mut failslow: Option<custody_sim::FailSlowConfig> = None;
-    let mut partition: Option<custody_sim::PartitionConfig> = None;
-    let mut corruption: Option<custody_sim::CorruptionConfig> = None;
+    let mut failslow: Option<FailSlowConfig> = None;
+    let mut partition: Option<PartitionConfig> = None;
+    let mut corruption: Option<CorruptionConfig> = None;
     let mut no_quarantine = false;
     let mut demotion: Option<bool> = None;
     let mut retry_budget: Option<usize> = None;
@@ -108,100 +138,62 @@ fn main() {
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        let mut val = || args.next().unwrap_or_else(|| panic!("{a} needs a value"));
+        let mut val = || {
+            args.next()
+                .unwrap_or_else(|| usage_error(&format!("{a} needs a value")))
+        };
         match a.as_str() {
             "--workload" => workload = parse_workload(&val()),
-            "--nodes" => nodes = val().parse().expect("--nodes <n>"),
+            "--nodes" => nodes = parse("--nodes <n>", &val()),
             "--allocator" => allocator = parse_allocator(&val()),
             "--baseline" => baseline = Some(parse_allocator(&val())),
-            "--jobs" => jobs = val().parse().expect("--jobs <n>"),
-            "--seed" => seed = val().parse().expect("--seed <n>"),
-            "--racks" => racks = val().parse().expect("--racks <n>"),
+            "--jobs" => jobs = parse("--jobs <n>", &val()),
+            "--seed" => seed = parse("--seed <n>", &val()),
+            "--racks" => racks = parse("--racks <n>", &val()),
             "--placement" => placement = parse_placement(&val()),
-            "--quota" => quota = Some(val().parse().expect("--quota <n>")),
+            "--quota" => quota = Some(parse("--quota <n>", &val())),
             "--scheduler" => scheduler = parse_scheduler(&val()),
             "--fail" => {
-                let v = val();
-                let (t, n) = v.split_once(':').expect("--fail <secs>:<node>");
+                let usage = "--fail <secs>:<node>";
+                let (t, n) = pair(usage, &val());
+                let n = n.unwrap_or_else(|| usage_error(usage));
                 failures.push(NodeFailure {
-                    at: SimTime::from_secs(t.parse().expect("seconds")),
-                    node: NodeId::new(n.parse().expect("node index")),
+                    at: SimTime::from_secs(t),
+                    node: NodeId::new(n),
                 });
             }
             "--chaos" => {
-                let v = val();
-                let (mtbf, downtime) = match v.split_once(':') {
-                    Some((m, d)) => (
-                        m.parse().expect("--chaos <mtbf-secs>[:<downtime-secs>]"),
-                        d.parse().expect("downtime seconds"),
-                    ),
-                    None => (v.parse().expect("--chaos <mtbf-secs>"), 30.0),
-                };
-                let mut c = custody_sim::ChaosConfig::default().with_mean_time_between_faults(mtbf);
-                c.mean_downtime_secs = downtime;
+                let (mtbf, downtime) = pair("--chaos <mtbf-secs>[:<downtime-secs>]", &val());
+                let mut c = ChaosConfig::default().with_mean_time_between_faults(mtbf);
+                if let Some(d) = downtime {
+                    c.mean_downtime_secs = d;
+                }
                 chaos = Some(c);
             }
             "--detector" => {
-                let v = val();
-                let cp = custody_sim::ControlPlaneConfig::default();
-                control_plane = Some(match v.split_once(':') {
-                    Some((drop, timeout)) => cp
-                        .with_drop_probability(
-                            drop.parse()
-                                .expect("--detector <drop-prob>[:<suspicion-secs>]"),
-                        )
-                        .with_suspicion_timeout(timeout.parse().expect("suspicion seconds")),
-                    None => cp.with_drop_probability(v.parse().expect("--detector <drop-prob>")),
-                });
+                let (drop, timeout) = pair("--detector <drop-prob>[:<suspicion-secs>]", &val());
+                let cp = ControlPlaneConfig::default().with_drop_probability(drop);
+                control_plane = Some(timeout.map_or(cp, |t| cp.with_suspicion_timeout(t)));
             }
-            "--checkpoint" => checkpoint_secs = Some(val().parse().expect("--checkpoint <secs>")),
-            "--master-crash" => master_crash = Some(val().parse().expect("--master-crash <prob>")),
+            "--checkpoint" => checkpoint_secs = Some(parse("--checkpoint <secs>", &val())),
+            "--master-crash" => master_crash = Some(parse("--master-crash <prob>", &val())),
             "--audit" => audit = true,
             "--speculation" => speculation = true,
             "--failslow" => {
-                let v = val();
-                let fs = custody_sim::FailSlowConfig::default();
-                failslow = Some(match v.split_once(':') {
-                    Some((sick, fault)) => fs
-                        .with_sick_fraction(
-                            sick.parse()
-                                .expect("--failslow <sick-fraction>[:<fault-prob>]"),
-                        )
-                        .with_transient_fault_prob(fault.parse().expect("fault probability")),
-                    None => fs.with_sick_fraction(v.parse().expect("--failslow <sick-fraction>")),
-                });
+                let (sick, fault) = pair("--failslow <sick-fraction>[:<fault-prob>]", &val());
+                let fs = FailSlowConfig::default().with_sick_fraction(sick);
+                failslow = Some(fault.map_or(fs, |p| fs.with_transient_fault_prob(p)));
             }
             "--partition" => {
-                let v = val();
-                let pc = custody_sim::PartitionConfig::default();
-                partition = Some(match v.split_once(':') {
-                    Some((split, heal)) => pc
-                        .with_split_fraction(
-                            split
-                                .parse()
-                                .expect("--partition <split-fraction>[:<mean-heal-secs>]"),
-                        )
-                        .with_mean_heal(heal.parse().expect("mean heal seconds")),
-                    None => {
-                        pc.with_split_fraction(v.parse().expect("--partition <split-fraction>"))
-                    }
-                });
+                let (split, heal) = pair("--partition <split-fraction>[:<mean-heal-secs>]", &val());
+                let pc = PartitionConfig::default().with_split_fraction(split);
+                partition = Some(heal.map_or(pc, |h| pc.with_mean_heal(h)));
             }
             "--corruption" => {
-                let v = val();
-                let cc = custody_sim::CorruptionConfig::default();
-                corruption = Some(match v.split_once(':') {
-                    Some((latent, scrub)) => cc
-                        .with_latent_fraction(
-                            latent
-                                .parse()
-                                .expect("--corruption <latent-fraction>[:<scrub-interval-secs>]"),
-                        )
-                        .with_scrub_interval(scrub.parse().expect("scrub interval seconds")),
-                    None => {
-                        cc.with_latent_fraction(v.parse().expect("--corruption <latent-fraction>"))
-                    }
-                });
+                let usage = "--corruption <latent-fraction>[:<scrub-interval-secs>]";
+                let (latent, scrub) = pair(usage, &val());
+                let cc = CorruptionConfig::default().with_latent_fraction(latent);
+                corruption = Some(scrub.map_or(cc, |s| cc.with_scrub_interval(s)));
             }
             "--no-quarantine" => no_quarantine = true,
             "--demotion" => {
@@ -212,12 +204,15 @@ fn main() {
                 });
             }
             "--retry-budget" => {
-                retry_budget = Some(val().parse().expect("--retry-budget <n>"));
+                retry_budget = Some(parse("--retry-budget <n>", &val()));
             }
             "--trace" => trace_path = Some(val()),
             "--analyze" => analyze = true,
-            other => panic!("unknown flag {other:?}"),
+            other => usage_error(&format!("unknown flag {other:?}")),
         }
+    }
+    if racks == 0 {
+        usage_error("--racks must be at least 1");
     }
 
     let mut cfg = SimConfig::paper(workload, nodes, allocator, seed)
@@ -252,8 +247,9 @@ fn main() {
         cfg = cfg.with_control_plane(cp);
     }
     if no_quarantine || demotion.is_some() || retry_budget.is_some() {
-        let mut fs =
-            failslow.expect("--no-quarantine / --demotion / --retry-budget modify --failslow");
+        let mut fs = failslow.unwrap_or_else(|| {
+            usage_error("--no-quarantine / --demotion / --retry-budget modify --failslow")
+        });
         if no_quarantine {
             fs = fs.with_detection(false);
         }
@@ -273,6 +269,10 @@ fn main() {
     }
     if let Some(cc) = corruption {
         cfg = cfg.with_corruption(cc);
+    }
+
+    if let Err(e) = cfg.validate() {
+        usage_error(&format!("invalid configuration: {e}"));
     }
 
     println!("{}\n", cfg.label());

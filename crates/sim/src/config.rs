@@ -77,6 +77,27 @@ pub struct NodeFailure {
     pub node: NodeId,
 }
 
+/// A configuration no run can be built from: one line naming the
+/// rejecting section (`"chaos: …"`, `"cluster: …"`, ...) and why.
+/// [`SimConfig::validate`] gathers every section's checks.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConfigError(String);
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+/// `Ok` when `ok` holds, else a [`ConfigError`] prefixed with `section`.
+fn ensure(ok: bool, section: &str, message: &str) -> Result<(), ConfigError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(ConfigError(format!("{section}: {message}")))
+    }
+}
+
 /// Stochastic fault injection: a seeded chaos process that, unlike the
 /// scripted [`NodeFailure`] list, keeps churning the cluster for as long
 /// as its horizon lasts. Three fault flavours are drawn from one
@@ -152,33 +173,34 @@ impl ChaosConfig {
         self
     }
 
-    /// Panics unless every field is physically sensible.
-    pub fn validate(&self) {
-        assert!(
+    /// Checks that every field is physically sensible.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let ensure = |ok, message| ensure(ok, "chaos", message);
+        ensure(
             self.mean_time_between_faults_secs > 0.0,
-            "mean time between faults must be positive"
-        );
-        assert!(
+            "mean time between faults must be positive",
+        )?;
+        ensure(
             self.mean_downtime_secs > 0.0,
-            "mean downtime must be positive"
-        );
-        assert!(
+            "mean downtime must be positive",
+        )?;
+        ensure(
             (0.0..=1.0).contains(&self.executor_only_fraction),
-            "executor-only fraction must be a probability"
-        );
-        assert!(
+            "executor-only fraction must be a probability",
+        )?;
+        ensure(
             (0.0..=1.0).contains(&self.degraded_fraction),
-            "degraded fraction must be a probability"
-        );
-        assert!(
+            "degraded fraction must be a probability",
+        )?;
+        ensure(
             self.degraded_remote_factor >= 1.0,
-            "degradation cannot speed reads up"
-        );
-        assert!(
+            "degradation cannot speed reads up",
+        )?;
+        ensure(
             self.mean_degraded_window_secs > 0.0,
-            "mean degradation window must be positive"
-        );
-        assert!(self.horizon_secs >= 0.0, "horizon must be non-negative");
+            "mean degradation window must be positive",
+        )?;
+        ensure(self.horizon_secs >= 0.0, "horizon must be non-negative")
     }
 }
 
@@ -379,86 +401,88 @@ impl FailSlowConfig {
         self.sick_fraction == 0.0 && self.transient_fault_prob == 0.0
     }
 
-    /// Panics unless every field is physically sensible.
-    pub fn validate(&self) {
-        assert!(
+    /// Checks that every field is physically sensible.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let ensure = |ok, message| ensure(ok, "failslow", message);
+        ensure(
             (0.0..=1.0).contains(&self.sick_fraction),
-            "sick fraction must be a probability"
-        );
-        assert!(
+            "sick fraction must be a probability",
+        )?;
+        ensure(
             (0.0..=1.0).contains(&self.transient_fault_prob),
-            "transient fault probability must be a probability"
-        );
+            "transient fault probability must be a probability",
+        )?;
         if self.is_inert() {
-            return; // oracle degeneration: nothing else applies
+            return Ok(()); // oracle degeneration: nothing else applies
         }
-        assert!(self.mean_onset_secs > 0.0, "mean onset must be positive");
-        assert!(
+        ensure(self.mean_onset_secs > 0.0, "mean onset must be positive")?;
+        ensure(
             self.mean_episode_secs >= 0.0,
-            "mean episode must be non-negative"
-        );
+            "mean episode must be non-negative",
+        )?;
         if self.mean_episode_secs > 0.0 {
-            assert!(
+            ensure(
                 self.mean_remission_secs > 0.0,
-                "episodic slowdowns need a positive mean remission"
-            );
+                "episodic slowdowns need a positive mean remission",
+            )?;
         }
-        assert!(self.horizon_secs >= 0.0, "horizon must be non-negative");
-        assert!(
+        ensure(self.horizon_secs >= 0.0, "horizon must be non-negative")?;
+        ensure(
             (0.0..=1.0).contains(&self.disk_fraction)
                 && (0.0..=1.0).contains(&self.nic_fraction)
                 && self.disk_fraction + self.nic_fraction <= 1.0,
-            "cause fractions must be probabilities summing to at most one"
-        );
-        assert!(
+            "cause fractions must be probabilities summing to at most one",
+        )?;
+        ensure(
             self.disk_factor >= 1.0 && self.nic_factor >= 1.0 && self.cpu_factor >= 1.0,
-            "fail-slow cannot speed a node up"
-        );
-        assert!(
+            "fail-slow cannot speed a node up",
+        )?;
+        ensure(
             self.sick_fault_multiplier >= 1.0,
-            "sick nodes cannot fault less than healthy ones"
-        );
-        assert!(
+            "sick nodes cannot fault less than healthy ones",
+        )?;
+        ensure(
             self.retry_backoff_secs >= 0.0,
-            "retry backoff must be non-negative"
-        );
-        assert!(
+            "retry backoff must be non-negative",
+        )?;
+        ensure(
             (0.0..=1.0).contains(&self.retry_jitter),
-            "retry jitter must be a fraction"
-        );
+            "retry jitter must be a fraction",
+        )?;
         if self.detection {
-            assert!(self.min_samples > 0, "detector needs at least one sample");
-            assert!(
+            ensure(self.min_samples > 0, "detector needs at least one sample")?;
+            ensure(
                 self.window >= self.min_samples,
-                "sample window must hold min_samples"
-            );
-            assert!(
+                "sample window must hold min_samples",
+            )?;
+            ensure(
                 self.suspect_ratio > 1.0,
-                "suspect ratio must exceed one (the median itself)"
-            );
-            assert!(
+                "suspect ratio must exceed one (the median itself)",
+            )?;
+            ensure(
                 self.quarantine_ratio >= self.suspect_ratio,
-                "quarantine ratio must be at least the suspect ratio"
-            );
-            assert!(
+                "quarantine ratio must be at least the suspect ratio",
+            )?;
+            ensure(
                 self.probation_delay_secs > 0.0,
-                "probation delay must be positive"
-            );
-            assert!(
+                "probation delay must be positive",
+            )?;
+            ensure(
                 self.probation_probes > 0,
-                "probation needs at least one probe"
-            );
+                "probation needs at least one probe",
+            )?;
             if self.demotion {
-                assert!(
+                ensure(
                     (1..=64).contains(&self.cost_scale),
-                    "cost scale must be in 1..=64"
-                );
-                assert!(
+                    "cost scale must be in 1..=64",
+                )?;
+                ensure(
                     self.cost_cap_ratio >= 1.0,
-                    "cost cap ratio cannot be below one"
-                );
+                    "cost cap ratio cannot be below one",
+                )?;
             }
         }
+        Ok(())
     }
 }
 
@@ -550,46 +574,47 @@ impl ControlPlaneConfig {
         self.checkpoint_interval_secs > 0.0
     }
 
-    /// Panics unless the configuration is physically sensible.
-    pub fn validate(&self) {
-        assert!(
+    /// Checks that the configuration is physically sensible.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let ensure = |ok, message| ensure(ok, "control-plane", message);
+        ensure(
             self.mean_delay_secs >= 0.0,
-            "mean delay must be non-negative"
-        );
-        assert!(
+            "mean delay must be non-negative",
+        )?;
+        ensure(
             self.checkpoint_interval_secs >= 0.0,
-            "checkpoint interval must be non-negative"
-        );
-        assert!(
+            "checkpoint interval must be non-negative",
+        )?;
+        ensure(
             (0.0..=1.0).contains(&self.master_crash_fraction),
-            "master-crash fraction must be a probability"
-        );
+            "master-crash fraction must be a probability",
+        )?;
         if self.master_crash_fraction > 0.0 {
-            assert!(
+            ensure(
                 self.wal_enabled(),
-                "master crashes need checkpointing to recover from"
-            );
+                "master crashes need checkpointing to recover from",
+            )?;
         }
         if self.is_perfect() {
-            return; // oracle degeneration: timing relations don't apply
+            return Ok(()); // oracle degeneration: timing relations don't apply
         }
-        assert!(
+        ensure(
             self.heartbeat_interval_secs > 0.0,
-            "heartbeat interval must be positive"
-        );
-        assert!(
+            "heartbeat interval must be positive",
+        )?;
+        ensure(
             (0.0..1.0).contains(&self.drop_probability),
-            "drop probability must be in [0, 1)"
-        );
-        assert!(
+            "drop probability must be in [0, 1)",
+        )?;
+        ensure(
             self.suspicion_timeout_secs > self.heartbeat_interval_secs,
-            "suspicion timeout must exceed the heartbeat interval"
-        );
-        assert!(
+            "suspicion timeout must exceed the heartbeat interval",
+        )?;
+        ensure(
             self.lease_duration_secs > self.heartbeat_interval_secs
                 && self.lease_duration_secs < self.suspicion_timeout_secs,
-            "lease duration must sit between heartbeat interval and suspicion timeout"
-        );
+            "lease duration must sit between heartbeat interval and suspicion timeout",
+        )
     }
 }
 
@@ -727,49 +752,50 @@ impl PartitionConfig {
         self.split_fraction == 0.0
     }
 
-    /// Panics unless every field is physically sensible.
-    pub fn validate(&self) {
-        assert!(
+    /// Checks that every field is physically sensible.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let ensure = |ok, message| ensure(ok, "partition", message);
+        ensure(
             (0.0..1.0).contains(&self.split_fraction),
-            "split fraction must be in [0, 1) — someone must stay with the master"
-        );
+            "split fraction must be in [0, 1) — someone must stay with the master",
+        )?;
         if self.is_inert() {
-            return; // oracle degeneration: nothing else applies
+            return Ok(()); // oracle degeneration: nothing else applies
         }
-        assert!(
+        ensure(
             self.mean_time_between_partitions_secs > 0.0,
-            "mean time between partitions must be positive"
-        );
-        assert!(self.mean_heal_secs > 0.0, "mean heal must be positive");
-        assert!(
+            "mean time between partitions must be positive",
+        )?;
+        ensure(self.mean_heal_secs > 0.0, "mean heal must be positive")?;
+        ensure(
             (0.0..=1.0).contains(&self.asymmetric_prob),
-            "asymmetric probability must be a probability"
-        );
-        assert!(
+            "asymmetric probability must be a probability",
+        )?;
+        ensure(
             (0.0..=1.0).contains(&self.inbound_cut_prob),
-            "inbound-cut probability must be a probability"
-        );
-        assert!(
+            "inbound-cut probability must be a probability",
+        )?;
+        ensure(
             (0.0..=1.0).contains(&self.flap_prob),
-            "flap probability must be a probability"
-        );
+            "flap probability must be a probability",
+        )?;
         if self.flap_prob > 0.0 {
-            assert!(
+            ensure(
                 self.mean_flap_secs > 0.0,
-                "flapping episodes need a positive mean flap period"
-            );
+                "flapping episodes need a positive mean flap period",
+            )?;
         }
-        assert!(self.horizon_secs >= 0.0, "horizon must be non-negative");
-        assert!(self.max_episodes > 0, "need at least one episode");
-        assert!(
+        ensure(self.horizon_secs >= 0.0, "horizon must be non-negative")?;
+        ensure(self.max_episodes > 0, "need at least one episode")?;
+        ensure(
             self.redelivery_secs > 0.0,
-            "redelivery interval must be positive"
-        );
-        assert!(self.restore_batch > 0, "restore batch must be positive");
-        assert!(
+            "redelivery interval must be positive",
+        )?;
+        ensure(self.restore_batch > 0, "restore batch must be positive")?;
+        ensure(
             self.restore_interval_secs > 0.0,
-            "restore interval must be positive"
-        );
+            "restore interval must be positive",
+        )
     }
 }
 
@@ -905,52 +931,53 @@ impl CorruptionConfig {
         self.scrub_interval_secs > 0.0
     }
 
-    /// Panics unless every field is physically sensible.
-    pub fn validate(&self) {
-        assert!(
+    /// Checks that every field is physically sensible.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let ensure = |ok, message| ensure(ok, "corruption", message);
+        ensure(
             (0.0..=1.0).contains(&self.latent_fraction),
-            "latent fraction must be a probability"
-        );
-        assert!(
+            "latent fraction must be a probability",
+        )?;
+        ensure(
             self.mean_time_between_corruptions_secs >= 0.0,
-            "mean time between corruptions must be non-negative"
-        );
+            "mean time between corruptions must be non-negative",
+        )?;
         if self.is_inert() {
-            return; // oracle degeneration: nothing else applies
+            return Ok(()); // oracle degeneration: nothing else applies
         }
-        assert!(self.horizon_secs >= 0.0, "horizon must be non-negative");
-        assert!(
+        ensure(self.horizon_secs >= 0.0, "horizon must be non-negative")?;
+        ensure(
             (0.0..=1.0).contains(&self.disk_bias),
-            "disk bias must be a probability"
-        );
-        assert!(
+            "disk bias must be a probability",
+        )?;
+        ensure(
             self.scrub_interval_secs >= 0.0,
-            "scrub interval must be non-negative"
-        );
+            "scrub interval must be non-negative",
+        )?;
         if self.scrub_enabled() {
-            assert!(
+            ensure(
                 self.scrub_blocks_per_tick > 0,
-                "an enabled scrubber must examine at least one block per tick"
-            );
+                "an enabled scrubber must examine at least one block per tick",
+            )?;
         }
-        assert!(self.repair_batch > 0, "repair batch must be positive");
-        assert!(
+        ensure(self.repair_batch > 0, "repair batch must be positive")?;
+        ensure(
             self.repair_interval_secs > 0.0,
-            "repair interval must be positive"
-        );
-        assert!(
+            "repair interval must be positive",
+        )?;
+        ensure(
             self.unavailability_deadline_secs > 0.0,
-            "unavailability deadline must be positive"
-        );
-        assert!(self.retry_budget > 0, "retry budget must be positive");
-        assert!(
+            "unavailability deadline must be positive",
+        )?;
+        ensure(self.retry_budget > 0, "retry budget must be positive")?;
+        ensure(
             self.retry_backoff_secs > 0.0,
-            "retry backoff must be positive"
-        );
-        assert!(
+            "retry backoff must be positive",
+        )?;
+        ensure(
             (0.0..=1.0).contains(&self.retry_jitter),
-            "retry jitter must be a fraction"
-        );
+            "retry jitter must be a fraction",
+        )
     }
 }
 
@@ -1146,6 +1173,44 @@ impl SimConfig {
         }
     }
 
+    /// Checks the cluster, the scripted failures and every fault layer
+    /// at once. [`Simulation::run`](crate::Simulation::run) refuses an
+    /// `Err`; command-line front ends report it instead.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        ensure(
+            self.cluster.num_nodes > 0 && self.cluster.executors_per_node > 0,
+            "cluster",
+            "a cluster needs at least one node hosting at least one executor",
+        )?;
+        for f in &self.failures {
+            let message = format!("failure targets unknown {}", f.node);
+            ensure(
+                f.node.index() < self.cluster.num_nodes,
+                "failures",
+                &message,
+            )?;
+        }
+        self.chaos.as_ref().map_or(Ok(()), ChaosConfig::validate)?;
+        self.control_plane
+            .as_ref()
+            .map_or(Ok(()), ControlPlaneConfig::validate)?;
+        self.failslow
+            .as_ref()
+            .map_or(Ok(()), FailSlowConfig::validate)?;
+        if let Some(pc) = &self.partition {
+            pc.validate()?;
+            ensure(
+                pc.is_inert() || self.control_plane.is_some_and(|cp| !cp.is_perfect()),
+                "partition",
+                "partitions require a modeled (non-perfect) control plane: \
+                 they are precisely the faults only a belief-based detector can mis-see",
+            )?;
+        }
+        self.corruption
+            .as_ref()
+            .map_or(Ok(()), CorruptionConfig::validate)
+    }
+
     /// One-line description for reports.
     pub fn label(&self) -> String {
         format!(
@@ -1210,18 +1275,8 @@ mod tests {
         assert_eq!(chaos.mean_time_between_faults_secs, 12.0);
         assert_eq!(chaos.horizon_secs, 90.0);
         assert_eq!(chaos.max_down, 3);
-        chaos.validate();
-        ChaosConfig::default().validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "probability")]
-    fn chaos_validation_rejects_bad_fraction() {
-        ChaosConfig {
-            degraded_fraction: 1.5,
-            ..ChaosConfig::default()
-        }
-        .validate();
+        assert_eq!(c.validate(), Ok(()));
+        assert_eq!(ChaosConfig::default().validate(), Ok(()));
     }
 
     #[test]
@@ -1240,8 +1295,8 @@ mod tests {
         assert_eq!(fs.transient_fault_prob, 0.05);
         assert_eq!(fs.retry_budget, 4);
         assert_eq!(fs.mean_episode_secs, 25.0);
-        fs.validate();
-        FailSlowConfig::default().validate();
+        assert_eq!(c.validate(), Ok(()));
+        assert_eq!(FailSlowConfig::default().validate(), Ok(()));
     }
 
     #[test]
@@ -1256,28 +1311,8 @@ mod tests {
             ..FailSlowConfig::default()
         };
         assert!(inert.is_inert());
-        inert.validate();
+        assert_eq!(inert.validate(), Ok(()));
         assert!(!FailSlowConfig::default().is_inert());
-    }
-
-    #[test]
-    #[should_panic(expected = "probability")]
-    fn failslow_validation_rejects_bad_fraction() {
-        FailSlowConfig {
-            sick_fraction: 2.0,
-            ..FailSlowConfig::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "speed a node up")]
-    fn failslow_validation_rejects_speedup_factor() {
-        FailSlowConfig {
-            disk_factor: 0.5,
-            ..FailSlowConfig::default()
-        }
-        .validate();
     }
 
     #[test]
@@ -1298,11 +1333,11 @@ mod tests {
         assert_eq!(p.asymmetric_prob, 1.0);
         assert_eq!(p.flap_prob, 0.5);
         assert_eq!(p.max_episodes, 2);
-        p.validate();
-        PartitionConfig::default().validate();
         // An active partition config auto-installs a modeled control
         // plane when none was configured.
         assert!(c.control_plane.is_some());
+        assert_eq!(c.validate(), Ok(()));
+        assert_eq!(PartitionConfig::default().validate(), Ok(()));
     }
 
     #[test]
@@ -1316,32 +1351,12 @@ mod tests {
             ..PartitionConfig::default()
         };
         assert!(inert.is_inert());
-        inert.validate();
         assert!(!PartitionConfig::default().is_inert());
-        // Inert partitions don't force a control plane into the config.
+        // Inert partitions don't force a control plane into the config,
+        // and need none.
         let c = SimConfig::small_demo(1).with_partition(inert);
         assert!(c.control_plane.is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "stay with the master")]
-    fn partition_validation_rejects_full_split() {
-        PartitionConfig {
-            split_fraction: 1.0,
-            ..PartitionConfig::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "positive mean flap period")]
-    fn partition_validation_rejects_flap_without_period() {
-        PartitionConfig {
-            flap_prob: 0.5,
-            mean_flap_secs: 0.0,
-            ..PartitionConfig::default()
-        }
-        .validate();
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]
@@ -1360,8 +1375,8 @@ mod tests {
         assert_eq!(k.scrub_interval_secs, 10.0);
         assert_eq!(k.disk_bias, 1.0);
         assert_eq!(k.unavailability_deadline_secs, 30.0);
-        k.validate();
-        CorruptionConfig::default().validate();
+        assert_eq!(c.validate(), Ok(()));
+        assert_eq!(CorruptionConfig::default().validate(), Ok(()));
         assert!(CorruptionConfig::default().scrub_enabled());
     }
 
@@ -1377,7 +1392,7 @@ mod tests {
             ..CorruptionConfig::default()
         };
         assert!(inert.is_inert());
-        inert.validate();
+        assert_eq!(inert.validate(), Ok(()));
         assert!(!CorruptionConfig::default().is_inert());
         // Latent-only and arrivals-only configs are both active.
         assert!(!CorruptionConfig {
@@ -1396,31 +1411,102 @@ mod tests {
     fn corruption_validation_accepts_full_rot() {
         // Total latent corruption is a legitimate graceful-degradation
         // stress: everything tombstones, jobs fail at the deadline.
-        CorruptionConfig {
+        let full = CorruptionConfig {
             latent_fraction: 1.0,
             ..CorruptionConfig::default()
-        }
-        .validate();
+        };
+        assert_eq!(full.validate(), Ok(()));
     }
 
+    /// Every check `SimConfig::validate` gathers rejects its bad input
+    /// with an `Err` naming the problem: one row per rejected config.
     #[test]
-    #[should_panic(expected = "must be a probability")]
-    fn corruption_validation_rejects_impossible_rot() {
-        CorruptionConfig {
-            latent_fraction: 1.5,
-            ..CorruptionConfig::default()
+    fn validation_rejects_bad_configs() {
+        let demo = || SimConfig::small_demo(1);
+        let mut empty_cluster = demo();
+        empty_cluster.cluster.num_nodes = 0;
+        let mut detectorless_partition = demo();
+        detectorless_partition.partition = Some(PartitionConfig::default());
+        let perfect = ControlPlaneConfig {
+            drop_probability: 0.0,
+            suspicion_timeout_secs: 0.0,
+            ..ControlPlaneConfig::default()
+        };
+        let rows: Vec<(SimConfig, &str)> = vec![
+            (empty_cluster, "at least one node"),
+            (
+                demo().with_failures(vec![NodeFailure {
+                    at: SimTime::from_secs(1),
+                    node: NodeId::new(99),
+                }]),
+                "failure targets unknown node-99",
+            ),
+            (
+                demo().with_chaos(ChaosConfig {
+                    degraded_fraction: 1.5,
+                    ..ChaosConfig::default()
+                }),
+                "probability",
+            ),
+            (
+                demo()
+                    .with_control_plane(ControlPlaneConfig::default().with_suspicion_timeout(0.1)),
+                "exceed the heartbeat interval",
+            ),
+            (
+                demo().with_failslow(FailSlowConfig::default().with_sick_fraction(2.0)),
+                "probability",
+            ),
+            (
+                demo().with_failslow(FailSlowConfig {
+                    disk_factor: 0.5,
+                    ..FailSlowConfig::default()
+                }),
+                "speed a node up",
+            ),
+            (
+                demo().with_partition(PartitionConfig::default().with_split_fraction(1.0)),
+                "stay with the master",
+            ),
+            (
+                demo().with_partition(PartitionConfig {
+                    flap_prob: 0.5,
+                    mean_flap_secs: 0.0,
+                    ..PartitionConfig::default()
+                }),
+                "positive mean flap period",
+            ),
+            (
+                detectorless_partition,
+                "modeled (non-perfect) control plane",
+            ),
+            (
+                demo()
+                    .with_control_plane(perfect)
+                    .with_partition(PartitionConfig::default()),
+                "modeled (non-perfect) control plane",
+            ),
+            (
+                demo().with_corruption(CorruptionConfig::default().with_latent_fraction(1.5)),
+                "must be a probability",
+            ),
+            (
+                demo().with_corruption(CorruptionConfig {
+                    scrub_blocks_per_tick: 0,
+                    ..CorruptionConfig::default()
+                }),
+                "at least one block per tick",
+            ),
+        ];
+        for (cfg, fragment) in rows {
+            match cfg.validate() {
+                Err(e) => assert!(
+                    e.to_string().contains(fragment),
+                    "expected {fragment:?}, got {e}"
+                ),
+                Ok(()) => panic!("accepted a config that should fail with {fragment:?}"),
+            }
         }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one block per tick")]
-    fn corruption_validation_rejects_zero_width_scrub() {
-        CorruptionConfig {
-            scrub_blocks_per_tick: 0,
-            ..CorruptionConfig::default()
-        }
-        .validate();
     }
 
     #[test]

@@ -14,23 +14,22 @@
 //! * `Wake` — a delayed-offer retry (delay scheduling declined an offer
 //!   and asked to be re-offered later).
 //!
-//! With a [`ControlPlaneConfig`] the oracle is
-//! replaced by a modeled control plane and four more event types appear:
-//! `HeartbeatTick` (a node emits lossy/delayed heartbeats), `HeartbeatArrive`
-//! (one reaches the master), `DetectorDeadline` (a suspicion timer fires),
-//! and `Checkpoint`/`LeaseExpiry` (master snapshots and lease revocation).
-//! The detector and checkpoint submodules hold that logic.
+//! Each optional fault layer is one `Option` field on the driver that
+//! owns its config, its named RNG streams and its start-up, and one
+//! submodule that holds its events' handlers:
 //!
-//! With a [`FailSlowConfig`](crate::FailSlowConfig) the gray-failure layer
-//! adds three more: `FailSlowOnset`/`FailSlowRemit` (a node's silent
-//! slowdown begins or remits) and `ProbationStart` (a quarantined node's
-//! cool-off elapsed). The health submodule holds that logic.
-//!
-//! With a [`PartitionConfig`](crate::PartitionConfig) the connectivity
-//! layer adds four more: `PartitionStart`/`PartitionHeal` (a minority
-//! group is cut away from the master side and later rejoins),
-//! `PartitionFlap` (a flapping episode's cut toggles) and `RestoreTick`
-//! (paced re-replication). The partition submodule holds that logic.
+//! * `chaos` handles `ChaosFault` (a crash, executor-only or degradation
+//!   draw) and the `NodeRecover` it schedules.
+//! * `detector` models the control plane: `HeartbeatTick`,
+//!   `HeartbeatArrive`, `DetectorDeadline` and `LeaseExpiry`.
+//! * `checkpoint` keeps master checkpoint/WAL recovery and its
+//!   `Checkpoint` ticks.
+//! * `health` handles gray failures: `FailSlowOnset`, `FailSlowRemit`
+//!   and `ProbationStart`.
+//! * `partition` handles connectivity splits: `PartitionStart`,
+//!   `PartitionHeal`, `PartitionFlap` and the paced `RestoreTick`.
+//! * `durability` handles silent corruption: `CorruptionArrive`,
+//!   `ScrubTick` and `UnavailabilityDeadline`.
 //!
 //! After every event the driver runs its dispatch loop, which iterates to
 //! a fixed point over three steps:
@@ -56,19 +55,22 @@ use custody_simcore::dist::{Distribution, Exponential, TruncatedNormal, Zipf};
 use custody_simcore::{DenseSet, EventQueue, SimDuration, SimRng, SimTime};
 use custody_workload::{AppId, DatasetMode, JobId, JobSpec, SubmissionSchedule};
 
-use crate::config::{ChaosConfig, ControlPlaneConfig, SimConfig};
+use crate::config::{ControlPlaneConfig, SimConfig};
 use crate::demand::DemandCache;
 use crate::job::{RuntimeJob, TaskState};
 use crate::metrics::{AppMetrics, RunMetrics, SimOutcome};
 use crate::trace::{TaskRecord, TaskTrace};
 
 pub mod audit;
+mod chaos;
 mod checkpoint;
 mod detector;
 mod durability;
 mod health;
 mod partition;
 
+use chaos::ChaosLayer;
+use checkpoint::MasterLog;
 use detector::{DeadlineKind, DetectorState, HbChannel};
 use durability::DurabilityLayer;
 use health::HealthLayer;
@@ -80,16 +82,29 @@ pub struct Simulation;
 impl Simulation {
     /// Runs `config` and returns the collected metrics. Deterministic:
     /// identical configs produce identical outcomes.
+    ///
+    /// # Panics
+    ///
+    /// On a config [`SimConfig::validate`] rejects; front ends taking
+    /// outside input validate first and report the error.
     pub fn run(config: &SimConfig) -> SimOutcome {
-        Driver::new(config).run().0
+        Self::driver(config).run().0
     }
 
     /// Runs `config` and additionally returns the per-task trace
-    /// (completion order; winning attempts only).
+    /// (completion order; winning attempts only). Panics like
+    /// [`run`](Self::run).
     pub fn run_traced(config: &SimConfig) -> (SimOutcome, TaskTrace) {
-        let mut driver = Driver::new(config);
+        let mut driver = Self::driver(config);
         driver.trace = Some(TaskTrace::new());
         driver.run()
+    }
+
+    fn driver(config: &SimConfig) -> Driver {
+        if let Err(e) = config.validate() {
+            panic!("invalid simulation config: {e}"); // lint: allow(panic) — a bad config is a caller bug here; callers holding outside input check `SimConfig::validate` first
+        }
+        Driver::new(config)
     }
 }
 
@@ -311,63 +326,36 @@ struct Driver {
     /// Speculative-execution state, if enabled: per-(job, stage) policy
     /// plus the set of tasks that already have a clone in flight.
     speculation: Option<SpecState>,
-    /// Stochastic fault injection, if enabled.
-    chaos: Option<ChaosConfig>,
-    chaos_rng: SimRng,
-    /// The modeled control plane, if configured. `Some` with a *perfect*
-    /// config (no drops, no timeout) still folds to oracle behavior —
-    /// `detector` stays `None` and no heartbeat events exist.
-    control_plane: Option<ControlPlaneConfig>,
-    /// Failure-detector belief state (`None` in oracle/perfect mode).
+    /// Each fault layer is `Some` only when configured and not inert: it
+    /// owns its config, its RNG streams (dedicated, so sweeping one layer
+    /// perturbs no other schedule) and its live state.
+    chaos: Option<ChaosLayer>,
+    /// The modeled control plane's belief state (`None` in oracle mode,
+    /// a perfect control plane included).
     detector: Option<DetectorState>,
-    /// Heartbeat drop and delay draws.
-    control_rng: SimRng,
-    /// Master-crash draws. A dedicated stream so a crash-fraction sweep
-    /// shares every other schedule with the crash-free run.
-    crash_rng: SimRng,
-    /// The gray-failure layer, if configured and non-inert: per-node
-    /// physical sickness plus the peer-relative health detector's belief.
+    /// The gray-failure layer: physical sickness plus the peer-relative
+    /// health detector's belief.
     health: Option<HealthLayer>,
-    /// Fail-slow draws (sick set, causes, onsets, episode lengths). A
-    /// dedicated stream so a sick-fraction sweep perturbs nothing else.
-    failslow_rng: SimRng,
-    /// Transient-fault coins and retry-backoff jitter.
-    taskfault_rng: SimRng,
-    /// The connectivity layer, if configured and non-inert: the current
-    /// reachability relation plus split-brain reconciliation state.
+    /// The connectivity layer: the reachability relation plus split-brain
+    /// reconciliation state.
     partition: Option<PartitionLayer>,
-    /// Partition episode draws (minority, mode, flap, heal, arrivals).
-    /// A dedicated stream so a split-fraction sweep perturbs nothing
-    /// else.
-    partition_rng: SimRng,
-    /// The data-durability layer, if configured and non-inert: latent
-    /// corruption ground truth, the tombstoned-block set, and the
-    /// scrubber's cursor.
+    /// The data-durability layer: latent corruption ground truth, the
+    /// tombstoned-block set, and the scrubber's cursor.
     durability: Option<DurabilityLayer>,
-    /// Corruption draws (latent seeding, arrivals, victim picks, read
-    /// retry jitter). A dedicated stream so a corruption-rate sweep
-    /// perturbs nothing else.
-    corruption_rng: SimRng,
     /// Whether a unified-repair `RestoreTick` is pending (at most one
     /// in flight across all repair triggers).
     repair_armed: bool,
     /// Tasks re-queued by a transient fault may not relaunch before their
     /// backoff gate; entries are dropped at launch.
     retry_gates: std::collections::BTreeMap<TaskKey, SimTime>,
-    /// The last master checkpoint: a full driver snapshot recovery
-    /// replays the WAL on top of.
-    checkpoint: Option<Box<Driver>>,
-    /// Events handled since the last checkpoint, in pop order — the
-    /// write-ahead log master recovery replays.
-    wal: Vec<(SimTime, u64, Event)>,
+    /// Master checkpoint, WAL and crash draws (checkpointing runs only).
+    master: Option<MasterLog>,
     /// Why each node is currently down (`None` = up). Scripted failures
     /// stay down forever; chaos faults schedule a `NodeRecover`.
     node_down: Vec<Option<FaultKind>>,
     /// Scripted (permanent) failures: a chaos `NodeRecover` aimed at a
     /// node the script also killed is ignored.
     perma_down: Vec<bool>,
-    /// Remote input reads are slowed while `now < degraded_until`.
-    degraded_until: SimTime,
     remote_reads_in_flight: usize,
     /// The run's counters, incremented in place; `finish` fills in the
     /// end-of-run fields and hands the struct out whole.
@@ -482,167 +470,34 @@ impl Driver {
         }
         // Scripted failures.
         for f in &config.failures {
-            assert!(
-                f.node.index() < cluster.num_nodes(),
-                "failure targets unknown {}",
-                f.node
-            );
             queue.schedule(f.at, Event::NodeFail { node: f.node });
         }
-        // Stochastic faults: seed the first arrival of the chaos process.
-        let mut chaos_rng = SimRng::for_stream(config.seed, "chaos");
-        if let Some(chaos) = &config.chaos {
-            chaos.validate();
-            let gap =
-                Exponential::with_mean(chaos.mean_time_between_faults_secs).sample(&mut chaos_rng);
-            if gap <= chaos.horizon_secs {
-                queue.schedule(
-                    SimTime::ZERO + SimDuration::from_secs_f64(gap),
-                    Event::ChaosFault,
-                );
-            }
-        }
-
-        // Control plane: heartbeat ticks, suspicion deadlines, checkpoints.
-        let control_plane = config.control_plane;
-        let detector = match &control_plane {
-            Some(cp) => {
-                cp.validate();
-                if cp.is_perfect() {
-                    None // folds to oracle behavior: no heartbeat events
-                } else {
-                    let tick =
-                        SimTime::ZERO + SimDuration::from_secs_f64(cp.heartbeat_interval_secs);
-                    let deadline =
-                        SimTime::ZERO + SimDuration::from_secs_f64(cp.suspicion_timeout_secs);
-                    for n in 0..cluster.num_nodes() {
-                        let node = custody_dfs::NodeId::new(n);
-                        queue.schedule(tick, Event::HeartbeatTick { node });
-                        for kind in [DeadlineKind::ExecSuspect, DeadlineKind::DfsSuspect] {
-                            queue.schedule(deadline, Event::DetectorDeadline { node, kind });
-                        }
-                    }
-                    Some(DetectorState::new(
-                        *cp,
-                        cluster.num_nodes(),
-                        cluster.num_executors(),
-                    ))
-                }
-            }
-            None => None,
-        };
-        if let Some(cp) = &control_plane {
-            if cp.wal_enabled() {
-                queue.schedule(
-                    SimTime::ZERO + SimDuration::from_secs_f64(cp.checkpoint_interval_secs),
-                    Event::Checkpoint,
-                );
-            }
-        }
-
-        // Gray-failure layer: draw the sick set and schedule onsets. An
-        // inert config (nothing to inject) keeps the layer off entirely,
-        // so it degenerates to the oracle event-for-event.
-        let mut failslow_rng = SimRng::for_stream(config.seed, "failslow");
-        let health = match &config.failslow {
-            Some(fs) => {
-                fs.validate();
-                if fs.is_inert() {
-                    None
-                } else {
-                    Some(HealthLayer::new(
-                        *fs,
-                        cluster.num_nodes(),
-                        &mut failslow_rng,
-                        &mut queue,
-                    ))
-                }
-            }
-            None => None,
-        };
-
-        // Connectivity layer: validate, and seed the first episode's
-        // arrival. An inert config (split fraction 0) keeps the layer
-        // off entirely — no events, no `"partition"` draws — so it
-        // degenerates to the oracle event-for-event.
-        let mut partition_rng = SimRng::for_stream(config.seed, "partition");
-        let partition = match &config.partition {
-            Some(pc) => {
-                pc.validate();
-                if pc.is_inert() {
-                    None
-                } else {
-                    assert!(
-                        detector.is_some(),
-                        "partitions require a modeled (non-perfect) control plane: \
-                         they are precisely the faults only a belief-based detector can mis-see"
-                    );
-                    let gap = Exponential::with_mean(pc.mean_time_between_partitions_secs)
-                        .sample(&mut partition_rng);
-                    if gap <= pc.horizon_secs {
-                        queue.schedule(
-                            SimTime::ZERO + SimDuration::from_secs_f64(gap),
-                            Event::PartitionStart,
-                        );
-                    }
-                    Some(PartitionLayer::new(*pc, cluster.num_nodes()))
-                }
-            }
-            None => None,
-        };
-
-        // Data-durability layer: validate, seed the latent bit-rot, and
-        // schedule the first corruption arrival and scrub tick. An inert
-        // config (nothing to inject) keeps the layer off entirely — no
-        // events, no `"corruption"` draws — so it degenerates to the
-        // oracle bit-for-bit.
-        let mut corruption_rng = SimRng::for_stream(config.seed, "corruption");
-        let mut replicas_corrupted = 0;
-        let durability = match &config.corruption {
-            Some(cc) => {
-                cc.validate();
-                if cc.is_inert() {
-                    None
-                } else {
-                    let mut layer = DurabilityLayer::new(*cc);
-                    // Latent bit-rot present from t=0: each initial
-                    // replica flips the seeded coin, in (block, holder)
-                    // order.
-                    for b in 0..namenode.num_blocks() {
-                        let block = custody_dfs::BlockId::new(b);
-                        let holders: Vec<custody_dfs::NodeId> = namenode.locations(block).to_vec();
-                        for node in holders {
-                            if corruption_rng.chance(cc.latent_fraction)
-                                && namenode.mark_corrupt(block, node)
-                            {
-                                layer.onset.insert((block, node), SimTime::ZERO);
-                                replicas_corrupted += 1;
-                            }
-                        }
-                    }
-                    if cc.mean_time_between_corruptions_secs > 0.0 {
-                        let gap = Exponential::with_mean(cc.mean_time_between_corruptions_secs)
-                            .sample(&mut corruption_rng);
-                        if gap <= cc.horizon_secs {
-                            queue.schedule(
-                                SimTime::ZERO + SimDuration::from_secs_f64(gap),
-                                Event::CorruptionArrive,
-                            );
-                        }
-                    }
-                    if cc.scrub_enabled() {
-                        queue.schedule(
-                            SimTime::ZERO + SimDuration::from_secs_f64(cc.scrub_interval_secs),
-                            Event::ScrubTick,
-                        );
-                    }
-                    Some(layer)
-                }
-            }
-            None => None,
-        };
-
+        // Fault layers, each seeding its own streams and first events.
+        // The order fixes the initial events' queue sequence numbers.
+        let seed = config.seed;
         let num_nodes = cluster.num_nodes();
+        let chaos = config
+            .chaos
+            .map(|cfg| ChaosLayer::new(cfg, seed, &mut queue));
+        let detector = config
+            .control_plane
+            .and_then(|cp| DetectorState::new(cp, seed, &cluster, &mut queue));
+        let master = config
+            .control_plane
+            .filter(ControlPlaneConfig::wal_enabled)
+            .map(|cp| MasterLog::new(cp, seed, &mut queue));
+        let health = config
+            .failslow
+            .and_then(|cfg| HealthLayer::new(cfg, seed, num_nodes, &mut queue));
+        let partition = config
+            .partition
+            .and_then(|cfg| PartitionLayer::new(cfg, seed, num_nodes, &mut queue));
+        let durability = config
+            .corruption
+            .and_then(|cfg| DurabilityLayer::new(cfg, seed, &mut namenode, &mut queue));
+        // Until the first detection every onset on record is latent rot.
+        let replicas_corrupted = durability.as_ref().map_or(0, |d| d.onset.len());
+
         let cache = DemandCache::new(campaign.num_apps(), &cluster);
         // Dataset creation placed initial replicas directly; the change
         // journal tracks mutations *after* this point (jobs resolve their
@@ -669,26 +524,16 @@ impl Driver {
                 cloned: std::collections::BTreeSet::new(),
                 launches: 0,
             }),
-            chaos: config.chaos,
-            chaos_rng,
-            control_plane,
+            chaos,
             detector,
-            control_rng: SimRng::for_stream(config.seed, "control-plane"),
-            crash_rng: SimRng::for_stream(config.seed, "master-crash"),
             health,
-            failslow_rng,
-            taskfault_rng: SimRng::for_stream(config.seed, "task-faults"),
             partition,
-            partition_rng,
             durability,
-            corruption_rng,
             repair_armed: false,
             retry_gates: std::collections::BTreeMap::new(),
-            checkpoint: None,
-            wal: Vec::new(),
+            master,
             node_down: vec![None; num_nodes],
             perma_down: vec![false; num_nodes],
-            degraded_until: SimTime::ZERO,
             remote_reads_in_flight: 0,
             metrics: RunMetrics {
                 replicas_corrupted,
@@ -709,10 +554,8 @@ impl Driver {
     }
 
     fn run(mut self) -> (SimOutcome, TaskTrace) {
-        if self.wal_enabled() {
-            // Genesis checkpoint: recovery is possible from the first event.
-            self.checkpoint = Some(Box::new(self.clone_for_checkpoint()));
-        }
+        // Genesis checkpoint: recovery is possible from the first event.
+        self.take_checkpoint();
         loop {
             let pop_started = std::time::Instant::now();
             let Some(ev) = self.queue.pop() else { break };
@@ -720,18 +563,17 @@ impl Driver {
             if self.maybe_crash_master(&ev) {
                 self.master_crash_recover(&ev);
             }
-            if self.wal_enabled() {
-                self.wal.push((ev.time, ev.seq, ev.event));
+            if let Some(log) = &mut self.master {
+                log.wal.push((ev.time, ev.seq, ev.event));
             }
             self.handle_event(ev.event, ev.time);
             if self.audit_enabled {
                 self.audit();
             }
-            if matches!(ev.event, Event::Checkpoint) && self.wal_enabled() {
+            if matches!(ev.event, Event::Checkpoint) {
                 // Snapshot *after* the Checkpoint event's own dispatch so
                 // the WAL restarts empty from exactly this state.
-                self.wal.clear();
-                self.checkpoint = Some(Box::new(self.clone_for_checkpoint()));
+                self.take_checkpoint();
             }
         }
         self.finish()
@@ -755,9 +597,14 @@ impl Driver {
             Event::HeartbeatTick { node } => self.on_heartbeat_tick(node, now),
             Event::HeartbeatArrive {
                 node,
-                channel,
+                channel: HbChannel::Executor,
                 phys_epoch,
-            } => self.on_heartbeat_arrive(node, channel, phys_epoch, now),
+            } => self.on_exec_heartbeat(node, phys_epoch, now),
+            Event::HeartbeatArrive {
+                node,
+                channel: HbChannel::DataNode,
+                phys_epoch,
+            } => self.on_dfs_heartbeat(node, phys_epoch, now),
             Event::DetectorDeadline { node, kind } => self.on_detector_deadline(node, kind, now),
             Event::LeaseExpiry => self.on_lease_expiry(now),
             Event::Checkpoint => self.on_checkpoint_tick(now),
@@ -773,48 +620,19 @@ impl Driver {
             Event::UnavailabilityDeadline { block } => self.on_unavailability_deadline(block, now),
         }
         self.dispatch(now);
-        if self.partition.is_some() {
-            // Heal reconciliation: record the heal → settled-beliefs
-            // interval the first time the rejoined minority looks clean.
-            self.check_partition_reconverge(now);
-        }
+        // Heal reconciliation: record the heal → settled-beliefs interval
+        // the first time the rejoined minority looks clean.
+        self.check_partition_reconverge(now);
         self.metrics.peak_queue_len = self.metrics.peak_queue_len.max(self.queue.len());
     }
 
-    /// Whether this run keeps a checkpoint + WAL (master recovery).
-    fn wal_enabled(&self) -> bool {
-        self.control_plane.is_some_and(|cp| cp.wal_enabled())
-    }
-
-    /// Draws the master-crash coin for this event. Only `ChaosFault` pops
-    /// can crash the master, and only when checkpointing is on; the draw
-    /// comes from a dedicated stream so a `master_crash_fraction` sweep
-    /// perturbs nothing else.
-    fn maybe_crash_master(&mut self, ev: &custody_simcore::ScheduledEvent<Event>) -> bool {
-        let Some(cp) = &self.control_plane else {
-            return false;
-        };
-        if !cp.wal_enabled()
-            || cp.master_crash_fraction <= 0.0
-            || !matches!(ev.event, Event::ChaosFault)
-        {
-            return false;
-        }
-        self.crash_rng.chance(cp.master_crash_fraction)
-    }
-
-    /// Re-arms the periodic checkpoint while the run still has events —
-    /// the tick must not keep an otherwise-finished simulation alive.
-    fn on_checkpoint_tick(&mut self, now: SimTime) {
-        let cp = self
-            .control_plane
-            .expect("checkpoint event without a control plane"); // lint: allow(panic) — checkpoint events are only scheduled with a control plane configured
-        if !self.queue.is_empty() {
-            self.queue.schedule(
-                now + SimDuration::from_secs_f64(cp.checkpoint_interval_secs),
-                Event::Checkpoint,
-            );
-        }
+    /// Every job submitted and finished. The self-rescheduling fault
+    /// events (heartbeats, suspicion timers, fail-slow episodes,
+    /// partition and corruption arrivals, scrub ticks) stop here so the
+    /// queue can drain: nothing they could do would change an outcome.
+    fn drained(&self) -> bool {
+        self.jobs.len() == self.apps.iter().map(|a| a.specs.len()).sum::<usize>()
+            && self.jobs.iter().all(|j| j.is_finished())
     }
 
     /// Records a winning task completion into the trace, if enabled.
@@ -907,12 +725,7 @@ impl Driver {
             panic!("finish on idle executor"); // lint: allow(panic) — driver invariant: Finish events target executors with a running task
         };
         state.idle_since = now;
-        if running.remote_input {
-            self.remote_reads_in_flight = self
-                .remote_reads_in_flight
-                .checked_sub(1)
-                .expect("remote-read counter underflow"); // lint: allow(panic) — the counter was incremented when the remote read started
-        }
+        self.end_remote_read(&running);
         // Verified read: the completed input read is checksum-verified
         // against its source replica. A mismatch means the read *failed*
         // — the task never completes; the corruption surfaces to the
@@ -927,23 +740,20 @@ impl Driver {
                 if self.namenode.is_replica_corrupt(block, src) {
                     self.metrics.corrupt_reads_detected += 1;
                     self.detect_corrupt(block, src, now);
-                    self.on_corrupt_read_fault(running, now);
+                    self.on_attempt_fault(running, now, true);
                     return;
                 }
             }
         }
-        if self.health.is_some() {
+        if let Some(h) = &mut self.health {
             let node = self.cluster.node_of(executor);
             // Transient-fault coin, drawn for every physical completion
             // (clone losers included) so the "task-faults" stream advances
             // identically regardless of speculation-race outcomes.
-            let p = self
-                .health
-                .as_ref()
-                .expect("checked above") // lint: allow(panic) — guarded by the enclosing branch
-                .fault_probability(node);
-            if self.taskfault_rng.chance(p) {
-                self.on_task_fault(running, now);
+            let p = h.fault_probability(node);
+            if h.fault_rng.chance(p) {
+                self.metrics.task_faults_injected += 1;
+                self.on_attempt_fault(running, now, false);
                 return;
             }
             // A completion that survived the coin is a service-time
@@ -1140,27 +950,36 @@ impl Driver {
         true
     }
 
-    /// A transient fault killed the attempt that was about to complete.
-    /// Attempt death is handled exactly like an executor loss (clone
-    /// losers drain, twins take over the record, last attempts re-queue);
-    /// only a re-queue consumes the job's retry budget — within it, the
-    /// task is gated behind exponential backoff with jitter; beyond it,
-    /// the whole job fails cleanly.
-    fn on_task_fault(&mut self, running: RunningTask, now: SimTime) {
-        self.metrics.task_faults_injected += 1;
+    /// A transient task fault, or with `corrupt_read` a failed verified
+    /// read, killed the attempt that was about to complete. Attempt death
+    /// is handled exactly like an executor loss (clone losers drain,
+    /// twins take over the record, last attempts re-queue); only a
+    /// re-queue consumes the job's retry budget — within it, the task is
+    /// gated behind exponential backoff with jitter; beyond it, the whole
+    /// job fails cleanly. Each source charges its own layer's retry
+    /// policy and draws jitter from that layer's stream.
+    fn on_attempt_fault(&mut self, running: RunningTask, now: SimTime, corrupt_read: bool) {
         if !self.on_attempt_killed(&running, now) {
             return; // a twin survives (or the race was already lost)
         }
         let j = running.job_idx;
-        let policy = self.health.as_ref().expect("fault without layer").retry; // lint: allow(panic) — fault events are only scheduled when the health layer is configured
-        if policy.exhausted(self.jobs[j].retries) {
+        let (retry, rng) = if corrupt_read {
+            let d = self
+                .durability
+                .as_mut()
+                .expect("corrupt read without layer"); // lint: allow(panic) — verified reads only fail when the layer is configured
+            (d.retry, &mut d.rng)
+        } else {
+            let h = self.health.as_mut().expect("fault without layer"); // lint: allow(panic) — transient faults are only drawn when the health layer is configured
+            (h.retry, &mut h.fault_rng)
+        };
+        if retry.exhausted(self.jobs[j].retries) {
             self.fail_job(j, now);
             return;
         }
         self.jobs[j].retries += 1;
         self.metrics.task_retries += 1;
-        let attempt = self.jobs[j].retries;
-        let backoff = policy.backoff(attempt, &mut self.taskfault_rng);
+        let backoff = retry.backoff(self.jobs[j].retries, rng);
         self.retry_gates
             .insert((j, running.stage, running.task), now + backoff);
     }
@@ -1170,28 +989,17 @@ impl Driver {
     /// stale) and the job leaves the system as failed — its tasks stop
     /// counting as demand and its executors free up immediately.
     fn fail_job(&mut self, j: usize, now: SimTime) {
-        for e in 0..self.exec_state.len() {
-            let st = &mut self.exec_state[e];
-            if st.dead {
+        for e in (0..self.exec_state.len()).map(ExecutorId::new) {
+            let st = &mut self.exec_state[e.index()];
+            if st.dead || st.running.is_none_or(|r| r.job_idx != j) {
                 continue;
             }
-            let Some(r) = st.running else { continue };
-            if r.job_idx != j {
-                continue;
-            }
-            st.running = None;
-            st.epoch += 1; // fence the attempt's in-flight Finish
-            st.idle_since = now;
-            if r.remote_input {
-                self.remote_reads_in_flight = self
-                    .remote_reads_in_flight
-                    .checked_sub(1)
-                    .expect("remote-read counter underflow"); // lint: allow(panic) — the counter was incremented when the remote read started
-            }
-            // Roll the attempt back exactly; a failed job's task records
-            // must hold no launch credit (the auditor re-derives them).
-            self.on_attempt_killed(&r, now);
-            self.partition_forget_ghost(custody_cluster::ExecutorId::new(e));
+            // Fence the attempt's in-flight Finish, then roll the attempt
+            // back exactly: a failed job's task records must hold no
+            // launch credit (the auditor re-derives them). Its disruption
+            // entries are dropped below.
+            st.epoch += 1;
+            self.abandon_attempt(e, now, &mut BTreeSet::new());
         }
         self.retry_gates.retain(|&(job, _, _), _| job != j);
         // A failed job's displaced tasks will never relaunch, so their
@@ -1220,17 +1028,7 @@ impl Driver {
         }
         state.dead = true;
         state.epoch += 1;
-        if let Some(running) = state.running.take() {
-            if running.remote_input {
-                self.remote_reads_in_flight = self
-                    .remote_reads_in_flight
-                    .checked_sub(1)
-                    .expect("remote-read counter underflow"); // lint: allow(panic) — the counter was incremented when the remote read started
-            }
-            if self.on_attempt_killed(&running, now) {
-                displaced.insert((running.job_idx, running.stage, running.task));
-            }
-        }
+        self.abandon_attempt(e, now, displaced);
         if let Some(owner) = self.exec_state[e.index()].owner.take() {
             self.apps[owner.index()].held.remove(e.index());
         }
@@ -1238,8 +1036,30 @@ impl Driver {
         if let Some(d) = &mut self.detector {
             d.leases.drop_lease(e);
         }
-        // A ghost dispatch on this executor was just rolled back here.
+    }
+
+    /// Takes the attempt running on executor `e` off it (the executor
+    /// idles from `now`) and rolls it back attempt-exactly, recording a
+    /// re-queued task in `displaced`. Any ghost-dispatch record of `e` is
+    /// dropped, as the rollback settles it. Returns whether an attempt
+    /// was running.
+    fn abandon_attempt(
+        &mut self,
+        e: ExecutorId,
+        now: SimTime,
+        displaced: &mut BTreeSet<TaskKey>,
+    ) -> bool {
         self.partition_forget_ghost(e);
+        let st = &mut self.exec_state[e.index()];
+        let Some(r) = st.running.take() else {
+            return false;
+        };
+        st.idle_since = now;
+        self.end_remote_read(&r);
+        if self.on_attempt_killed(&r, now) {
+            displaced.insert((r.job_idx, r.stage, r.task));
+        }
+        true
     }
 
     /// Kills every live executor on `node`. Displaced tasks are tracked
@@ -1264,10 +1084,11 @@ impl Driver {
     fn on_node_fail(&mut self, node: custody_dfs::NodeId, now: SimTime) {
         self.metrics.nodes_failed += 1;
         self.node_down[node.index()] = Some(FaultKind::Machine);
-        if self.detector.is_some() {
+        if let Some(d) = &mut self.detector {
             // The master learns nothing here: only heartbeat silence
             // (suspicion, lease expiry) changes its belief.
-            self.phys_fail(node, now, FaultKind::Machine);
+            d.phys_fail(node, now, FaultKind::Machine);
+            self.fence_executors_on(node);
             return;
         }
         self.metrics.blocks_lost += self.namenode.fail_node(node).len();
@@ -1332,97 +1153,6 @@ impl Driver {
             Some(FaultKind::Machine) => {}
         }
         self.perma_down[node.index()] = true;
-    }
-
-    /// An executor-only fault: the machine's executor processes die but
-    /// its DataNode (and replicas) survive, so nothing is re-replicated
-    /// and preferred nodes are unchanged.
-    fn on_executor_fault(&mut self, node: custody_dfs::NodeId, now: SimTime) {
-        self.metrics.executor_faults += 1;
-        self.node_down[node.index()] = Some(FaultKind::ExecutorsOnly);
-        if self.detector.is_some() {
-            self.phys_fail(node, now, FaultKind::ExecutorsOnly);
-            return;
-        }
-        self.kill_executors_on(node, now);
-        self.cache.mark_pool_changed();
-    }
-
-    /// A chaos-failed machine rejoins: its executors return empty and
-    /// idle, and after a full machine loss the NameNode may place new
-    /// replicas there again. Replica locations do not change at recovery
-    /// (the machine rejoins holding nothing it did not already serve), so
-    /// no preferred-node refresh is needed.
-    fn on_node_recover(&mut self, node: custody_dfs::NodeId, now: SimTime) {
-        if self.perma_down[node.index()] {
-            return; // a scripted failure made this outage permanent
-        }
-        let kind = self.node_down[node.index()]
-            .take()
-            .expect("recovering a node that is up"); // lint: allow(panic) — recover events are only scheduled for down nodes
-        if self.detector.is_some() {
-            self.phys_recover(node, kind, now);
-            self.metrics.nodes_recovered += 1;
-            return;
-        }
-        if kind == FaultKind::Machine {
-            self.namenode.recover_node(node);
-        }
-        let executors: Vec<ExecutorId> = self.cluster.executors_on(node).to_vec();
-        for e in executors {
-            let state = &mut self.exec_state[e.index()];
-            debug_assert!(state.dead && state.running.is_none() && state.owner.is_none());
-            state.dead = false;
-            state.idle_since = now;
-            self.pool.insert(e.index());
-        }
-        self.metrics.nodes_recovered += 1;
-        self.cache.mark_pool_changed();
-    }
-
-    /// The stochastic fault process fires: schedule the next arrival and
-    /// draw one of the three fault flavours. Node faults that would
-    /// exceed the concurrent-down cap (or leave fewer than two machines
-    /// up) fizzle, keeping the simulation live.
-    fn on_chaos_fault(&mut self, now: SimTime) {
-        let chaos = self.chaos.expect("chaos event without chaos config"); // lint: allow(panic) — chaos events are only scheduled when chaos is configured
-        let gap =
-            Exponential::with_mean(chaos.mean_time_between_faults_secs).sample(&mut self.chaos_rng);
-        let next = now + SimDuration::from_secs_f64(gap);
-        if next.as_secs_f64() <= chaos.horizon_secs {
-            self.queue.schedule(next, Event::ChaosFault);
-        }
-        if self.chaos_rng.chance(chaos.degraded_fraction) {
-            // Transient network degradation: remote reads launched while
-            // the window is open pay the configured slowdown.
-            let window =
-                Exponential::with_mean(chaos.mean_degraded_window_secs).sample(&mut self.chaos_rng);
-            self.degraded_until = self
-                .degraded_until
-                .max(now + SimDuration::from_secs_f64(window));
-            self.metrics.degraded_windows += 1;
-            return;
-        }
-        let exec_only = self.chaos_rng.chance(chaos.executor_only_fraction);
-        let up: Vec<custody_dfs::NodeId> = (0..self.node_down.len())
-            .filter(|&n| self.node_down[n].is_none())
-            .map(custody_dfs::NodeId::new)
-            .collect();
-        let down = self.node_down.len() - up.len();
-        if up.len() <= 1 || down >= chaos.max_down {
-            return; // too much of the cluster is already down
-        }
-        let victim = up[self.chaos_rng.below(up.len())];
-        let downtime = Exponential::with_mean(chaos.mean_downtime_secs).sample(&mut self.chaos_rng);
-        if exec_only {
-            self.on_executor_fault(victim, now);
-        } else {
-            self.on_node_fail(victim, now);
-        }
-        self.queue.schedule(
-            now + SimDuration::from_secs_f64(downtime),
-            Event::NodeRecover { node: victim },
-        );
     }
 
     /// A task launched; if an open fault disruption displaced it, strike
@@ -1836,81 +1566,11 @@ impl Driver {
         spec.launches += 1;
         // Launch the clone on `e` without touching the task record: the
         // first attempt to finish wins (`on_finish` ignores the loser).
-        let node = self.cluster.node_of(e);
-        let network = self.cluster.network().clone();
-        let stage_ref = &self.jobs[j].stages[st];
-        let is_input = st == 0;
-        let local = is_input && stage_ref.tasks[t].preferred.contains(&node);
-        let (io_time, remote_input, read_from) = if is_input {
-            let block = stage_ref.tasks[t].block.expect("input task has block"); // lint: allow(panic) — input tasks always carry a block id
-            let bytes = self.namenode.block(block).size_bytes;
-            let locality = self.classify_locality(node, &stage_ref.tasks[t].preferred);
-            (
-                network.read_time_at(bytes, locality, self.remote_reads_in_flight),
-                locality == custody_cluster::DataLocality::Remote,
-                self.read_source(block, node, local),
-            )
-        } else {
-            (
-                network.shuffle_time(stage_ref.shuffle_bytes_per_task),
-                false,
-                None,
-            )
-        };
-        let io_time = self.maybe_degrade(io_time, remote_input, now);
-        let compute = SimDuration::from_secs_f64(
-            stage_ref.compute_per_task.as_secs_f64() * self.noise.sample(&mut self.noise_rng),
-        );
-        // Clones pay the host node's fail-slow penalty too, and are
-        // never placed on quarantined nodes (asserted inside).
-        let (io_time, compute) = match &self.health {
-            Some(h) => h.scaled(node, is_input && local, io_time, compute),
-            None => (io_time, compute),
-        };
-        self.note_health_launch(node);
-        if remote_input {
-            self.remote_reads_in_flight += 1;
-        }
-        self.exec_state[e.index()].running = Some(RunningTask {
-            job_idx: j,
-            stage: st,
-            task: t,
-            remote_input,
-            local: is_input.then_some(local),
-            launched_at: now,
-            is_clone: true,
-            read_from,
-            launch_epoch: self.exec_state[e.index()].epoch,
-        });
-        // A doomed launch — onto a believed-alive but physically down
-        // executor — never completes; lease expiry or a post-recovery
-        // heartbeat's ghost check cleans it up. A dispatch lost crossing
-        // a partition cut never ran at all: reconnect reconciliation
-        // rolls it back.
-        if self.node_down[node.index()].is_none() && self.partition_dispatch_arrives(e, node) {
-            self.queue.schedule(
-                now + io_time + compute,
-                Event::Finish {
-                    executor: e,
-                    epoch: self.exec_state[e.index()].epoch,
-                },
-            );
-        }
+        // Clones pay the host node's fail-slow penalty too, and are never
+        // placed on quarantined nodes (asserted inside).
+        self.note_health_launch(self.cluster.node_of(e));
+        self.start_attempt(e, (j, st, t), true, now);
         true
-    }
-
-    /// Applies the transient network-degradation penalty to a remote
-    /// read launched while a chaos degradation window is open.
-    fn maybe_degrade(&self, io_time: SimDuration, remote: bool, now: SimTime) -> SimDuration {
-        if remote && now < self.degraded_until {
-            let factor = self
-                .chaos
-                .expect("degradation window without chaos config") // lint: allow(panic) — degradation windows are only scheduled when chaos is configured
-                .degraded_remote_factor;
-            SimDuration::from_secs_f64(io_time.as_secs_f64() * factor)
-        } else {
-            io_time
-        }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1972,9 +1632,26 @@ impl Driver {
             self.settle_input_accounting(job_idx);
         }
 
-        // Duration: read/shuffle + compute × noise.
+        self.start_attempt(executor, (job_idx, stage, task), false, now);
+        if !self.open_disruptions.is_empty() {
+            self.note_relaunch((job_idx, stage, task), now);
+        }
+    }
+
+    /// Starts an attempt of task `key` on executor `e`: prices its read
+    /// or shuffle plus compute × noise and makes it the executor's running
+    /// attempt. Its `Finish` is scheduled unless the launch is doomed
+    /// (detector mode: the executor is believed alive but physically
+    /// down; lease expiry or a post-recovery heartbeat's ghost check
+    /// cleans it up) or the dispatch is lost crossing a partition cut
+    /// (reconnect reconciliation rolls it back).
+    fn start_attempt(&mut self, e: ExecutorId, key: TaskKey, is_clone: bool, now: SimTime) {
+        let (j, stage, task) = key;
+        let node = self.cluster.node_of(e);
         let network = self.cluster.network().clone();
-        let stage_ref = &self.jobs[job_idx].stages[stage];
+        let stage_ref = &self.jobs[j].stages[stage];
+        let is_input = stage == 0;
+        let local = is_input && stage_ref.tasks[task].preferred.contains(&node);
         let (io_time, remote_input, read_from) = if is_input {
             let block = stage_ref.tasks[task].block.expect("input task has block"); // lint: allow(panic) — input tasks always carry a block id
             let bytes = self.namenode.block(block).size_bytes;
@@ -1982,7 +1659,7 @@ impl Driver {
             (
                 network.read_time_at(bytes, locality, self.remote_reads_in_flight),
                 locality == custody_cluster::DataLocality::Remote,
-                self.read_source(block, node, actual_local),
+                self.read_source(block, node, local),
             )
         } else {
             (
@@ -1999,38 +1676,39 @@ impl Driver {
         // component: disk → local reads, NIC → remote reads and shuffles,
         // CPU → compute.
         let (io_time, compute) = match &self.health {
-            Some(h) => h.scaled(node, is_input && actual_local, io_time, compute),
+            Some(h) => h.scaled(node, local, io_time, compute),
             None => (io_time, compute),
         };
         if remote_input {
             self.remote_reads_in_flight += 1;
         }
-        self.exec_state[executor.index()].running = Some(RunningTask {
-            job_idx,
+        let epoch = self.exec_state[e.index()].epoch;
+        self.exec_state[e.index()].running = Some(RunningTask {
+            job_idx: j,
             stage,
             task,
             remote_input,
-            local: is_input.then_some(actual_local),
+            local: is_input.then_some(local),
             launched_at: now,
-            is_clone: false,
+            is_clone,
             read_from,
-            launch_epoch: self.exec_state[executor.index()].epoch,
+            launch_epoch: epoch,
         });
-        // Doomed launches (detector mode: executor believed alive but
-        // physically down) never complete — see `try_speculate` — and a
-        // dispatch lost crossing a partition cut never ran at all.
-        if self.node_down[node.index()].is_none() && self.partition_dispatch_arrives(executor, node)
-        {
+        if self.node_down[node.index()].is_none() && self.partition_dispatch_arrives(e, node) {
             self.queue.schedule(
                 now + io_time + compute,
-                Event::Finish {
-                    executor,
-                    epoch: self.exec_state[executor.index()].epoch,
-                },
+                Event::Finish { executor: e, epoch },
             );
         }
-        if !self.open_disruptions.is_empty() {
-            self.note_relaunch((job_idx, stage, task), now);
+    }
+
+    /// An attempt left its executor: release its remote read, if any.
+    fn end_remote_read(&mut self, attempt: &RunningTask) {
+        if attempt.remote_input {
+            self.remote_reads_in_flight = self
+                .remote_reads_in_flight
+                .checked_sub(1)
+                .expect("remote-read counter underflow"); // lint: allow(panic) — the counter was incremented when the remote read started
         }
     }
 
@@ -2225,6 +1903,33 @@ impl Driver {
     }
 }
 
+/// Draws the next arrival of a Poisson fault process — an exponential
+/// gap of mean `mean_secs` — and schedules `event` there, unless it
+/// lands past `horizon_secs`. A first arrival (`after = None`) counts the
+/// gap from t = 0 and tests the raw gap against the horizon; a re-arm
+/// (`after = Some(now)`) tests the arrival instant, rounded to whole µs.
+/// Chaos faults, partition episodes and corruption arrivals arm both
+/// their first and every later arrival through this; fail-slow onsets
+/// and relapses do too.
+fn schedule_arrival(
+    queue: &mut EventQueue<Event>,
+    rng: &mut SimRng,
+    mean_secs: f64,
+    horizon_secs: f64,
+    after: Option<SimTime>,
+    event: Event,
+) {
+    let gap = Exponential::with_mean(mean_secs).sample(rng);
+    let at = after.unwrap_or(SimTime::ZERO) + SimDuration::from_secs_f64(gap);
+    let due = match after {
+        None => gap,
+        Some(_) => at.as_secs_f64(),
+    };
+    if due <= horizon_secs {
+        queue.schedule(at, event);
+    }
+}
+
 /// Block-size accessor kept on the config so the driver reads one source
 /// of truth.
 impl SimConfig {
@@ -2384,8 +2089,10 @@ mod tests {
         assert_eq!(out.tasks_requeued, 0, "nothing was running yet");
     }
 
+    /// `Simulation::run` refuses a config `SimConfig::validate` rejects
+    /// (the config tests cover every rejection message).
     #[test]
-    #[should_panic(expected = "failure targets unknown")]
+    #[should_panic(expected = "invalid simulation config: failures: failure targets unknown")]
     fn failure_on_unknown_node_rejected() {
         use crate::config::NodeFailure;
         use custody_dfs::NodeId;

@@ -75,7 +75,7 @@ use custody_cluster::HealthState;
 
 use crate::job::TaskState;
 
-use super::{Driver, FaultKind, LastRound};
+use super::{DetectorState, Driver, FaultKind, HealthLayer, LastRound};
 
 impl Driver {
     /// Checks every driver invariant, panicking with a description of
@@ -93,8 +93,8 @@ impl Driver {
         self.audit_topology();
         self.audit_preferred();
         self.cache.audit(&self.jobs);
-        if self.health.is_some() {
-            self.audit_health();
+        if let Some(h) = &self.health {
+            self.audit_health(h);
         }
         self.audit_partition();
         self.audit_durability();
@@ -316,11 +316,10 @@ impl Driver {
 
     /// Invariant 11: gray-failure discipline — retry budgets, failed-job
     /// hygiene, backoff gates, and quarantine exclusion.
-    fn audit_health(&self) {
-        let h = self.health.as_ref().expect("health audit without layer"); // lint: allow(panic) — the health audit only runs when the layer is configured
-                                                                           // Transient faults and failed verified reads draw on the same
-                                                                           // per-job retry counter, so the bound is the larger of the two
-                                                                           // budgets when the durability layer is also active.
+    fn audit_health(&self, h: &HealthLayer) {
+        // Transient faults and failed verified reads draw on the same
+        // per-job retry counter, so the bound is the larger of the two
+        // budgets when the durability layer is also active.
         let budget = self
             .durability
             .as_ref()
@@ -572,8 +571,8 @@ impl Driver {
     /// *belief* (suspicions and lease revocations), which is checked by
     /// [`audit_detector`](Self::audit_detector) instead.
     fn audit_topology(&self) {
-        if self.detector.is_some() {
-            self.audit_detector();
+        if let Some(d) = &self.detector {
+            self.audit_detector(d);
             self.namenode.check_invariants();
             return;
         }
@@ -613,8 +612,7 @@ impl Driver {
     /// disarmed exactly while their suspicion stands, the single lease
     /// timer covers the earliest expiry, and no stale completion ever
     /// slipped past epoch fencing.
-    fn audit_detector(&self) {
-        let d = self.detector.as_ref().expect("detector audit without one"); // lint: allow(panic) — the detector audit only runs in detector mode
+    fn audit_detector(&self, d: &DetectorState) {
         for (e, st) in self.exec_state.iter().enumerate() {
             let node = self.cluster.node_of(custody_cluster::ExecutorId::new(e));
             let believed_dead = d.exec_suspected[node.index()] || d.revoked[e];

@@ -20,23 +20,88 @@
 //!
 //! Excluded from convergence (and carried over from the crashed state):
 //! the trace (already holds pre-crash records the ghost must not
-//! duplicate), allocator wall-clock (real time, not simulated), the
-//! checkpoint/WAL themselves, the crash RNG (replay must not re-draw
-//! crash coins), and the recovery counter.
+//! duplicate), the host wall-clock timers (real time, not simulated),
+//! the [`MasterLog`] itself — checkpoint, WAL and the `"master-crash"`
+//! stream (replay must not re-draw crash coins) — and the recovery
+//! counter.
 
-use custody_simcore::ScheduledEvent;
+use custody_simcore::{EventQueue, ScheduledEvent, SimDuration, SimRng, SimTime};
+
+use crate::config::ControlPlaneConfig;
 
 use super::{Driver, Event};
 
+/// Master recovery state, present only when checkpointing is on: the
+/// last checkpoint, the write-ahead log since, and the crash draws.
+#[derive(Clone)]
+pub(super) struct MasterLog {
+    /// Snapshot period.
+    interval: SimDuration,
+    /// Probability a `ChaosFault` pop also crashes the master.
+    crash_fraction: f64,
+    /// Master-crash coins (the `"master-crash"` stream), dedicated so a
+    /// crash-fraction sweep shares every other schedule with the
+    /// crash-free run.
+    rng: SimRng,
+    /// The last checkpoint: a driver snapshot (without trace or log)
+    /// that recovery replays the WAL on top of. `None` only before the
+    /// run's genesis snapshot.
+    checkpoint: Option<Box<Driver>>,
+    /// Events handled since the last checkpoint, in pop order.
+    pub(super) wal: Vec<(SimTime, u64, Event)>,
+}
+
+impl MasterLog {
+    /// Seeds the `"master-crash"` stream and schedules the first periodic
+    /// checkpoint; the genesis snapshot is taken when the run starts.
+    pub(super) fn new(cp: ControlPlaneConfig, seed: u64, queue: &mut EventQueue<Event>) -> Self {
+        let interval = SimDuration::from_secs_f64(cp.checkpoint_interval_secs);
+        queue.schedule(SimTime::ZERO + interval, Event::Checkpoint);
+        MasterLog {
+            interval,
+            crash_fraction: cp.master_crash_fraction,
+            rng: SimRng::for_stream(seed, "master-crash"),
+            checkpoint: None,
+            wal: Vec::new(),
+        }
+    }
+}
+
 impl Driver {
-    /// A self-snapshot suitable for recovery: everything but the
-    /// recovery machinery itself and the trace.
-    pub(super) fn clone_for_checkpoint(&self) -> Driver {
-        let mut snap = self.clone();
-        snap.trace = None;
-        snap.checkpoint = None;
-        snap.wal = Vec::new();
-        snap
+    /// Replaces the checkpoint with a snapshot of the current state and
+    /// restarts the WAL empty; a no-op without checkpointing.
+    pub(super) fn take_checkpoint(&mut self) {
+        let Some(mut log) = self.master.take() else {
+            return;
+        };
+        let trace = self.trace.take();
+        log.checkpoint = Some(Box::new(self.clone()));
+        log.wal.clear();
+        self.trace = trace;
+        self.master = Some(log);
+    }
+
+    /// Draws the master-crash coin for this event. Only `ChaosFault` pops
+    /// can crash the master, and only when checkpointing is on.
+    pub(super) fn maybe_crash_master(&mut self, ev: &ScheduledEvent<Event>) -> bool {
+        let Some(log) = &mut self.master else {
+            return false;
+        };
+        log.crash_fraction > 0.0
+            && matches!(ev.event, Event::ChaosFault)
+            && log.rng.chance(log.crash_fraction)
+    }
+
+    /// Re-arms the periodic checkpoint while the run still has events —
+    /// the tick must not keep an otherwise-finished simulation alive.
+    pub(super) fn on_checkpoint_tick(&mut self, now: SimTime) {
+        let log = self
+            .master
+            .as_ref()
+            .expect("checkpoint event without checkpointing"); // lint: allow(panic) — checkpoint events exist only with checkpointing on, and no replayed WAL holds one (each checkpoint restarts the WAL)
+        if !self.queue.is_empty() {
+            self.queue.schedule(now + log.interval, Event::Checkpoint);
+        }
     }
 
     /// The master crashed at the pop of `ev` (not yet handled, not yet
@@ -44,17 +109,16 @@ impl Driver {
     /// rebuilt state converged to the crashed one, and swap it in; the
     /// caller then handles `ev` on the recovered master.
     pub(super) fn master_crash_recover(&mut self, ev: &ScheduledEvent<Event>) {
-        let mut ghost: Box<Driver> = Box::new(
-            self.checkpoint
-                .as_ref()
-                .expect("master crash without a checkpoint") // lint: allow(panic) — master-crash events are only scheduled with checkpointing on
-                .as_ref()
-                .clone(),
-        );
-        // The WAL survives recovery: a second crash before the next
-        // checkpoint replays this same prefix again.
-        let wal = std::mem::take(&mut self.wal);
-        for &(time, seq, event) in &wal {
+        let Some(MasterLog {
+            checkpoint: Some(checkpoint),
+            wal,
+            ..
+        }) = &self.master
+        else {
+            unreachable!("master crash without a checkpoint") // lint: allow(panic) — crash coins are drawn only with checkpointing on, after the genesis snapshot
+        };
+        let mut ghost: Box<Driver> = checkpoint.clone();
+        for &(time, seq, event) in wal {
             let popped = ghost.queue.pop().expect("WAL longer than ghost schedule"); // lint: allow(panic) — ghost replay length was validated against the WAL
             assert_eq!(
                 (popped.time, popped.seq, popped.event),
@@ -76,9 +140,9 @@ impl Driver {
         ghost.alloc_wall = self.alloc_wall;
         ghost.event_wall = self.event_wall;
         ghost.demand_wall = self.demand_wall;
-        ghost.checkpoint = self.checkpoint.take();
-        ghost.wal = wal;
-        ghost.crash_rng = self.crash_rng.clone();
+        // The log survives recovery whole: a second crash before the
+        // next checkpoint replays this same WAL prefix again.
+        ghost.master = self.master.take();
         ghost.metrics.master_recoveries += 1;
         *self = *ghost;
     }
@@ -124,26 +188,20 @@ fn assert_converged(live: &Driver, ghost: &Driver) {
     check!(alloc_rng);
     check!(fail_rng);
     check!(noise_rng);
-    check!(chaos_rng);
-    check!(control_rng);
     check!(wakes);
     check!(pending_wakes);
     check!(speculation);
+    check!(chaos);
     check!(detector);
     check!(node_down);
     check!(perma_down);
-    check!(degraded_until);
     check!(remote_reads_in_flight);
     check!(metrics);
     check!(last_round);
     check!(health);
-    check!(failslow_rng);
-    check!(taskfault_rng);
     check!(retry_gates);
     check!(partition);
-    check!(partition_rng);
     check!(durability);
-    check!(corruption_rng);
     check!(repair_armed);
     check!(open_disruptions);
     check!(cache);

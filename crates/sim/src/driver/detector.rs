@@ -40,11 +40,12 @@ use std::collections::BTreeSet;
 use custody_cluster::{ExecutorId, LeaseTable};
 use custody_dfs::NodeId;
 use custody_simcore::dist::{Distribution, Exponential};
-use custody_simcore::{SimDuration, SimRng, SimTime};
+use custody_simcore::{EventQueue, SimDuration, SimRng, SimTime};
 
 use crate::config::ControlPlaneConfig;
 
 use super::{Driver, Event, FaultKind, TaskKey};
+use custody_cluster::ClusterState;
 
 /// Which per-node heartbeat emitter a heartbeat came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,6 +76,8 @@ pub(crate) enum DeadlineKind {
 pub(crate) struct DetectorState {
     /// The control-plane parameters (non-perfect by construction).
     pub cp: ControlPlaneConfig,
+    /// Heartbeat drop and delay draws (the `"control-plane"` stream).
+    rng: SimRng,
     /// Latest executor-channel heartbeat arrival per node.
     pub last_exec_hb: Vec<SimTime>,
     /// Latest DataNode-channel heartbeat arrival per node.
@@ -115,9 +118,32 @@ pub(crate) struct DetectorState {
 }
 
 impl DetectorState {
-    pub(crate) fn new(cp: ControlPlaneConfig, num_nodes: usize, num_executors: usize) -> Self {
-        DetectorState {
+    /// Seeds the `"control-plane"` stream and arms every node's first
+    /// heartbeat tick and both suspicion deadlines. `None` for a perfect
+    /// control plane, which folds to the oracle: no heartbeat events
+    /// exist at all.
+    pub(crate) fn new(
+        cp: ControlPlaneConfig,
+        seed: u64,
+        cluster: &ClusterState,
+        queue: &mut EventQueue<Event>,
+    ) -> Option<Self> {
+        if cp.is_perfect() {
+            return None;
+        }
+        let num_nodes = cluster.num_nodes();
+        let tick = SimTime::ZERO + SimDuration::from_secs_f64(cp.heartbeat_interval_secs);
+        let deadline = SimTime::ZERO + SimDuration::from_secs_f64(cp.suspicion_timeout_secs);
+        for n in 0..num_nodes {
+            let node = NodeId::new(n);
+            queue.schedule(tick, Event::HeartbeatTick { node });
+            for kind in [DeadlineKind::ExecSuspect, DeadlineKind::DfsSuspect] {
+                queue.schedule(deadline, Event::DetectorDeadline { node, kind });
+            }
+        }
+        Some(DetectorState {
             cp,
+            rng: SimRng::for_stream(seed, "control-plane"),
             last_exec_hb: vec![SimTime::ZERO; num_nodes],
             last_dfs_hb: vec![SimTime::ZERO; num_nodes],
             exec_suspected: vec![false; num_nodes],
@@ -129,22 +155,22 @@ impl DetectorState {
             hb_tick_active: vec![true; num_nodes],
             exec_deadline_armed: vec![true; num_nodes],
             dfs_deadline_armed: vec![true; num_nodes],
-            revoked: vec![false; num_executors],
+            revoked: vec![false; cluster.num_executors()],
             leases: LeaseTable::new(),
             lease_deadline_at: None,
-        }
+        })
     }
 
     /// One lossy, delayed hop through the control plane: `None` if the
     /// heartbeat was dropped, else its network delay.
-    fn channel_hop(&self, rng: &mut SimRng) -> Option<SimDuration> {
-        if rng.chance(self.cp.drop_probability) {
+    fn channel_hop(&mut self) -> Option<SimDuration> {
+        if self.rng.chance(self.cp.drop_probability) {
             return None;
         }
         // Exponential::with_mean rejects a zero mean; zero delay is a
         // legal config meaning "lossy but instant".
         let delay = if self.cp.mean_delay_secs > 0.0 {
-            Exponential::with_mean(self.cp.mean_delay_secs).sample(rng)
+            Exponential::with_mean(self.cp.mean_delay_secs).sample(&mut self.rng)
         } else {
             0.0
         };
@@ -154,23 +180,55 @@ impl DetectorState {
     fn timeout(&self) -> SimDuration {
         SimDuration::from_secs_f64(self.cp.suspicion_timeout_secs)
     }
+
+    /// Physical failure in detector mode: record truth and bump the
+    /// channels' incarnation epochs so in-flight heartbeats from the dead
+    /// incarnation are fenced — and change *nothing* about the master's
+    /// belief. Only heartbeat silence does that.
+    pub(super) fn phys_fail(&mut self, node: NodeId, now: SimTime, kind: FaultKind) {
+        self.phys_down_at[node.index()] = now;
+        self.phys_epoch_exec[node.index()] += 1;
+        if kind == FaultKind::Machine {
+            self.phys_epoch_dfs[node.index()] += 1;
+            self.data_lost[node.index()] = true;
+        }
+    }
+
+    /// Physical recovery in detector mode: a fresh incarnation starts
+    /// beating. A blip the master never suspected needs no belief change
+    /// at all (and if the blip was a machine fault it never noticed, the
+    /// disk came back intact: nothing was re-replicated, nothing is
+    /// lost). Returns whether the node's heartbeat tick had stopped and
+    /// must be restarted.
+    pub(super) fn phys_recover(&mut self, node: NodeId, kind: FaultKind) -> bool {
+        if kind == FaultKind::Machine && !self.dfs_suspected[node.index()] {
+            self.data_lost[node.index()] = false;
+        }
+        self.phys_epoch_exec[node.index()] += 1;
+        if kind == FaultKind::Machine {
+            self.phys_epoch_dfs[node.index()] += 1;
+        }
+        !std::mem::replace(&mut self.hb_tick_active[node.index()], true)
+    }
 }
 
 impl Driver {
-    /// Every job submitted and finished: the control plane stops ticking
-    /// so the event queue can drain (a live cluster would keep beating,
-    /// but the simulation must terminate — and end-of-run suspicions
-    /// could not change any outcome anyway).
-    fn control_plane_idle(&self) -> bool {
-        self.jobs.len() == self.apps.iter().map(|a| a.specs.len()).sum::<usize>()
-            && self.jobs.iter().all(|j| j.is_finished())
+    /// Bumps the epoch of every executor on `node` at a physical fail or
+    /// recover in detector mode: the incarnation running any current
+    /// attempt is gone, so its Finish (if ever scheduled) must not be
+    /// accepted, and attempts the master launched into it are reaped as
+    /// ghosts by the next heartbeat.
+    pub(super) fn fence_executors_on(&mut self, node: NodeId) {
+        for &e in self.cluster.executors_on(node) {
+            self.exec_state[e.index()].epoch += 1;
+        }
     }
 
     /// A node's heartbeat emitter fires: put one heartbeat per live
     /// channel on the wire (each independently dropped/delayed) and
     /// schedule the next tick.
     pub(super) fn on_heartbeat_tick(&mut self, node: NodeId, now: SimTime) {
-        let idle = self.control_plane_idle();
+        let idle = self.drained();
         let machine_down = self.node_down[node.index()] == Some(FaultKind::Machine);
         let exec_up = self.node_down[node.index()].is_none();
         // Partition cut: the node still emits (the drop/delay draws below
@@ -188,31 +246,28 @@ impl Driver {
             d.hb_tick_active[node.index()] = false;
             return;
         }
-        if exec_up {
-            if let Some(delay) = d.channel_hop(&mut self.control_rng) {
-                if reaches_master {
-                    self.queue.schedule(
-                        now + delay,
-                        Event::HeartbeatArrive {
-                            node,
-                            channel: HbChannel::Executor,
-                            phys_epoch: d.phys_epoch_exec[node.index()],
-                        },
-                    );
-                }
-            }
-        }
         // The DataNode still beats through an executor-only fault.
-        if let Some(delay) = d.channel_hop(&mut self.control_rng) {
-            if reaches_master {
-                self.queue.schedule(
-                    now + delay,
-                    Event::HeartbeatArrive {
+        let channels = [
+            (
+                HbChannel::Executor,
+                exec_up,
+                d.phys_epoch_exec[node.index()],
+            ),
+            (HbChannel::DataNode, true, d.phys_epoch_dfs[node.index()]),
+        ];
+        for (channel, beating, phys_epoch) in channels {
+            if !beating {
+                continue;
+            }
+            if let Some(delay) = d.channel_hop() {
+                if reaches_master {
+                    let arrive = Event::HeartbeatArrive {
                         node,
-                        channel: HbChannel::DataNode,
-                        phys_epoch: d.phys_epoch_dfs[node.index()],
-                    },
-                );
+                        channel,
+                        phys_epoch,
+                    };
+                    self.queue.schedule(now + delay, arrive);
+                }
             }
         }
         self.queue.schedule(
@@ -221,23 +276,10 @@ impl Driver {
         );
     }
 
-    pub(super) fn on_heartbeat_arrive(
-        &mut self,
-        node: NodeId,
-        channel: HbChannel,
-        phys_epoch: u64,
-        now: SimTime,
-    ) {
-        match channel {
-            HbChannel::Executor => self.on_exec_heartbeat(node, phys_epoch, now),
-            HbChannel::DataNode => self.on_dfs_heartbeat(node, phys_epoch, now),
-        }
-    }
-
     /// An executor-channel heartbeat reaches the master: renew the node's
     /// leases, reinstate belief-dead executors, and reap ghost attempts
     /// left over from incarnations that died while the master looked away.
-    fn on_exec_heartbeat(&mut self, node: NodeId, phys_epoch: u64, now: SimTime) {
+    pub(super) fn on_exec_heartbeat(&mut self, node: NodeId, phys_epoch: u64, now: SimTime) {
         let d = self.detector.as_mut().expect("heartbeat without detector"); // lint: allow(panic) — heartbeat events exist only in detector mode
         if phys_epoch != d.phys_epoch_exec[node.index()] {
             return; // emitted by an incarnation that has since died
@@ -286,27 +328,10 @@ impl Driver {
         // was never scheduled; re-queue the task now.
         let mut displaced: BTreeSet<TaskKey> = BTreeSet::new();
         for &e in &executors {
-            let st = &mut self.exec_state[e.index()];
-            if st.dead {
-                continue;
+            let st = &self.exec_state[e.index()];
+            if !st.dead && st.running.is_some_and(|r| r.launch_epoch != st.epoch) {
+                self.abandon_attempt(e, now, &mut displaced);
             }
-            let Some(r) = st.running else { continue };
-            if r.launch_epoch == st.epoch {
-                continue;
-            }
-            st.running = None;
-            st.idle_since = now;
-            if r.remote_input {
-                self.remote_reads_in_flight = self
-                    .remote_reads_in_flight
-                    .checked_sub(1)
-                    .expect("remote-read counter underflow"); // lint: allow(panic) — the counter was incremented when the remote read started
-            }
-            if self.on_attempt_killed(&r, now) {
-                displaced.insert((r.job_idx, r.stage, r.task));
-            }
-            // A reaped ghost needs no reconnect reconciliation anymore.
-            self.partition_forget_ghost(e);
         }
         if !displaced.is_empty() {
             self.open_disruptions.push((now, displaced));
@@ -317,7 +342,7 @@ impl Driver {
     /// stalely) suspected DataNode is reinstated — with its data if the
     /// disk actually survived, empty if the suspicion was right and the
     /// node came back wiped.
-    fn on_dfs_heartbeat(&mut self, node: NodeId, phys_epoch: u64, now: SimTime) {
+    pub(super) fn on_dfs_heartbeat(&mut self, node: NodeId, phys_epoch: u64, now: SimTime) {
         let d = self.detector.as_mut().expect("heartbeat without detector"); // lint: allow(panic) — heartbeat events exist only in detector mode
         if phys_epoch != d.phys_epoch_dfs[node.index()] {
             return;
@@ -355,48 +380,52 @@ impl Driver {
     /// the whole timeout the node is suspected; otherwise re-arm at the
     /// earliest instant the timeout could still trip.
     pub(super) fn on_detector_deadline(&mut self, node: NodeId, kind: DeadlineKind, now: SimTime) {
-        let idle = self.control_plane_idle();
+        let idle = self.drained();
         let d = self.detector.as_mut().expect("deadline without detector"); // lint: allow(panic) — deadline events exist only in detector mode
         let timeout = d.timeout();
-        let armed = match kind {
-            DeadlineKind::ExecSuspect => &mut d.exec_deadline_armed[node.index()],
-            DeadlineKind::DfsSuspect => &mut d.dfs_deadline_armed[node.index()],
+        let n = node.index();
+        let (armed, last_hb, suspected) = match kind {
+            DeadlineKind::ExecSuspect => (
+                &mut d.exec_deadline_armed[n],
+                d.last_exec_hb[n],
+                &mut d.exec_suspected[n],
+            ),
+            DeadlineKind::DfsSuspect => (
+                &mut d.dfs_deadline_armed[n],
+                d.last_dfs_hb[n],
+                &mut d.dfs_suspected[n],
+            ),
         };
         debug_assert!(*armed, "deadline fired while disarmed");
         *armed = false;
         if idle {
             return; // the run has drained; stop the timer chain
         }
-        let last_hb = match kind {
-            DeadlineKind::ExecSuspect => d.last_exec_hb[node.index()],
-            DeadlineKind::DfsSuspect => d.last_dfs_hb[node.index()],
-        };
         if last_hb + timeout > now {
             // A heartbeat arrived since this deadline was set.
-            let armed = match kind {
-                DeadlineKind::ExecSuspect => &mut d.exec_deadline_armed[node.index()],
-                DeadlineKind::DfsSuspect => &mut d.dfs_deadline_armed[node.index()],
-            };
             *armed = true;
             self.queue
                 .schedule(last_hb + timeout, Event::DetectorDeadline { node, kind });
             return;
         }
+        debug_assert!(!*suspected);
+        *suspected = true;
+        let down_at = d.phys_down_at[node.index()];
         match kind {
-            DeadlineKind::ExecSuspect => self.suspect_executors(node, now),
-            DeadlineKind::DfsSuspect => self.suspect_datanode(node, now),
+            DeadlineKind::ExecSuspect => self.suspect_executors(node, down_at, now),
+            DeadlineKind::DfsSuspect => {
+                let lost = d.data_lost[node.index()];
+                self.suspect_datanode(node, down_at, lost, now);
+            }
         }
     }
 
-    /// The master gives up on a node's executors: belief-kill them all,
-    /// re-queueing their work. Scored as detection latency if the node is
-    /// really down, as a false suspicion if it is not.
-    fn suspect_executors(&mut self, node: NodeId, now: SimTime) {
-        let d = self.detector.as_mut().expect("suspect without detector"); // lint: allow(panic) — suspect events exist only in detector mode
-        debug_assert!(!d.exec_suspected[node.index()]);
-        d.exec_suspected[node.index()] = true;
+    /// The master gave up on a node's executors: belief-kill them all,
+    /// re-queueing their work. Scored as detection latency (from the
+    /// node's physical failure at `down_at`) if the node is really down,
+    /// as a false suspicion if it is not.
+    fn suspect_executors(&mut self, node: NodeId, down_at: SimTime, now: SimTime) {
         if self.node_down[node.index()].is_some() {
-            let down_at = d.phys_down_at[node.index()];
             self.metrics
                 .detection_latency_secs
                 .push(now.saturating_since(down_at).as_secs_f64());
@@ -411,17 +440,12 @@ impl Driver {
         self.cache.mark_pool_changed();
     }
 
-    /// The master gives up on a node's DataNode: drop its replicas and
+    /// The master gave up on a node's DataNode: drop its replicas and
     /// re-replicate, exactly as HDFS does on DataNode timeout. Blocks
     /// whose last replica lived there are only *actually* lost if the
-    /// disk is physically gone.
-    fn suspect_datanode(&mut self, node: NodeId, now: SimTime) {
-        let d = self.detector.as_mut().expect("suspect without detector"); // lint: allow(panic) — suspect events exist only in detector mode
-        debug_assert!(!d.dfs_suspected[node.index()]);
-        d.dfs_suspected[node.index()] = true;
-        let lost = d.data_lost[node.index()];
+    /// disk is physically gone (`lost`).
+    fn suspect_datanode(&mut self, node: NodeId, down_at: SimTime, lost: bool, now: SimTime) {
         if self.node_down[node.index()] == Some(FaultKind::Machine) {
-            let down_at = d.phys_down_at[node.index()];
             self.metrics
                 .detection_latency_secs
                 .push(now.saturating_since(down_at).as_secs_f64());
@@ -457,6 +481,12 @@ impl Driver {
         for &e in &expired {
             d.revoked[e.index()] = true;
         }
+        // Re-arm at the new earliest expiry. The kills below drop only
+        // the leases just taken, so it is already final here.
+        if let Some(next) = d.leases.next_expiry() {
+            d.lease_deadline_at = Some(next);
+            self.queue.schedule(next, Event::LeaseExpiry);
+        }
         // Leases expiring under a cut fence live minority work.
         self.note_minority_discards(&expired);
         let mut displaced: BTreeSet<TaskKey> = BTreeSet::new();
@@ -470,59 +500,6 @@ impl Driver {
         }
         if !expired.is_empty() {
             self.cache.mark_pool_changed();
-        }
-        let d = self.detector.as_mut().expect("checked above"); // lint: allow(panic) — guarded by the enclosing branch
-        if let Some(next) = d.leases.next_expiry() {
-            d.lease_deadline_at = Some(next);
-            self.queue.schedule(next, Event::LeaseExpiry);
-        }
-    }
-
-    /// Physical failure in detector mode: record truth, bump incarnation
-    /// epochs so in-flight heartbeats and completions from the dead
-    /// incarnation are fenced — and change *nothing* about the master's
-    /// belief. Only heartbeat silence does that.
-    pub(super) fn phys_fail(&mut self, node: NodeId, now: SimTime, kind: FaultKind) {
-        let d = self.detector.as_mut().expect("phys_fail in oracle mode"); // lint: allow(panic) — oracle-mode events exist only in detector mode
-        d.phys_down_at[node.index()] = now;
-        d.phys_epoch_exec[node.index()] += 1;
-        if kind == FaultKind::Machine {
-            d.phys_epoch_dfs[node.index()] += 1;
-            d.data_lost[node.index()] = true;
-        }
-        for &e in self.cluster.executors_on(node) {
-            // The physical incarnation running any current attempt died;
-            // its Finish (if ever scheduled) must not be accepted.
-            self.exec_state[e.index()].epoch += 1;
-        }
-    }
-
-    /// Physical recovery in detector mode: a fresh incarnation starts
-    /// beating. The master learns of it only through heartbeats — a blip
-    /// it never suspected needs no belief change at all (and if the blip
-    /// was a machine fault it never noticed, the disk came back intact:
-    /// nothing was re-replicated, nothing is lost).
-    pub(super) fn phys_recover(&mut self, node: NodeId, kind: FaultKind, now: SimTime) {
-        let d = self.detector.as_mut().expect("phys_recover in oracle mode"); // lint: allow(panic) — oracle-mode events exist only in detector mode
-        if kind == FaultKind::Machine && !d.dfs_suspected[node.index()] {
-            d.data_lost[node.index()] = false;
-        }
-        d.phys_epoch_exec[node.index()] += 1;
-        if kind == FaultKind::Machine {
-            d.phys_epoch_dfs[node.index()] += 1;
-        }
-        let restart_tick = !d.hb_tick_active[node.index()];
-        if restart_tick {
-            d.hb_tick_active[node.index()] = true;
-        }
-        for &e in self.cluster.executors_on(node) {
-            // Fence attempts launched into the pre-recovery incarnation
-            // (doomed launches the master made while believing the node
-            // alive); the next heartbeat's ghost reaping re-queues them.
-            self.exec_state[e.index()].epoch += 1;
-        }
-        if restart_tick {
-            self.queue.schedule(now, Event::HeartbeatTick { node });
         }
     }
 }

@@ -2,10 +2,9 @@
 //! the unified prioritized repair pipeline.
 //!
 //! The layer exists only when a [`CorruptionConfig`] is present and
-//! non-inert, so inert runs degenerate to the oracle bit-for-bit (the
-//! data-durability analogue of the gray-failure and partition layers'
-//! `is_inert` discipline). When live, corruption is drawn from the
-//! dedicated `"corruption"` stream and threaded through three events:
+//! non-inert, so inert runs degenerate to the oracle bit-for-bit. When
+//! live, corruption is drawn from the dedicated `"corruption"` stream and
+//! threaded through three events:
 //!
 //! * `CorruptionArrive` — one more replica silently rots (optionally
 //!   biased toward replicas on disk-sick nodes while the gray-failure
@@ -26,15 +25,14 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use custody_dfs::{BlockId, NodeId};
+use custody_dfs::{BlockId, NameNode, NodeId};
 use custody_scheduler::RetryPolicy;
-use custody_simcore::dist::{Distribution, Exponential};
-use custody_simcore::{SimDuration, SimTime};
+use custody_simcore::{EventQueue, SimDuration, SimRng, SimTime};
 
 use crate::config::CorruptionConfig;
 use crate::job::TaskState;
 
-use super::{Driver, Event, RunningTask};
+use super::{schedule_arrival, Driver, Event};
 
 /// Live data-durability state (absent for inert configs).
 #[derive(Debug, Clone, PartialEq)]
@@ -52,53 +50,93 @@ pub(super) struct DurabilityLayer {
     pub(super) unavailable: BTreeSet<BlockId>,
     /// Next block index the scrubber examines (wraps around).
     pub(super) scrub_cursor: usize,
+    /// Corruption draws: latent seeding, arrivals, victim picks, read
+    /// retry jitter (the `"corruption"` stream).
+    pub(super) rng: SimRng,
 }
 
 impl DurabilityLayer {
-    pub(super) fn new(cfg: CorruptionConfig) -> Self {
-        DurabilityLayer {
+    /// Seeds the `"corruption"` stream, rots the latent replicas present
+    /// from t=0 — one coin per initial replica, in (block, holder) order
+    /// — and schedules the first corruption arrival and scrub tick.
+    /// `None` for an inert config: no events, no draws, so the run is
+    /// event-for-event the oracle.
+    pub(super) fn new(
+        cfg: CorruptionConfig,
+        seed: u64,
+        namenode: &mut NameNode,
+        queue: &mut EventQueue<Event>,
+    ) -> Option<Self> {
+        if cfg.is_inert() {
+            return None;
+        }
+        let mut rng = SimRng::for_stream(seed, "corruption");
+        let mut onset = BTreeMap::new();
+        for b in 0..namenode.num_blocks() {
+            let block = BlockId::new(b);
+            let holders: Vec<NodeId> = namenode.locations(block).to_vec();
+            for node in holders {
+                if rng.chance(cfg.latent_fraction) && namenode.mark_corrupt(block, node) {
+                    onset.insert((block, node), SimTime::ZERO);
+                }
+            }
+        }
+        if cfg.mean_time_between_corruptions_secs > 0.0 {
+            schedule_arrival(
+                queue,
+                &mut rng,
+                cfg.mean_time_between_corruptions_secs,
+                cfg.horizon_secs,
+                None,
+                Event::CorruptionArrive,
+            );
+        }
+        if cfg.scrub_enabled() {
+            queue.schedule(
+                SimTime::ZERO + SimDuration::from_secs_f64(cfg.scrub_interval_secs),
+                Event::ScrubTick,
+            );
+        }
+        Some(DurabilityLayer {
             retry: RetryPolicy::new(
                 cfg.retry_budget,
                 SimDuration::from_secs_f64(cfg.retry_backoff_secs),
                 cfg.retry_jitter,
             ),
             cfg,
-            onset: BTreeMap::new(),
+            onset,
             unavailable: BTreeSet::new(),
             scrub_cursor: 0,
-        }
+            rng,
+        })
     }
 }
 
 impl Driver {
-    /// Same drained-run test as the partition and control-plane layers:
-    /// once every job has been submitted and finished, corruption
-    /// arrivals and scrub ticks stop rescheduling themselves so the
-    /// queue drains.
-    fn durability_idle(&self) -> bool {
-        self.jobs.len() == self.apps.iter().map(|a| a.specs.len()).sum::<usize>()
-            && self.jobs.iter().all(|j| j.is_finished())
-    }
-
     /// One more replica silently rots. The victim is drawn uniformly
     /// from the intact registered replicas — or, on a `disk_bias` coin,
     /// from the subset living on nodes with an active fail-slow *disk*
     /// condition (the canonical gray-failure corruption vector), falling
     /// back to the full set when no such replica exists.
     pub(super) fn on_corruption_arrive(&mut self, now: SimTime) {
-        let Some(d) = &self.durability else { return };
+        let drained = self.drained();
+        let Some(d) = &mut self.durability else {
+            return;
+        };
         let cfg = d.cfg;
-        if !self.durability_idle() {
-            let gap = Exponential::with_mean(cfg.mean_time_between_corruptions_secs)
-                .sample(&mut self.corruption_rng);
-            let next = now + SimDuration::from_secs_f64(gap);
-            if next.as_secs_f64() <= cfg.horizon_secs {
-                self.queue.schedule(next, Event::CorruptionArrive);
-            }
+        if !drained {
+            schedule_arrival(
+                &mut self.queue,
+                &mut d.rng,
+                cfg.mean_time_between_corruptions_secs,
+                cfg.horizon_secs,
+                Some(now),
+                Event::CorruptionArrive,
+            );
         }
         // The bias coin is drawn before looking at the candidates so the
         // stream advances identically whether or not a sick disk exists.
-        let biased = self.corruption_rng.chance(cfg.disk_bias);
+        let biased = d.rng.chance(cfg.disk_bias);
         let mut candidates: Vec<(BlockId, NodeId)> = Vec::new();
         for b in 0..self.namenode.num_blocks() {
             let block = BlockId::new(b);
@@ -109,10 +147,11 @@ impl Driver {
             }
         }
         if biased {
+            let health = &self.health;
             let sick: Vec<(BlockId, NodeId)> = candidates
                 .iter()
                 .copied()
-                .filter(|&(_, n)| self.disk_slow_active(n))
+                .filter(|&(_, n)| health.as_ref().is_some_and(|h| h.disk_slow_active(n)))
                 .collect();
             if !sick.is_empty() {
                 candidates = sick;
@@ -121,29 +160,22 @@ impl Driver {
         if candidates.is_empty() {
             return; // everything already rotten: nothing left to corrupt
         }
-        let (block, node) = candidates[self.corruption_rng.below(candidates.len())];
+        let (block, node) = candidates[d.rng.below(candidates.len())];
         let marked = self.namenode.mark_corrupt(block, node);
         debug_assert!(marked, "candidate replica was intact and registered");
-        let d = self.durability.as_mut().expect("layer checked above"); // lint: allow(panic) — guarded by the let-else at the top
         d.onset.insert((block, node), now);
         self.metrics.replicas_corrupted += 1;
-    }
-
-    /// Whether `node` currently has an active fail-slow condition whose
-    /// cause is the disk — the replicas corruption arrivals bias toward.
-    fn disk_slow_active(&self, node: NodeId) -> bool {
-        self.health.as_ref().is_some_and(|h| {
-            h.sickness[node.index()]
-                .is_some_and(|s| s.active && s.cause == super::health::SlowCause::Disk)
-        })
     }
 
     /// The background scrubber examines the next window of blocks and
     /// surfaces every latent mark it finds. The tick re-arms until the
     /// run drains; detection latency is scored per mark from its onset.
     pub(super) fn on_scrub_tick(&mut self, now: SimTime) {
-        let Some(d) = &self.durability else { return };
-        if self.durability_idle() {
+        let drained = self.drained();
+        let Some(d) = &mut self.durability else {
+            return;
+        };
+        if drained {
             return; // the run has drained; stop the tick chain
         }
         let cfg = d.cfg;
@@ -161,7 +193,6 @@ impl Driver {
                 }
             }
         }
-        let d = self.durability.as_mut().expect("layer checked above"); // lint: allow(panic) — guarded by the let-else at the top
         d.scrub_cursor = if total == 0 {
             0
         } else {
@@ -191,45 +222,17 @@ impl Driver {
                 .corruption_detection_secs
                 .push(now.saturating_since(onset).as_secs_f64());
         }
-        if self.namenode.drop_corrupt_replica(block, node) {
-            self.refresh_all_preferred();
-            self.schedule_repair(now);
-        } else {
-            let d = self.durability.as_mut().expect("checked above"); // lint: allow(panic) — guarded at the top of the function
+        if !self.namenode.drop_corrupt_replica(block, node) {
             if d.unavailable.insert(block) {
                 let deadline = SimDuration::from_secs_f64(d.cfg.unavailability_deadline_secs);
                 self.metrics.blocks_unavailable += 1;
                 self.queue
                     .schedule(now + deadline, Event::UnavailabilityDeadline { block });
             }
-        }
-    }
-
-    /// A verified read failed: the attempt dies exactly like a transient
-    /// task fault (clone losers drain, twins take over, last attempts
-    /// re-queue), charged against the durability retry policy. Backoff
-    /// jitter comes from the `"corruption"` stream so the gray-failure
-    /// layer's fault coins are undisturbed.
-    pub(super) fn on_corrupt_read_fault(&mut self, running: RunningTask, now: SimTime) {
-        if !self.on_attempt_killed(&running, now) {
-            return; // a twin survives (or the race was already lost)
-        }
-        let j = running.job_idx;
-        let policy = self
-            .durability
-            .as_ref()
-            .expect("corrupt read without layer") // lint: allow(panic) — verified reads only fail when the layer is configured
-            .retry;
-        if policy.exhausted(self.jobs[j].retries) {
-            self.fail_job(j, now);
             return;
         }
-        self.jobs[j].retries += 1;
-        self.metrics.task_retries += 1;
-        let attempt = self.jobs[j].retries;
-        let backoff = policy.backoff(attempt, &mut self.corruption_rng);
-        self.retry_gates
-            .insert((j, running.stage, running.task), now + backoff);
+        self.refresh_all_preferred();
+        self.schedule_repair(now);
     }
 
     /// A block's unavailability grace period ran out. If the block is
@@ -314,25 +317,31 @@ impl Driver {
     /// when durability is on); the bare oracle keeps its historical
     /// instant restore.
     pub(super) fn schedule_repair(&mut self, now: SimTime) {
-        if self.durability.is_some() || self.partition.is_some() {
+        if self.repair_pacing().is_some() {
             self.arm_repair_tick(now);
         } else {
             self.metrics.replicas_repaired += self.namenode.restore_replication(&mut self.fail_rng);
         }
     }
 
+    /// The paced repair budget `(batch, interval secs)`, `None` without
+    /// a pacing layer. The durability layer's pacing wins when both
+    /// layers are configured.
+    fn repair_pacing(&self) -> Option<(usize, f64)> {
+        match (&self.durability, &self.partition) {
+            (Some(d), _) => Some((d.cfg.repair_batch, d.cfg.repair_interval_secs)),
+            (None, Some(p)) => Some((p.cfg.restore_batch, p.cfg.restore_interval_secs)),
+            (None, None) => None,
+        }
+    }
+
     /// Arms the paced repair tick if it is not already pending (at most
-    /// one `RestoreTick` in flight). The durability layer's pacing wins
-    /// when both layers are configured.
+    /// one `RestoreTick` in flight).
     pub(super) fn arm_repair_tick(&mut self, now: SimTime) {
         if self.repair_armed {
             return;
         }
-        let interval_secs = if let Some(d) = &self.durability {
-            d.cfg.repair_interval_secs
-        } else if let Some(p) = &self.partition {
-            p.cfg.restore_interval_secs
-        } else {
+        let Some((_, interval_secs)) = self.repair_pacing() else {
             return; // no pacing layer: schedule_repair restored instantly
         };
         self.repair_armed = true;
@@ -349,11 +358,7 @@ impl Driver {
     /// bit-for-bit. While the batch fills the tick re-arms.
     pub(super) fn on_restore_tick(&mut self, now: SimTime) {
         self.repair_armed = false;
-        let batch = if let Some(d) = &self.durability {
-            d.cfg.repair_batch
-        } else if let Some(p) = &self.partition {
-            p.cfg.restore_batch
-        } else {
+        let Some((batch, _)) = self.repair_pacing() else {
             return; // stale tick from a layer that no longer exists
         };
         let created = if self.durability.is_some() {

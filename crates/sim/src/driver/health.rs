@@ -42,8 +42,9 @@ use custody_simcore::dist::{Distribution, Exponential};
 use custody_simcore::{SimDuration, SimRng, SimTime};
 
 use crate::config::FailSlowConfig;
+use crate::metrics::RunMetrics;
 
-use super::{Driver, Event};
+use super::{schedule_arrival, Driver, Event, FaultKind};
 
 /// Which component of a sick node degraded — decides which service-time
 /// term the slowdown factor multiplies.
@@ -106,17 +107,30 @@ pub(crate) struct HealthLayer {
     pub belief: Vec<NodeBelief>,
     /// The retry policy transient faults consume budget against.
     pub retry: RetryPolicy,
+    /// Fail-slow draws: sick set, causes, onsets, episode lengths (the
+    /// `"failslow"` stream).
+    rng: SimRng,
+    /// Transient-fault coins and retry-backoff jitter (the
+    /// `"task-faults"` stream).
+    pub fault_rng: SimRng,
 }
 
 impl HealthLayer {
-    /// Draws the sick-node set, their causes and their first onsets, and
-    /// schedules a `FailSlowOnset` per sick node (within the horizon).
+    /// Seeds the `"failslow"` and `"task-faults"` streams, draws the
+    /// sick-node set, their causes and their first onsets, and schedules
+    /// a `FailSlowOnset` per sick node (within the horizon). `None` for an
+    /// inert config: the layer never exists, so the run is
+    /// event-for-event the oracle.
     pub(crate) fn new(
         cfg: FailSlowConfig,
+        seed: u64,
         num_nodes: usize,
-        rng: &mut SimRng,
         queue: &mut custody_simcore::EventQueue<Event>,
-    ) -> Self {
+    ) -> Option<Self> {
+        if cfg.is_inert() {
+            return None;
+        }
+        let mut rng = SimRng::for_stream(seed, "failslow");
         let num_sick = ((cfg.sick_fraction * num_nodes as f64).round() as usize).min(num_nodes);
         let mut sickness: Vec<Option<Sickness>> = vec![None; num_nodes];
         for n in rng.choose_distinct(num_nodes, num_sick) {
@@ -133,17 +147,18 @@ impl HealthLayer {
                 active: false,
                 since: SimTime::ZERO,
             });
-            let onset = Exponential::with_mean(cfg.mean_onset_secs).sample(rng);
-            if onset <= cfg.horizon_secs {
-                queue.schedule(
-                    SimTime::ZERO + SimDuration::from_secs_f64(onset),
-                    Event::FailSlowOnset {
-                        node: NodeId::new(n),
-                    },
-                );
-            }
+            schedule_arrival(
+                queue,
+                &mut rng,
+                cfg.mean_onset_secs,
+                cfg.horizon_secs,
+                None,
+                Event::FailSlowOnset {
+                    node: NodeId::new(n),
+                },
+            );
         }
-        HealthLayer {
+        Some(HealthLayer {
             cfg,
             sickness,
             belief: vec![
@@ -162,12 +177,20 @@ impl HealthLayer {
                 SimDuration::from_secs_f64(cfg.retry_backoff_secs),
                 cfg.retry_jitter,
             ),
-        }
+            rng,
+            fault_rng: SimRng::for_stream(seed, "task-faults"),
+        })
     }
 
     /// Whether the node's slowdown is currently active (physical truth).
     pub(crate) fn slow_active(&self, node: NodeId) -> bool {
         self.sickness[node.index()].is_some_and(|s| s.active)
+    }
+
+    /// Whether the node's active slowdown is a degraded disk — the
+    /// replicas corruption arrivals bias toward.
+    pub(super) fn disk_slow_active(&self, node: NodeId) -> bool {
+        self.sickness[node.index()].is_some_and(|s| s.active && s.cause == SlowCause::Disk)
     }
 
     /// Scales one attempt's service-time components by the node's active
@@ -243,6 +266,95 @@ impl HealthLayer {
         Some(mine / median)
     }
 
+    /// Records one service-time sample for `node` and returns the belief
+    /// state the detector now wants for it, if that is a change.
+    /// `Quarantined` is a request the capacity guard may still refuse.
+    fn observe(&mut self, node: NodeId, service_secs: f64) -> Option<HealthState> {
+        let cfg = self.cfg;
+        let b = &mut self.belief[node.index()];
+        b.samples.push_back(service_secs);
+        while b.samples.len() > cfg.window {
+            b.samples.pop_front();
+        }
+        if b.state == HealthState::Probation {
+            b.probes_done += 1;
+        }
+        let ratio = |min| self.peer_ratio(node.index(), min);
+        let b = &self.belief[node.index()];
+        match b.state {
+            HealthState::Healthy => ratio(cfg.min_samples)
+                .filter(|&r| r >= cfg.suspect_ratio)
+                .map(|_| HealthState::Suspect),
+            HealthState::Suspect => match ratio(cfg.min_samples) {
+                Some(r) if r >= cfg.quarantine_ratio => Some(HealthState::Quarantined),
+                Some(r) if r < cfg.suspect_ratio => Some(HealthState::Healthy),
+                _ => None,
+            },
+            // In-flight tasks keep completing after quarantine; only the
+            // probation timer moves a quarantined node.
+            HealthState::Quarantined => None,
+            // Judge on the probe window alone (any sample count).
+            HealthState::Probation if b.probes_done >= cfg.probation_probes => match ratio(1) {
+                Some(r) if r >= cfg.suspect_ratio => Some(HealthState::Quarantined),
+                _ => Some(HealthState::Healthy),
+            },
+            HealthState::Probation => None,
+        }
+    }
+
+    /// Takes one legal belief transition.
+    fn transition(&mut self, node: NodeId, next: HealthState) {
+        let b = &mut self.belief[node.index()];
+        debug_assert!(
+            b.state.can_transition_to(next),
+            "illegal health transition {} -> {}",
+            b.state.name(),
+            next.name()
+        );
+        b.state = next;
+    }
+
+    /// Quarantines `node` unless doing so would leave half the live
+    /// cluster or less schedulable — the capacity guard real quarantine
+    /// systems ship with, so a skewed median can never starve the run.
+    /// Scores the verdict against physical truth into `metrics` and
+    /// returns the probation delay, or `None` when the guard refused.
+    fn quarantine(
+        &mut self,
+        node: NodeId,
+        now: SimTime,
+        node_down: &[Option<FaultKind>],
+        metrics: &mut RunMetrics,
+    ) -> Option<SimDuration> {
+        // Count live (not crashed) nodes and how many of them currently
+        // accept placements; a crashed node must not pad either side.
+        let alive = node_down.iter().filter(|d| d.is_none()).count();
+        let schedulable = self
+            .belief
+            .iter()
+            .zip(node_down)
+            .filter(|(b, down)| b.state.is_schedulable() && down.is_none())
+            .count();
+        if !quarantine_capacity_allows(schedulable, alive) {
+            return None; // capacity guard: keep over half the live cluster
+        }
+        let last_quarantine = self.belief[node.index()].quarantined_at;
+        self.belief[node.index()].quarantined_at = now;
+        self.transition(node, HealthState::Quarantined);
+        metrics.nodes_quarantined += 1;
+        match self.sickness[node.index()].filter(|s| s.active) {
+            // Detection latency is scored once per episode: a flapping
+            // re-quarantine of an already-caught slowdown says nothing
+            // about how fast the detector notices.
+            Some(s) if last_quarantine < s.since || last_quarantine == SimTime::ZERO => metrics
+                .quarantine_latency_secs
+                .push(now.saturating_since(s.since).as_secs_f64()),
+            Some(_) => {}
+            None => metrics.false_quarantines += 1,
+        }
+        Some(SimDuration::from_secs_f64(self.cfg.probation_delay_secs))
+    }
+
     /// The per-node cost vector for the allocator (soft demotion): every
     /// demoted-state node with its current bucketed cost. Quarantined
     /// nodes are excluded from placement outright and healthy ones carry
@@ -284,23 +396,13 @@ fn quarantine_capacity_allows(schedulable: usize, alive: usize) -> bool {
 }
 
 impl Driver {
-    /// Every job submitted and finished: stop seeding new fail-slow
-    /// episodes so the event queue can drain (mirrors the control plane's
-    /// idle discipline — post-run episodes could not change any outcome).
-    fn failslow_idle(&self) -> bool {
-        self.jobs.len() == self.apps.iter().map(|a| a.specs.len()).sum::<usize>()
-            && self.jobs.iter().all(|j| j.is_finished())
-    }
-
     /// A node's slowdown sets in. Episodic configs draw the episode
     /// length and schedule the remission; persistent ones never remit.
     pub(super) fn on_failslow_onset(&mut self, node: NodeId, now: SimTime) {
-        if self.failslow_idle() {
+        if self.drained() {
             return; // the run has drained; a late onset changes nothing
         }
         let h = self.health.as_mut().expect("fail-slow onset without layer"); // lint: allow(panic) — fail-slow events are only scheduled when the layer is configured
-        let episodic = h.cfg.mean_episode_secs > 0.0;
-        let mean_episode = h.cfg.mean_episode_secs;
         let s = h.sickness[node.index()]
             .as_mut()
             .expect("onset on a node that never sickens"); // lint: allow(panic) — the fail-slow schedule only fires for profiled nodes
@@ -308,8 +410,8 @@ impl Driver {
         s.active = true;
         s.since = now;
         self.metrics.failslow_onsets += 1;
-        if episodic {
-            let len = Exponential::with_mean(mean_episode).sample(&mut self.failslow_rng);
+        if h.cfg.mean_episode_secs > 0.0 {
+            let len = Exponential::with_mean(h.cfg.mean_episode_secs).sample(&mut h.rng);
             self.queue.schedule(
                 now + SimDuration::from_secs_f64(len),
                 Event::FailSlowRemit { node },
@@ -320,22 +422,24 @@ impl Driver {
     /// An episodic slowdown remits; the node may relapse after a healthy
     /// gap (drawn now, scheduled only within the horizon).
     pub(super) fn on_failslow_remit(&mut self, node: NodeId, now: SimTime) {
+        let drained = self.drained();
         let h = self.health.as_mut().expect("fail-slow remit without layer"); // lint: allow(panic) — fail-slow events are only scheduled when the layer is configured
-        let horizon = h.cfg.horizon_secs;
-        let mean_remission = h.cfg.mean_remission_secs;
         let s = h.sickness[node.index()]
             .as_mut()
             .expect("remit on a node that never sickens"); // lint: allow(panic) — the fail-slow schedule only fires for profiled nodes
         debug_assert!(s.active, "remission of an inactive episode");
         s.active = false;
-        if self.failslow_idle() {
+        if drained {
             return;
         }
-        let gap = Exponential::with_mean(mean_remission).sample(&mut self.failslow_rng);
-        let next = now + SimDuration::from_secs_f64(gap);
-        if next.as_secs_f64() <= horizon {
-            self.queue.schedule(next, Event::FailSlowOnset { node });
-        }
+        schedule_arrival(
+            &mut self.queue,
+            &mut h.rng,
+            h.cfg.mean_remission_secs,
+            h.cfg.horizon_secs,
+            Some(now),
+            Event::FailSlowOnset { node },
+        );
     }
 
     /// A quarantined node's cool-off elapsed: it enters probation — back
@@ -363,55 +467,32 @@ impl Driver {
     /// Feeds one completed attempt's service time into the detector and
     /// advances the node's belief state machine.
     pub(super) fn observe_service(&mut self, node: NodeId, service_secs: f64, now: SimTime) {
-        let Some(h) = self.health.as_mut() else {
+        let Some(h) = self.health.as_mut().filter(|h| h.cfg.detection) else {
             return;
         };
-        if !h.cfg.detection {
-            return;
-        }
-        let cfg = h.cfg;
-        let b = &mut h.belief[node.index()];
-        b.samples.push_back(service_secs);
-        while b.samples.len() > cfg.window {
-            b.samples.pop_front();
-        }
-        if b.state == HealthState::Probation {
-            b.probes_done += 1;
-        }
-        let state = b.state;
-        let probes_done = b.probes_done;
-        let h = self.health.as_ref().expect("checked above"); // lint: allow(panic) — guarded by the enclosing branch
-        match state {
-            HealthState::Healthy => {
-                if let Some(ratio) = h.peer_ratio(node.index(), cfg.min_samples) {
-                    if ratio >= cfg.suspect_ratio {
-                        self.transition(node, HealthState::Suspect, now);
+        match h.observe(node, service_secs) {
+            Some(HealthState::Quarantined) => {
+                // Peer-relative service-time readings are poisoned while
+                // a split is open (the comparison pool is skewed and the
+                // cut already removes capacity); back off until the heal.
+                let split = self
+                    .partition
+                    .as_ref()
+                    .is_some_and(|p| p.connectivity.split_active());
+                if !split {
+                    if let Some(delay) = h.quarantine(node, now, &self.node_down, &mut self.metrics)
+                    {
+                        self.cache.mark_pool_changed();
+                        self.queue
+                            .schedule(now + delay, Event::ProbationStart { node });
                     }
                 }
             }
-            HealthState::Suspect => {
-                if let Some(ratio) = h.peer_ratio(node.index(), cfg.min_samples) {
-                    if ratio >= cfg.quarantine_ratio {
-                        self.try_quarantine(node, now);
-                    } else if ratio < cfg.suspect_ratio {
-                        self.transition(node, HealthState::Healthy, now);
-                    }
-                }
+            Some(next) => {
+                h.transition(node, next);
+                self.cache.mark_pool_changed();
             }
-            // In-flight tasks keep completing after quarantine; only the
-            // probation timer moves a quarantined node.
-            HealthState::Quarantined => {}
-            HealthState::Probation => {
-                if probes_done >= cfg.probation_probes {
-                    // Judge on the probe window alone (any sample count).
-                    match h.peer_ratio(node.index(), 1) {
-                        Some(ratio) if ratio >= cfg.suspect_ratio => {
-                            self.try_quarantine(node, now);
-                        }
-                        _ => self.transition(node, HealthState::Healthy, now),
-                    }
-                }
-            }
+            None => {}
         }
         self.refresh_health_cost(node);
     }
@@ -423,7 +504,7 @@ impl Driver {
     /// nodes at neutral. A bucket change dirties the cached idle view —
     /// costs reorder placements, so a skipped round must not replay them.
     fn refresh_health_cost(&mut self, node: NodeId) {
-        let Some(h) = self.health.as_ref() else {
+        let Some(h) = self.health.as_mut() else {
             return;
         };
         let cfg = h.cfg;
@@ -442,75 +523,11 @@ impl Driver {
             }
             HealthState::Healthy | HealthState::Quarantined => HealthCost::neutral(cfg.cost_scale),
         };
-        let h = self.health.as_mut().expect("checked above"); // lint: allow(panic) — guarded by the enclosing branch
         let b = &mut h.belief[node.index()];
         if b.cost != next {
             b.cost = next;
             self.cache.mark_pool_changed();
         }
-    }
-
-    /// Takes one legal belief transition and dirties the allocation view.
-    fn transition(&mut self, node: NodeId, next: HealthState, _now: SimTime) {
-        let h = self.health.as_mut().expect("transition without layer"); // lint: allow(panic) — transitions are only scheduled when the layer is configured
-        let b = &mut h.belief[node.index()];
-        debug_assert!(
-            b.state.can_transition_to(next),
-            "illegal health transition {} -> {}",
-            b.state.name(),
-            next.name()
-        );
-        b.state = next;
-        self.cache.mark_pool_changed();
-    }
-
-    /// Quarantines `node` unless doing so would leave half the cluster or
-    /// less schedulable — the capacity guard real quarantine systems ship
-    /// with, so a skewed median can never starve the run. Scores the
-    /// verdict against physical truth and arms the probation timer.
-    fn try_quarantine(&mut self, node: NodeId, now: SimTime) {
-        if self.partition_suppresses_quarantine() {
-            // Peer-relative service-time readings are poisoned while a
-            // split is open (the comparison pool is skewed and the cut
-            // already removes capacity); back off until the heal.
-            return;
-        }
-        let h = self.health.as_ref().expect("quarantine without layer"); // lint: allow(panic) — quarantine events are only scheduled when the layer is configured
-                                                                         // Count live (not crashed) nodes and how many of them currently
-                                                                         // accept placements; a crashed node must not pad either side.
-        let alive = self.node_down.iter().filter(|d| d.is_none()).count();
-        let schedulable = h
-            .belief
-            .iter()
-            .enumerate()
-            .filter(|(n, b)| b.state.is_schedulable() && self.node_down[*n].is_none())
-            .count();
-        if !quarantine_capacity_allows(schedulable, alive) {
-            return; // capacity guard: keep over half the live cluster
-        }
-        let truly_slow = h.slow_active(node);
-        let onset = h.sickness[node.index()].map(|s| s.since);
-        let last_quarantine = h.belief[node.index()].quarantined_at;
-        self.transition(node, HealthState::Quarantined, now);
-        let h = self.health.as_mut().expect("checked above"); // lint: allow(panic) — guarded by the enclosing branch
-        h.belief[node.index()].quarantined_at = now;
-        let delay = SimDuration::from_secs_f64(h.cfg.probation_delay_secs);
-        self.metrics.nodes_quarantined += 1;
-        if truly_slow {
-            let since = onset.expect("active sickness has an onset"); // lint: allow(panic) — an onset is recorded when the sickness begins
-                                                                      // Detection latency is scored once per episode: a flapping
-                                                                      // re-quarantine of an already-caught slowdown says nothing
-                                                                      // about how fast the detector notices.
-            if last_quarantine < since || last_quarantine == SimTime::ZERO {
-                self.metrics
-                    .quarantine_latency_secs
-                    .push(now.saturating_since(since).as_secs_f64());
-            }
-        } else {
-            self.metrics.false_quarantines += 1;
-        }
-        self.queue
-            .schedule(now + delay, Event::ProbationStart { node });
     }
 
     /// Whether the detector currently allows placement on `node`.
@@ -563,9 +580,9 @@ mod tests {
     use super::*;
 
     fn layer(nodes: usize, cfg: FailSlowConfig) -> HealthLayer {
-        let mut rng = SimRng::seed_from_u64(0);
         let mut queue = custody_simcore::EventQueue::new();
-        HealthLayer::new(cfg.with_sick_fraction(0.0), nodes, &mut rng, &mut queue)
+        HealthLayer::new(cfg.with_sick_fraction(0.0), 0, nodes, &mut queue)
+            .expect("transient faults keep the layer active")
     }
 
     fn feed(h: &mut HealthLayer, node: usize, samples: &[f64]) {

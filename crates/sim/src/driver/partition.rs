@@ -1,10 +1,9 @@
 //! Network-partition injection and heal/rejoin reconciliation.
 //!
 //! The layer exists only when a [`PartitionConfig`] is present and
-//! non-inert, so inert runs degenerate to the oracle event-for-event
-//! (the connectivity analogue of the gray-failure layer's
-//! `is_inert` discipline). When live, episodes are drawn from the
-//! dedicated `"partition"` stream and threaded through four events:
+//! non-inert, so inert runs degenerate to the oracle event-for-event.
+//! When live, episodes are drawn from the dedicated `"partition"` stream
+//! and threaded through four events:
 //!
 //! * `PartitionStart` — a minority group is cut away from the master
 //!   side ([`Connectivity::split`]) with a drawn [`CutMode`]; the heal
@@ -32,11 +31,11 @@ use std::collections::BTreeSet;
 use custody_cluster::{Connectivity, CutMode, ExecutorId};
 use custody_dfs::NodeId;
 use custody_simcore::dist::{Distribution, Exponential};
-use custody_simcore::{SimDuration, SimTime};
+use custody_simcore::{EventQueue, SimDuration, SimRng, SimTime};
 
 use crate::config::PartitionConfig;
 
-use super::{Driver, Event};
+use super::{schedule_arrival, Driver, Event};
 
 /// Live partition-injection state (absent for inert configs).
 #[derive(Debug, Clone, PartialEq)]
@@ -61,11 +60,34 @@ pub(super) struct PartitionLayer {
     /// `(heal time, former minority)` while waiting for the master's
     /// beliefs about the rejoined nodes to settle.
     pub(super) awaiting_reconverge: Option<(SimTime, Vec<NodeId>)>,
+    /// Episode draws: minority, mode, flap, heal, arrivals (the
+    /// `"partition"` stream).
+    rng: SimRng,
 }
 
 impl PartitionLayer {
-    pub(super) fn new(cfg: PartitionConfig, num_nodes: usize) -> Self {
-        PartitionLayer {
+    /// Seeds the `"partition"` stream and schedules the first episode's
+    /// arrival. `None` for an inert config: no events, no draws, so the
+    /// run is event-for-event the oracle.
+    pub(super) fn new(
+        cfg: PartitionConfig,
+        seed: u64,
+        num_nodes: usize,
+        queue: &mut EventQueue<Event>,
+    ) -> Option<Self> {
+        if cfg.is_inert() {
+            return None;
+        }
+        let mut rng = SimRng::for_stream(seed, "partition");
+        schedule_arrival(
+            queue,
+            &mut rng,
+            cfg.mean_time_between_partitions_secs,
+            cfg.horizon_secs,
+            None,
+            Event::PartitionStart,
+        );
+        Some(PartitionLayer {
             cfg,
             connectivity: Connectivity::fully_connected(num_nodes),
             episode_seq: 0,
@@ -73,24 +95,18 @@ impl PartitionLayer {
             lost_dispatches: BTreeSet::new(),
             deferred: BTreeSet::new(),
             awaiting_reconverge: None,
-        }
+            rng,
+        })
     }
 }
 
 impl Driver {
-    /// Same drained-run test as the control plane and fail-slow layers:
-    /// once every job has been submitted and finished, partition events
-    /// stop rescheduling themselves so the queue drains.
-    fn partition_idle(&self) -> bool {
-        self.jobs.len() == self.apps.iter().map(|a| a.specs.len()).sum::<usize>()
-            && self.jobs.iter().all(|j| j.is_finished())
-    }
-
     /// A partition episode begins: draw the minority, the cut mode, the
     /// flap regime and the heal time, and open the split.
     pub(super) fn on_partition_start(&mut self, now: SimTime) {
-        let Some(p) = &self.partition else { return };
-        if self.partition_idle() || self.metrics.partition_episodes >= p.cfg.max_episodes {
+        let drained = self.drained();
+        let Some(p) = &mut self.partition else { return };
+        if drained || self.metrics.partition_episodes >= p.cfg.max_episodes {
             return; // run drained or episode budget spent
         }
         let cfg = p.cfg;
@@ -98,22 +114,21 @@ impl Driver {
         // At least one node cut away, never the whole cluster: the
         // master always keeps a majority side.
         let k = ((cfg.split_fraction * n as f64).round() as usize).clamp(1, n - 1);
-        let mut picks = self.partition_rng.choose_distinct(n, k);
+        let mut picks = p.rng.choose_distinct(n, k);
         picks.sort_unstable();
         let minority: Vec<NodeId> = picks.into_iter().map(NodeId::new).collect();
-        let mode = if !self.partition_rng.chance(cfg.asymmetric_prob) {
+        let mode = if !p.rng.chance(cfg.asymmetric_prob) {
             CutMode::Both
-        } else if self.partition_rng.chance(cfg.inbound_cut_prob) {
+        } else if p.rng.chance(cfg.inbound_cut_prob) {
             CutMode::MinorityInbound
         } else {
             CutMode::MinorityOutbound
         };
-        let flapping = cfg.flap_prob > 0.0 && self.partition_rng.chance(cfg.flap_prob);
-        let heal_in = Exponential::with_mean(cfg.mean_heal_secs).sample(&mut self.partition_rng);
-        let flap_in = flapping
-            .then(|| Exponential::with_mean(cfg.mean_flap_secs).sample(&mut self.partition_rng));
+        let flapping = cfg.flap_prob > 0.0 && p.rng.chance(cfg.flap_prob);
+        let heal_in = Exponential::with_mean(cfg.mean_heal_secs).sample(&mut p.rng);
+        let flap_in =
+            flapping.then(|| Exponential::with_mean(cfg.mean_flap_secs).sample(&mut p.rng));
 
-        let p = self.partition.as_mut().expect("layer checked above"); // lint: allow(panic) — guarded by the let-else at the top
         p.connectivity.split(&minority, mode);
         p.episode_seq += 1;
         p.flapping = flapping;
@@ -148,9 +163,8 @@ impl Driver {
         let minority = p.connectivity.minority_nodes();
         p.connectivity.heal();
         p.flapping = false;
-        self.drain_lost_dispatches(now);
-        let p = self.partition.as_mut().expect("layer checked above"); // lint: allow(panic) — guarded by the let-else at the top
         p.awaiting_reconverge = Some((now, minority));
+        self.drain_lost_dispatches(now);
         self.arm_repair_tick(now);
         self.schedule_next_partition(now);
     }
@@ -164,13 +178,12 @@ impl Driver {
         }
         let suspend = p.connectivity.cutting();
         p.connectivity.set_suspended(suspend);
-        let mean_flap = p.cfg.mean_flap_secs;
+        let gap = Exponential::with_mean(p.cfg.mean_flap_secs).sample(&mut p.rng);
         if suspend {
             // The links briefly came back: reconcile every dispatch lost
             // so far, exactly as a heal would.
             self.drain_lost_dispatches(now);
         }
-        let gap = Exponential::with_mean(mean_flap).sample(&mut self.partition_rng);
         self.queue.schedule(
             now + SimDuration::from_secs_f64(gap),
             Event::PartitionFlap { episode },
@@ -181,17 +194,19 @@ impl Driver {
     /// scheduled once the run has drained, the episode budget is spent,
     /// or the arrival lands beyond the horizon.
     fn schedule_next_partition(&mut self, now: SimTime) {
-        let Some(p) = &self.partition else { return };
-        if self.partition_idle() || self.metrics.partition_episodes >= p.cfg.max_episodes {
+        let drained = self.drained();
+        let Some(p) = &mut self.partition else { return };
+        if drained || self.metrics.partition_episodes >= p.cfg.max_episodes {
             return;
         }
-        let cfg = p.cfg;
-        let gap = Exponential::with_mean(cfg.mean_time_between_partitions_secs)
-            .sample(&mut self.partition_rng);
-        let next = now + SimDuration::from_secs_f64(gap);
-        if next.as_secs_f64() <= cfg.horizon_secs {
-            self.queue.schedule(next, Event::PartitionStart);
-        }
+        schedule_arrival(
+            &mut self.queue,
+            &mut p.rng,
+            p.cfg.mean_time_between_partitions_secs,
+            p.cfg.horizon_secs,
+            Some(now),
+            Event::PartitionStart,
+        );
     }
 
     /// Partition gate for task dispatch: whether the launch RPC crosses
@@ -235,23 +250,9 @@ impl Driver {
         let lost = std::mem::take(&mut p.lost_dispatches);
         let mut displaced = BTreeSet::new();
         for e in lost {
-            let st = &mut self.exec_state[e.index()];
-            if st.dead {
-                continue; // belief-killed meanwhile; rollback already done
-            }
-            let Some(running) = st.running.take() else {
-                continue;
-            };
-            st.idle_since = now;
-            if running.remote_input {
-                self.remote_reads_in_flight = self
-                    .remote_reads_in_flight
-                    .checked_sub(1)
-                    .expect("remote-read counter underflow"); // lint: allow(panic) — the counter was incremented when the launch was accounted
-            }
-            self.metrics.partition_work_discarded += 1;
-            if self.on_attempt_killed(&running, now) {
-                displaced.insert((running.job_idx, running.stage, running.task));
+            // A belief-killed executor was rolled back already.
+            if !self.exec_state[e.index()].dead && self.abandon_attempt(e, now, &mut displaced) {
+                self.metrics.partition_work_discarded += 1;
             }
         }
         if !displaced.is_empty() {
@@ -280,16 +281,6 @@ impl Driver {
         }
     }
 
-    /// Whether an open split currently suppresses new health-detector
-    /// quarantines: with part of the cluster unreachable the
-    /// peer-relative comparison pool is skewed, and the cut has already
-    /// removed capacity the guard must not remove more of.
-    pub(super) fn partition_suppresses_quarantine(&self) -> bool {
-        self.partition
-            .as_ref()
-            .is_some_and(|p| p.connectivity.split_active())
-    }
-
     /// After a heal, watches the master's beliefs about the former
     /// minority until they settle: every rejoined node is either
     /// genuinely down (suspicion is then the *correct* belief) or fully
@@ -297,7 +288,7 @@ impl Driver {
     /// alive. The heal → settled interval is the time-to-reconverge
     /// metric.
     pub(super) fn check_partition_reconverge(&mut self, now: SimTime) {
-        let Some(p) = &self.partition else { return };
+        let Some(p) = &mut self.partition else { return };
         let Some((healed_at, minority)) = &p.awaiting_reconverge else {
             return;
         };
@@ -319,10 +310,7 @@ impl Driver {
             self.metrics
                 .partition_reconverge_secs
                 .push(now.saturating_since(healed_at).as_secs_f64());
-            self.partition
-                .as_mut()
-                .expect("layer checked above") // lint: allow(panic) — guarded by the let-else at the top
-                .awaiting_reconverge = None;
+            p.awaiting_reconverge = None;
         }
     }
 }

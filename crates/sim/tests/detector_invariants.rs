@@ -8,32 +8,6 @@
 
 use custody_sim::{AllocatorKind, ChaosConfig, ControlPlaneConfig, SimConfig, Simulation};
 
-/// A perfect control plane (nothing dropped, instant suspicion) must
-/// degenerate to the oracle exactly: event-for-event identical runs.
-#[test]
-fn perfect_control_plane_is_event_for_event_oracle() {
-    let chaos = ChaosConfig::default()
-        .with_mean_time_between_faults(8.0)
-        .with_horizon(120.0);
-    let perfect = ControlPlaneConfig {
-        drop_probability: 0.0,
-        suspicion_timeout_secs: 0.0,
-        ..ControlPlaneConfig::default()
-    };
-    assert!(perfect.is_perfect());
-    for seed in [3, 19, 71] {
-        let base = SimConfig::small_demo(seed).with_chaos(chaos);
-        let oracle = Simulation::run(&base).cluster_metrics;
-        let mut modeled =
-            Simulation::run(&base.clone().with_control_plane(perfect)).cluster_metrics;
-        // Wall-clock and RSS measure the host machine, not the run.
-        modeled.adopt_host_measurements(&oracle);
-        assert_eq!(oracle, modeled, "seed {seed}: perfect mode diverged");
-        assert_eq!(modeled.false_suspicions, 0);
-        assert_eq!(modeled.leases_revoked, 0);
-    }
-}
-
 /// Lossy heartbeats under chaos: every allocator completes all jobs with
 /// the per-event auditor green, and no stale completion ever slips past
 /// epoch fencing.

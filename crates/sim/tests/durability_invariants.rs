@@ -22,51 +22,6 @@ fn rotten() -> CorruptionConfig {
         .with_mean_time_between_corruptions(15.0)
 }
 
-/// An inert corruption config (no latent rot, no arrival process) must
-/// degenerate to the oracle run exactly: bit-identical metrics, zero
-/// draws from the `"corruption"` stream, no events scheduled.
-#[test]
-fn inert_corruption_config_is_bit_identical() {
-    let inert = CorruptionConfig::default()
-        .with_latent_fraction(0.0)
-        .with_mean_time_between_corruptions(0.0);
-    assert!(inert.is_inert());
-    for seed in [3, 19, 71] {
-        let base = SimConfig::small_demo(seed);
-        let off = Simulation::run(&base).cluster_metrics;
-        let mut on = Simulation::run(&base.clone().with_corruption(inert)).cluster_metrics;
-        // Wall-clock and RSS measure the host machine, not the run.
-        on.adopt_host_measurements(&off);
-        assert_eq!(off, on, "seed {seed}: inert corruption config diverged");
-        assert_eq!(on.replicas_corrupted, 0);
-    }
-}
-
-/// The same oracle degeneration must hold with chaos riding along: an
-/// inert config may not perturb any other layer's RNG stream, and the
-/// unified repair scheduler must keep routing chaos-crash repair
-/// through the instant path when no pacing layer is present.
-#[test]
-fn inert_corruption_config_is_bit_identical_under_chaos() {
-    let chaos = ChaosConfig::default()
-        .with_mean_time_between_faults(12.0)
-        .with_horizon(150.0);
-    let base = SimConfig::small_demo(43)
-        .with_chaos(chaos)
-        .with_control_plane(ControlPlaneConfig::default());
-    let off = Simulation::run(&base).cluster_metrics;
-    let mut on = Simulation::run(
-        &base.clone().with_corruption(
-            CorruptionConfig::default()
-                .with_latent_fraction(0.0)
-                .with_mean_time_between_corruptions(0.0),
-        ),
-    )
-    .cluster_metrics;
-    on.adopt_host_measurements(&off);
-    assert_eq!(off, on, "inert corruption config diverged under chaos");
-}
-
 /// Verified reads are the first line of defense: with scrubbing off,
 /// every detection must come from a task reading its input, the read
 /// must fail (never silently complete), and the retried task must land

@@ -10,29 +10,6 @@
 use custody_sim::{AllocatorKind, ChaosConfig, FailSlowConfig, SimConfig, Simulation};
 use custody_simcore::SimRng;
 
-/// An inert fail-slow configuration (nothing sickens, nothing faults)
-/// must degenerate to the oracle exactly: event-for-event identical to a
-/// run with no fail-slow configuration at all — the gray-failure
-/// analogue of `perfect_control_plane_is_event_for_event_oracle`.
-#[test]
-fn inert_failslow_is_event_for_event_oracle() {
-    let inert = FailSlowConfig::default()
-        .with_sick_fraction(0.0)
-        .with_transient_fault_prob(0.0);
-    assert!(inert.is_inert());
-    for seed in [3, 19, 71] {
-        let base = SimConfig::small_demo(seed);
-        let oracle = Simulation::run(&base).cluster_metrics;
-        let mut modeled = Simulation::run(&base.clone().with_failslow(inert)).cluster_metrics;
-        // Wall-clock and RSS measure the host machine, not the run.
-        modeled.adopt_host_measurements(&oracle);
-        assert_eq!(oracle, modeled, "seed {seed}: inert fail-slow diverged");
-        assert_eq!(modeled.failslow_onsets, 0);
-        assert_eq!(modeled.task_faults_injected, 0);
-        assert_eq!(modeled.nodes_quarantined, 0);
-    }
-}
-
 /// Property-style schedule fuzzing: many randomly drawn fail-slow
 /// configurations (sick fractions, causes, episodic vs persistent
 /// slowdowns, fault rates, budgets, detector thresholds) and seeds, each

@@ -9,8 +9,7 @@
 //! event, on top of the assertions below.
 
 use custody_sim::{
-    AllocatorKind, ChaosConfig, ControlPlaneConfig, FailSlowConfig, PartitionConfig, SimConfig,
-    Simulation,
+    AllocatorKind, ChaosConfig, FailSlowConfig, PartitionConfig, SimConfig, Simulation,
 };
 
 /// An aggressive partition profile for the small demo cluster: episodes
@@ -21,46 +20,6 @@ fn stormy() -> PartitionConfig {
         .with_split_fraction(0.4)
         .with_mean_heal(8.0)
         .with_mean_time_between_partitions(12.0)
-}
-
-/// An inert partition config (zero split fraction) must degenerate to
-/// the no-partition run exactly: bit-identical metrics, zero draws from
-/// the `"partition"` stream, no events scheduled.
-#[test]
-fn inert_partition_config_is_bit_identical() {
-    let cp = ControlPlaneConfig::default();
-    let inert = PartitionConfig::default().with_split_fraction(0.0);
-    assert!(inert.is_inert());
-    for seed in [3, 19, 71] {
-        let base = SimConfig::small_demo(seed).with_control_plane(cp);
-        let off = Simulation::run(&base).cluster_metrics;
-        let mut on = Simulation::run(&base.clone().with_partition(inert)).cluster_metrics;
-        // Wall-clock and RSS measure the host machine, not the run.
-        on.adopt_host_measurements(&off);
-        assert_eq!(off, on, "seed {seed}: inert partition config diverged");
-        assert_eq!(on.partition_episodes, 0);
-    }
-}
-
-/// The same oracle degeneration must hold with chaos riding along: the
-/// inert config may not perturb any other layer's RNG stream.
-#[test]
-fn inert_partition_config_is_bit_identical_under_chaos() {
-    let chaos = ChaosConfig::default()
-        .with_mean_time_between_faults(12.0)
-        .with_horizon(150.0);
-    let base = SimConfig::small_demo(43)
-        .with_chaos(chaos)
-        .with_control_plane(ControlPlaneConfig::default());
-    let off = Simulation::run(&base).cluster_metrics;
-    let mut on = Simulation::run(
-        &base
-            .clone()
-            .with_partition(PartitionConfig::default().with_split_fraction(0.0)),
-    )
-    .cluster_metrics;
-    on.adopt_host_measurements(&off);
-    assert_eq!(off, on, "inert partition config diverged under chaos");
 }
 
 /// Belief coherence under purely *asymmetric* cuts: every episode drops
