@@ -9,13 +9,14 @@
 //! and adds the two outputs that are not simulation sweeps (the intra
 //! ablation's one-shot matching line and the theory check).
 //!
-//! Two entry points:
+//! Three binaries:
 //!
-//! * the `figures` binary — `cargo run --release -p custody-bench --bin
-//!   figures -- all` prints every figure's rows;
-//! * the Criterion benches under `benches/` — one per figure/ablation,
-//!   each printing its table once and then timing the underlying
-//!   simulation or algorithm.
+//! * `figures` — `cargo run --release -p custody-bench --bin figures --
+//!   all` prints every figure's rows;
+//! * `simulate` — one run of any configuration, for one-off checks;
+//! * `sim_scale` — the performance harness: end-to-end runs at 1k–100k
+//!   nodes plus the single allocation-round grid, gated in CI against
+//!   `scale_baseline.json`.
 //!
 //! Absolute numbers differ from the paper (the substrate is a simulator,
 //! not 100 Linode VMs); the *shape* — who wins, by roughly what factor,

@@ -1,7 +1,6 @@
-//! Shared scaffolding for the scale benches (`alloc_round`, `sim_scale`).
+//! Shared scaffolding for `sim_scale` and the repository benchmark.
 //!
-//! Two builders live here so the Criterion microbench and the end-to-end
-//! scale binary measure the same shapes:
+//! Two builders live here so both harnesses measure the same shapes:
 //!
 //! * [`synthetic_round_view`] — a grant-heavy single allocation round
 //!   (every executor idle, demand sized to drain the pool);

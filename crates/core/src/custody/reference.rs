@@ -14,8 +14,8 @@
 //!    production [`CustodyAllocator`](crate::CustodyAllocator) (lazy
 //!    heap, cached node-demand, recycled scratch) against this function on
 //!    randomized views: the two must agree grant-for-grant.
-//! 3. **Baseline** — the `alloc_round` benchmark measures the production
-//!    path's speedup against this as the "before".
+//! 3. **Baseline** — `sim_scale`'s allocator-round grid measures the
+//!    production path's speedup against this as the "before".
 //!
 //! Both implementations compare locality through the exact rational
 //! [`LocalityKey`], so agreement is bit-for-bit, not approximate.

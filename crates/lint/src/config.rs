@@ -41,17 +41,20 @@ impl AllowEntry {
     /// Whether this entry covers `path` (and `enclosing_fn`, when the
     /// entry names an item).
     pub fn covers(&self, path: &str, enclosing_fn: Option<&str>) -> bool {
-        let path_hit = if self.path.ends_with('/') {
+        self.covers_path(path)
+            && match &self.item {
+                None => true,
+                Some(item) => enclosing_fn == Some(item.as_str()),
+            }
+    }
+
+    /// Whether this entry's `path` (file, or directory prefix) covers
+    /// `path`, whatever the item.
+    pub(crate) fn covers_path(&self, path: &str) -> bool {
+        if self.path.ends_with('/') {
             path.starts_with(self.path.as_str())
         } else {
             path == self.path
-        };
-        if !path_hit {
-            return false;
-        }
-        match &self.item {
-            None => true,
-            Some(item) => enclosing_fn == Some(item.as_str()),
         }
     }
 }

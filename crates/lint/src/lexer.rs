@@ -2,10 +2,10 @@
 //! invariant lints.
 //!
 //! The build environment is fully offline, so `syn` cannot be a
-//! dependency (the same constraint that led to the in-tree `criterion`
-//! stub). The lints only need identifier/literal-level facts — "does this
-//! non-test code mention `HashMap`?", "is there a float literal inside
-//! this function?" — so a hand-rolled lexer plus a light context pass
+//! dependency; the workspace has no external crates at all. The lints
+//! only need identifier/literal-level facts — "does this non-test code
+//! mention `HashMap`?", "is there a float literal inside this
+//! function?" — so a hand-rolled lexer plus a light context pass
 //! (brace depth, `#[cfg(test)]` regions, enclosing `fn` names, inline
 //! `// lint: allow(...)` comments) is sufficient and keeps the linter
 //! dependency-free.

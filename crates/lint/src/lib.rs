@@ -46,10 +46,12 @@ pub fn check_source(path: &str, source: &str, cfg: &Config) -> Vec<Diagnostic> {
 }
 
 /// Walks the workspace at `root`, lints every `.rs` file outside the
-/// configured skip list, runs the wall-clock cross-check, and returns all
-/// diagnostics sorted by (file, line, lint).
+/// configured skip list, runs the wall-clock cross-check, flags allow
+/// entries that cover no walked file, and returns all diagnostics sorted
+/// by (file, line, lint).
 pub fn check_workspace(root: &Path, cfg: &Config) -> io::Result<Vec<Diagnostic>> {
     let files = collect_rs_files(root, cfg)?;
+    let mut diags = lints::stale_allows(&files, cfg);
     let mut sources: Vec<(String, String)> = Vec::with_capacity(files.len());
     for rel in files {
         let text = fs::read_to_string(root.join(&rel))?;
@@ -60,7 +62,6 @@ pub fn check_workspace(root: &Path, cfg: &Config) -> io::Result<Vec<Diagnostic>>
         .map(|(rel, text)| (rel.clone(), lexer::annotate(text)))
         .collect();
 
-    let mut diags = Vec::new();
     for (rel, ann) in &annotated {
         diags.extend(lints::check_file(rel, ann, cfg));
     }

@@ -96,6 +96,30 @@ pub fn check_file(path: &str, ann: &Annotated<'_>, cfg: &Config) -> Vec<Diagnost
     fc.out
 }
 
+/// Flags every `lint.toml` allow entry whose `path` covers none of the
+/// walked workspace `files`: an allow left behind by deleted code is
+/// policy nothing checks, and it would silently re-open the exception if
+/// the path came back.
+pub fn stale_allows(files: &[String], cfg: &Config) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    for (lint, scope) in &cfg.lints {
+        for allow in &scope.allows {
+            if !files.iter().any(|f| allow.covers_path(f)) {
+                out.push(Diagnostic::new(
+                    lint,
+                    "lint.toml",
+                    0,
+                    format!(
+                        "allow entry for `{}` covers no workspace .rs file; delete it",
+                        allow.path
+                    ),
+                ));
+            }
+        }
+    }
+    out
+}
+
 /// Lint 1 — unordered-iteration: `HashMap`/`HashSet` are banned outright
 /// in the deterministic crates. Iteration order of std's hashed
 /// containers is seeded per-process, so any iteration (or order-sensitive

@@ -327,3 +327,32 @@ fn cross_check_ignores_deterministic_peak_fields() {
     let diags = cross_check(src, CROSS_CFG);
     assert!(diags.is_empty(), "{diags:?}");
 }
+
+// --- stale allow entries -------------------------------------------------
+
+#[test]
+fn allow_entries_covering_no_file_are_flagged() {
+    let files = [
+        "crates/core/src/allowed.rs".to_string(),
+        "crates/core/src/decision.rs".to_string(),
+    ];
+    let diags = lints::stale_allows(&files, &fixture_config());
+    assert_eq!(lints_hit(&diags), ["wall-clock"], "{diags:?}");
+    assert!(
+        diags[0].message.contains("crates/core/src/timer.rs"),
+        "{diags:?}"
+    );
+
+    let cfg = parse(
+        r#"
+        [lints.wall-clock]
+        crates = ["*"]
+
+        [[lints.wall-clock.allow]]
+        path = "crates/core/"
+        reason = "fixture: a directory prefix covering a walked file"
+        "#,
+    )
+    .expect("config parses");
+    assert!(lints::stale_allows(&files, &cfg).is_empty());
+}
