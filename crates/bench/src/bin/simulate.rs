@@ -18,8 +18,10 @@
 //! With `--baseline <allocator>` the same configuration is run twice and
 //! the comparison printed; `--trace` writes the per-task TSV log. Every
 //! bad argument — an unknown flag or name, a value that does not parse,
-//! or a configuration `SimConfig::validate` rejects — is a one-line
-//! usage error with exit code 2.
+//! a time past the simulated clock, or a configuration
+//! `SimConfig::validate` rejects — is a one-line usage error with exit
+//! code 2. A trace file that cannot be written is a one-line error with
+//! exit code 1.
 
 use custody_core::AllocatorKind;
 use custody_dfs::NodeId;
@@ -75,8 +77,9 @@ fn parse_placement(s: &str) -> PlacementKind {
 
 fn parse_scheduler(s: &str) -> SchedulerKind {
     if let Some(ms) = s.strip_prefix("delay:") {
-        let ms: u64 = parse("--scheduler delay:<milliseconds>", ms);
-        return SchedulerKind::Delay(SimDuration::from_millis(ms));
+        let usage = "--scheduler delay:<milliseconds>";
+        let us = micros(usage, parse(usage, ms), 1_000);
+        return SchedulerKind::Delay(SimDuration::from_micros(us));
     }
     match s {
         "delay" => SchedulerKind::spark_default(),
@@ -98,6 +101,15 @@ fn usage_error(msg: &str) -> ! {
 fn parse<T: FromStr>(what: &str, v: &str) -> T {
     v.parse()
         .unwrap_or_else(|_| usage_error(&format!("{what}: cannot parse {v:?}")))
+}
+
+/// Converts `value` units of `micros_per_unit` µs each to µs — the
+/// simulator's u64 clock — or exits with a usage error quoting `usage`
+/// when the product does not fit.
+fn micros(usage: &str, value: u64, micros_per_unit: u64) -> u64 {
+    value
+        .checked_mul(micros_per_unit)
+        .unwrap_or_else(|| usage_error(&format!("{usage}: {value} is past the simulated clock")))
 }
 
 /// Parses an `<a>[:<b>]` value, or exits with a usage error quoting
@@ -158,7 +170,7 @@ fn main() {
                 let (t, n) = pair(usage, &val());
                 let n = n.unwrap_or_else(|| usage_error(usage));
                 failures.push(NodeFailure {
-                    at: SimTime::from_secs(t),
+                    at: SimTime::from_micros(micros(usage, t, 1_000_000)),
                     node: NodeId::new(n),
                 });
             }
@@ -413,7 +425,10 @@ fn main() {
     }
 
     if let Some(path) = trace_path {
-        std::fs::write(&path, trace.to_tsv()).expect("write trace");
+        if let Err(e) = std::fs::write(&path, trace.to_tsv()) {
+            eprintln!("simulate: cannot write trace {path}: {e}");
+            std::process::exit(1);
+        }
         println!("trace: {} task records -> {path}", trace.len());
     }
 }

@@ -98,6 +98,22 @@ fn ensure(ok: bool, section: &str, message: &str) -> Result<(), ConfigError> {
     }
 }
 
+/// A time the simulator turns into a `SimDuration` or a distribution
+/// mean (a mean, interval, timeout or duration): finite and positive.
+fn positive_time(secs: f64) -> bool {
+    secs.is_finite() && secs > 0.0
+}
+
+/// A time whose zero switches its feature off: finite and non-negative.
+fn non_negative_time(secs: f64) -> bool {
+    secs.is_finite() && secs >= 0.0
+}
+
+/// A slowdown factor applied to a duration: finite and at least one.
+fn slowdown(factor: f64) -> bool {
+    factor.is_finite() && factor >= 1.0
+}
+
 /// Stochastic fault injection: a seeded chaos process that, unlike the
 /// scripted [`NodeFailure`] list, keeps churning the cluster for as long
 /// as its horizon lasts. Three fault flavours are drawn from one
@@ -177,12 +193,12 @@ impl ChaosConfig {
     pub fn validate(&self) -> Result<(), ConfigError> {
         let ensure = |ok, message| ensure(ok, "chaos", message);
         ensure(
-            self.mean_time_between_faults_secs > 0.0,
-            "mean time between faults must be positive",
+            positive_time(self.mean_time_between_faults_secs),
+            "mean time between faults must be positive and finite",
         )?;
         ensure(
-            self.mean_downtime_secs > 0.0,
-            "mean downtime must be positive",
+            positive_time(self.mean_downtime_secs),
+            "mean downtime must be positive and finite",
         )?;
         ensure(
             (0.0..=1.0).contains(&self.executor_only_fraction),
@@ -193,12 +209,12 @@ impl ChaosConfig {
             "degraded fraction must be a probability",
         )?;
         ensure(
-            self.degraded_remote_factor >= 1.0,
-            "degradation cannot speed reads up",
+            slowdown(self.degraded_remote_factor),
+            "degradation must slow reads by a finite factor of at least one",
         )?;
         ensure(
-            self.mean_degraded_window_secs > 0.0,
-            "mean degradation window must be positive",
+            positive_time(self.mean_degraded_window_secs),
+            "mean degradation window must be positive and finite",
         )?;
         ensure(self.horizon_secs >= 0.0, "horizon must be non-negative")
     }
@@ -415,15 +431,18 @@ impl FailSlowConfig {
         if self.is_inert() {
             return Ok(()); // oracle degeneration: nothing else applies
         }
-        ensure(self.mean_onset_secs > 0.0, "mean onset must be positive")?;
         ensure(
-            self.mean_episode_secs >= 0.0,
-            "mean episode must be non-negative",
+            positive_time(self.mean_onset_secs),
+            "mean onset must be positive and finite",
+        )?;
+        ensure(
+            non_negative_time(self.mean_episode_secs),
+            "mean episode must be non-negative and finite",
         )?;
         if self.mean_episode_secs > 0.0 {
             ensure(
-                self.mean_remission_secs > 0.0,
-                "episodic slowdowns need a positive mean remission",
+                positive_time(self.mean_remission_secs),
+                "episodic slowdowns need a positive mean remission, and a finite one",
             )?;
         }
         ensure(self.horizon_secs >= 0.0, "horizon must be non-negative")?;
@@ -434,16 +453,16 @@ impl FailSlowConfig {
             "cause fractions must be probabilities summing to at most one",
         )?;
         ensure(
-            self.disk_factor >= 1.0 && self.nic_factor >= 1.0 && self.cpu_factor >= 1.0,
-            "fail-slow cannot speed a node up",
+            slowdown(self.disk_factor) && slowdown(self.nic_factor) && slowdown(self.cpu_factor),
+            "fail-slow cannot speed a node up, and its factors must be finite",
         )?;
         ensure(
             self.sick_fault_multiplier >= 1.0,
             "sick nodes cannot fault less than healthy ones",
         )?;
         ensure(
-            self.retry_backoff_secs >= 0.0,
-            "retry backoff must be non-negative",
+            non_negative_time(self.retry_backoff_secs),
+            "retry backoff must be non-negative and finite",
         )?;
         ensure(
             (0.0..=1.0).contains(&self.retry_jitter),
@@ -464,8 +483,8 @@ impl FailSlowConfig {
                 "quarantine ratio must be at least the suspect ratio",
             )?;
             ensure(
-                self.probation_delay_secs > 0.0,
-                "probation delay must be positive",
+                positive_time(self.probation_delay_secs),
+                "probation delay must be positive and finite",
             )?;
             ensure(
                 self.probation_probes > 0,
@@ -578,12 +597,12 @@ impl ControlPlaneConfig {
     pub fn validate(&self) -> Result<(), ConfigError> {
         let ensure = |ok, message| ensure(ok, "control-plane", message);
         ensure(
-            self.mean_delay_secs >= 0.0,
-            "mean delay must be non-negative",
+            non_negative_time(self.mean_delay_secs),
+            "mean delay must be non-negative and finite",
         )?;
         ensure(
-            self.checkpoint_interval_secs >= 0.0,
-            "checkpoint interval must be non-negative",
+            non_negative_time(self.checkpoint_interval_secs),
+            "checkpoint interval must be non-negative and finite",
         )?;
         ensure(
             (0.0..=1.0).contains(&self.master_crash_fraction),
@@ -599,8 +618,8 @@ impl ControlPlaneConfig {
             return Ok(()); // oracle degeneration: timing relations don't apply
         }
         ensure(
-            self.heartbeat_interval_secs > 0.0,
-            "heartbeat interval must be positive",
+            positive_time(self.heartbeat_interval_secs),
+            "heartbeat interval must be positive and finite",
         )?;
         ensure(
             (0.0..1.0).contains(&self.drop_probability),
@@ -609,6 +628,10 @@ impl ControlPlaneConfig {
         ensure(
             self.suspicion_timeout_secs > self.heartbeat_interval_secs,
             "suspicion timeout must exceed the heartbeat interval",
+        )?;
+        ensure(
+            positive_time(self.suspicion_timeout_secs),
+            "suspicion timeout must be finite",
         )?;
         ensure(
             self.lease_duration_secs > self.heartbeat_interval_secs
@@ -763,10 +786,13 @@ impl PartitionConfig {
             return Ok(()); // oracle degeneration: nothing else applies
         }
         ensure(
-            self.mean_time_between_partitions_secs > 0.0,
-            "mean time between partitions must be positive",
+            positive_time(self.mean_time_between_partitions_secs),
+            "mean time between partitions must be positive and finite",
         )?;
-        ensure(self.mean_heal_secs > 0.0, "mean heal must be positive")?;
+        ensure(
+            positive_time(self.mean_heal_secs),
+            "mean heal must be positive and finite",
+        )?;
         ensure(
             (0.0..=1.0).contains(&self.asymmetric_prob),
             "asymmetric probability must be a probability",
@@ -781,20 +807,20 @@ impl PartitionConfig {
         )?;
         if self.flap_prob > 0.0 {
             ensure(
-                self.mean_flap_secs > 0.0,
-                "flapping episodes need a positive mean flap period",
+                positive_time(self.mean_flap_secs),
+                "flapping episodes need a positive mean flap period, and a finite one",
             )?;
         }
         ensure(self.horizon_secs >= 0.0, "horizon must be non-negative")?;
         ensure(self.max_episodes > 0, "need at least one episode")?;
         ensure(
-            self.redelivery_secs > 0.0,
-            "redelivery interval must be positive",
+            positive_time(self.redelivery_secs),
+            "redelivery interval must be positive and finite",
         )?;
         ensure(self.restore_batch > 0, "restore batch must be positive")?;
         ensure(
-            self.restore_interval_secs > 0.0,
-            "restore interval must be positive",
+            positive_time(self.restore_interval_secs),
+            "restore interval must be positive and finite",
         )
     }
 }
@@ -939,8 +965,8 @@ impl CorruptionConfig {
             "latent fraction must be a probability",
         )?;
         ensure(
-            self.mean_time_between_corruptions_secs >= 0.0,
-            "mean time between corruptions must be non-negative",
+            non_negative_time(self.mean_time_between_corruptions_secs),
+            "mean time between corruptions must be non-negative and finite",
         )?;
         if self.is_inert() {
             return Ok(()); // oracle degeneration: nothing else applies
@@ -951,8 +977,8 @@ impl CorruptionConfig {
             "disk bias must be a probability",
         )?;
         ensure(
-            self.scrub_interval_secs >= 0.0,
-            "scrub interval must be non-negative",
+            non_negative_time(self.scrub_interval_secs),
+            "scrub interval must be non-negative and finite",
         )?;
         if self.scrub_enabled() {
             ensure(
@@ -962,17 +988,17 @@ impl CorruptionConfig {
         }
         ensure(self.repair_batch > 0, "repair batch must be positive")?;
         ensure(
-            self.repair_interval_secs > 0.0,
-            "repair interval must be positive",
+            positive_time(self.repair_interval_secs),
+            "repair interval must be positive and finite",
         )?;
         ensure(
-            self.unavailability_deadline_secs > 0.0,
-            "unavailability deadline must be positive",
+            positive_time(self.unavailability_deadline_secs),
+            "unavailability deadline must be positive and finite",
         )?;
         ensure(self.retry_budget > 0, "retry budget must be positive")?;
         ensure(
-            self.retry_backoff_secs > 0.0,
-            "retry backoff must be positive",
+            positive_time(self.retry_backoff_secs),
+            "retry backoff must be positive and finite",
         )?;
         ensure(
             (0.0..=1.0).contains(&self.retry_jitter),
@@ -1432,6 +1458,8 @@ mod tests {
             suspicion_timeout_secs: 0.0,
             ..ControlPlaneConfig::default()
         };
+        let inf = f64::INFINITY;
+        let modeled = ControlPlaneConfig::default().with_drop_probability(0.1);
         let rows: Vec<(SimConfig, &str)> = vec![
             (empty_cluster, "at least one node"),
             (
@@ -1496,6 +1524,44 @@ mod tests {
                     ..CorruptionConfig::default()
                 }),
                 "at least one block per tick",
+            ),
+            // Non-finite times are rejected here rather than panicking
+            // where the simulator turns them into durations or means.
+            (
+                demo().with_chaos(ChaosConfig::default().with_mean_time_between_faults(inf)),
+                "mean time between faults must be positive and finite",
+            ),
+            (
+                demo().with_chaos(ChaosConfig {
+                    mean_downtime_secs: inf,
+                    ..ChaosConfig::default()
+                }),
+                "mean downtime must be positive and finite",
+            ),
+            (
+                demo()
+                    .with_control_plane(modeled)
+                    .with_partition(PartitionConfig::default().with_mean_heal(inf)),
+                "mean heal must be positive and finite",
+            ),
+            (
+                demo().with_control_plane(modeled.with_checkpoints(inf)),
+                "checkpoint interval must be non-negative and finite",
+            ),
+            (
+                demo().with_control_plane(modeled.with_suspicion_timeout(inf)),
+                "suspicion timeout must be finite",
+            ),
+            (
+                demo().with_corruption(CorruptionConfig::default().with_scrub_interval(inf)),
+                "scrub interval must be non-negative and finite",
+            ),
+            (
+                demo().with_failslow(FailSlowConfig {
+                    mean_onset_secs: f64::NAN,
+                    ..FailSlowConfig::default().with_sick_fraction(0.2)
+                }),
+                "mean onset must be positive and finite",
             ),
         ];
         for (cfg, fragment) in rows {

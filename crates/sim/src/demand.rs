@@ -52,13 +52,13 @@ pub(crate) fn job_demand_of(job: &RuntimeJob) -> Option<JobDemand> {
         .tasks
         .iter()
         .enumerate()
-        .filter(|(_, t)| t.state == TaskState::Runnable)
+        .filter(|(_, t)| matches!(t.state, TaskState::Runnable { .. }))
         .map(|(idx, t)| TaskDemand {
             task_index: idx,
             preferred_nodes: t.preferred.clone(),
         })
         .collect();
-    let satisfied_inputs = stage.tasks.iter().filter(|t| t.local == Some(true)).count();
+    let satisfied_inputs = job.local_input_tasks();
     Some(JobDemand {
         job: job.id,
         unsatisfied_inputs,
@@ -126,8 +126,7 @@ impl DemandCache {
         self.dirty.push(true);
         self.dirty_list.push(j);
         self.demand_changed = true;
-        for task in &job.input_stage().tasks {
-            let Some(block) = task.block else { continue };
+        for block in &job.input_blocks {
             let b = block.index();
             if b >= self.watchers.len() {
                 self.watchers.resize(b + 1, Vec::new());

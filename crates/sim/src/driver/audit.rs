@@ -98,6 +98,21 @@ impl Driver {
         }
         self.audit_partition();
         self.audit_durability();
+        // Backoff-gate hygiene, for transient faults and failed verified
+        // reads alike.
+        for &(j, s, t) in self.retry_gates.keys() {
+            assert!(
+                !self.jobs[j].is_finished(),
+                "retry gate outlives finished job {j}"
+            );
+            assert!(
+                matches!(
+                    self.jobs[j].stages[s].tasks[t].state,
+                    TaskState::Runnable { .. }
+                ),
+                "job {j} stage {s} task {t} gated while not runnable"
+            );
+        }
     }
 
     /// Invariant 9, skip half: called in place of a skipped allocation
@@ -141,38 +156,18 @@ impl Driver {
     /// structurally at completion time: the verified-read gate diverts
     /// every corrupt-source attempt before `mark_done`, and a
     /// debug assertion re-checks the winner's source there.
-    fn audit_durability(&self) {
+    pub(super) fn audit_durability(&self) {
+        let m = &self.metrics;
         let Some(d) = &self.durability else {
-            assert_eq!(
-                self.metrics.replicas_corrupted, 0,
-                "corrupted replicas counted without the layer"
-            );
-            assert_eq!(
-                self.metrics.corrupt_reads_detected, 0,
-                "corrupt reads counted without the layer"
-            );
-            assert_eq!(
-                self.metrics.scrub_detections, 0,
-                "scrub detections counted without the layer"
-            );
-            assert_eq!(
-                self.metrics.corruption_detection_secs.count(),
-                0,
-                "detection latency recorded without the layer"
-            );
-            assert_eq!(
-                self.metrics.blocks_unavailable, 0,
-                "blocks tombstoned without the layer"
-            );
-            assert_eq!(
-                self.metrics.blocks_recovered, 0,
-                "tombstones lifted without the layer"
-            );
-            assert_eq!(
-                self.metrics.jobs_failed_unavailable, 0,
-                "jobs failed for unavailability without the layer"
-            );
-            return;
+            return assert_untouched(&[
+                ("corrupted replicas", m.replicas_corrupted),
+                ("corrupt reads", m.corrupt_reads_detected),
+                ("scrub detections", m.scrub_detections),
+                ("detection latencies", m.corruption_detection_secs.count()),
+                ("tombstoned blocks", m.blocks_unavailable),
+                ("lifted tombstones", m.blocks_recovered),
+                ("unavailability job failures", m.jobs_failed_unavailable),
+            ]);
         };
         // Ledger self-consistency: every tombstone ever raised is either
         // still standing or was lifted by a recovery.
@@ -224,48 +219,20 @@ impl Driver {
             self.metrics.jobs_failed_unavailable <= self.metrics.jobs_failed,
             "unavailability job failures exceed total job failures"
         );
-        // Backoff-gate hygiene (also checked by the health audit when
-        // that layer is on; verified-read retries must satisfy it even
-        // without the gray-failure layer).
-        for &(j, s, t) in self.retry_gates.keys() {
-            assert!(
-                !self.jobs[j].is_finished(),
-                "retry gate outlives finished job {j}"
-            );
-            assert_eq!(
-                self.jobs[j].stages[s].tasks[t].state,
-                TaskState::Runnable,
-                "job {j} stage {s} task {t} gated while not runnable"
-            );
-        }
     }
 
     /// Invariant 13: partition discipline — counter hygiene without the
     /// layer; ghost-dispatch, deferral and episode bookkeeping with it.
-    fn audit_partition(&self) {
+    pub(super) fn audit_partition(&self) {
+        let m = &self.metrics;
         let Some(p) = &self.partition else {
-            assert_eq!(
-                self.metrics.partition_episodes, 0,
-                "partition episodes counted without the layer"
-            );
-            assert_eq!(
-                self.metrics.partition_finishes_deferred, 0,
-                "deferred finishes counted without the layer"
-            );
-            assert_eq!(
-                self.metrics.partition_finishes_fenced, 0,
-                "partition-fenced finishes counted without the layer"
-            );
-            assert_eq!(
-                self.metrics.partition_work_discarded, 0,
-                "partition-discarded work counted without the layer"
-            );
-            assert_eq!(
-                self.metrics.partition_reconverge_secs.count(),
-                0,
-                "reconvergence samples recorded without the layer"
-            );
-            return;
+            return assert_untouched(&[
+                ("partition episodes", m.partition_episodes),
+                ("deferred finishes", m.partition_finishes_deferred),
+                ("partition-fenced finishes", m.partition_finishes_fenced),
+                ("partition-discarded attempts", m.partition_work_discarded),
+                ("reconvergence samples", m.partition_reconverge_secs.count()),
+            ]);
         };
         let c = &p.connectivity;
         assert!(
@@ -335,34 +302,22 @@ impl Driver {
                     .stages
                     .iter()
                     .flat_map(|s| &s.tasks)
-                    .filter(|t| t.state == TaskState::Running)
+                    .filter(|t| matches!(t.state, TaskState::Running { .. }))
                     .count();
                 assert_eq!(running, 0, "failed job {j} still has running tasks");
             }
-        }
-        for &(j, s, t) in self.retry_gates.keys() {
-            assert!(
-                !self.jobs[j].is_finished(),
-                "retry gate outlives finished job {j}"
-            );
-            assert_eq!(
-                self.jobs[j].stages[s].tasks[t].state,
-                TaskState::Runnable,
-                "job {j} stage {s} task {t} gated while not runnable"
-            );
         }
         if !h.cfg.detection {
             return;
         }
         for (e, st) in self.exec_state.iter().enumerate() {
             let node = self.cluster.node_of(custody_cluster::ExecutorId::new(e));
-            if h.belief[node.index()].state == HealthState::Quarantined
-                && st.owner.is_some()
-                && st.running.is_none()
-            {
-                // lint: allow(panic) — audit failure: stopping loudly on a broken invariant is the point
-                panic!("idle executor {e} on quarantined node {node} is still held");
-            }
+            assert!(
+                h.belief[node.index()].state != HealthState::Quarantined
+                    || st.owner.is_none()
+                    || st.running.is_some(),
+                "idle executor {e} on quarantined node {node} is still held"
+            );
         }
         for (n, b) in h.belief.iter().enumerate() {
             assert!(
@@ -384,13 +339,12 @@ impl Driver {
                 continue;
             }
             for (t, task) in job.stages[0].tasks.iter().enumerate() {
-                if !matches!(task.state, TaskState::Blocked | TaskState::Runnable) {
+                if !matches!(task.state, TaskState::Blocked | TaskState::Runnable { .. }) {
                     continue;
                 }
-                let block = task.block.expect("input task has a block"); // lint: allow(panic) — input tasks always carry a block id
                 assert_eq!(
                     &task.preferred[..],
-                    self.namenode.locations(block),
+                    self.namenode.locations(job.input_blocks[t]),
                     "job {j} input task {t}: preferred nodes out of date with the replica map"
                 );
             }
@@ -482,24 +436,26 @@ impl Driver {
                 for (t, task) in stage.tasks.iter().enumerate() {
                     let live = attempts.get(&(j, s, t)).map_or(&[][..], |v| &v[..]);
                     match task.state {
-                        TaskState::Blocked | TaskState::Runnable => assert!(
+                        TaskState::Blocked | TaskState::Runnable { .. } => assert!(
                             live.is_empty(),
                             "job {j} stage {s} task {t} is {:?} with a live attempt",
                             task.state
                         ),
-                        TaskState::Running => {
+                        TaskState::Running {
+                            launched_at, local, ..
+                        } => {
                             assert!(
                                 (1..=2).contains(&live.len()),
                                 "job {j} stage {s} task {t} runs {} attempts",
                                 live.len()
                             );
                             assert!(
-                                live.iter().any(|r| Some(r.launched_at) == task.launched_at
-                                    && r.local == task.local),
+                                live.iter()
+                                    .any(|r| r.launched_at == launched_at && r.local == local),
                                 "job {j} stage {s} task {t}: record-bound attempt is not live"
                             );
                         }
-                        TaskState::Done => assert!(
+                        TaskState::Done { .. } => assert!(
                             live.len() <= 1,
                             "job {j} stage {s} task {t} finished with {} live attempts",
                             live.len()
@@ -520,17 +476,13 @@ impl Driver {
             let mut local_jobs = 0;
             for &j in &a.jobs {
                 let job = &self.jobs[j];
-                let stage0 = &job.stages[0];
-                total_tasks += stage0.tasks.len();
-                local_tasks += stage0
-                    .tasks
-                    .iter()
-                    .filter(|t| t.local == Some(true))
-                    .count();
+                let local = job.local_input_tasks();
+                total_tasks += job.num_input_tasks();
+                local_tasks += local;
                 if job.settled_local {
                     local_jobs += 1;
                     assert!(
-                        stage0.tasks.iter().all(|t| t.local == Some(true)),
+                        local == job.num_input_tasks(),
                         "app {i} job {j} settled local with a non-local input"
                     );
                 }
@@ -544,12 +496,12 @@ impl Driver {
                 let running_or_done = stage
                     .tasks
                     .iter()
-                    .filter(|t| matches!(t.state, TaskState::Running | TaskState::Done))
+                    .filter(|t| !matches!(t.state, TaskState::Blocked | TaskState::Runnable { .. }))
                     .count();
                 let done = stage
                     .tasks
                     .iter()
-                    .filter(|t| t.state == TaskState::Done)
+                    .filter(|t| matches!(t.state, TaskState::Done { .. }))
                     .count();
                 assert_eq!(
                     stage.launched, running_or_done,
@@ -571,10 +523,13 @@ impl Driver {
     /// *belief* (suspicions and lease revocations), which is checked by
     /// [`audit_detector`](Self::audit_detector) instead.
     fn audit_topology(&self) {
+        assert!(
+            self.metrics.blocks_lost == 0 || self.metrics.nodes_failed > 0,
+            "blocks recorded lost without any machine loss"
+        );
+        self.namenode.check_invariants();
         if let Some(d) = &self.detector {
-            self.audit_detector(d);
-            self.namenode.check_invariants();
-            return;
+            return self.audit_detector(d);
         }
         for (e, st) in self.exec_state.iter().enumerate() {
             let node = self.cluster.node_of(custody_cluster::ExecutorId::new(e));
@@ -598,11 +553,6 @@ impl Driver {
                 None => assert!(!failed, "node {n} is up but decommissioned"),
             }
         }
-        assert!(
-            self.metrics.blocks_lost == 0 || self.metrics.nodes_failed > 0,
-            "blocks recorded lost without any machine loss"
-        );
-        self.namenode.check_invariants();
     }
 
     /// Invariant 10 (detector mode): the master's belief state is
@@ -646,21 +596,22 @@ impl Driver {
             }
         }
         if let Some(next) = d.leases.next_expiry() {
-            let armed_at = d
-                .lease_deadline_at
-                .expect("live leases without a pending expiry timer"); // lint: allow(panic) — audit invariant: live leases imply a pending expiry timer
             assert!(
-                armed_at <= next,
-                "lease timer armed after the earliest lease expiry"
+                d.lease_deadline_at.is_some_and(|armed_at| armed_at <= next),
+                "live leases without a pending expiry timer armed by the earliest expiry"
             );
         }
-        assert!(
-            self.metrics.blocks_lost == 0 || self.metrics.nodes_failed > 0,
-            "blocks recorded lost without any machine loss"
-        );
         assert_eq!(
             self.metrics.unfenced_stale_finishes, 0,
             "a stale completion slipped past epoch fencing"
         );
+    }
+}
+
+/// Counter hygiene for an absent fault layer: every counter only that
+/// layer moves is still zero.
+fn assert_untouched(counters: &[(&str, usize)]) {
+    for &(what, count) in counters {
+        assert_eq!(count, 0, "{what} counted without the layer");
     }
 }

@@ -2,10 +2,10 @@
 //! the dedicated `"chaos"` stream draws machine losses, executor-only
 //! losses and network-degradation windows (see [`ChaosConfig`]).
 //!
-//! * `ChaosFault` — the process fires: the next arrival is drawn, then
-//!   the fault flavour, victim and downtime.
-//! * `NodeRecover` — a chaos-failed machine rejoins (scripted failures
-//!   never do).
+//! * `Fault` — the process fires: the next arrival is drawn, then the
+//!   fault flavour, victim and downtime.
+//! * `Recover` — a chaos-failed machine rejoins (scripted failures never
+//!   do).
 //!
 //! In detector mode a fault changes only physical truth; the master
 //! learns of it through heartbeat silence (see the `detector` module).
@@ -17,7 +17,15 @@ use custody_simcore::{EventQueue, SimDuration, SimRng, SimTime};
 
 use crate::config::ChaosConfig;
 
-use super::{schedule_arrival, Driver, Event, FaultKind};
+use super::{schedule_arrival, unrouted, DetectorEvent, Driver, Event, FaultKind};
+
+/// The chaos layer's events (see the module docs). A recovery carries
+/// the kind of fault it ends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum ChaosEvent {
+    Fault,
+    Recover { node: NodeId, kind: FaultKind },
+}
 
 /// Live chaos state: the config, its stream, and the open degradation
 /// window.
@@ -40,7 +48,7 @@ impl ChaosLayer {
             cfg.mean_time_between_faults_secs,
             cfg.horizon_secs,
             None,
-            Event::ChaosFault,
+            Event::Chaos(ChaosEvent::Fault),
         );
         ChaosLayer {
             cfg,
@@ -56,10 +64,9 @@ impl Driver {
     /// exceed the concurrent-down cap (or leave fewer than two machines
     /// up) fizzle, keeping the simulation live.
     pub(super) fn on_chaos_fault(&mut self, now: SimTime) {
-        let chaos = self
-            .chaos
-            .as_mut()
-            .expect("chaos event without chaos config"); // lint: allow(panic) — chaos events are only scheduled when chaos is configured
+        let Some(chaos) = &mut self.chaos else {
+            unrouted(Event::Chaos(ChaosEvent::Fault))
+        };
         let cfg = chaos.cfg;
         schedule_arrival(
             &mut self.queue,
@@ -67,7 +74,7 @@ impl Driver {
             cfg.mean_time_between_faults_secs,
             cfg.horizon_secs,
             Some(now),
-            Event::ChaosFault,
+            Event::Chaos(ChaosEvent::Fault),
         );
         if chaos.rng.chance(cfg.degraded_fraction) {
             // Transient network degradation: remote reads launched while
@@ -91,14 +98,16 @@ impl Driver {
         }
         let victim = up[chaos.rng.below(up.len())];
         let downtime = Exponential::with_mean(cfg.mean_downtime_secs).sample(&mut chaos.rng);
-        if exec_only {
+        let kind = if exec_only {
             self.on_executor_fault(victim, now);
+            FaultKind::ExecutorsOnly
         } else {
             self.on_node_fail(victim, now);
-        }
+            FaultKind::Machine
+        };
         self.queue.schedule(
             now + SimDuration::from_secs_f64(downtime),
-            Event::NodeRecover { node: victim },
+            Event::Chaos(ChaosEvent::Recover { node: victim, kind }),
         );
     }
 
@@ -133,25 +142,31 @@ impl Driver {
         self.cache.mark_pool_changed();
     }
 
-    /// A chaos-failed machine rejoins: its executors return empty and
-    /// idle, and after a full machine loss the NameNode may place new
-    /// replicas there again. Replica locations do not change at recovery
-    /// (the machine rejoins holding nothing it did not already serve), so
-    /// no preferred-node refresh is needed.
-    pub(super) fn on_node_recover(&mut self, node: NodeId, now: SimTime) {
+    /// A machine a chaos fault of `kind` took down rejoins: its executors
+    /// return empty and idle, and after a full machine loss the NameNode
+    /// may place new replicas there again. Replica locations do not
+    /// change at recovery (the machine rejoins holding nothing it did not
+    /// already serve), so no preferred-node refresh is needed.
+    pub(super) fn on_node_recover(&mut self, node: NodeId, kind: FaultKind, now: SimTime) {
         if self.perma_down[node.index()] {
             return; // a scripted failure made this outage permanent
         }
-        let kind = self.node_down[node.index()]
-            .take()
-            .expect("recovering a node that is up"); // lint: allow(panic) — recover events are only scheduled for down nodes
+        // Chaos only strikes up nodes, and only a scripted failure (which
+        // makes the outage permanent) changes a down node's fault kind.
+        let down = self.node_down[node.index()].take();
+        assert_eq!(
+            down,
+            Some(kind),
+            "recovering {node} from a fault it is not down with"
+        );
         if let Some(d) = &mut self.detector {
             // A fresh incarnation starts beating; the master learns of it
             // only through heartbeats.
             let restart_tick = d.phys_recover(node, kind);
             self.fence_executors_on(node);
             if restart_tick {
-                self.queue.schedule(now, Event::HeartbeatTick { node });
+                self.queue
+                    .schedule(now, Event::Detector(DetectorEvent::HeartbeatTick { node }));
             }
             self.metrics.nodes_recovered += 1;
             return;

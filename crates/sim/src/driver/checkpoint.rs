@@ -3,11 +3,11 @@
 //! When [`ControlPlaneConfig::with_checkpoints`](crate::ControlPlaneConfig)
 //! enables a checkpoint interval, the driver keeps two durable artifacts:
 //!
-//! * a **checkpoint** — a full snapshot of itself, taken at run start
-//!   (genesis) and after every `Checkpoint` event;
+//! * a **checkpoint** — a full snapshot of itself, taken when the
+//!   driver is built (genesis) and after every `Checkpoint` event;
 //! * a **WAL** — every event popped since that snapshot, in pop order.
 //!
-//! A master crash (drawn per `ChaosFault` pop with
+//! A master crash (drawn per chaos `Fault` pop with
 //! `master_crash_fraction`) is modeled as losing the live state entirely
 //! and rebuilding it: a *ghost* driver starts from the checkpoint, pops
 //! its own copy of each WAL entry, and handles it exactly as the live
@@ -29,7 +29,7 @@ use custody_simcore::{EventQueue, ScheduledEvent, SimDuration, SimRng, SimTime};
 
 use crate::config::ControlPlaneConfig;
 
-use super::{Driver, Event};
+use super::{unrouted, ChaosEvent, Driver, Event};
 
 /// Master recovery state, present only when checkpointing is on: the
 /// last checkpoint, the write-ahead log since, and the crash draws.
@@ -37,34 +37,43 @@ use super::{Driver, Event};
 pub(super) struct MasterLog {
     /// Snapshot period.
     interval: SimDuration,
-    /// Probability a `ChaosFault` pop also crashes the master.
+    /// Probability a chaos `Fault` pop also crashes the master.
     crash_fraction: f64,
     /// Master-crash coins (the `"master-crash"` stream), dedicated so a
     /// crash-fraction sweep shares every other schedule with the
     /// crash-free run.
     rng: SimRng,
     /// The last checkpoint: a driver snapshot (without trace or log)
-    /// that recovery replays the WAL on top of. `None` only before the
-    /// run's genesis snapshot.
-    checkpoint: Option<Box<Driver>>,
+    /// that recovery replays the WAL on top of.
+    checkpoint: Box<Driver>,
     /// Events handled since the last checkpoint, in pop order.
     pub(super) wal: Vec<(SimTime, u64, Event)>,
 }
 
 impl MasterLog {
-    /// Seeds the `"master-crash"` stream and schedules the first periodic
-    /// checkpoint; the genesis snapshot is taken when the run starts.
-    pub(super) fn new(cp: ControlPlaneConfig, seed: u64, queue: &mut EventQueue<Event>) -> Self {
-        let interval = SimDuration::from_secs_f64(cp.checkpoint_interval_secs);
-        queue.schedule(SimTime::ZERO + interval, Event::Checkpoint);
+    /// Schedules the first periodic checkpoint. The log itself starts
+    /// from the genesis snapshot of the built driver ([`Self::genesis`]).
+    pub(super) fn schedule_first(cp: ControlPlaneConfig, queue: &mut EventQueue<Event>) {
+        queue.schedule(SimTime::ZERO + interval(cp), Event::Checkpoint);
+    }
+
+    /// The log at run start: seeds the `"master-crash"` stream and takes
+    /// the genesis snapshot of `driver` (built without a log or trace),
+    /// so recovery is possible from the first event.
+    pub(super) fn genesis(cp: ControlPlaneConfig, seed: u64, driver: &Driver) -> Self {
         MasterLog {
-            interval,
+            interval: interval(cp),
             crash_fraction: cp.master_crash_fraction,
             rng: SimRng::for_stream(seed, "master-crash"),
-            checkpoint: None,
+            checkpoint: Box::new(driver.clone()),
             wal: Vec::new(),
         }
     }
+}
+
+/// The snapshot period.
+fn interval(cp: ControlPlaneConfig) -> SimDuration {
+    SimDuration::from_secs_f64(cp.checkpoint_interval_secs)
 }
 
 impl Driver {
@@ -75,63 +84,53 @@ impl Driver {
             return;
         };
         let trace = self.trace.take();
-        log.checkpoint = Some(Box::new(self.clone()));
+        log.checkpoint = Box::new(self.clone());
         log.wal.clear();
         self.trace = trace;
         self.master = Some(log);
     }
 
-    /// Draws the master-crash coin for this event. Only `ChaosFault` pops
-    /// can crash the master, and only when checkpointing is on.
-    pub(super) fn maybe_crash_master(&mut self, ev: &ScheduledEvent<Event>) -> bool {
-        let Some(log) = &mut self.master else {
-            return false;
-        };
-        log.crash_fraction > 0.0
-            && matches!(ev.event, Event::ChaosFault)
-            && log.rng.chance(log.crash_fraction)
-    }
-
     /// Re-arms the periodic checkpoint while the run still has events —
     /// the tick must not keep an otherwise-finished simulation alive.
     pub(super) fn on_checkpoint_tick(&mut self, now: SimTime) {
-        let log = self
-            .master
-            .as_ref()
-            .expect("checkpoint event without checkpointing"); // lint: allow(panic) — checkpoint events exist only with checkpointing on, and no replayed WAL holds one (each checkpoint restarts the WAL)
+        let Some(log) = &self.master else {
+            unrouted(Event::Checkpoint)
+        };
         if !self.queue.is_empty() {
             self.queue.schedule(now + log.interval, Event::Checkpoint);
         }
     }
 
-    /// The master crashed at the pop of `ev` (not yet handled, not yet
-    /// logged). Rebuild the driver from checkpoint + WAL, verify the
-    /// rebuilt state converged to the crashed one, and swap it in; the
-    /// caller then handles `ev` on the recovered master.
-    pub(super) fn master_crash_recover(&mut self, ev: &ScheduledEvent<Event>) {
-        let Some(MasterLog {
-            checkpoint: Some(checkpoint),
-            wal,
-            ..
-        }) = &self.master
-        else {
-            unreachable!("master crash without a checkpoint") // lint: allow(panic) — crash coins are drawn only with checkpointing on, after the genesis snapshot
+    /// Draws the master-crash coin for the popped `ev` (not yet handled,
+    /// not yet logged); only chaos `Fault` pops can crash the master, and
+    /// only when checkpointing is on. On a crash the driver is rebuilt
+    /// from checkpoint + WAL, the rebuilt state is verified to have
+    /// converged to the crashed one, and it is swapped in; the caller
+    /// then handles `ev` on the recovered master.
+    pub(super) fn maybe_crash_master(&mut self, ev: &ScheduledEvent<Event>) {
+        let Some(log) = &mut self.master else {
+            return; // without checkpointing the master never crashes
         };
-        let mut ghost: Box<Driver> = checkpoint.clone();
-        for &(time, seq, event) in wal {
-            let popped = ghost.queue.pop().expect("WAL longer than ghost schedule"); // lint: allow(panic) — ghost replay length was validated against the WAL
+        if !(log.crash_fraction > 0.0
+            && ev.event == Event::Chaos(ChaosEvent::Fault)
+            && log.rng.chance(log.crash_fraction))
+        {
+            return;
+        }
+        let key = |e: ScheduledEvent<Event>| (e.time, e.seq, e.event);
+        let mut ghost = log.checkpoint.clone();
+        for &(time, seq, event) in &log.wal {
             assert_eq!(
-                (popped.time, popped.seq, popped.event),
-                (time, seq, event),
+                ghost.queue.pop().map(key),
+                Some((time, seq, event)),
                 "WAL replay diverged from the ghost's event schedule"
             );
             ghost.handle_event(event, time);
         }
         // The ghost's next event must be exactly the interrupted one.
-        let popped = ghost.queue.pop().expect("ghost queue drained early"); // lint: allow(panic) — ghost replay length was validated against the WAL
         assert_eq!(
-            (popped.time, popped.seq, popped.event),
-            (ev.time, ev.seq, ev.event),
+            ghost.queue.pop().map(key),
+            Some((ev.time, ev.seq, ev.event)),
             "recovered master is not at the interrupted event"
         );
         ghost.metrics.master_recoveries = self.metrics.master_recoveries;
@@ -211,25 +210,16 @@ fn assert_converged(live: &Driver, ghost: &Driver) {
         "master recovery diverged on application count"
     );
     for (a, b) in live.apps.iter().zip(&ghost.apps) {
-        assert_eq!(a.jobs, b.jobs, "recovery diverged on an app's job list");
-        assert_eq!(a.quota, b.quota, "recovery diverged on an app's quota");
-        assert_eq!(a.held, b.held, "recovery diverged on an app's held set");
-        assert_eq!(
-            a.total_jobs, b.total_jobs,
-            "recovery diverged on total_jobs"
-        );
-        assert_eq!(
-            a.local_jobs, b.local_jobs,
-            "recovery diverged on local_jobs"
-        );
-        assert_eq!(
-            a.total_tasks, b.total_tasks,
-            "recovery diverged on total_tasks"
-        );
-        assert_eq!(
-            a.local_tasks, b.local_tasks,
-            "recovery diverged on local_tasks"
-        );
-        assert_eq!(a.metrics, b.metrics, "recovery diverged on app metrics");
+        macro_rules! check_app {
+            ($($f:ident),+) => {
+                $(assert_eq!(
+                    a.$f,
+                    b.$f,
+                    concat!("recovery diverged on an app's `", stringify!($f), "`")
+                );)+
+            };
+        }
+        check_app!(jobs, quota, held, metrics);
+        check_app!(total_jobs, local_jobs, total_tasks, local_tasks);
     }
 }

@@ -44,8 +44,27 @@ use custody_simcore::{EventQueue, SimDuration, SimRng, SimTime};
 
 use crate::config::ControlPlaneConfig;
 
-use super::{Driver, Event, FaultKind, TaskKey};
+use super::{unrouted, Driver, Event, FaultKind, TaskKey};
 use custody_cluster::ClusterState;
+
+/// The control plane's events (see their handling in
+/// `Driver::on_detector_event`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum DetectorEvent {
+    /// A node's heartbeat emitter fires.
+    HeartbeatTick { node: NodeId },
+    /// A heartbeat reaches the master. `phys_epoch` is the channel's
+    /// physical incarnation at emission: a mismatch marks it stale.
+    HeartbeatArrive {
+        node: NodeId,
+        channel: HbChannel,
+        phys_epoch: u64,
+    },
+    /// A suspicion timer fires.
+    Deadline { node: NodeId, kind: DeadlineKind },
+    /// The earliest-expiring lease may have run out.
+    LeaseExpiry,
+}
 
 /// Which per-node heartbeat emitter a heartbeat came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,10 +122,10 @@ pub(crate) struct DetectorState {
     /// the machine is down (nothing can emit) or the run has drained;
     /// recovery restarts them iff stopped.
     pub hb_tick_active: Vec<bool>,
-    /// Whether a `DetectorDeadline{ExecSuspect}` is pending per node.
+    /// Whether a `Deadline { kind: ExecSuspect }` is pending per node.
     /// Invariant while the run is live: armed ⟺ not suspected.
     pub exec_deadline_armed: Vec<bool>,
-    /// Whether a `DetectorDeadline{DfsSuspect}` is pending per node.
+    /// Whether a `Deadline { kind: DfsSuspect }` is pending per node.
     pub dfs_deadline_armed: Vec<bool>,
     /// Per-executor: belief-killed by lease revocation (as opposed to
     /// node suspicion). The next heartbeat from its node reinstates it.
@@ -136,9 +155,12 @@ impl DetectorState {
         let deadline = SimTime::ZERO + SimDuration::from_secs_f64(cp.suspicion_timeout_secs);
         for n in 0..num_nodes {
             let node = NodeId::new(n);
-            queue.schedule(tick, Event::HeartbeatTick { node });
+            queue.schedule(tick, Event::Detector(DetectorEvent::HeartbeatTick { node }));
             for kind in [DeadlineKind::ExecSuspect, DeadlineKind::DfsSuspect] {
-                queue.schedule(deadline, Event::DetectorDeadline { node, kind });
+                queue.schedule(
+                    deadline,
+                    Event::Detector(DetectorEvent::Deadline { node, kind }),
+                );
             }
         }
         Some(DetectorState {
@@ -224,214 +246,262 @@ impl Driver {
         }
     }
 
-    /// A node's heartbeat emitter fires: put one heartbeat per live
-    /// channel on the wire (each independently dropped/delayed) and
-    /// schedule the next tick.
-    pub(super) fn on_heartbeat_tick(&mut self, node: NodeId, now: SimTime) {
-        let idle = self.drained();
-        let machine_down = self.node_down[node.index()] == Some(FaultKind::Machine);
-        let exec_up = self.node_down[node.index()].is_none();
-        // Partition cut: the node still emits (the drop/delay draws below
-        // happen identically, keeping the "control-plane" stream aligned),
-        // but a heartbeat that cannot cross the cut is lost on the wire.
-        let reaches_master = self
-            .partition
-            .as_ref()
-            .is_none_or(|p| p.connectivity.node_reaches_master(node));
+    /// Routes one control-plane event: the detector is taken from its
+    /// field once, then the event's effects on the rest of the driver
+    /// follow.
+    pub(super) fn on_detector_event(&mut self, ev: DetectorEvent, now: SimTime) {
+        // The self-rescheduling timers stop once the run drains.
+        let drained = matches!(
+            ev,
+            DetectorEvent::HeartbeatTick { .. } | DetectorEvent::Deadline { .. }
+        ) && self.drained();
         let Some(d) = &mut self.detector else {
-            unreachable!("heartbeat tick without a detector") // lint: allow(panic) — heartbeat ticks exist only in detector mode
+            unrouted(Event::Detector(ev))
         };
-        if idle || machine_down {
-            // A down machine emits nothing; recovery restarts the tick.
-            d.hb_tick_active[node.index()] = false;
-            return;
-        }
-        // The DataNode still beats through an executor-only fault.
-        let channels = [
-            (
-                HbChannel::Executor,
-                exec_up,
-                d.phys_epoch_exec[node.index()],
-            ),
-            (HbChannel::DataNode, true, d.phys_epoch_dfs[node.index()]),
-        ];
-        for (channel, beating, phys_epoch) in channels {
-            if !beating {
-                continue;
+        let timeout = d.timeout();
+        match ev {
+            // A node's heartbeat emitter fires: put one heartbeat per
+            // live channel on the wire (each independently
+            // dropped/delayed) and schedule the next tick.
+            DetectorEvent::HeartbeatTick { node } => {
+                let n = node.index();
+                let down = self.node_down[n];
+                if drained || down == Some(FaultKind::Machine) {
+                    // A down machine emits nothing; recovery restarts the
+                    // tick.
+                    d.hb_tick_active[n] = false;
+                    return;
+                }
+                // Partition cut: the node still emits (the drop/delay
+                // draws below happen identically, keeping the
+                // "control-plane" stream aligned), but a heartbeat that
+                // cannot cross the cut is lost on the wire.
+                let reaches_master = self
+                    .partition
+                    .as_ref()
+                    .is_none_or(|p| p.connectivity.node_reaches_master(node));
+                // The DataNode still beats through an executor-only fault.
+                let channels = [
+                    (HbChannel::Executor, down.is_none(), d.phys_epoch_exec[n]),
+                    (HbChannel::DataNode, true, d.phys_epoch_dfs[n]),
+                ];
+                for (channel, beating, phys_epoch) in channels {
+                    if !beating {
+                        continue;
+                    }
+                    if let Some(delay) = d.channel_hop() {
+                        if reaches_master {
+                            let arrive = DetectorEvent::HeartbeatArrive {
+                                node,
+                                channel,
+                                phys_epoch,
+                            };
+                            self.queue.schedule(now + delay, Event::Detector(arrive));
+                        }
+                    }
+                }
+                let tick = DetectorEvent::HeartbeatTick { node };
+                let interval = SimDuration::from_secs_f64(d.cp.heartbeat_interval_secs);
+                self.queue.schedule(now + interval, Event::Detector(tick));
             }
-            if let Some(delay) = d.channel_hop() {
-                if reaches_master {
-                    let arrive = Event::HeartbeatArrive {
-                        node,
-                        channel,
-                        phys_epoch,
-                    };
-                    self.queue.schedule(now + delay, arrive);
+            // An executor-channel heartbeat reaches the master: renew the
+            // node's leases, reinstate belief-dead executors, and reap
+            // ghost attempts left over from incarnations that died while
+            // the master looked away.
+            DetectorEvent::HeartbeatArrive {
+                node,
+                channel: HbChannel::Executor,
+                phys_epoch,
+            } => {
+                let n = node.index();
+                if phys_epoch != d.phys_epoch_exec[n] {
+                    return; // emitted by an incarnation that has since died
+                }
+                d.last_exec_hb[n] = d.last_exec_hb[n].max(now);
+                let renew_to = now + SimDuration::from_secs_f64(d.cp.lease_duration_secs);
+                let was_suspected = d.exec_suspected[n];
+                let executors: Vec<ExecutorId> = self.cluster.executors_on(node).to_vec();
+                let mut reinstated = false;
+                for &e in &executors {
+                    d.leases.renew(e, renew_to);
+                    let st = &mut self.exec_state[e.index()];
+                    if st.dead {
+                        // Belief-dead can only mean suspected or
+                        // lease-revoked; this heartbeat proves the
+                        // incarnation alive either way.
+                        debug_assert!(was_suspected || d.revoked[e.index()]);
+                        debug_assert!(st.running.is_none() && st.owner.is_none());
+                        st.dead = false;
+                        st.idle_since = now;
+                        self.pool.insert(e.index());
+                        d.revoked[e.index()] = false;
+                        reinstated = true;
+                    }
+                }
+                if was_suspected {
+                    d.exec_suspected[n] = false;
+                    // Suspicion left the deadline disarmed; restart the
+                    // watch.
+                    debug_assert!(!d.exec_deadline_armed[n]);
+                    d.exec_deadline_armed[n] = true;
+                    let kind = DeadlineKind::ExecSuspect;
+                    let deadline = DetectorEvent::Deadline { node, kind };
+                    self.queue
+                        .schedule(now + timeout, Event::Detector(deadline));
+                }
+                if reinstated {
+                    self.cache.mark_pool_changed();
+                }
+                // Ghost reaping: a running attempt whose launch epoch no
+                // longer matches belongs to an incarnation that restarted
+                // underneath the master (a blip too short to suspect, or
+                // a doomed launch onto a down node that has since
+                // recovered). Its Finish is fenced or was never
+                // scheduled; re-queue the task now.
+                let mut displaced: BTreeSet<TaskKey> = BTreeSet::new();
+                for &e in &executors {
+                    let st = &self.exec_state[e.index()];
+                    if !st.dead && st.running.is_some_and(|r| r.launch_epoch != st.epoch) {
+                        self.abandon_attempt(e, now, &mut displaced);
+                    }
+                }
+                if !displaced.is_empty() {
+                    self.open_disruptions.push((now, displaced));
                 }
             }
-        }
-        self.queue.schedule(
-            now + SimDuration::from_secs_f64(d.cp.heartbeat_interval_secs),
-            Event::HeartbeatTick { node },
-        );
-    }
-
-    /// An executor-channel heartbeat reaches the master: renew the node's
-    /// leases, reinstate belief-dead executors, and reap ghost attempts
-    /// left over from incarnations that died while the master looked away.
-    pub(super) fn on_exec_heartbeat(&mut self, node: NodeId, phys_epoch: u64, now: SimTime) {
-        let d = self.detector.as_mut().expect("heartbeat without detector"); // lint: allow(panic) — heartbeat events exist only in detector mode
-        if phys_epoch != d.phys_epoch_exec[node.index()] {
-            return; // emitted by an incarnation that has since died
-        }
-        d.last_exec_hb[node.index()] = d.last_exec_hb[node.index()].max(now);
-        let renew_to = now + SimDuration::from_secs_f64(d.cp.lease_duration_secs);
-        let timeout = d.timeout();
-        let was_suspected = d.exec_suspected[node.index()];
-        let executors: Vec<ExecutorId> = self.cluster.executors_on(node).to_vec();
-        let mut reinstated = false;
-        for &e in &executors {
-            d.leases.renew(e, renew_to);
-            let st = &mut self.exec_state[e.index()];
-            if st.dead {
-                // Belief-dead can only mean suspected or lease-revoked;
-                // this heartbeat proves the incarnation alive either way.
-                debug_assert!(was_suspected || d.revoked[e.index()]);
-                debug_assert!(st.running.is_none() && st.owner.is_none());
-                st.dead = false;
-                st.idle_since = now;
-                self.pool.insert(e.index());
-                d.revoked[e.index()] = false;
-                reinstated = true;
-            }
-        }
-        if was_suspected {
-            d.exec_suspected[node.index()] = false;
-            // Suspicion left the deadline disarmed; restart the watch.
-            debug_assert!(!d.exec_deadline_armed[node.index()]);
-            d.exec_deadline_armed[node.index()] = true;
-            self.queue.schedule(
-                now + timeout,
-                Event::DetectorDeadline {
-                    node,
-                    kind: DeadlineKind::ExecSuspect,
-                },
-            );
-        }
-        if reinstated {
-            self.cache.mark_pool_changed();
-        }
-        // Ghost reaping: a running attempt whose launch epoch no longer
-        // matches belongs to an incarnation that restarted underneath the
-        // master (a blip too short to suspect, or a doomed launch onto a
-        // down node that has since recovered). Its Finish is fenced or
-        // was never scheduled; re-queue the task now.
-        let mut displaced: BTreeSet<TaskKey> = BTreeSet::new();
-        for &e in &executors {
-            let st = &self.exec_state[e.index()];
-            if !st.dead && st.running.is_some_and(|r| r.launch_epoch != st.epoch) {
-                self.abandon_attempt(e, now, &mut displaced);
-            }
-        }
-        if !displaced.is_empty() {
-            self.open_disruptions.push((now, displaced));
-        }
-    }
-
-    /// A DataNode-channel heartbeat reaches the master: a falsely (or
-    /// stalely) suspected DataNode is reinstated — with its data if the
-    /// disk actually survived, empty if the suspicion was right and the
-    /// node came back wiped.
-    pub(super) fn on_dfs_heartbeat(&mut self, node: NodeId, phys_epoch: u64, now: SimTime) {
-        let d = self.detector.as_mut().expect("heartbeat without detector"); // lint: allow(panic) — heartbeat events exist only in detector mode
-        if phys_epoch != d.phys_epoch_dfs[node.index()] {
-            return;
-        }
-        d.last_dfs_hb[node.index()] = d.last_dfs_hb[node.index()].max(now);
-        if !d.dfs_suspected[node.index()] {
-            return;
-        }
-        d.dfs_suspected[node.index()] = false;
-        let survived = !d.data_lost[node.index()];
-        // Whatever incarnation is beating now has an intact (possibly
-        // empty) disk going forward.
-        d.data_lost[node.index()] = false;
-        debug_assert!(!d.dfs_deadline_armed[node.index()]);
-        d.dfs_deadline_armed[node.index()] = true;
-        let timeout = d.timeout();
-        self.queue.schedule(
-            now + timeout,
-            Event::DetectorDeadline {
+            // A DataNode-channel heartbeat reaches the master: a falsely
+            // (or stalely) suspected DataNode is reinstated — with its
+            // data if the disk actually survived, empty if the suspicion
+            // was right and the node came back wiped.
+            DetectorEvent::HeartbeatArrive {
                 node,
-                kind: DeadlineKind::DfsSuspect,
-            },
-        );
-        let readded = self.namenode.reinstate_node(node, survived);
-        if readded > 0 {
-            // Replicas reappeared; unlaunched tasks may prefer them —
-            // and a tombstoned block may have just regained an intact
-            // copy, un-parking its waiting tasks.
-            self.refresh_all_preferred();
-            self.durability_recheck_unavailable();
-        }
-    }
-
-    /// A suspicion timer fires. If the channel really has been silent for
-    /// the whole timeout the node is suspected; otherwise re-arm at the
-    /// earliest instant the timeout could still trip.
-    pub(super) fn on_detector_deadline(&mut self, node: NodeId, kind: DeadlineKind, now: SimTime) {
-        let idle = self.drained();
-        let d = self.detector.as_mut().expect("deadline without detector"); // lint: allow(panic) — deadline events exist only in detector mode
-        let timeout = d.timeout();
-        let n = node.index();
-        let (armed, last_hb, suspected) = match kind {
-            DeadlineKind::ExecSuspect => (
-                &mut d.exec_deadline_armed[n],
-                d.last_exec_hb[n],
-                &mut d.exec_suspected[n],
-            ),
-            DeadlineKind::DfsSuspect => (
-                &mut d.dfs_deadline_armed[n],
-                d.last_dfs_hb[n],
-                &mut d.dfs_suspected[n],
-            ),
-        };
-        debug_assert!(*armed, "deadline fired while disarmed");
-        *armed = false;
-        if idle {
-            return; // the run has drained; stop the timer chain
-        }
-        if last_hb + timeout > now {
-            // A heartbeat arrived since this deadline was set.
-            *armed = true;
-            self.queue
-                .schedule(last_hb + timeout, Event::DetectorDeadline { node, kind });
-            return;
-        }
-        debug_assert!(!*suspected);
-        *suspected = true;
-        let down_at = d.phys_down_at[node.index()];
-        match kind {
-            DeadlineKind::ExecSuspect => self.suspect_executors(node, down_at, now),
-            DeadlineKind::DfsSuspect => {
-                let lost = d.data_lost[node.index()];
-                self.suspect_datanode(node, down_at, lost, now);
+                channel: HbChannel::DataNode,
+                phys_epoch,
+            } => {
+                let n = node.index();
+                if phys_epoch != d.phys_epoch_dfs[n] {
+                    return;
+                }
+                d.last_dfs_hb[n] = d.last_dfs_hb[n].max(now);
+                if !d.dfs_suspected[n] {
+                    return;
+                }
+                d.dfs_suspected[n] = false;
+                let survived = !d.data_lost[n];
+                // Whatever incarnation is beating now has an intact
+                // (possibly empty) disk going forward.
+                d.data_lost[n] = false;
+                debug_assert!(!d.dfs_deadline_armed[n]);
+                d.dfs_deadline_armed[n] = true;
+                let kind = DeadlineKind::DfsSuspect;
+                let deadline = DetectorEvent::Deadline { node, kind };
+                self.queue
+                    .schedule(now + timeout, Event::Detector(deadline));
+                if self.namenode.reinstate_node(node, survived) > 0 {
+                    // Replicas reappeared; unlaunched tasks may prefer
+                    // them — and a tombstoned block may have just regained
+                    // an intact copy, un-parking its waiting tasks.
+                    self.refresh_all_preferred();
+                    self.durability_recheck_unavailable();
+                }
+            }
+            // A suspicion timer fires. If the channel really has been
+            // silent for the whole timeout the node is suspected;
+            // otherwise re-arm at the earliest instant the timeout could
+            // still trip.
+            DetectorEvent::Deadline { node, kind } => {
+                let n = node.index();
+                let (armed, last_hb, suspected) = match kind {
+                    DeadlineKind::ExecSuspect => (
+                        &mut d.exec_deadline_armed[n],
+                        d.last_exec_hb[n],
+                        &mut d.exec_suspected[n],
+                    ),
+                    DeadlineKind::DfsSuspect => (
+                        &mut d.dfs_deadline_armed[n],
+                        d.last_dfs_hb[n],
+                        &mut d.dfs_suspected[n],
+                    ),
+                };
+                debug_assert!(*armed, "deadline fired while disarmed");
+                *armed = false;
+                if drained {
+                    return; // the run has drained; stop the timer chain
+                }
+                if last_hb + timeout > now {
+                    // A heartbeat arrived since this deadline was set.
+                    *armed = true;
+                    let deadline = DetectorEvent::Deadline { node, kind };
+                    self.queue
+                        .schedule(last_hb + timeout, Event::Detector(deadline));
+                    return;
+                }
+                debug_assert!(!*suspected);
+                *suspected = true;
+                // Scored as detection latency (from the node's physical
+                // failure) if the channel is really down, as a false
+                // suspicion if it is not.
+                let really_down = match kind {
+                    DeadlineKind::ExecSuspect => self.node_down[n].is_some(),
+                    DeadlineKind::DfsSuspect => self.node_down[n] == Some(FaultKind::Machine),
+                };
+                if really_down {
+                    let latency = now.saturating_since(d.phys_down_at[n]);
+                    self.metrics
+                        .detection_latency_secs
+                        .push(latency.as_secs_f64());
+                } else {
+                    self.metrics.false_suspicions += 1;
+                }
+                let lost = d.data_lost[n];
+                match kind {
+                    DeadlineKind::ExecSuspect => self.suspect_executors(node, now),
+                    DeadlineKind::DfsSuspect => self.suspect_datanode(node, lost, now),
+                }
+            }
+            // The earliest lease may have expired: revoke every lease that
+            // ran out without renewal (belief-killing the executor and
+            // re-queueing its task), then re-arm at the new earliest
+            // expiry.
+            DetectorEvent::LeaseExpiry => {
+                debug_assert_eq!(d.lease_deadline_at, Some(now), "stale lease timer");
+                d.lease_deadline_at = None;
+                // One atomic revocation sweep: the table drops every
+                // expired lease before any kill runs, so a mid-sweep
+                // observer (the auditor, a checkpoint) never sees a
+                // half-dropped table.
+                let expired = d.leases.take_expired(now);
+                for &e in &expired {
+                    d.revoked[e.index()] = true;
+                }
+                // Re-arm at the new earliest expiry. The kills below drop
+                // only the leases just taken, so it is already final here.
+                if let Some(next) = d.leases.next_expiry() {
+                    d.lease_deadline_at = Some(next);
+                    self.queue
+                        .schedule(next, Event::Detector(DetectorEvent::LeaseExpiry));
+                }
+                // Leases expiring under a cut fence live minority work.
+                self.note_minority_discards(&expired);
+                let mut displaced: BTreeSet<TaskKey> = BTreeSet::new();
+                for &e in &expired {
+                    self.metrics.leases_revoked += 1;
+                    // Drops the lease as part of the kill.
+                    self.kill_executor(e, now, &mut displaced);
+                }
+                if !displaced.is_empty() {
+                    self.open_disruptions.push((now, displaced));
+                }
+                if !expired.is_empty() {
+                    self.cache.mark_pool_changed();
+                }
             }
         }
     }
 
     /// The master gave up on a node's executors: belief-kill them all,
-    /// re-queueing their work. Scored as detection latency (from the
-    /// node's physical failure at `down_at`) if the node is really down,
-    /// as a false suspicion if it is not.
-    fn suspect_executors(&mut self, node: NodeId, down_at: SimTime, now: SimTime) {
-        if self.node_down[node.index()].is_some() {
-            self.metrics
-                .detection_latency_secs
-                .push(now.saturating_since(down_at).as_secs_f64());
-        } else {
-            self.metrics.false_suspicions += 1;
-        }
+    /// re-queueing their work.
+    fn suspect_executors(&mut self, node: NodeId, now: SimTime) {
         // Work still physically running behind the cut is about to be
         // fenced and re-run: score it as partition-discarded.
         let executors: Vec<ExecutorId> = self.cluster.executors_on(node).to_vec();
@@ -444,14 +514,7 @@ impl Driver {
     /// re-replicate, exactly as HDFS does on DataNode timeout. Blocks
     /// whose last replica lived there are only *actually* lost if the
     /// disk is physically gone (`lost`).
-    fn suspect_datanode(&mut self, node: NodeId, down_at: SimTime, lost: bool, now: SimTime) {
-        if self.node_down[node.index()] == Some(FaultKind::Machine) {
-            self.metrics
-                .detection_latency_secs
-                .push(now.saturating_since(down_at).as_secs_f64());
-        } else {
-            self.metrics.false_suspicions += 1;
-        }
+    fn suspect_datanode(&mut self, node: NodeId, lost: bool, now: SimTime) {
         let pinned = self.namenode.suspect_node(node);
         if lost {
             self.metrics.blocks_lost += pinned.len();
@@ -462,44 +525,5 @@ impl Driver {
         // restore otherwise.
         self.schedule_repair(now);
         self.refresh_all_preferred();
-    }
-
-    /// The earliest lease may have expired: revoke every lease that ran
-    /// out without renewal (belief-killing the executor and re-queueing
-    /// its task), then re-arm at the new earliest expiry.
-    pub(super) fn on_lease_expiry(&mut self, now: SimTime) {
-        let d = self
-            .detector
-            .as_mut()
-            .expect("lease expiry without detector"); // lint: allow(panic) — lease expiries exist only in detector mode
-        debug_assert_eq!(d.lease_deadline_at, Some(now), "stale lease timer");
-        d.lease_deadline_at = None;
-        // One atomic revocation sweep: the table drops every expired
-        // lease before any kill runs, so a mid-sweep observer (the
-        // auditor, a checkpoint) never sees a half-dropped table.
-        let expired = d.leases.take_expired(now);
-        for &e in &expired {
-            d.revoked[e.index()] = true;
-        }
-        // Re-arm at the new earliest expiry. The kills below drop only
-        // the leases just taken, so it is already final here.
-        if let Some(next) = d.leases.next_expiry() {
-            d.lease_deadline_at = Some(next);
-            self.queue.schedule(next, Event::LeaseExpiry);
-        }
-        // Leases expiring under a cut fence live minority work.
-        self.note_minority_discards(&expired);
-        let mut displaced: BTreeSet<TaskKey> = BTreeSet::new();
-        for &e in &expired {
-            self.metrics.leases_revoked += 1;
-            // Drops the lease as part of the kill.
-            self.kill_executor(e, now, &mut displaced);
-        }
-        if !displaced.is_empty() {
-            self.open_disruptions.push((now, displaced));
-        }
-        if !expired.is_empty() {
-            self.cache.mark_pool_changed();
-        }
     }
 }

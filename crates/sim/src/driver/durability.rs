@@ -30,9 +30,18 @@ use custody_scheduler::RetryPolicy;
 use custody_simcore::{EventQueue, SimDuration, SimRng, SimTime};
 
 use crate::config::CorruptionConfig;
-use crate::job::TaskState;
+use crate::job::{RuntimeJob, TaskState};
+use crate::metrics::RunMetrics;
 
-use super::{schedule_arrival, Driver, Event};
+use super::{schedule_arrival, unrouted, Driver, Event};
+
+/// The durability layer's events (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum DurabilityEvent {
+    CorruptionArrive,
+    ScrubTick,
+    UnavailabilityDeadline { block: BlockId },
+}
 
 /// Live data-durability state (absent for inert configs).
 #[derive(Debug, Clone, PartialEq)]
@@ -88,13 +97,13 @@ impl DurabilityLayer {
                 cfg.mean_time_between_corruptions_secs,
                 cfg.horizon_secs,
                 None,
-                Event::CorruptionArrive,
+                Event::Durability(DurabilityEvent::CorruptionArrive),
             );
         }
         if cfg.scrub_enabled() {
             queue.schedule(
                 SimTime::ZERO + SimDuration::from_secs_f64(cfg.scrub_interval_secs),
-                Event::ScrubTick,
+                Event::Durability(DurabilityEvent::ScrubTick),
             );
         }
         Some(DurabilityLayer {
@@ -112,178 +121,216 @@ impl DurabilityLayer {
     }
 }
 
-impl Driver {
-    /// One more replica silently rots. The victim is drawn uniformly
-    /// from the intact registered replicas — or, on a `disk_bias` coin,
-    /// from the subset living on nodes with an active fail-slow *disk*
-    /// condition (the canonical gray-failure corruption vector), falling
-    /// back to the full set when no such replica exists.
-    pub(super) fn on_corruption_arrive(&mut self, now: SimTime) {
-        let drained = self.drained();
-        let Some(d) = &mut self.durability else {
-            return;
-        };
-        let cfg = d.cfg;
-        if !drained {
-            schedule_arrival(
-                &mut self.queue,
-                &mut d.rng,
-                cfg.mean_time_between_corruptions_secs,
-                cfg.horizon_secs,
-                Some(now),
-                Event::CorruptionArrive,
-            );
-        }
-        // The bias coin is drawn before looking at the candidates so the
-        // stream advances identically whether or not a sick disk exists.
-        let biased = d.rng.chance(cfg.disk_bias);
-        let mut candidates: Vec<(BlockId, NodeId)> = Vec::new();
-        for b in 0..self.namenode.num_blocks() {
-            let block = BlockId::new(b);
-            for &node in self.namenode.locations(block) {
-                if !self.namenode.is_replica_corrupt(block, node) {
-                    candidates.push((block, node));
-                }
-            }
-        }
-        if biased {
-            let health = &self.health;
-            let sick: Vec<(BlockId, NodeId)> = candidates
-                .iter()
-                .copied()
-                .filter(|&(_, n)| health.as_ref().is_some_and(|h| h.disk_slow_active(n)))
-                .collect();
-            if !sick.is_empty() {
-                candidates = sick;
-            }
-        }
-        if candidates.is_empty() {
-            return; // everything already rotten: nothing left to corrupt
-        }
-        let (block, node) = candidates[d.rng.below(candidates.len())];
-        let marked = self.namenode.mark_corrupt(block, node);
-        debug_assert!(marked, "candidate replica was intact and registered");
-        d.onset.insert((block, node), now);
-        self.metrics.replicas_corrupted += 1;
-    }
-
-    /// The background scrubber examines the next window of blocks and
-    /// surfaces every latent mark it finds. The tick re-arms until the
-    /// run drains; detection latency is scored per mark from its onset.
-    pub(super) fn on_scrub_tick(&mut self, now: SimTime) {
-        let drained = self.drained();
-        let Some(d) = &mut self.durability else {
-            return;
-        };
-        if drained {
-            return; // the run has drained; stop the tick chain
-        }
-        let cfg = d.cfg;
-        let start = d.scrub_cursor;
-        let total = self.namenode.num_blocks();
-        let width = cfg.scrub_blocks_per_tick.min(total);
-        let mut found: Vec<(BlockId, NodeId)> = Vec::new();
-        for i in 0..width {
-            let block = BlockId::new((start + i) % total);
-            for &node in self.namenode.corrupt_replicas(block) {
-                // Marks whose onset has already drained were detected
-                // earlier (e.g. a tombstoned sole copy): not re-scored.
-                if d.onset.contains_key(&(block, node)) {
-                    found.push((block, node));
-                }
-            }
-        }
-        d.scrub_cursor = if total == 0 {
-            0
-        } else {
-            (start + width) % total
-        };
-        for (block, node) in found {
-            self.metrics.scrub_detections += 1;
-            self.detect_corrupt(block, node, now);
-        }
-        self.queue.schedule(
-            now + SimDuration::from_secs_f64(cfg.scrub_interval_secs),
-            Event::ScrubTick,
-        );
-    }
-
+impl DurabilityLayer {
     /// A corrupt replica was discovered — by a failed verified read or
-    /// by the scrubber. Scores detection latency (once per mark), drops
-    /// the replica through the change journal so demand caches
-    /// re-resolve, and hands the block to the unified repair queue. If
-    /// the rotten copy was the block's *last* replica the block becomes
-    /// unavailable instead: waiting tasks park, and the unavailability
-    /// deadline is armed so their jobs eventually fail cleanly.
-    pub(super) fn detect_corrupt(&mut self, block: BlockId, node: NodeId, now: SimTime) {
-        let d = self.durability.as_mut().expect("detection without layer"); // lint: allow(panic) — detection paths only run when the layer is configured
-        if let Some(onset) = d.onset.remove(&(block, node)) {
-            self.metrics
+    /// by the scrubber. Scores detection latency (once per mark) and
+    /// drops the replica through the change journal, returning `true`:
+    /// the caller re-resolves preferred nodes and hands the block to the
+    /// unified repair queue. If the rotten copy was the block's *last*
+    /// replica the block becomes unavailable instead (`false`): waiting
+    /// tasks park, and the unavailability deadline is armed so their jobs
+    /// eventually fail cleanly.
+    pub(super) fn detect(
+        &mut self,
+        block: BlockId,
+        node: NodeId,
+        now: SimTime,
+        namenode: &mut NameNode,
+        metrics: &mut RunMetrics,
+        queue: &mut EventQueue<Event>,
+    ) -> bool {
+        if let Some(onset) = self.onset.remove(&(block, node)) {
+            metrics
                 .corruption_detection_secs
                 .push(now.saturating_since(onset).as_secs_f64());
         }
-        if !self.namenode.drop_corrupt_replica(block, node) {
-            if d.unavailable.insert(block) {
-                let deadline = SimDuration::from_secs_f64(d.cfg.unavailability_deadline_secs);
-                self.metrics.blocks_unavailable += 1;
-                self.queue
-                    .schedule(now + deadline, Event::UnavailabilityDeadline { block });
-            }
-            return;
+        if namenode.drop_corrupt_replica(block, node) {
+            return true;
         }
-        self.refresh_all_preferred();
-        self.schedule_repair(now);
+        if self.unavailable.insert(block) {
+            let deadline = SimDuration::from_secs_f64(self.cfg.unavailability_deadline_secs);
+            metrics.blocks_unavailable += 1;
+            queue.schedule(
+                now + deadline,
+                Event::Durability(DurabilityEvent::UnavailabilityDeadline { block }),
+            );
+        }
+        false
     }
+}
 
-    /// A block's unavailability grace period ran out. If the block is
-    /// still unavailable, every unfinished job with an uncompleted input
-    /// task on it fails cleanly — parked tasks never deadlock the run.
-    pub(super) fn on_unavailability_deadline(&mut self, block: BlockId, now: SimTime) {
-        let Some(d) = &self.durability else { return };
-        if !d.unavailable.contains(&block) {
-            return; // recovered before the deadline
-        }
-        let victims: Vec<usize> = self
-            .jobs
-            .iter()
-            .enumerate()
-            .filter(|(_, job)| {
-                !job.is_finished()
-                    && job.stages[0]
-                        .tasks
+impl Driver {
+    /// Routes one durability event.
+    pub(super) fn on_durability_event(&mut self, ev: DurabilityEvent, now: SimTime) {
+        // Arrivals and scrub ticks stop re-arming once the run drains.
+        let drained =
+            !matches!(ev, DurabilityEvent::UnavailabilityDeadline { .. }) && self.drained();
+        let Some(d) = &mut self.durability else {
+            unrouted(Event::Durability(ev))
+        };
+        match ev {
+            // One more replica silently rots. The victim is drawn
+            // uniformly from the intact registered replicas — or, on a
+            // `disk_bias` coin, from the subset living on nodes with an
+            // active fail-slow *disk* condition (the canonical
+            // gray-failure corruption vector), falling back to the full
+            // set when no such replica exists.
+            DurabilityEvent::CorruptionArrive => {
+                let cfg = d.cfg;
+                if !drained {
+                    schedule_arrival(
+                        &mut self.queue,
+                        &mut d.rng,
+                        cfg.mean_time_between_corruptions_secs,
+                        cfg.horizon_secs,
+                        Some(now),
+                        Event::Durability(DurabilityEvent::CorruptionArrive),
+                    );
+                }
+                // The bias coin is drawn before looking at the candidates
+                // so the stream advances identically whether or not a
+                // sick disk exists.
+                let biased = d.rng.chance(cfg.disk_bias);
+                let mut candidates: Vec<(BlockId, NodeId)> = Vec::new();
+                for b in 0..self.namenode.num_blocks() {
+                    let block = BlockId::new(b);
+                    for &node in self.namenode.locations(block) {
+                        if !self.namenode.is_replica_corrupt(block, node) {
+                            candidates.push((block, node));
+                        }
+                    }
+                }
+                if biased {
+                    let health = &self.health;
+                    let sick: Vec<(BlockId, NodeId)> = candidates
                         .iter()
-                        .any(|t| t.block == Some(block) && t.state != TaskState::Done)
-            })
-            .map(|(j, _)| j)
-            .collect();
-        for j in victims {
-            self.fail_job(j, now);
-            self.metrics.jobs_failed_unavailable += 1;
+                        .copied()
+                        .filter(|&(_, n)| health.as_ref().is_some_and(|h| h.disk_slow_active(n)))
+                        .collect();
+                    if !sick.is_empty() {
+                        candidates = sick;
+                    }
+                }
+                if candidates.is_empty() {
+                    return; // everything already rotten: nothing left to corrupt
+                }
+                let (block, node) = candidates[d.rng.below(candidates.len())];
+                let marked = self.namenode.mark_corrupt(block, node);
+                debug_assert!(marked, "candidate replica was intact and registered");
+                d.onset.insert((block, node), now);
+                self.metrics.replicas_corrupted += 1;
+            }
+            // The background scrubber examines the next window of blocks
+            // and surfaces every latent mark it finds. The tick re-arms
+            // until the run drains; detection latency is scored per mark
+            // from its onset.
+            DurabilityEvent::ScrubTick => {
+                if drained {
+                    return; // the run has drained; stop the tick chain
+                }
+                let cfg = d.cfg;
+                let start = d.scrub_cursor;
+                let total = self.namenode.num_blocks();
+                let width = cfg.scrub_blocks_per_tick.min(total);
+                let mut found: Vec<(BlockId, NodeId)> = Vec::new();
+                for i in 0..width {
+                    let block = BlockId::new((start + i) % total);
+                    for &node in self.namenode.corrupt_replicas(block) {
+                        // Marks whose onset has already drained were
+                        // detected earlier (e.g. a tombstoned sole copy):
+                        // not re-scored.
+                        if d.onset.contains_key(&(block, node)) {
+                            found.push((block, node));
+                        }
+                    }
+                }
+                d.scrub_cursor = if total == 0 {
+                    0
+                } else {
+                    (start + width) % total
+                };
+                let mut dropped = false;
+                for (block, node) in found {
+                    self.metrics.scrub_detections += 1;
+                    if d.detect(
+                        block,
+                        node,
+                        now,
+                        &mut self.namenode,
+                        &mut self.metrics,
+                        &mut self.queue,
+                    ) {
+                        // Repair is paced by this layer whenever it is
+                        // configured (see `repair_pacing`).
+                        arm_repair(
+                            &mut self.repair_armed,
+                            &mut self.queue,
+                            now,
+                            cfg.repair_interval_secs,
+                        );
+                        dropped = true;
+                    }
+                }
+                self.queue.schedule(
+                    now + SimDuration::from_secs_f64(cfg.scrub_interval_secs),
+                    Event::Durability(DurabilityEvent::ScrubTick),
+                );
+                if dropped {
+                    self.refresh_all_preferred();
+                }
+            }
+            // A block's unavailability grace period ran out. If the block
+            // is still unavailable, every unfinished job with an
+            // uncompleted input task on it fails cleanly — parked tasks
+            // never deadlock the run.
+            DurabilityEvent::UnavailabilityDeadline { block } => {
+                if !d.unavailable.contains(&block) {
+                    return; // recovered before the deadline
+                }
+                let victims: Vec<usize> = self
+                    .jobs
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, job)| {
+                        let mut inputs = job.input_blocks.iter().zip(&job.input_stage().tasks);
+                        !job.is_finished()
+                            && inputs.any(|(&b, t)| {
+                                b == block && !matches!(t.state, TaskState::Done { .. })
+                            })
+                    })
+                    .map(|(j, _)| j)
+                    .collect();
+                for j in victims {
+                    self.fail_job(j, now);
+                    self.metrics.jobs_failed_unavailable += 1;
+                }
+            }
         }
     }
 
-    /// A job was just submitted. If any of its input blocks is already
+    /// `job` was just submitted. If any of its input blocks is already
     /// tombstoned, a fresh deadline is armed per such block: the new
     /// job's parked tasks get the same bounded wait as everyone else's
     /// (an earlier deadline may have fired before this job existed).
-    pub(super) fn durability_note_submit(&mut self, now: SimTime) {
+    pub(super) fn durability_note_submit(&mut self, job: &RuntimeJob, now: SimTime) {
         let Some(d) = &self.durability else { return };
         if d.unavailable.is_empty() {
             return;
         }
-        let job = self.jobs.last().expect("called right after a submit"); // lint: allow(panic) — on_submit pushes the job before calling this
-        let mut blocks: Vec<BlockId> = job.stages[0]
-            .tasks
+        let mut blocks: Vec<BlockId> = job
+            .input_blocks
             .iter()
-            .filter_map(|t| t.block)
+            .copied()
             .filter(|b| d.unavailable.contains(b))
             .collect();
         blocks.sort_unstable();
         blocks.dedup();
         let deadline = SimDuration::from_secs_f64(d.cfg.unavailability_deadline_secs);
         for block in blocks {
-            self.queue
-                .schedule(now + deadline, Event::UnavailabilityDeadline { block });
+            self.queue.schedule(
+                now + deadline,
+                Event::Durability(DurabilityEvent::UnavailabilityDeadline { block }),
+            );
         }
     }
 
@@ -338,17 +385,9 @@ impl Driver {
     /// Arms the paced repair tick if it is not already pending (at most
     /// one `RestoreTick` in flight).
     pub(super) fn arm_repair_tick(&mut self, now: SimTime) {
-        if self.repair_armed {
-            return;
+        if let Some((_, interval_secs)) = self.repair_pacing() {
+            arm_repair(&mut self.repair_armed, &mut self.queue, now, interval_secs);
         }
-        let Some((_, interval_secs)) = self.repair_pacing() else {
-            return; // no pacing layer: schedule_repair restored instantly
-        };
-        self.repair_armed = true;
-        self.queue.schedule(
-            now + SimDuration::from_secs_f64(interval_secs),
-            Event::RestoreTick,
-        );
     }
 
     /// One paced batch of re-replication debt is paid. With durability
@@ -377,5 +416,17 @@ impl Driver {
             // The batch filled: assume more debt and keep pacing.
             self.arm_repair_tick(now);
         }
+    }
+}
+
+/// Schedules the paced repair tick `interval_secs` from `now` unless one
+/// is already pending (`armed`).
+fn arm_repair(armed: &mut bool, queue: &mut EventQueue<Event>, now: SimTime, interval_secs: f64) {
+    if !*armed {
+        *armed = true;
+        queue.schedule(
+            now + SimDuration::from_secs_f64(interval_secs),
+            Event::RestoreTick,
+        );
     }
 }

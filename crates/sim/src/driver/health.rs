@@ -8,8 +8,8 @@
 //! times longer, and data-aware allocation keeps steering "local" work
 //! onto it. This module models both sides of that problem:
 //!
-//! * **Physical truth** — a seeded subset of nodes develops a slowdown
-//!   ([`Sickness`]) with a *cause* that decides which service-time
+//! * **Physical truth** — a seeded subset of nodes develops slowdown
+//!   episodes ([`Sickness`]) with a *cause* that decides which service-time
 //!   component inflates: a sick disk multiplies local reads, a sick NIC
 //!   multiplies remote reads and shuffles, a sick CPU multiplies compute.
 //!   Episodes either persist or remit and relapse. All draws come from
@@ -39,12 +39,22 @@ use custody_core::HealthCost;
 use custody_dfs::NodeId;
 use custody_scheduler::RetryPolicy;
 use custody_simcore::dist::{Distribution, Exponential};
-use custody_simcore::{SimDuration, SimRng, SimTime};
+use custody_simcore::{EventQueue, SimDuration, SimRng, SimTime};
 
 use crate::config::FailSlowConfig;
 use crate::metrics::RunMetrics;
 
-use super::{schedule_arrival, Driver, Event, FaultKind};
+use super::{schedule_arrival, unrouted, Driver, Event, FaultKind};
+
+/// The gray-failure layer's events (see `Driver::on_health_event`).
+/// Onsets and remissions carry the node's drawn cause, so only a
+/// profiled node can ever sicken.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum HealthEvent {
+    Onset { node: NodeId, cause: SlowCause },
+    Remit { node: NodeId, cause: SlowCause },
+    ProbationStart { node: NodeId },
+}
 
 /// Which component of a sick node degraded — decides which service-time
 /// term the slowdown factor multiplies.
@@ -58,15 +68,13 @@ pub(crate) enum SlowCause {
     Cpu,
 }
 
-/// Physical fail-slow condition of one node (ground truth, invisible to
+/// An active fail-slow episode on one node (ground truth, invisible to
 /// the detector).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Sickness {
     /// What degraded.
     pub cause: SlowCause,
-    /// Whether an episode is currently active.
-    pub active: bool,
-    /// When the current (or last) episode began.
+    /// When the episode began.
     pub since: SimTime,
 }
 
@@ -101,7 +109,8 @@ pub(crate) struct NodeBelief {
 pub(crate) struct HealthLayer {
     /// The gray-failure parameters (non-inert by construction).
     pub cfg: FailSlowConfig,
-    /// Physical truth per node; `None` = never sickens.
+    /// Physical truth per node: its active episode, `None` while it
+    /// runs at full speed.
     pub sickness: Vec<Option<Sickness>>,
     /// Belief per node (only advanced when detection is on).
     pub belief: Vec<NodeBelief>,
@@ -118,7 +127,7 @@ pub(crate) struct HealthLayer {
 impl HealthLayer {
     /// Seeds the `"failslow"` and `"task-faults"` streams, draws the
     /// sick-node set, their causes and their first onsets, and schedules
-    /// a `FailSlowOnset` per sick node (within the horizon). `None` for an
+    /// a health `Onset` per sick node (within the horizon). `None` for an
     /// inert config: the layer never exists, so the run is
     /// event-for-event the oracle.
     pub(crate) fn new(
@@ -132,7 +141,6 @@ impl HealthLayer {
         }
         let mut rng = SimRng::for_stream(seed, "failslow");
         let num_sick = ((cfg.sick_fraction * num_nodes as f64).round() as usize).min(num_nodes);
-        let mut sickness: Vec<Option<Sickness>> = vec![None; num_nodes];
         for n in rng.choose_distinct(num_nodes, num_sick) {
             let u = rng.unit();
             let cause = if u < cfg.disk_fraction {
@@ -142,25 +150,21 @@ impl HealthLayer {
             } else {
                 SlowCause::Cpu
             };
-            sickness[n] = Some(Sickness {
-                cause,
-                active: false,
-                since: SimTime::ZERO,
-            });
             schedule_arrival(
                 queue,
                 &mut rng,
                 cfg.mean_onset_secs,
                 cfg.horizon_secs,
                 None,
-                Event::FailSlowOnset {
+                Event::Health(HealthEvent::Onset {
                     node: NodeId::new(n),
-                },
+                    cause,
+                }),
             );
         }
         Some(HealthLayer {
             cfg,
-            sickness,
+            sickness: vec![None; num_nodes],
             belief: vec![
                 NodeBelief {
                     state: HealthState::Healthy,
@@ -184,13 +188,13 @@ impl HealthLayer {
 
     /// Whether the node's slowdown is currently active (physical truth).
     pub(crate) fn slow_active(&self, node: NodeId) -> bool {
-        self.sickness[node.index()].is_some_and(|s| s.active)
+        self.sickness[node.index()].is_some()
     }
 
     /// Whether the node's active slowdown is a degraded disk — the
     /// replicas corruption arrivals bias toward.
     pub(super) fn disk_slow_active(&self, node: NodeId) -> bool {
-        self.sickness[node.index()].is_some_and(|s| s.active && s.cause == SlowCause::Disk)
+        self.sickness[node.index()].is_some_and(|s| s.cause == SlowCause::Disk)
     }
 
     /// Scales one attempt's service-time components by the node's active
@@ -204,7 +208,7 @@ impl HealthLayer {
         io: SimDuration,
         compute: SimDuration,
     ) -> (SimDuration, SimDuration) {
-        let Some(s) = self.sickness[node.index()].filter(|s| s.active) else {
+        let Some(s) = self.sickness[node.index()] else {
             return (io, compute);
         };
         let (io_factor, compute_factor) = match s.cause {
@@ -258,7 +262,7 @@ impl HealthLayer {
         if means.is_empty() {
             return None; // no peers to be relative to yet
         }
-        means.sort_by(|a, b| a.partial_cmp(b).expect("service times are finite")); // lint: allow(panic) — service times are finite by construction; NaN means corrupted metrics
+        means.sort_by(f64::total_cmp);
         let median = median_of_sorted(&means);
         if median <= 0.0 {
             return None;
@@ -342,7 +346,7 @@ impl HealthLayer {
         self.belief[node.index()].quarantined_at = now;
         self.transition(node, HealthState::Quarantined);
         metrics.nodes_quarantined += 1;
-        match self.sickness[node.index()].filter(|s| s.active) {
+        match self.sickness[node.index()] {
             // Detection latency is scored once per episode: a flapping
             // re-quarantine of an already-caught slowdown says nothing
             // about how fast the detector notices.
@@ -353,6 +357,77 @@ impl HealthLayer {
             None => metrics.false_quarantines += 1,
         }
         Some(SimDuration::from_secs_f64(self.cfg.probation_delay_secs))
+    }
+
+    /// Feeds one completed attempt's service time into the detector
+    /// (detection on only) and advances the node's belief state machine.
+    /// `split` marks an open partition, during which quarantines back
+    /// off. Returns whether the allocator's view of the pool changed.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn observe_service(
+        &mut self,
+        node: NodeId,
+        service_secs: f64,
+        now: SimTime,
+        split: bool,
+        node_down: &[Option<FaultKind>],
+        metrics: &mut RunMetrics,
+        queue: &mut EventQueue<Event>,
+    ) -> bool {
+        if !self.cfg.detection {
+            return false;
+        }
+        let mut changed = match self.observe(node, service_secs) {
+            // Peer-relative service-time readings are poisoned while a
+            // split is open (the comparison pool is skewed and the cut
+            // already removes capacity); back off until the heal.
+            Some(HealthState::Quarantined) if !split => {
+                match self.quarantine(node, now, node_down, metrics) {
+                    Some(delay) => {
+                        let probation = HealthEvent::ProbationStart { node };
+                        queue.schedule(now + delay, Event::Health(probation));
+                        true
+                    }
+                    None => false,
+                }
+            }
+            Some(HealthState::Quarantined) | None => false,
+            Some(next) => {
+                self.transition(node, next);
+                true
+            }
+        };
+        changed |= self.refresh_cost(node);
+        changed
+    }
+
+    /// Re-buckets the node's health cost from its current belief state
+    /// and peer ratio (demotion on only). Suspects are priced at their
+    /// measured ratio, probationers at the suspect threshold (weak
+    /// evidence: the old window was discarded), healthy and quarantined
+    /// nodes at neutral. Returns whether the bucket changed: costs
+    /// reorder placements, so a skipped round must not replay them.
+    fn refresh_cost(&mut self, node: NodeId) -> bool {
+        let cfg = self.cfg;
+        if !(cfg.detection && cfg.demotion) {
+            return false;
+        }
+        let next = match self.belief[node.index()].state {
+            HealthState::Suspect => {
+                let ratio = self
+                    .peer_ratio(node.index(), cfg.min_samples)
+                    .unwrap_or(cfg.suspect_ratio);
+                HealthCost::from_ratio(ratio, cfg.cost_scale, cfg.cost_cap_ratio)
+            }
+            HealthState::Probation => {
+                HealthCost::from_ratio(cfg.suspect_ratio, cfg.cost_scale, cfg.cost_cap_ratio)
+            }
+            HealthState::Healthy | HealthState::Quarantined => HealthCost::neutral(cfg.cost_scale),
+        };
+        let b = &mut self.belief[node.index()];
+        let changed = b.cost != next;
+        b.cost = next;
+        changed
     }
 
     /// The per-node cost vector for the allocator (soft demotion): every
@@ -396,137 +471,71 @@ fn quarantine_capacity_allows(schedulable: usize, alive: usize) -> bool {
 }
 
 impl Driver {
-    /// A node's slowdown sets in. Episodic configs draw the episode
-    /// length and schedule the remission; persistent ones never remit.
-    pub(super) fn on_failslow_onset(&mut self, node: NodeId, now: SimTime) {
-        if self.drained() {
-            return; // the run has drained; a late onset changes nothing
-        }
-        let h = self.health.as_mut().expect("fail-slow onset without layer"); // lint: allow(panic) — fail-slow events are only scheduled when the layer is configured
-        let s = h.sickness[node.index()]
-            .as_mut()
-            .expect("onset on a node that never sickens"); // lint: allow(panic) — the fail-slow schedule only fires for profiled nodes
-        debug_assert!(!s.active, "overlapping fail-slow episodes");
-        s.active = true;
-        s.since = now;
-        self.metrics.failslow_onsets += 1;
-        if h.cfg.mean_episode_secs > 0.0 {
-            let len = Exponential::with_mean(h.cfg.mean_episode_secs).sample(&mut h.rng);
-            self.queue.schedule(
-                now + SimDuration::from_secs_f64(len),
-                Event::FailSlowRemit { node },
-            );
-        }
-    }
-
-    /// An episodic slowdown remits; the node may relapse after a healthy
-    /// gap (drawn now, scheduled only within the horizon).
-    pub(super) fn on_failslow_remit(&mut self, node: NodeId, now: SimTime) {
-        let drained = self.drained();
-        let h = self.health.as_mut().expect("fail-slow remit without layer"); // lint: allow(panic) — fail-slow events are only scheduled when the layer is configured
-        let s = h.sickness[node.index()]
-            .as_mut()
-            .expect("remit on a node that never sickens"); // lint: allow(panic) — the fail-slow schedule only fires for profiled nodes
-        debug_assert!(s.active, "remission of an inactive episode");
-        s.active = false;
-        if drained {
-            return;
-        }
-        schedule_arrival(
-            &mut self.queue,
-            &mut h.rng,
-            h.cfg.mean_remission_secs,
-            h.cfg.horizon_secs,
-            Some(now),
-            Event::FailSlowOnset { node },
-        );
-    }
-
-    /// A quarantined node's cool-off elapsed: it enters probation — back
-    /// in the (demoted) pick order, earning re-admission through probe
-    /// completions.
-    pub(super) fn on_probation_start(&mut self, node: NodeId, _now: SimTime) {
-        let h = self.health.as_mut().expect("probation without layer"); // lint: allow(panic) — probation events are only scheduled when the layer is configured
-        let b = &mut h.belief[node.index()];
-        debug_assert_eq!(
-            b.state,
-            HealthState::Quarantined,
-            "probation of a node not quarantined"
-        );
-        debug_assert!(b.state.can_transition_to(HealthState::Probation));
-        b.state = HealthState::Probation;
-        b.probes_started = 0;
-        b.probes_done = 0;
-        // Judge probation on probe completions alone: the old window is
-        // what got the node quarantined and must not retry the verdict.
-        b.samples.clear();
-        self.cache.mark_pool_changed();
-        self.refresh_health_cost(node);
-    }
-
-    /// Feeds one completed attempt's service time into the detector and
-    /// advances the node's belief state machine.
-    pub(super) fn observe_service(&mut self, node: NodeId, service_secs: f64, now: SimTime) {
-        let Some(h) = self.health.as_mut().filter(|h| h.cfg.detection) else {
-            return;
+    /// Routes one gray-failure event.
+    pub(super) fn on_health_event(&mut self, ev: HealthEvent, now: SimTime) {
+        // Episodes stop changing once the run drains.
+        let drained = !matches!(ev, HealthEvent::ProbationStart { .. }) && self.drained();
+        let Some(h) = &mut self.health else {
+            unrouted(Event::Health(ev))
         };
-        match h.observe(node, service_secs) {
-            Some(HealthState::Quarantined) => {
-                // Peer-relative service-time readings are poisoned while
-                // a split is open (the comparison pool is skewed and the
-                // cut already removes capacity); back off until the heal.
-                let split = self
-                    .partition
-                    .as_ref()
-                    .is_some_and(|p| p.connectivity.split_active());
-                if !split {
-                    if let Some(delay) = h.quarantine(node, now, &self.node_down, &mut self.metrics)
-                    {
-                        self.cache.mark_pool_changed();
-                        self.queue
-                            .schedule(now + delay, Event::ProbationStart { node });
-                    }
+        match ev {
+            // A node's slowdown sets in. Episodic configs draw the
+            // episode length and schedule the remission; persistent ones
+            // never remit.
+            HealthEvent::Onset { node, cause } => {
+                if drained {
+                    return; // a late onset changes nothing
+                }
+                let episode = &mut h.sickness[node.index()];
+                debug_assert!(episode.is_none(), "overlapping fail-slow episodes");
+                *episode = Some(Sickness { cause, since: now });
+                self.metrics.failslow_onsets += 1;
+                if h.cfg.mean_episode_secs > 0.0 {
+                    let len = Exponential::with_mean(h.cfg.mean_episode_secs).sample(&mut h.rng);
+                    self.queue.schedule(
+                        now + SimDuration::from_secs_f64(len),
+                        Event::Health(HealthEvent::Remit { node, cause }),
+                    );
                 }
             }
-            Some(next) => {
-                h.transition(node, next);
+            // An episodic slowdown remits; the node may relapse after a
+            // healthy gap (drawn now, scheduled only within the horizon).
+            HealthEvent::Remit { node, cause } => {
+                let episode = h.sickness[node.index()].take();
+                debug_assert!(episode.is_some(), "remission of an inactive episode");
+                if drained {
+                    return;
+                }
+                schedule_arrival(
+                    &mut self.queue,
+                    &mut h.rng,
+                    h.cfg.mean_remission_secs,
+                    h.cfg.horizon_secs,
+                    Some(now),
+                    Event::Health(HealthEvent::Onset { node, cause }),
+                );
+            }
+            // A quarantined node's cool-off elapsed: it enters probation
+            // — back in the (demoted) pick order, earning re-admission
+            // through probe completions.
+            HealthEvent::ProbationStart { node } => {
+                let b = &mut h.belief[node.index()];
+                debug_assert_eq!(
+                    b.state,
+                    HealthState::Quarantined,
+                    "probation of a node not quarantined"
+                );
+                debug_assert!(b.state.can_transition_to(HealthState::Probation));
+                b.state = HealthState::Probation;
+                b.probes_started = 0;
+                b.probes_done = 0;
+                // Judge probation on probe completions alone: the old
+                // window is what got the node quarantined and must not
+                // retry the verdict.
+                b.samples.clear();
+                h.refresh_cost(node);
                 self.cache.mark_pool_changed();
             }
-            None => {}
-        }
-        self.refresh_health_cost(node);
-    }
-
-    /// Re-buckets the node's health cost from its current belief state
-    /// and peer ratio (demotion on only). Suspects are priced at their
-    /// measured ratio, probationers at the suspect threshold (weak
-    /// evidence: the old window was discarded), healthy and quarantined
-    /// nodes at neutral. A bucket change dirties the cached idle view —
-    /// costs reorder placements, so a skipped round must not replay them.
-    fn refresh_health_cost(&mut self, node: NodeId) {
-        let Some(h) = self.health.as_mut() else {
-            return;
-        };
-        let cfg = h.cfg;
-        if !(cfg.detection && cfg.demotion) {
-            return;
-        }
-        let next = match h.belief[node.index()].state {
-            HealthState::Suspect => {
-                let ratio = h
-                    .peer_ratio(node.index(), cfg.min_samples)
-                    .unwrap_or(cfg.suspect_ratio);
-                HealthCost::from_ratio(ratio, cfg.cost_scale, cfg.cost_cap_ratio)
-            }
-            HealthState::Probation => {
-                HealthCost::from_ratio(cfg.suspect_ratio, cfg.cost_scale, cfg.cost_cap_ratio)
-            }
-            HealthState::Healthy | HealthState::Quarantined => HealthCost::neutral(cfg.cost_scale),
-        };
-        let b = &mut h.belief[node.index()];
-        if b.cost != next {
-            b.cost = next;
-            self.cache.mark_pool_changed();
         }
     }
 

@@ -3,20 +3,20 @@
 //! The layer exists only when a [`PartitionConfig`] is present and
 //! non-inert, so inert runs degenerate to the oracle event-for-event.
 //! When live, episodes are drawn from the dedicated `"partition"` stream
-//! and threaded through four events:
+//! and threaded through three events:
 //!
-//! * `PartitionStart` — a minority group is cut away from the master
-//!   side ([`Connectivity::split`]) with a drawn [`CutMode`]; the heal
-//!   is scheduled up front, so every episode is bounded.
-//! * `PartitionFlap` — a flapping episode's cut toggles on/off; stale
-//!   flap events from healed episodes are fenced by `episode_seq`.
-//! * `PartitionHeal` — full connectivity returns; ghost dispatches are
-//!   reconciled, reconvergence tracking starts, paced re-replication is
-//!   armed, and the next episode's arrival is drawn.
-//! * `RestoreTick` — one paced batch of re-replication debt is paid by
-//!   the unified repair queue (see the `durability` module), replacing
-//!   the instant `restore_replication` storm while any pacing layer is
-//!   active.
+//! * `Start` — a minority group is cut away from the master side
+//!   ([`Connectivity::split`]) with a drawn [`CutMode`]; the heal is
+//!   scheduled up front, so every episode is bounded.
+//! * `Flap` — a flapping episode's cut toggles on/off; stale flap events
+//!   from healed episodes are fenced by `episode_seq`.
+//! * `Heal` — full connectivity returns; ghost dispatches are reconciled,
+//!   reconvergence tracking starts, paced re-replication is armed, and
+//!   the next episode's arrival is drawn.
+//!
+//! Re-replication debt is then paid by the unified repair queue's
+//! `RestoreTick` (see the `durability` module), replacing the instant
+//! `restore_replication` storm while any pacing layer is active.
 //!
 //! Split-brain safety rests on three mechanisms, all exercised here:
 //! heartbeats from an unreachable node are *emitted and lost* (the RNG
@@ -35,7 +35,16 @@ use custody_simcore::{EventQueue, SimDuration, SimRng, SimTime};
 
 use crate::config::PartitionConfig;
 
-use super::{schedule_arrival, Driver, Event};
+use super::{next_arrival, schedule_arrival, unrouted, Driver, Event};
+
+/// The partition layer's events (see the module docs). A flap carries
+/// its episode, which fences flaps that outlive it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum PartitionEvent {
+    Start,
+    Heal,
+    Flap { episode: u64 },
+}
 
 /// Live partition-injection state (absent for inert configs).
 #[derive(Debug, Clone, PartialEq)]
@@ -44,7 +53,7 @@ pub(super) struct PartitionLayer {
     pub(super) cfg: PartitionConfig,
     /// The cluster's current pairwise-reachability relation.
     pub(super) connectivity: Connectivity,
-    /// Monotone episode counter; fences `PartitionFlap` events that
+    /// Monotone episode counter; fences `Flap` events that
     /// outlive their episode.
     pub(super) episode_seq: u64,
     /// Whether the active episode flaps (toggles its cut on and off).
@@ -85,7 +94,7 @@ impl PartitionLayer {
             cfg.mean_time_between_partitions_secs,
             cfg.horizon_secs,
             None,
-            Event::PartitionStart,
+            Event::Partition(PartitionEvent::Start),
         );
         Some(PartitionLayer {
             cfg,
@@ -101,112 +110,114 @@ impl PartitionLayer {
 }
 
 impl Driver {
-    /// A partition episode begins: draw the minority, the cut mode, the
-    /// flap regime and the heal time, and open the split.
-    pub(super) fn on_partition_start(&mut self, now: SimTime) {
-        let drained = self.drained();
-        let Some(p) = &mut self.partition else { return };
-        if drained || self.metrics.partition_episodes >= p.cfg.max_episodes {
-            return; // run drained or episode budget spent
-        }
-        let cfg = p.cfg;
-        let n = self.cluster.num_nodes();
-        // At least one node cut away, never the whole cluster: the
-        // master always keeps a majority side.
-        let k = ((cfg.split_fraction * n as f64).round() as usize).clamp(1, n - 1);
-        let mut picks = p.rng.choose_distinct(n, k);
-        picks.sort_unstable();
-        let minority: Vec<NodeId> = picks.into_iter().map(NodeId::new).collect();
-        let mode = if !p.rng.chance(cfg.asymmetric_prob) {
-            CutMode::Both
-        } else if p.rng.chance(cfg.inbound_cut_prob) {
-            CutMode::MinorityInbound
-        } else {
-            CutMode::MinorityOutbound
+    /// Routes one partition event.
+    pub(super) fn on_partition_event(&mut self, ev: PartitionEvent, now: SimTime) {
+        // Episode arrivals stop once the run drains.
+        let drained = matches!(ev, PartitionEvent::Start | PartitionEvent::Heal) && self.drained();
+        let Some(p) = &mut self.partition else {
+            unrouted(Event::Partition(ev))
         };
-        let flapping = cfg.flap_prob > 0.0 && p.rng.chance(cfg.flap_prob);
-        let heal_in = Exponential::with_mean(cfg.mean_heal_secs).sample(&mut p.rng);
-        let flap_in =
-            flapping.then(|| Exponential::with_mean(cfg.mean_flap_secs).sample(&mut p.rng));
+        match ev {
+            // An episode begins: draw the minority, the cut mode, the
+            // flap regime and the heal time, and open the split.
+            PartitionEvent::Start => {
+                let cfg = p.cfg;
+                if drained || self.metrics.partition_episodes >= cfg.max_episodes {
+                    return; // run drained or episode budget spent
+                }
+                let n = self.cluster.num_nodes();
+                // At least one node cut away, never the whole cluster:
+                // the master always keeps a majority side.
+                let k = ((cfg.split_fraction * n as f64).round() as usize).clamp(1, n - 1);
+                let mut picks = p.rng.choose_distinct(n, k);
+                picks.sort_unstable();
+                let minority: Vec<NodeId> = picks.into_iter().map(NodeId::new).collect();
+                let mode = if !p.rng.chance(cfg.asymmetric_prob) {
+                    CutMode::Both
+                } else if p.rng.chance(cfg.inbound_cut_prob) {
+                    CutMode::MinorityInbound
+                } else {
+                    CutMode::MinorityOutbound
+                };
+                let flapping = cfg.flap_prob > 0.0 && p.rng.chance(cfg.flap_prob);
+                let heal_in = Exponential::with_mean(cfg.mean_heal_secs).sample(&mut p.rng);
+                let flap_in =
+                    flapping.then(|| Exponential::with_mean(cfg.mean_flap_secs).sample(&mut p.rng));
 
-        p.connectivity.split(&minority, mode);
-        p.episode_seq += 1;
-        p.flapping = flapping;
-        // A reconvergence window still open from the previous episode is
-        // superseded: the cluster is disturbed again.
-        p.awaiting_reconverge = None;
-        let episode = p.episode_seq;
-        self.metrics.partition_episodes += 1;
-        self.queue.schedule(
-            now + SimDuration::from_secs_f64(heal_in),
-            Event::PartitionHeal,
-        );
-        if let Some(gap) = flap_in {
-            self.queue.schedule(
-                now + SimDuration::from_secs_f64(gap),
-                Event::PartitionFlap { episode },
-            );
+                p.connectivity.split(&minority, mode);
+                p.episode_seq += 1;
+                p.flapping = flapping;
+                // A reconvergence window still open from the previous
+                // episode is superseded: the cluster is disturbed again.
+                p.awaiting_reconverge = None;
+                let episode = p.episode_seq;
+                self.metrics.partition_episodes += 1;
+                self.queue.schedule(
+                    now + SimDuration::from_secs_f64(heal_in),
+                    Event::Partition(PartitionEvent::Heal),
+                );
+                if let Some(gap) = flap_in {
+                    self.queue.schedule(
+                        now + SimDuration::from_secs_f64(gap),
+                        Event::Partition(PartitionEvent::Flap { episode }),
+                    );
+                }
+            }
+            // The active episode heals: connectivity returns, ghost
+            // dispatches are reconciled, belief reconvergence is tracked
+            // from this instant, paced re-replication is armed, and the
+            // next episode's arrival is drawn (the inter-episode gap is
+            // measured heal → next split).
+            PartitionEvent::Heal => {
+                debug_assert!(
+                    p.connectivity.split_active(),
+                    "heal without an active episode"
+                );
+                let minority = p.connectivity.minority_nodes();
+                p.connectivity.heal();
+                p.flapping = false;
+                p.awaiting_reconverge = Some((now, minority));
+                let lost = std::mem::take(&mut p.lost_dispatches);
+                // The next episode's arrival — none once the run has
+                // drained or the episode budget is spent.
+                let next = if drained || self.metrics.partition_episodes >= p.cfg.max_episodes {
+                    None
+                } else {
+                    next_arrival(
+                        &mut p.rng,
+                        p.cfg.mean_time_between_partitions_secs,
+                        p.cfg.horizon_secs,
+                        Some(now),
+                    )
+                };
+                self.drain_lost_dispatches(lost, now);
+                self.arm_repair_tick(now);
+                if let Some(at) = next {
+                    self.queue
+                        .schedule(at, Event::Partition(PartitionEvent::Start));
+                }
+            }
+            // A flapping episode's cut toggles. Events carry their episode
+            // and are fenced once it heals, so a healed run's queue drains.
+            PartitionEvent::Flap { episode } => {
+                if !p.connectivity.split_active() || episode != p.episode_seq {
+                    return; // stale flap from a healed episode
+                }
+                let suspend = p.connectivity.cutting();
+                p.connectivity.set_suspended(suspend);
+                let gap = Exponential::with_mean(p.cfg.mean_flap_secs).sample(&mut p.rng);
+                if suspend {
+                    // The links briefly came back: reconcile every
+                    // dispatch lost so far, exactly as a heal would.
+                    let lost = std::mem::take(&mut p.lost_dispatches);
+                    self.drain_lost_dispatches(lost, now);
+                }
+                self.queue.schedule(
+                    now + SimDuration::from_secs_f64(gap),
+                    Event::Partition(PartitionEvent::Flap { episode }),
+                );
+            }
         }
-    }
-
-    /// The active episode heals: connectivity returns, ghost dispatches
-    /// are reconciled, belief reconvergence is tracked from this
-    /// instant, paced re-replication is armed, and the next episode's
-    /// arrival is drawn (the inter-episode gap is measured heal → next
-    /// split).
-    pub(super) fn on_partition_heal(&mut self, now: SimTime) {
-        let Some(p) = &mut self.partition else { return };
-        debug_assert!(
-            p.connectivity.split_active(),
-            "heal without an active episode"
-        );
-        let minority = p.connectivity.minority_nodes();
-        p.connectivity.heal();
-        p.flapping = false;
-        p.awaiting_reconverge = Some((now, minority));
-        self.drain_lost_dispatches(now);
-        self.arm_repair_tick(now);
-        self.schedule_next_partition(now);
-    }
-
-    /// A flapping episode's cut toggles. Events carry their episode and
-    /// are fenced once it heals, so a healed run's queue drains.
-    pub(super) fn on_partition_flap(&mut self, episode: u64, now: SimTime) {
-        let Some(p) = &mut self.partition else { return };
-        if !p.connectivity.split_active() || episode != p.episode_seq {
-            return; // stale flap from a healed episode
-        }
-        let suspend = p.connectivity.cutting();
-        p.connectivity.set_suspended(suspend);
-        let gap = Exponential::with_mean(p.cfg.mean_flap_secs).sample(&mut p.rng);
-        if suspend {
-            // The links briefly came back: reconcile every dispatch lost
-            // so far, exactly as a heal would.
-            self.drain_lost_dispatches(now);
-        }
-        self.queue.schedule(
-            now + SimDuration::from_secs_f64(gap),
-            Event::PartitionFlap { episode },
-        );
-    }
-
-    /// Draws the next episode's arrival (called at heal). Nothing is
-    /// scheduled once the run has drained, the episode budget is spent,
-    /// or the arrival lands beyond the horizon.
-    fn schedule_next_partition(&mut self, now: SimTime) {
-        let drained = self.drained();
-        let Some(p) = &mut self.partition else { return };
-        if drained || self.metrics.partition_episodes >= p.cfg.max_episodes {
-            return;
-        }
-        schedule_arrival(
-            &mut self.queue,
-            &mut p.rng,
-            p.cfg.mean_time_between_partitions_secs,
-            p.cfg.horizon_secs,
-            Some(now),
-            Event::PartitionStart,
-        );
     }
 
     /// Partition gate for task dispatch: whether the launch RPC crosses
@@ -237,17 +248,15 @@ impl Driver {
         }
     }
 
-    /// Reconnect reconciliation: every dispatch lost on the wire is
+    /// Reconnect reconciliation: every dispatch `lost` on the wire is
     /// rolled back attempt-exactly (the node never ran it, so no epoch
     /// bump is needed — no Finish exists to fence) and its task
     /// re-queued. Called whenever cut links come back: flap suspension
     /// and heal.
-    fn drain_lost_dispatches(&mut self, now: SimTime) {
-        let Some(p) = &mut self.partition else { return };
-        if p.lost_dispatches.is_empty() {
+    fn drain_lost_dispatches(&mut self, lost: BTreeSet<ExecutorId>, now: SimTime) {
+        if lost.is_empty() {
             return;
         }
-        let lost = std::mem::take(&mut p.lost_dispatches);
         let mut displaced = BTreeSet::new();
         for e in lost {
             // A belief-killed executor was rolled back already.

@@ -1,10 +1,11 @@
 //! Runtime state of jobs, stages and tasks inside a simulation.
 //!
 //! A [`RuntimeJob`] is an instantiated
-//! [`JobSpec`]: its input dataset exists, each
-//! input task is bound to a block (and hence to the replica nodes the
-//! NameNode reports), and downstream stage widths are resolved. The DAG
-//! unlock logic lives here so it can be tested without the event loop.
+//! [`JobSpec`]: its input dataset exists, its input tasks read the
+//! dataset's blocks in order (the job keeps that block list, so each
+//! task's replica nodes can be re-resolved through the NameNode), and
+//! downstream stage widths are resolved. The DAG unlock logic lives here
+//! so it can be tested without the event loop.
 
 use std::sync::Arc;
 
@@ -12,17 +13,33 @@ use custody_dfs::{BlockId, DatasetId, NameNode, NodeId};
 use custody_simcore::{SimDuration, SimTime};
 use custody_workload::{AppId, JobId, JobSpec, WorkloadKind};
 
-/// Lifecycle of one task.
+/// Lifecycle of one task. Each state carries exactly what is read while
+/// the task is in it. A running task's record describes one attempt, the
+/// record-bound one; a speculative clone carries its own launch data in
+/// the driver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskState {
     /// Waiting for upstream stages.
     Blocked,
     /// Ready to launch.
-    Runnable,
-    /// Executing on some executor.
-    Running,
+    Runnable {
+        /// When the task (last) became runnable.
+        since: SimTime,
+    },
+    /// Executing.
+    Running {
+        /// When the task became runnable.
+        since: SimTime,
+        /// When the record-bound attempt launched.
+        launched_at: SimTime,
+        /// The attempt's data-locality (`Some` for input tasks).
+        local: Option<bool>,
+    },
     /// Finished.
-    Done,
+    Done {
+        /// The winning attempt's data-locality (`Some` for input tasks).
+        local: Option<bool>,
+    },
 }
 
 /// One task's runtime record.
@@ -30,35 +47,30 @@ pub enum TaskState {
 pub struct RuntimeTask {
     /// Lifecycle state.
     pub state: TaskState,
-    /// The input block this task reads (input-stage tasks only).
-    pub block: Option<BlockId>,
     /// Nodes where this task is data-local (input-stage tasks only).
     /// Shared (`Arc`) so building an allocation view every round clones a
     /// pointer, not the replica list.
     pub preferred: Arc<[NodeId]>,
-    /// When the task became runnable.
-    pub runnable_since: Option<SimTime>,
-    /// When the task was launched.
-    pub launched_at: Option<SimTime>,
-    /// When the task finished.
-    pub finished_at: Option<SimTime>,
-    /// Whether the launch was data-local (input tasks; `None` before
-    /// launch and for downstream tasks).
-    pub local: Option<bool>,
 }
 
 impl RuntimeTask {
     fn blocked() -> Self {
         RuntimeTask {
             state: TaskState::Blocked,
-            block: None,
             preferred: [].into(),
-            runnable_since: None,
-            launched_at: None,
-            finished_at: None,
-            local: None,
         }
     }
+}
+
+/// A completed job's metrics, as [`RuntimeJob::mark_done`] reports them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct JobCompletion {
+    /// Fraction of input tasks launched data-locally.
+    pub input_locality: f64,
+    /// Submission → last stage finished.
+    pub completion_time: SimDuration,
+    /// Submission → last input task finished.
+    pub input_stage_time: SimDuration,
 }
 
 /// One stage's runtime record.
@@ -99,17 +111,11 @@ impl RuntimeStage {
         self.tasks.len() - self.launched
     }
 
-    /// Stage duration (ready → last finish), if complete.
-    pub fn duration(&self) -> Option<SimDuration> {
-        Some(self.finished_at?.saturating_since(self.ready_at?))
-    }
-
     fn make_runnable(&mut self, now: SimTime) {
         self.ready_at = Some(now);
         for t in &mut self.tasks {
             debug_assert_eq!(t.state, TaskState::Blocked);
-            t.state = TaskState::Runnable;
-            t.runnable_since = Some(now);
+            t.state = TaskState::Runnable { since: now };
         }
     }
 }
@@ -127,6 +133,10 @@ pub struct RuntimeJob {
     pub name: String,
     /// The input dataset.
     pub dataset: DatasetId,
+    /// The dataset's blocks in order: input task `i` reads block `i`.
+    /// A dataset's block list never changes, only where its replicas
+    /// live.
+    pub input_blocks: Vec<BlockId>,
     /// Stage records; index 0 is the input stage.
     pub stages: Vec<RuntimeStage>,
     /// Submission time.
@@ -160,11 +170,10 @@ impl RuntimeJob {
         namenode: &NameNode,
         now: SimTime,
     ) -> Self {
-        let blocks = &namenode.dataset(dataset).blocks;
-        let input_tasks: Vec<RuntimeTask> = blocks
+        let input_blocks = namenode.dataset(dataset).blocks.clone();
+        let input_tasks: Vec<RuntimeTask> = input_blocks
             .iter()
             .map(|&b| RuntimeTask {
-                block: Some(b),
                 preferred: namenode.locations(b).into(),
                 ..RuntimeTask::blocked()
             })
@@ -181,7 +190,7 @@ impl RuntimeJob {
             ready_at: None,
             finished_at: None,
         }];
-        for resolved in spec.resolve_stages(blocks.len()) {
+        for resolved in spec.resolve_stages(input_blocks.len()) {
             stages.push(RuntimeStage {
                 name: resolved.name,
                 compute_per_task: resolved.compute_per_task,
@@ -204,6 +213,7 @@ impl RuntimeJob {
             workload,
             name: spec.name.clone(),
             dataset,
+            input_blocks,
             stages,
             submitted_at: now,
             finished_at: None,
@@ -229,21 +239,21 @@ impl RuntimeJob {
         self.stages[0].tasks.len()
     }
 
-    /// Fraction of input tasks launched data-locally; `None` until every
-    /// input task has launched.
-    pub fn input_locality(&self) -> Option<f64> {
-        let stage = &self.stages[0];
-        if stage.launched < stage.tasks.len() {
-            return None;
-        }
-        let local = stage.tasks.iter().filter(|t| t.local == Some(true)).count();
-        Some(local as f64 / stage.tasks.len().max(1) as f64)
-    }
-
-    /// True when every *launched-so-far* input task was local (projection
-    /// used for Algorithm 1 accounting).
-    pub fn inputs_all_local_so_far(&self) -> bool {
-        self.stages[0].tasks.iter().all(|t| t.local != Some(false))
+    /// Input tasks whose launch was data-local.
+    pub fn local_input_tasks(&self) -> usize {
+        self.stages[0]
+            .tasks
+            .iter()
+            .filter(|t| {
+                matches!(
+                    t.state,
+                    TaskState::Running {
+                        local: Some(true),
+                        ..
+                    } | TaskState::Done { local: Some(true) }
+                )
+            })
+            .count()
     }
 
     /// Tasks not yet launched across currently runnable stages — the
@@ -268,34 +278,48 @@ impl RuntimeJob {
         self.finished_at = Some(now);
     }
 
-    /// Marks a task launched. Returns the task's scheduler delay.
+    /// Marks a runnable task launched at `now` with launch locality
+    /// `local`, returning when it became runnable; `Err` with the task's
+    /// state, unchanged, if it was not runnable.
     pub fn mark_launched(
         &mut self,
         stage: usize,
         task: usize,
         now: SimTime,
         local: Option<bool>,
-    ) -> SimDuration {
+    ) -> Result<SimTime, TaskState> {
         let t = &mut self.stages[stage].tasks[task];
-        assert_eq!(t.state, TaskState::Runnable, "launching non-runnable task");
-        t.state = TaskState::Running;
-        t.launched_at = Some(now);
-        t.local = local;
-        let since = t.runnable_since.expect("runnable task has timestamp"); // lint: allow(panic) — runnable tasks have a timestamp
+        let TaskState::Runnable { since } = t.state else {
+            return Err(t.state);
+        };
+        t.state = TaskState::Running {
+            since,
+            launched_at: now,
+            local,
+        };
         self.stages[stage].launched += 1;
-        now.saturating_since(since)
+        Ok(since)
     }
 
-    /// Marks a task done. Unlocks dependent stages whose dependencies all
-    /// completed, making their tasks runnable at `now`; returns the indices
-    /// of newly runnable stages. Sets `finished_at` when the job completes.
-    pub fn mark_done(&mut self, stage: usize, task: usize, now: SimTime) -> Vec<usize> {
+    /// Marks a running task done, returning when it became runnable and,
+    /// when it was the job's last task, the job's metrics. Unlocks
+    /// dependent stages whose dependencies all completed, making their
+    /// tasks runnable at `now`, and sets `finished_at` when the job
+    /// completes. `Err` with the task's state, unchanged, if it was not
+    /// running.
+    pub fn mark_done(
+        &mut self,
+        stage: usize,
+        task: usize,
+        now: SimTime,
+    ) -> Result<(SimTime, Option<JobCompletion>), TaskState> {
         let t = &mut self.stages[stage].tasks[task];
-        assert_eq!(t.state, TaskState::Running, "finishing non-running task");
-        t.state = TaskState::Done;
-        t.finished_at = Some(now);
+        let TaskState::Running { since, local, .. } = t.state else {
+            return Err(t.state);
+        };
+        t.state = TaskState::Done { local };
         self.stages[stage].completed += 1;
-        let mut unlocked = Vec::new();
+        let mut job = None;
         if self.stages[stage].is_complete() {
             self.stages[stage].finished_at = Some(now);
             for i in 0..self.stages.len() {
@@ -303,52 +327,70 @@ impl RuntimeJob {
                     self.stages[i].deps_remaining -= 1;
                     if self.stages[i].deps_remaining == 0 {
                         self.stages[i].make_runnable(now);
-                        unlocked.push(i);
                     }
                 }
             }
-            if self.stages.iter().all(RuntimeStage::is_complete) {
+            // The job is done once every stage has a finish time (the
+            // input stage was ready at submission).
+            let all_done = self.stages.iter().all(|s| s.finished_at.is_some());
+            if let Some(input_done) = self.stages[0].finished_at.filter(|_| all_done) {
                 self.finished_at = Some(now);
+                job = Some(JobCompletion {
+                    input_locality: self.local_input_tasks() as f64
+                        / self.num_input_tasks().max(1) as f64,
+                    completion_time: now.saturating_since(self.submitted_at),
+                    input_stage_time: input_done.saturating_since(self.submitted_at),
+                });
             }
         }
-        unlocked
-    }
-
-    /// Job completion time, if finished.
-    pub fn completion_time(&self) -> Option<SimDuration> {
-        Some(self.finished_at?.saturating_since(self.submitted_at))
+        Ok((since, job))
     }
 
     /// Re-queues a running task after its executor died: the task becomes
     /// runnable again at `now` with a fresh locality slate. Returns
-    /// whether the killed attempt had been counted data-local.
-    pub fn mark_requeued(&mut self, stage: usize, task: usize, now: SimTime) -> bool {
+    /// whether the killed attempt had been counted data-local; `Err` with
+    /// the task's state, unchanged, if it was not running.
+    pub fn mark_requeued(
+        &mut self,
+        stage: usize,
+        task: usize,
+        now: SimTime,
+    ) -> Result<bool, TaskState> {
         let t = &mut self.stages[stage].tasks[task];
-        assert_eq!(t.state, TaskState::Running, "re-queueing non-running task");
-        let was_local = t.local == Some(true);
-        t.state = TaskState::Runnable;
-        t.runnable_since = Some(now);
-        t.launched_at = None;
-        t.local = None;
+        let TaskState::Running { local, .. } = t.state else {
+            return Err(t.state);
+        };
+        t.state = TaskState::Runnable { since: now };
         self.stages[stage].launched -= 1;
-        was_local
+        Ok(local == Some(true))
     }
 
-    /// Refreshes input tasks' preferred nodes from the NameNode — after a
-    /// failure changes replica locations, unlaunched tasks should chase
-    /// the surviving/new replicas (what Spark does on the next scheduling
-    /// round). Returns whether any task's preferred list actually changed,
-    /// so the caller can dirty exactly the affected demand-cache entries.
+    /// Re-resolves one input task's preferred nodes from the NameNode.
+    /// Returns whether the list changed.
+    pub fn refresh_task_preferred(&mut self, task: usize, namenode: &NameNode) -> bool {
+        let fresh = namenode.locations(self.input_blocks[task]);
+        let t = &mut self.stages[0].tasks[task];
+        let changed = t.preferred[..] != fresh[..];
+        if changed {
+            t.preferred = fresh.into();
+        }
+        changed
+    }
+
+    /// Refreshes unlaunched input tasks' preferred nodes from the
+    /// NameNode — after a failure changes replica locations, they should
+    /// chase the surviving/new replicas (what Spark does on the next
+    /// scheduling round). Returns whether any task's preferred list
+    /// actually changed, so the caller can dirty exactly the affected
+    /// demand-cache entries.
     pub fn refresh_preferred(&mut self, namenode: &NameNode) -> bool {
         let mut changed = false;
-        for t in &mut self.stages[0].tasks {
-            if matches!(t.state, TaskState::Blocked | TaskState::Runnable) {
-                let block = t.block.expect("input task has a block"); // lint: allow(panic) — input tasks always carry a block id
-                let fresh = namenode.locations(block);
-                if t.preferred[..] != fresh[..] {
-                    t.preferred = fresh.into();
-                    changed = true;
-                }
+        for task in 0..self.num_input_tasks() {
+            if matches!(
+                self.stages[0].tasks[task].state,
+                TaskState::Blocked | TaskState::Runnable { .. }
+            ) {
+                changed |= self.refresh_task_preferred(task, namenode);
             }
         }
         changed
@@ -403,13 +445,20 @@ mod tests {
         )
     }
 
+    fn runnable(secs: u64) -> TaskState {
+        TaskState::Runnable {
+            since: SimTime::from_secs(secs),
+        }
+    }
+
     #[test]
     fn instantiation_binds_blocks_and_locations() {
         let j = job();
         assert_eq!(j.num_input_tasks(), 2);
+        assert_eq!(j.input_blocks.len(), 2);
         assert_eq!(j.stages.len(), 2);
         let t0 = &j.stages[0].tasks[0];
-        assert_eq!(t0.state, TaskState::Runnable);
+        assert_eq!(t0.state, runnable(10));
         assert_eq!(t0.preferred[..], [NodeId::new(0)]);
         assert_eq!(j.stages[0].tasks[1].preferred[..], [NodeId::new(1)]);
         assert_eq!(j.stages[1].tasks.len(), 1);
@@ -420,85 +469,95 @@ mod tests {
     #[test]
     fn launch_and_finish_lifecycle() {
         let mut j = job();
-        let delay = j.mark_launched(0, 0, SimTime::from_secs(12), Some(true));
-        assert_eq!(delay, SimDuration::from_secs(2));
+        let t = SimTime::from_secs;
+        assert_eq!(j.mark_launched(0, 0, t(12), Some(true)), Ok(t(10)));
+        assert_eq!(
+            j.stages[0].tasks[0].state,
+            TaskState::Running {
+                since: t(10),
+                launched_at: t(12),
+                local: Some(true)
+            }
+        );
         assert_eq!(j.pending_tasks(), 1);
-        let unlocked = j.mark_done(0, 0, SimTime::from_secs(13));
-        assert!(unlocked.is_empty(), "stage not complete yet");
-        j.mark_launched(0, 1, SimTime::from_secs(13), Some(false));
-        let unlocked = j.mark_done(0, 1, SimTime::from_secs(14));
-        assert_eq!(unlocked, vec![1], "reduce stage unlocked");
-        assert_eq!(j.stages[1].tasks[0].state, TaskState::Runnable);
-        assert_eq!(j.stages[1].ready_at, Some(SimTime::from_secs(14)));
+        assert_eq!(j.mark_done(0, 0, t(13)), Ok((t(10), None)), "job not done");
+        assert_eq!(
+            j.stages[0].tasks[0].state,
+            TaskState::Done { local: Some(true) }
+        );
+        assert_eq!(j.stages[1].ready_at, None, "stage not complete yet");
+        j.mark_launched(0, 1, t(13), Some(false)).unwrap();
+        assert_eq!(j.mark_done(0, 1, t(14)), Ok((t(10), None)));
+        assert_eq!(j.stages[1].tasks[0].state, runnable(14), "reduce unlocked");
+        assert_eq!(j.stages[1].ready_at, Some(t(14)));
         assert_eq!(j.pending_tasks(), 1);
-        assert_eq!(j.input_locality(), Some(0.5));
+        assert_eq!(j.local_input_tasks(), 1);
         assert!(!j.is_finished());
-        j.mark_launched(1, 0, SimTime::from_secs(14), None);
-        let unlocked = j.mark_done(1, 0, SimTime::from_secs(15));
-        assert!(unlocked.is_empty());
+        j.mark_launched(1, 0, t(14), None).unwrap();
+        let (_, done) = j.mark_done(1, 0, t(15)).unwrap();
         assert!(j.is_finished());
-        assert_eq!(j.completion_time(), Some(SimDuration::from_secs(5)));
-        assert_eq!(j.input_stage().duration(), Some(SimDuration::from_secs(4)));
+        assert_eq!(
+            done,
+            Some(JobCompletion {
+                input_locality: 0.5,
+                completion_time: SimDuration::from_secs(5),
+                input_stage_time: SimDuration::from_secs(4),
+            })
+        );
     }
 
     #[test]
-    fn locality_fraction_requires_all_launched() {
+    fn local_input_tasks_count_local_launches() {
         let mut j = job();
-        assert_eq!(j.input_locality(), None);
-        j.mark_launched(0, 0, SimTime::from_secs(10), Some(true));
-        assert_eq!(j.input_locality(), None);
-        j.mark_launched(0, 1, SimTime::from_secs(10), Some(true));
-        assert_eq!(j.input_locality(), Some(1.0));
+        let t = SimTime::from_secs(10);
+        assert_eq!(j.local_input_tasks(), 0);
+        j.mark_launched(0, 0, t, Some(true)).unwrap();
+        j.mark_launched(0, 1, t, Some(false)).unwrap();
+        assert_eq!(j.local_input_tasks(), 1);
+        j.mark_done(0, 0, t).unwrap();
+        assert_eq!(
+            j.local_input_tasks(),
+            1,
+            "a finished task keeps its locality"
+        );
+        j.mark_requeued(0, 1, t).unwrap();
+        assert_eq!(j.local_input_tasks(), 1);
     }
 
+    /// A transition from the wrong state is refused and leaves the
+    /// record untouched.
     #[test]
-    fn all_local_so_far_projection() {
+    fn transitions_from_the_wrong_state_are_refused() {
         let mut j = job();
-        assert!(j.inputs_all_local_so_far(), "nothing launched yet");
-        j.mark_launched(0, 0, SimTime::from_secs(10), Some(true));
-        assert!(j.inputs_all_local_so_far());
-        j.mark_launched(0, 1, SimTime::from_secs(10), Some(false));
-        assert!(!j.inputs_all_local_so_far());
-    }
-
-    #[test]
-    #[should_panic(expected = "launching non-runnable")]
-    fn double_launch_panics() {
-        let mut j = job();
-        j.mark_launched(0, 0, SimTime::from_secs(10), Some(true));
-        j.mark_launched(0, 0, SimTime::from_secs(10), Some(true));
-    }
-
-    #[test]
-    #[should_panic(expected = "finishing non-running")]
-    fn finishing_unlaunched_panics() {
-        let mut j = job();
-        j.mark_done(0, 0, SimTime::from_secs(10));
+        let t = SimTime::from_secs(10);
+        assert_eq!(j.mark_done(0, 0, t), Err(runnable(10)));
+        assert_eq!(j.mark_requeued(0, 0, t), Err(runnable(10)));
+        assert_eq!(j.mark_launched(1, 0, t, None), Err(TaskState::Blocked));
+        j.mark_launched(0, 0, t, Some(true)).unwrap();
+        let running = j.stages[0].tasks[0].state;
+        assert_eq!(j.mark_launched(0, 0, t, Some(true)), Err(running));
+        assert_eq!(j.stages[0].launched, 1);
+        j.mark_done(0, 0, t).unwrap();
+        let done = TaskState::Done { local: Some(true) };
+        assert_eq!(j.mark_done(0, 0, t), Err(done));
+        assert_eq!(j.mark_requeued(0, 0, t), Err(done));
+        assert_eq!(j.stages[0].completed, 1);
     }
 
     #[test]
     fn requeue_resets_task_and_reports_locality() {
         let mut j = job();
-        j.mark_launched(0, 0, SimTime::from_secs(11), Some(true));
+        j.mark_launched(0, 0, SimTime::from_secs(11), Some(true))
+            .unwrap();
         assert_eq!(j.stages[0].launched, 1);
-        let was_local = j.mark_requeued(0, 0, SimTime::from_secs(12));
-        assert!(was_local);
+        assert_eq!(j.mark_requeued(0, 0, SimTime::from_secs(12)), Ok(true));
         assert_eq!(j.stages[0].launched, 0);
         let t = &j.stages[0].tasks[0];
-        assert_eq!(t.state, TaskState::Runnable);
-        assert_eq!(t.runnable_since, Some(SimTime::from_secs(12)));
-        assert_eq!(t.local, None);
+        assert_eq!(t.state, runnable(12));
         // Relaunch non-locally this time.
-        let delay = j.mark_launched(0, 0, SimTime::from_secs(13), Some(false));
-        assert_eq!(delay, SimDuration::from_secs(1));
-        assert!(!j.mark_requeued(0, 0, SimTime::from_secs(14)));
-    }
-
-    #[test]
-    #[should_panic(expected = "re-queueing non-running")]
-    fn requeue_of_unlaunched_task_panics() {
-        let mut j = job();
-        j.mark_requeued(0, 0, SimTime::from_secs(10));
+        let since = j.mark_launched(0, 0, SimTime::from_secs(13), Some(false));
+        assert_eq!(since, Ok(SimTime::from_secs(12)));
+        assert_eq!(j.mark_requeued(0, 0, SimTime::from_secs(14)), Ok(false));
     }
 
     #[test]
@@ -517,12 +576,12 @@ mod tests {
     fn failing_a_finished_job_panics() {
         let mut j = job();
         let t = SimTime::from_secs(11);
-        j.mark_launched(0, 0, t, Some(true));
-        j.mark_launched(0, 1, t, Some(true));
-        j.mark_done(0, 0, t);
-        j.mark_done(0, 1, t);
-        j.mark_launched(1, 0, t, None);
-        j.mark_done(1, 0, t);
+        j.mark_launched(0, 0, t, Some(true)).unwrap();
+        j.mark_launched(0, 1, t, Some(true)).unwrap();
+        j.mark_done(0, 0, t).unwrap();
+        j.mark_done(0, 1, t).unwrap();
+        j.mark_launched(1, 0, t, None).unwrap();
+        j.mark_done(1, 0, t).unwrap();
         assert!(j.is_finished());
         j.mark_failed(SimTime::from_secs(12));
     }
@@ -539,7 +598,8 @@ mod tests {
             &nn,
             SimTime::ZERO,
         );
-        let b = j.stages[0].tasks[0].block.unwrap();
+        let b = j.input_blocks[0];
+        assert_eq!(b, nn.dataset(ds).blocks[0]);
         assert!(!j.refresh_preferred(&nn), "nothing moved yet");
         assert!(nn.add_replica(b, NodeId::new(3)));
         assert!(j.refresh_preferred(&nn), "task 0 gained a replica");
@@ -548,7 +608,7 @@ mod tests {
             [NodeId::new(0), NodeId::new(3)]
         );
         // Launched tasks keep their snapshot.
-        j.mark_launched(0, 1, SimTime::ZERO, Some(true));
+        j.mark_launched(0, 1, SimTime::ZERO, Some(true)).unwrap();
         let before = j.stages[0].tasks[1].preferred.clone();
         assert!(!j.refresh_preferred(&nn), "no further changes");
         assert_eq!(j.stages[0].tasks[1].preferred, before);
@@ -595,19 +655,25 @@ mod tests {
             SimTime::ZERO,
         );
         let t = SimTime::from_secs(1);
-        j.mark_launched(0, 0, t, Some(true));
-        j.mark_launched(0, 1, t, Some(true));
-        j.mark_done(0, 0, t);
-        let unlocked = j.mark_done(0, 1, t);
-        assert_eq!(unlocked, vec![1, 2], "both branches unlock");
-        j.mark_launched(1, 0, t, None);
-        assert!(j.mark_done(1, 0, t).is_empty(), "join still blocked");
-        j.mark_launched(2, 0, t, None);
-        let unlocked = j.mark_done(2, 0, t);
-        assert_eq!(unlocked, vec![3], "join unlocked exactly once");
+        let ready = |j: &RuntimeJob| -> Vec<bool> {
+            j.stages.iter().map(|s| s.ready_at.is_some()).collect()
+        };
+        j.mark_launched(0, 0, t, Some(true)).unwrap();
+        j.mark_launched(0, 1, t, Some(true)).unwrap();
+        j.mark_done(0, 0, t).unwrap();
+        assert_eq!(ready(&j), [true, false, false, false]);
+        j.mark_done(0, 1, t).unwrap();
+        assert_eq!(ready(&j), [true, true, true, false], "both branches unlock");
+        j.mark_launched(1, 0, t, None).unwrap();
+        j.mark_done(1, 0, t).unwrap();
+        assert_eq!(ready(&j), [true, true, true, false], "join still blocked");
+        j.mark_launched(2, 0, t, None).unwrap();
+        j.mark_done(2, 0, t).unwrap();
+        assert_eq!(j.stages[3].deps_remaining, 0, "join unlocked exactly once");
+        assert_eq!(j.stages[3].tasks[0].state, TaskState::Runnable { since: t });
         assert!(!j.is_finished());
-        j.mark_launched(3, 0, t, None);
-        j.mark_done(3, 0, t);
+        j.mark_launched(3, 0, t, None).unwrap();
+        assert!(j.mark_done(3, 0, t).unwrap().1.is_some());
         assert!(j.is_finished());
     }
 }

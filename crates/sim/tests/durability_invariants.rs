@@ -10,8 +10,9 @@
 
 use custody_sim::{
     AllocatorKind, ChaosConfig, ControlPlaneConfig, CorruptionConfig, FailSlowConfig,
-    PartitionConfig, SimConfig, Simulation,
+    PartitionConfig, SimConfig, Simulation, WorkloadKind,
 };
+use custody_workload::ApplicationSpec;
 
 /// A hostile corruption profile for the small demo cluster: a real
 /// latent population plus fast ongoing arrivals, scrubbed at the
@@ -231,4 +232,76 @@ fn master_recovery_converges_on_durability_state() {
         "no master crash fired — the test tests nothing"
     );
     assert!(corrupted > 0, "no replica rotted — the test tests nothing");
+}
+
+/// The composed storm at the scale the project claims: 1000 nodes,
+/// 16 WordCount applications × 4 jobs, every fault layer live at once
+/// (the benchmark's `fault_storm_125` layer settings, with every chaos
+/// fault also crashing the master), audited after every event. Every
+/// job completes or fails cleanly, no stale finish slips past the
+/// epoch fence, and each layer actually fires.
+///
+/// About a minute in an audited release build on a 2-core host, so it
+/// is ignored by default; run it with
+/// `cargo test --release -p custody-sim --test durability_invariants -- --ignored`.
+#[test]
+#[ignore = "1k-node audited soak; run with --ignored in release"]
+fn audited_thousand_node_composed_storm() {
+    const HORIZON_SECS: f64 = 120.0;
+    const RETRY_BUDGET: usize = 12;
+    let mut failslow = FailSlowConfig::default()
+        .with_sick_fraction(0.1)
+        .with_transient_fault_prob(0.02)
+        .with_retry_budget(RETRY_BUDGET);
+    failslow.horizon_secs = HORIZON_SECS;
+    let mut partition = PartitionConfig::default()
+        .with_split_fraction(0.1)
+        .with_mean_heal(8.0)
+        .with_mean_time_between_partitions(30.0);
+    partition.horizon_secs = HORIZON_SECS;
+    let mut corruption = CorruptionConfig::default()
+        .with_latent_fraction(0.005)
+        .with_mean_time_between_corruptions(10.0);
+    corruption.horizon_secs = HORIZON_SECS;
+    corruption.retry_budget = RETRY_BUDGET;
+    let mut chaos = ChaosConfig::default()
+        .with_mean_time_between_faults(20.0)
+        .with_horizon(HORIZON_SECS)
+        .with_max_down(20);
+    chaos.executor_only_fraction = 0.75;
+    let mut cfg = SimConfig::paper(WorkloadKind::WordCount, 1000, AllocatorKind::Custody, 11)
+        .with_chaos(chaos)
+        .with_control_plane(
+            ControlPlaneConfig::default()
+                .with_checkpoints(30.0)
+                .with_master_crash_fraction(1.0),
+        )
+        .with_failslow(failslow)
+        .with_partition(partition)
+        .with_corruption(corruption)
+        .with_audit(true);
+    cfg.campaign.apps = (0..16)
+        .map(|i| ApplicationSpec {
+            name: format!("wordcount-app-{i}"),
+            workload: WorkloadKind::WordCount,
+        })
+        .collect();
+    cfg.campaign = cfg.campaign.with_jobs_per_app(4);
+
+    let out = Simulation::run(&cfg).cluster_metrics;
+    assert_eq!(
+        out.jobs_completed + out.jobs_failed,
+        64,
+        "a job neither completed nor failed cleanly"
+    );
+    assert_eq!(out.unfenced_stale_finishes, 0);
+    for (layer, fired) in [
+        ("chaos machine losses", out.nodes_failed),
+        ("master recoveries", out.master_recoveries),
+        ("fail-slow onsets", out.failslow_onsets),
+        ("partition episodes", out.partition_episodes),
+        ("replica corruptions", out.replicas_corrupted),
+    ] {
+        assert!(fired >= 1, "{layer}: the layer never fired");
+    }
 }
