@@ -225,7 +225,7 @@ fn alloc_round(nodes: usize, apps: usize) -> AllocRound {
     let reference_ns = best_ns(REFERENCE_CALLS, || {
         black_box(reference_allocate(black_box(&view)));
     });
-    let mut spread = StaticSpreadAllocator::new();
+    let mut spread = StaticSpreadAllocator::new(&view.idle, view.apps.len());
     let static_spread_ns = best_ns(ROUND_CALLS, || {
         black_box(spread.allocate(black_box(&view), &mut rng));
     });

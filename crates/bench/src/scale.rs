@@ -73,8 +73,7 @@ pub fn synthetic_round_view(nodes: usize, apps: usize, seed: u64) -> AllocationV
         })
         .collect();
     AllocationView {
-        idle: executors.clone(),
-        all_executors: executors,
+        idle: executors,
         apps: app_states,
     }
 }

@@ -11,7 +11,10 @@
 //! per-task preferred nodes (NameNode replica locations), per-app quotas
 //! (σ_i from the cluster manager), held-executor counts (ζ_i), and the
 //! locality achieved so far (the inputs to Algorithm 1's `MINLOCALITY`).
-//! Data-unaware baselines simply ignore the preferred-node fields.
+//! Data-unaware baselines simply ignore the preferred-node fields. It
+//! carries only per-round state: the static baselines receive the
+//! cluster's executor inventory once, at construction
+//! ([`crate::AllocatorKind::build`]).
 
 use std::sync::Arc;
 
@@ -119,14 +122,12 @@ impl AppState {
     }
 }
 
-/// The allocator's input: a snapshot of the cluster at one decision point.
+/// The allocator's input: the idle pool and every application's demand at
+/// one decision point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AllocationView {
     /// Idle executors available for (re-)assignment, in executor-id order.
     pub idle: Vec<ExecutorInfo>,
-    /// Every executor in the cluster, in executor-id order. Static
-    /// allocators use this to compute their one-time partition.
-    pub all_executors: Vec<ExecutorInfo>,
     /// Per-application state, in app-id order.
     pub apps: Vec<AppState>,
 }
@@ -172,14 +173,19 @@ pub trait ExecutorAllocator {
     /// policy: static managers park an application's full partition with
     /// it for its lifetime; Custody and Mesos-style offers grant only what
     /// the demand justifies.
+    ///
+    /// No allocator draws from `rng` here — the one random choice, the
+    /// static-random partition, is drawn at construction — so a call is a
+    /// deterministic function of the view and the allocator's state.
     fn allocate(&mut self, view: &AllocationView, rng: &mut SimRng) -> Vec<Assignment>;
 
-    /// Installs per-node health costs before a round (soft demotion):
-    /// instead of excluding suspect nodes outright, locality bought on
-    /// them earns less credit and the filler visits them last, so their
-    /// capacity stays usable under saturation. An empty slice clears the
-    /// table. The default ignores the hint — correct for data-unaware
-    /// baselines, and a no-op when the health layer is off.
+    /// Installs per-node health costs for this and later rounds (soft
+    /// demotion): instead of excluding suspect nodes outright, locality
+    /// bought on them earns less credit and the filler visits them last,
+    /// so their capacity stays usable under saturation. The table stays
+    /// until the next call; an empty slice clears it. The default ignores
+    /// the hint — correct for data-unaware baselines, and a no-op when the
+    /// health layer is off.
     fn set_node_health_costs(&mut self, _costs: &[(NodeId, crate::cost::HealthCost)]) {}
 
     /// Deep-copies the allocator, internal state included (static
@@ -288,7 +294,6 @@ mod tests {
         b.pending_jobs = vec![demand(1, 1, 1)];
         let view = AllocationView {
             idle: vec![],
-            all_executors: vec![],
             apps: vec![a, b],
         };
         assert_eq!(view.total_demand(), 3);
@@ -310,8 +315,7 @@ mod tests {
             },
         ];
         let view = AllocationView {
-            idle: idle.clone(),
-            all_executors: idle,
+            idle,
             apps: vec![a],
         };
         validate_assignments(
@@ -334,8 +338,7 @@ mod tests {
             node: NodeId::new(0),
         }];
         let view = AllocationView {
-            idle: idle.clone(),
-            all_executors: idle,
+            idle,
             apps: vec![a],
         };
         let g = Assignment {
@@ -351,7 +354,6 @@ mod tests {
     fn validate_rejects_non_idle_grant() {
         let view = AllocationView {
             idle: vec![],
-            all_executors: vec![],
             apps: vec![app_state(0, 4, 0)],
         };
         validate_assignments(
@@ -374,8 +376,7 @@ mod tests {
             node: NodeId::new(0),
         }];
         let view = AllocationView {
-            idle: idle.clone(),
-            all_executors: idle,
+            idle,
             apps: vec![a],
         };
         validate_assignments(

@@ -12,11 +12,12 @@
 //!   are offered to applications in rotation and accepted whenever the
 //!   application has runnable tasks, with no view of data locations.
 //!
-//! Static allocators compute a one-time ownership partition from the full
-//! executor inventory; thereafter every released executor simply returns
-//! to its owner. That reproduces "an application only has access to a
-//! subset of executors throughout its lifetime" without special-casing the
-//! simulation driver.
+//! Static allocators compute their ownership partition once, at
+//! construction, from the cluster's executor inventory; thereafter every
+//! released executor simply returns to its owner. That reproduces "an
+//! application only has access to a subset of executors throughout its
+//! lifetime" without special-casing the simulation driver, and keeps the
+//! inventory out of the per-round [`AllocationView`].
 
 use std::collections::BTreeMap;
 
@@ -24,7 +25,7 @@ use custody_cluster::ExecutorId;
 use custody_simcore::SimRng;
 use custody_workload::AppId;
 
-use crate::allocator::{AllocationView, Assignment, ExecutorAllocator};
+use crate::allocator::{AllocationView, Assignment, ExecutorAllocator, ExecutorInfo};
 
 /// Tracks per-app grant budgets within one allocation round.
 struct Budget {
@@ -61,14 +62,14 @@ impl Budget {
 /// the fewest executors already on that node. Shares stay balanced to
 /// within one executor while each application's set spreads over as many
 /// distinct nodes as possible, which is what Spark standalone's
-/// `spreadOut` achieves by registering applications one at a time.
-fn spread_partition(view: &AllocationView) -> BTreeMap<ExecutorId, AppId> {
-    let num_apps = view.apps.len().max(1);
+/// `spreadOut` achieves by registering applications one at a time. With
+/// no applications the partition is empty.
+fn spread_partition(executors: &[ExecutorInfo], num_apps: usize) -> BTreeMap<ExecutorId, AppId> {
     let mut owner = BTreeMap::new();
     // Group executors by node, preserving order.
     let mut by_node: Vec<Vec<ExecutorId>> = Vec::new();
     let mut node_index: BTreeMap<custody_dfs::NodeId, usize> = BTreeMap::new();
-    for e in &view.all_executors {
+    for e in executors {
         let idx = *node_index.entry(e.node).or_insert_with(|| {
             by_node.push(Vec::new());
             by_node.len() - 1
@@ -81,9 +82,9 @@ fn spread_partition(view: &AllocationView) -> BTreeMap<ExecutorId, AppId> {
     for layer in 0..max_layer {
         for (n, node) in by_node.iter().enumerate() {
             if let Some(&exec) = node.get(layer) {
-                let app = (0..num_apps)
-                    .min_by_key(|&a| (total[a], on_node[n][a], a))
-                    .expect("at least one app"); // lint: allow(panic) — min over 0..num_apps, clamped to at least one app
+                let Some(app) = (0..num_apps).min_by_key(|&a| (total[a], on_node[n][a], a)) else {
+                    return owner; // no applications to deal to
+                };
                 total[app] += 1;
                 on_node[n][app] += 1;
                 owner.insert(exec, AppId::new(app));
@@ -93,10 +94,18 @@ fn spread_partition(view: &AllocationView) -> BTreeMap<ExecutorId, AppId> {
     owner
 }
 
-/// Uniform-random static partition for [`StaticRandomAllocator`].
-fn random_partition(view: &AllocationView, rng: &mut SimRng) -> BTreeMap<ExecutorId, AppId> {
-    let num_apps = view.apps.len().max(1);
-    let mut ids: Vec<ExecutorId> = view.all_executors.iter().map(|e| e.id).collect();
+/// Uniform-random static partition for [`StaticRandomAllocator`]: one
+/// shuffle of the inventory, dealt round-robin. With no applications the
+/// partition is empty and nothing is drawn.
+fn random_partition(
+    executors: &[ExecutorInfo],
+    num_apps: usize,
+    rng: &mut SimRng,
+) -> BTreeMap<ExecutorId, AppId> {
+    if num_apps == 0 {
+        return BTreeMap::new();
+    }
+    let mut ids: Vec<ExecutorId> = executors.iter().map(|e| e.id).collect();
     rng.shuffle(&mut ids);
     ids.into_iter()
         .enumerate()
@@ -136,15 +145,18 @@ fn allocate_by_ownership(
 
 /// Spark standalone (`spreadOut = true`): static node-round-robin
 /// partition.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 pub struct StaticSpreadAllocator {
-    owner: Option<BTreeMap<ExecutorId, AppId>>,
+    owner: BTreeMap<ExecutorId, AppId>,
 }
 
 impl StaticSpreadAllocator {
-    /// Creates the allocator.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates the allocator, spreading `executors` (the cluster's whole
+    /// inventory, in executor-id order) over `num_apps` applications.
+    pub fn new(executors: &[ExecutorInfo], num_apps: usize) -> Self {
+        StaticSpreadAllocator {
+            owner: spread_partition(executors, num_apps),
+        }
     }
 }
 
@@ -154,8 +166,7 @@ impl ExecutorAllocator for StaticSpreadAllocator {
     }
 
     fn allocate(&mut self, view: &AllocationView, _rng: &mut SimRng) -> Vec<Assignment> {
-        let owner = self.owner.get_or_insert_with(|| spread_partition(view));
-        allocate_by_ownership(view, owner)
+        allocate_by_ownership(view, &self.owner)
     }
 
     fn clone_box(&self) -> Box<dyn ExecutorAllocator> {
@@ -164,15 +175,19 @@ impl ExecutorAllocator for StaticSpreadAllocator {
 }
 
 /// Spark standalone without spreading: static uniform-random partition.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 pub struct StaticRandomAllocator {
-    owner: Option<BTreeMap<ExecutorId, AppId>>,
+    owner: BTreeMap<ExecutorId, AppId>,
 }
 
 impl StaticRandomAllocator {
-    /// Creates the allocator.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates the allocator, dealing `executors` (the cluster's whole
+    /// inventory, in executor-id order) at random over `num_apps`
+    /// applications. The partition is the only draw from `rng`.
+    pub fn new(executors: &[ExecutorInfo], num_apps: usize, rng: &mut SimRng) -> Self {
+        StaticRandomAllocator {
+            owner: random_partition(executors, num_apps, rng),
+        }
     }
 }
 
@@ -181,11 +196,8 @@ impl ExecutorAllocator for StaticRandomAllocator {
         "static-random"
     }
 
-    fn allocate(&mut self, view: &AllocationView, rng: &mut SimRng) -> Vec<Assignment> {
-        let owner = self
-            .owner
-            .get_or_insert_with(|| random_partition(view, rng));
-        allocate_by_ownership(view, owner)
+    fn allocate(&mut self, view: &AllocationView, _rng: &mut SimRng) -> Vec<Assignment> {
+        allocate_by_ownership(view, &self.owner)
     }
 
     fn clone_box(&self) -> Box<dyn ExecutorAllocator> {
@@ -248,7 +260,7 @@ impl ExecutorAllocator for DynamicOfferAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::allocator::{validate_assignments, AppState, ExecutorInfo, JobDemand, TaskDemand};
+    use crate::allocator::{validate_assignments, AppState, JobDemand, TaskDemand};
     use custody_dfs::NodeId;
     use custody_workload::JobId;
 
@@ -291,10 +303,8 @@ mod tests {
     }
 
     fn view(nodes: usize, per_node: usize, apps: Vec<AppState>) -> AllocationView {
-        let execs = executors(nodes, per_node);
         AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
+            idle: executors(nodes, per_node),
             apps,
         }
     }
@@ -306,7 +316,7 @@ mod tests {
             2,
             vec![app_with_demand(0, 4, 4), app_with_demand(1, 4, 4)],
         );
-        let owner = spread_partition(&v);
+        let owner = spread_partition(&v.idle, v.apps.len());
         // Layer 0: executors 0,2,4,6 (first on each node) dealt A,B,A,B.
         assert_eq!(owner[&ExecutorId::new(0)], AppId::new(0));
         assert_eq!(owner[&ExecutorId::new(2)], AppId::new(1));
@@ -329,7 +339,7 @@ mod tests {
     #[test]
     fn spread_gives_each_app_equal_share() {
         let v = view(10, 2, (0..4).map(|i| app_with_demand(i, 5, 5)).collect());
-        let owner = spread_partition(&v);
+        let owner = spread_partition(&v.idle, v.apps.len());
         let mut counts = [0usize; 4];
         for app in owner.values() {
             counts[app.index()] += 1;
@@ -339,13 +349,13 @@ mod tests {
 
     #[test]
     fn static_spread_allocates_only_owned_executors() {
-        let mut alloc = StaticSpreadAllocator::new();
         let mut rng = SimRng::seed_from_u64(0);
         let v = view(
             4,
             1,
             vec![app_with_demand(0, 2, 2), app_with_demand(1, 2, 2)],
         );
+        let mut alloc = StaticSpreadAllocator::new(&v.idle, v.apps.len());
         let out = alloc.allocate(&v, &mut rng);
         validate_assignments(&v, &out);
         assert_eq!(out.len(), 4);
@@ -359,13 +369,13 @@ mod tests {
 
     #[test]
     fn static_partition_is_stable_across_rounds() {
-        let mut alloc = StaticRandomAllocator::new();
         let mut rng = SimRng::seed_from_u64(1);
         let v = view(
             6,
             1,
             vec![app_with_demand(0, 3, 3), app_with_demand(1, 3, 3)],
         );
+        let mut alloc = StaticRandomAllocator::new(&v.idle, v.apps.len(), &mut rng);
         let first = alloc.allocate(&v, &mut rng);
         validate_assignments(&v, &first);
         let second = alloc.allocate(&v, &mut rng);
@@ -374,7 +384,6 @@ mod tests {
 
     #[test]
     fn static_parks_full_partition_regardless_of_demand() {
-        let mut alloc = StaticSpreadAllocator::new();
         let mut rng = SimRng::seed_from_u64(0);
         // App 0 wants only 1 task but owns 2 executors — static sharing
         // still parks both with it (§II: fixed subset for its lifetime).
@@ -383,6 +392,7 @@ mod tests {
             1,
             vec![app_with_demand(0, 2, 1), app_with_demand(1, 2, 2)],
         );
+        let mut alloc = StaticSpreadAllocator::new(&v.idle, v.apps.len());
         let out = alloc.allocate(&v, &mut rng);
         validate_assignments(&v, &out);
         let to_app0 = out.iter().filter(|a| a.app == AppId::new(0)).count();
@@ -429,7 +439,6 @@ mod tests {
         let execs = executors(2, 1);
         let mk_view = |apps: Vec<AppState>| AllocationView {
             idle: vec![execs[0]],
-            all_executors: execs.clone(),
             apps,
         };
         let v1 = mk_view(vec![app_with_demand(0, 4, 4), app_with_demand(1, 4, 4)]);
@@ -439,11 +448,19 @@ mod tests {
         assert_eq!(out2[0].app, AppId::new(1), "cursor advanced");
     }
 
+    /// A cluster with no applications: every baseline builds an empty
+    /// partition (or none) and grants nothing.
     #[test]
     fn no_apps_no_grants() {
-        let mut alloc = DynamicOfferAllocator::new();
         let mut rng = SimRng::seed_from_u64(0);
         let v = view(2, 1, vec![]);
-        assert!(alloc.allocate(&v, &mut rng).is_empty());
+        let allocators: [Box<dyn ExecutorAllocator>; 3] = [
+            Box::new(StaticSpreadAllocator::new(&v.idle, 0)),
+            Box::new(StaticRandomAllocator::new(&v.idle, 0, &mut rng)),
+            Box::new(DynamicOfferAllocator::new()),
+        ];
+        for mut alloc in allocators {
+            assert!(alloc.allocate(&v, &mut rng).is_empty(), "{}", alloc.name());
+        }
     }
 }

@@ -57,19 +57,13 @@ pub struct LocalityKey {
 }
 
 impl LocalityKey {
-    /// Extracts the key from round state. With a health-cost table
-    /// installed the projected fractions are credit-weighted (locality
-    /// bought on a slow node counts for less); without one this is the
-    /// plain count-based key, byte for byte.
+    /// Extracts the key from round state: the credit-weighted projected
+    /// fractions (locality bought on a slow node counts for less). Without
+    /// a cost table every credit is 1 at scale 1, so this is the plain
+    /// count-based key.
     pub fn of(app: &RoundApp, index: usize) -> Self {
-        match app.health_weighted_fractions() {
-            Some((jn, jd, tn, td)) => Self::from_weighted(jn, jd, tn, td, index),
-            None => {
-                let (job_num, job_den) = app.projected_local_jobs();
-                let (task_num, task_den) = app.projected_local_tasks();
-                Self::from_fractions(job_num, job_den, task_num, task_den, index)
-            }
-        }
+        let (jn, jd, tn, td) = app.health_weighted_fractions();
+        Self::from_weighted(jn, jd, tn, td, index)
     }
 
     /// Builds a key from raw counts; a zero denominator means "no history"
@@ -108,17 +102,6 @@ impl LocalityKey {
             task: Fraction::new_u64(task_num, task_den),
             index,
         }
-    }
-
-    /// The projected local-job fraction as a float (diagnostics only —
-    /// ordering never goes through floats).
-    pub fn job_fraction(&self) -> f64 {
-        self.job.num as f64 / self.job.den as f64
-    }
-
-    /// The projected local-task fraction as a float (diagnostics only).
-    pub fn task_fraction(&self) -> f64 {
-        self.task.num as f64 / self.task.den as f64
     }
 }
 

@@ -24,7 +24,7 @@ pub mod reference;
 mod round;
 
 pub use reference::{reference_allocate, reference_allocate_with_costs};
-pub use round::{Round, RoundScratch};
+pub use round::Round;
 
 use custody_dfs::NodeId;
 use custody_simcore::SimRng;
@@ -86,7 +86,7 @@ pub enum InterPolicy {
 ///     }],
 /// };
 /// let view = AllocationView {
-///     idle: executors.clone(), all_executors: executors,
+///     idle: executors,
 ///     apps: vec![app(0, [0, 1]), app(1, [2, 3])],
 /// };
 /// let out = CustodyAllocator::new().allocate(&view, &mut SimRng::seed_from_u64(0));
@@ -98,13 +98,11 @@ pub enum InterPolicy {
 pub struct CustodyAllocator {
     intra: IntraPolicy,
     inter: InterPolicy,
-    /// Per-node health costs (soft demotion): suspect nodes cost more
-    /// instead of vanishing. Empty (the default) keeps the count-based
-    /// cost model.
-    health_costs: Vec<(NodeId, HealthCost)>,
-    /// Buffers (selection heap, demand maps) recycled across rounds so the
-    /// steady-state allocation path performs no repeated large allocations.
-    scratch: RoundScratch,
+    /// The round state, reset in place on every call so its buffers
+    /// (selection heap, node interner, demand maps) are allocated once. It
+    /// also holds the health-cost table installed by
+    /// [`ExecutorAllocator::set_node_health_costs`].
+    round: Round,
 }
 
 impl CustodyAllocator {
@@ -139,20 +137,14 @@ impl ExecutorAllocator for CustodyAllocator {
     }
 
     fn allocate(&mut self, view: &AllocationView, _rng: &mut SimRng) -> Vec<Assignment> {
-        let scratch = std::mem::take(&mut self.scratch);
-        let mut round = Round::recycled(view, scratch)
-            .with_policies(self.inter, self.intra)
-            .with_health_costs(&self.health_costs);
-        round.locality_phase();
-        round.filler_phase();
-        let (assignments, scratch) = round.finish();
-        self.scratch = scratch;
-        assignments
+        self.round.reset(view, self.inter, self.intra);
+        self.round.locality_phase();
+        self.round.filler_phase();
+        self.round.finish()
     }
 
     fn set_node_health_costs(&mut self, costs: &[(NodeId, HealthCost)]) {
-        self.health_costs.clear();
-        self.health_costs.extend_from_slice(costs);
+        self.round.set_health_costs(costs);
     }
 
     fn clone_box(&self) -> Box<dyn ExecutorAllocator> {
@@ -186,14 +178,13 @@ mod tests {
         }
     }
 
-    /// Plumbing check: policy overrides keep working through the
-    /// scratch-recycling allocate path across repeated rounds.
+    /// Plumbing check: repeated rounds through the reset-in-place
+    /// allocate path give the same grants.
     #[test]
     fn repeated_allocate_reuses_scratch_deterministically() {
         let execs = toy_executors(4);
         let view = AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
+            idle: execs,
             apps: vec![
                 fresh_app(0, 2, vec![job(0, vec![task(0, &[0]), task(1, &[1])])]),
                 fresh_app(1, 2, vec![job(1, vec![task(0, &[2]), task(1, &[3])])]),
@@ -255,8 +246,7 @@ mod tests {
     fn fig1_motivating_example() {
         let execs = toy_executors(4);
         let view = AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
+            idle: execs,
             apps: vec![
                 fresh_app(0, 2, vec![job(0, vec![task(0, &[0]), task(1, &[1])])]),
                 fresh_app(1, 2, vec![job(1, vec![task(0, &[2]), task(1, &[3])])]),
@@ -278,8 +268,7 @@ mod tests {
     fn fig3_locality_fairness_splits_hot_executors() {
         let execs = toy_executors(4);
         let view = AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
+            idle: execs,
             apps: vec![
                 fresh_app(
                     0,
@@ -310,8 +299,7 @@ mod tests {
     fn fig4_priority_satisfies_whole_job() {
         let execs = toy_executors(4);
         let view = AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
+            idle: execs,
             apps: vec![fresh_app(
                 0,
                 2,
@@ -337,8 +325,7 @@ mod tests {
     fn smaller_job_gets_priority() {
         let execs = toy_executors(4);
         let view = AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
+            idle: execs,
             apps: vec![fresh_app(
                 0,
                 1,
@@ -370,8 +357,7 @@ mod tests {
         unlucky.local_tasks = 1;
         unlucky.total_tasks = 10;
         let view = AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
+            idle: execs,
             apps: vec![lucky, unlucky],
         };
         let out = run(&view);
@@ -386,8 +372,7 @@ mod tests {
         let execs = toy_executors(3);
         // One job, one task wanting node 99 (no executor there): demand 1.
         let view = AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
+            idle: execs,
             apps: vec![fresh_app(0, 3, vec![job(0, vec![task(0, &[99])])])],
         };
         let out = run(&view);
@@ -401,8 +386,7 @@ mod tests {
     fn quota_limits_grants() {
         let execs = toy_executors(4);
         let view = AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
+            idle: execs,
             apps: vec![fresh_app(
                 0,
                 2,
@@ -421,8 +405,7 @@ mod tests {
     fn idle_cluster_no_demand() {
         let execs = toy_executors(4);
         let view = AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
+            idle: execs,
             apps: vec![fresh_app(0, 4, vec![])],
         };
         assert!(run(&view).is_empty());
@@ -435,8 +418,7 @@ mod tests {
     fn fair_intra_splits_across_jobs() {
         let execs = toy_executors(4);
         let view = AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
+            idle: execs,
             apps: vec![fresh_app(
                 0,
                 2,
@@ -474,8 +456,7 @@ mod tests {
         a1.local_jobs = 0;
         a1.total_jobs = 5;
         let view = AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
+            idle: execs,
             apps: vec![a0, a1],
         };
         let mut naive = CustodyAllocator::new().with_inter(InterPolicy::NaiveCountFair);
@@ -516,8 +497,7 @@ mod tests {
     fn health_cost_hint_steers_filler_and_clears() {
         let execs = toy_executors(2);
         let view = AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
+            idle: execs,
             // Preferred node 9 exists nowhere: pure filler traffic.
             apps: vec![fresh_app(0, 1, vec![job(0, vec![task(0, &[9])])])],
         };
@@ -555,8 +535,7 @@ mod tests {
     fn replica_choice_avoids_contested_nodes() {
         let execs = toy_executors(2);
         let view = AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
+            idle: execs,
             apps: vec![
                 // App 0's task can run on node 0 or 1.
                 fresh_app(0, 1, vec![job(0, vec![task(0, &[0, 1])])]),

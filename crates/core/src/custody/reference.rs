@@ -409,8 +409,7 @@ mod tests {
             }],
         };
         AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
+            idle: execs,
             apps: vec![app(0, [0, 1]), app(1, [2, 3])],
         }
     }

@@ -50,7 +50,7 @@ pub struct RoundJob {
     /// Smallest health credit among this round's satisfactions
     /// (`u32::MAX` until one happens): a job is only as local as its
     /// slowest newly-local task, so the job-level credit is the
-    /// bottleneck credit. Untouched unless a health-cost table is active.
+    /// bottleneck credit.
     min_credit: u32,
 }
 
@@ -92,59 +92,22 @@ pub struct RoundApp {
     /// Health credit earned by jobs made fully local this round — the
     /// bottleneck (minimum) credit of each such job's satisfactions.
     new_job_credit: u64,
-    /// The round's health-cost bucket scale; `0` when no cost table is
-    /// installed, selecting the plain count-based locality key.
+    /// The round's health-cost bucket scale (1 without a cost table).
     cost_scale: u32,
 }
 
 impl RoundApp {
-    /// Projected local jobs as an exact `(numerator, denominator)` pair
-    /// (history + this round's gains).
-    pub fn projected_local_jobs(&self) -> (usize, usize) {
-        (self.hist_local_jobs + self.new_local_jobs, self.total_jobs)
-    }
-
-    /// Projected local tasks as an exact `(numerator, denominator)` pair.
-    pub fn projected_local_tasks(&self) -> (usize, usize) {
-        (
-            self.hist_local_tasks + self.new_local_tasks,
-            self.total_tasks,
-        )
-    }
-
-    /// Projected fraction of local jobs (diagnostics; ordering uses the
-    /// exact pair).
-    pub fn projected_local_job_fraction(&self) -> f64 {
-        if self.total_jobs == 0 {
-            1.0
-        } else {
-            (self.hist_local_jobs + self.new_local_jobs) as f64 / self.total_jobs as f64
-        }
-    }
-
-    /// Projected fraction of local tasks.
-    pub fn projected_local_task_fraction(&self) -> f64 {
-        if self.total_tasks == 0 {
-            1.0
-        } else {
-            (self.hist_local_tasks + self.new_local_tasks) as f64 / self.total_tasks as f64
-        }
-    }
-
     /// Health-weighted projected fractions in credit units
-    /// (`job_num, job_den, task_num, task_den`), or `None` when no
-    /// health-cost table is active. With bucket scale `S`, history counts
-    /// at full credit (`·S` — it is already banked) and this round's
-    /// gains at the granting node's credit, so
-    /// `task = (hist·S + Σ credit) / (total·S)`. Saturating arithmetic
-    /// guards pathological `usize::MAX` histories; real views are bounded
-    /// by memory long before `u64 / S`.
-    pub fn health_weighted_fractions(&self) -> Option<(u64, u64, u64, u64)> {
-        if self.cost_scale == 0 {
-            return None;
-        }
+    /// (`job_num, job_den, task_num, task_den`). With bucket scale `S`,
+    /// history counts at full credit (`·S` — it is already banked) and
+    /// this round's gains at the granting node's credit, so
+    /// `task = (hist·S + Σ credit) / (total·S)`. Without a cost table
+    /// `S = 1` and every credit is 1, so these are the plain counts.
+    /// Saturating arithmetic guards pathological `usize::MAX` histories;
+    /// real views are bounded by memory long before `u64 / S`.
+    pub fn health_weighted_fractions(&self) -> (u64, u64, u64, u64) {
         let s = u64::from(self.cost_scale);
-        Some((
+        (
             (self.hist_local_jobs as u64)
                 .saturating_mul(s)
                 .saturating_add(self.new_job_credit),
@@ -153,7 +116,7 @@ impl RoundApp {
                 .saturating_mul(s)
                 .saturating_add(self.new_task_credit),
             (self.total_tasks as u64).saturating_mul(s),
-        ))
+        )
     }
 
     /// This app's unsatisfied-task pressure on the interned node `slot`.
@@ -204,7 +167,7 @@ impl RoundApp {
             node_demand: Vec::new(),
             new_task_credit: 0,
             new_job_credit: 0,
-            cost_scale: 0,
+            cost_scale: 1,
         }
     }
 }
@@ -224,30 +187,80 @@ struct IdleEntry {
     pos: u32,
 }
 
-/// Reusable allocations carried across rounds by
-/// [`CustodyAllocator`](super::CustodyAllocator)
-/// (`crate::custody::CustodyAllocator`): the selection heap, version
-/// counters, the node interner, idle lists, and per-node demand buffers. A
-/// fresh default works too — the scratch only avoids re-allocating on
-/// every round.
-#[derive(Debug, Clone, Default)]
-pub struct RoundScratch {
-    heap: BinaryHeap<HeapEntry>,
-    versions: Vec<u32>,
-    stash: Vec<HeapEntry>,
-    order: Vec<usize>,
-    demand_pool: Vec<Vec<u32>>,
-    nodes: Interner,
-    idle_lists: Vec<Vec<ExecutorId>>,
-    node_cursor: Vec<u32>,
-    global_idle: Vec<IdleEntry>,
-    cost_credit: Vec<u32>,
-    filler_tiers: Vec<u32>,
-    tier_cursor: Vec<usize>,
+/// The installed per-node health-cost table (soft demotion). The default
+/// is the neutral table at scale 1 — every credit 1, every penalty 0, no
+/// filler tiers — under which every cost-aware path reduces exactly to
+/// the count-based round, so a round without a table needs no separate
+/// code path.
+#[derive(Debug, Clone)]
+struct CostTable {
+    /// Per-node credit, dense by raw node id, in `1/scale` units; nodes
+    /// beyond the table carry full credit.
+    credit: Vec<u32>,
+    /// The bucket scale `S`.
+    scale: u32,
+    /// Graded filler passes: the distinct placement penalties present in
+    /// the table (plus the implicit zero), ascending, with the largest
+    /// dropped — the unconditional fallback scan covers it.
+    tiers: Vec<u32>,
 }
 
-/// The state machine of one allocation round.
-#[derive(Debug)]
+impl Default for CostTable {
+    fn default() -> Self {
+        CostTable {
+            credit: Vec::new(),
+            scale: 1,
+            tiers: Vec::new(),
+        }
+    }
+}
+
+impl CostTable {
+    /// Replaces the table; an empty slice restores the neutral one.
+    fn set(&mut self, costs: &[(NodeId, HealthCost)]) {
+        self.credit.clear();
+        self.tiers.clear();
+        let Some(&(_, first)) = costs.first() else {
+            self.scale = 1;
+            return;
+        };
+        let scale = first.scale.max(1);
+        self.scale = scale;
+        for &(n, c) in costs {
+            debug_assert_eq!(c.scale, scale, "one cost table, one bucket scale");
+            let i = n.index();
+            if i >= self.credit.len() {
+                self.credit.resize(i + 1, scale);
+            }
+            self.credit[i] = c.credit.clamp(1, scale);
+        }
+        // Every distinct penalty plus the implicit zero of unlisted
+        // nodes, ascending, minus the largest. All-neutral tables
+        // collapse to no tiers — the plain scan.
+        self.tiers.push(0);
+        for &(_, c) in costs {
+            let p = scale - c.credit.clamp(1, scale);
+            if !self.tiers.contains(&p) {
+                self.tiers.push(p);
+            }
+        }
+        self.tiers.sort_unstable();
+        self.tiers.pop();
+    }
+
+    /// The node's credit in `1/scale` units (full credit when unlisted).
+    #[inline]
+    fn credit(&self, node: NodeId) -> u32 {
+        self.credit.get(node.index()).copied().unwrap_or(self.scale)
+    }
+}
+
+/// The state machine of an allocation round. One value is reset in place
+/// for every round ([`Round::reset`]), so its buffers — the selection
+/// heap, the node interner, idle lists and per-app demand — are allocated
+/// once and reused; the health-cost table persists across resets until
+/// the next [`Round::set_health_costs`].
+#[derive(Debug, Clone, Default)]
 pub struct Round {
     /// Raw node id → dense per-round slot, covering every node that hosts
     /// an idle executor or appears in some task's preferred list.
@@ -275,241 +288,167 @@ pub struct Round {
     assignments: Vec<Assignment>,
     inter: InterPolicy,
     intra: IntraPolicy,
-    /// Per-node health credit (dense by raw node id, `1/cost_scale`
-    /// units); nodes beyond the table carry full credit. Meaningful only
-    /// while `cost_scale > 0`.
-    cost_credit: Vec<u32>,
-    /// Health-cost bucket scale; `0` means no cost table is installed and
-    /// every cost-aware path is byte-identical to a costless round.
-    cost_scale: u32,
-    /// Graded filler passes: the distinct placement penalties present in
-    /// the cost table (plus the implicit zero), ascending, with the
-    /// largest dropped — the unconditional fallback scan covers it.
-    filler_tiers: Vec<u32>,
+    costs: CostTable,
     /// One forward-only cursor over `global_idle` per filler tier.
     tier_cursor: Vec<usize>,
     heap: BinaryHeap<HeapEntry>,
     versions: Vec<u32>,
     stash: Vec<HeapEntry>,
     order: Vec<usize>,
-    demand_pool: Vec<Vec<u32>>,
 }
 
 impl Round {
-    /// Builds round state from the immutable view.
+    /// Builds round state from the view with the paper's policies and no
+    /// health-cost table.
     pub fn new(view: &AllocationView) -> Self {
-        Self::recycled(view, RoundScratch::default())
+        let mut round = Round::default();
+        round.reset(view, InterPolicy::default(), IntraPolicy::default());
+        round
     }
 
-    /// Builds round state reusing a previous round's allocations.
-    pub fn recycled(view: &AllocationView, scratch: RoundScratch) -> Self {
-        let RoundScratch {
-            mut heap,
-            mut versions,
-            mut stash,
-            mut order,
-            mut demand_pool,
-            mut nodes,
-            mut idle_lists,
-            mut node_cursor,
-            mut global_idle,
-            mut cost_credit,
-            mut filler_tiers,
-            mut tier_cursor,
-        } = scratch;
-        heap.clear();
-        stash.clear();
-        order.clear();
-        versions.clear();
-        versions.resize(view.apps.len(), 0);
-        nodes.clear();
-        cost_credit.clear();
-        filler_tiers.clear();
-        tier_cursor.clear();
+    /// Rebuilds the round from `view` in place, reusing every buffer. The
+    /// installed health-cost table is kept.
+    pub fn reset(&mut self, view: &AllocationView, inter: InterPolicy, intra: IntraPolicy) {
+        self.inter = inter;
+        self.intra = intra;
+        self.nodes.clear();
 
         // Idle nodes are interned first, in order of appearance, so a new
         // slot is always minted at the end of the active prefix.
         let mut idle_slots = 0;
         for e in &view.idle {
-            let slot = nodes.intern(e.node.index());
+            let slot = self.nodes.intern(e.node.index());
             if slot == idle_slots {
-                if idle_slots == idle_lists.len() {
-                    idle_lists.push(Vec::new());
+                if idle_slots == self.idle_lists.len() {
+                    self.idle_lists.push(Vec::new());
                 }
-                idle_lists[idle_slots].clear();
+                self.idle_lists[idle_slots].clear();
                 idle_slots += 1;
             }
-            idle_lists[slot].push(e.id);
+            self.idle_lists[slot].push(e.id);
         }
-        for list in &mut idle_lists[..idle_slots] {
+        self.idle_slots = idle_slots;
+        for list in &mut self.idle_lists[..idle_slots] {
             // Views built from the driver's pool arrive in id order; the
             // sort is a no-op there but keeps arbitrary views correct.
             if !list.is_sorted() {
                 list.sort_unstable();
             }
         }
-        node_cursor.clear();
-        node_cursor.resize(idle_slots, 0);
-        global_idle.clear();
-        for (slot, list) in idle_lists[..idle_slots].iter().enumerate() {
-            global_idle.extend(list.iter().enumerate().map(|(pos, &id)| IdleEntry {
-                id,
-                slot: slot as u32,
-                pos: pos as u32,
+        self.node_cursor.clear();
+        self.node_cursor.resize(idle_slots, 0);
+        self.global_idle.clear();
+        for (slot, list) in self.idle_lists[..idle_slots].iter().enumerate() {
+            self.global_idle
+                .extend(list.iter().enumerate().map(|(pos, &id)| IdleEntry {
+                    id,
+                    slot: slot as u32,
+                    pos: pos as u32,
+                }));
+        }
+        self.global_idle.sort_unstable_by_key(|e| e.id);
+        self.global_cursor = 0;
+        self.idle_count = view.idle.len();
+        self.tier_cursor.fill(0);
+
+        // Each app slot keeps its job list and demand buffer from the
+        // previous round; new slots start empty.
+        self.total_node_demand.clear();
+        self.apps.truncate(view.apps.len());
+        for (i, a) in view.apps.iter().enumerate() {
+            let (mut jobs, mut node_demand) = self
+                .apps
+                .get_mut(i)
+                .map(|old| {
+                    (
+                        std::mem::take(&mut old.jobs),
+                        std::mem::take(&mut old.node_demand),
+                    )
+                })
+                .unwrap_or_default();
+            jobs.clear();
+            jobs.extend(a.pending_jobs.iter().map(|j| {
+                RoundJob {
+                    job: j.job,
+                    tasks: j
+                        .unsatisfied_inputs
+                        .iter()
+                        .map(|t| (t.task_index, Arc::clone(&t.preferred_nodes)))
+                        .collect(),
+                    satisfied: j.satisfied_inputs,
+                    total_inputs: j.total_inputs,
+                    min_credit: u32::MAX,
+                }
             }));
-        }
-        global_idle.sort_unstable_by_key(|e| e.id);
-
-        let mut total_node_demand: Vec<u32> = demand_pool.pop().unwrap_or_default();
-        total_node_demand.clear();
-        let apps: Vec<RoundApp> = view
-            .apps
-            .iter()
-            .map(|a| {
-                let jobs: Vec<RoundJob> = a
-                    .pending_jobs
-                    .iter()
-                    .map(|j| RoundJob {
-                        job: j.job,
-                        tasks: j
-                            .unsatisfied_inputs
-                            .iter()
-                            .map(|t| (t.task_index, Arc::clone(&t.preferred_nodes)))
-                            .collect(),
-                        satisfied: j.satisfied_inputs,
-                        total_inputs: j.total_inputs,
-                        min_credit: u32::MAX,
-                    })
-                    .collect();
-                let mut node_demand: Vec<u32> = demand_pool.pop().unwrap_or_default();
-                node_demand.clear();
-                for job in &jobs {
-                    for (_, nodes_list) in &job.tasks {
-                        for &n in nodes_list.iter() {
-                            let slot = nodes.intern(n.index());
-                            if slot >= node_demand.len() {
-                                node_demand.resize(slot + 1, 0);
-                            }
-                            node_demand[slot] += 1;
-                            if slot >= total_node_demand.len() {
-                                total_node_demand.resize(slot + 1, 0);
-                            }
-                            total_node_demand[slot] += 1;
-                        }
+            node_demand.clear();
+            for (_, nodes_list) in jobs.iter().flat_map(|job| &job.tasks) {
+                for &n in nodes_list.iter() {
+                    let slot = self.nodes.intern(n.index());
+                    if slot >= node_demand.len() {
+                        node_demand.resize(slot + 1, 0);
                     }
+                    node_demand[slot] += 1;
+                    if slot >= self.total_node_demand.len() {
+                        self.total_node_demand.resize(slot + 1, 0);
+                    }
+                    self.total_node_demand[slot] += 1;
                 }
-                RoundApp {
-                    app: a.app,
-                    quota: a.quota,
-                    held: a.held,
-                    hist_local_jobs: a.local_jobs,
-                    total_jobs: a.total_jobs,
-                    hist_local_tasks: a.local_tasks,
-                    total_tasks: a.total_tasks,
-                    new_local_jobs: 0,
-                    new_local_tasks: 0,
-                    demand_remaining: a.pending_jobs.iter().map(|j| j.pending_tasks).sum(),
-                    jobs,
-                    node_demand,
-                    new_task_credit: 0,
-                    new_job_credit: 0,
-                    cost_scale: 0,
-                }
-            })
-            .collect();
-        let mut round = Round {
-            nodes,
-            idle_lists,
-            idle_slots,
-            node_cursor,
-            global_idle,
-            global_cursor: 0,
-            idle_count: view.idle.len(),
-            apps,
-            total_node_demand,
-            assignments: Vec::new(),
-            inter: InterPolicy::default(),
-            intra: IntraPolicy::default(),
-            cost_credit,
-            cost_scale: 0,
-            filler_tiers,
-            tier_cursor,
-            heap,
-            versions,
-            stash,
-            order,
-            demand_pool,
-        };
-        round.rebuild_heap();
-        round
+            }
+            let app = RoundApp {
+                app: a.app,
+                quota: a.quota,
+                held: a.held,
+                hist_local_jobs: a.local_jobs,
+                total_jobs: a.total_jobs,
+                hist_local_tasks: a.local_tasks,
+                total_tasks: a.total_tasks,
+                new_local_jobs: 0,
+                new_local_tasks: 0,
+                demand_remaining: a.pending_jobs.iter().map(|j| j.pending_tasks).sum(),
+                jobs,
+                node_demand,
+                new_task_credit: 0,
+                new_job_credit: 0,
+                cost_scale: self.costs.scale,
+            };
+            match self.apps.get_mut(i) {
+                Some(slot) => *slot = app,
+                None => self.apps.push(app),
+            }
+        }
+        self.assignments.clear();
+        self.versions.clear();
+        self.versions.resize(view.apps.len(), 0);
+        self.heap.clear();
+        if self.inter == InterPolicy::MinLocality {
+            for i in 0..self.apps.len() {
+                self.heap
+                    .push(Reverse((LocalityKey::of(&self.apps[i], i), 0)));
+            }
+        }
     }
 
-    /// Overrides the selection policies (ablations).
-    pub fn with_policies(mut self, inter: InterPolicy, intra: IntraPolicy) -> Self {
-        self.inter = inter;
-        self.intra = intra;
-        self.rebuild_heap();
-        self
-    }
-
-    /// Installs the per-node health-cost table (soft demotion). Suspect
-    /// nodes *cost more* instead of vanishing: locality bought on a node
-    /// with credit `w` counts `w/scale` of a healthy local task in the
-    /// MINLOCALITY key, replica choice prefers lower-penalty hosts, and
-    /// the filler hands out executors lowest-penalty tier first. An
-    /// empty table — or one where every entry is neutral — leaves every
-    /// pick byte-identical to a costless round (neutral weights scale
-    /// both sides of every exact-rational comparison by the same factor).
-    pub fn with_health_costs(mut self, costs: &[(NodeId, HealthCost)]) -> Self {
-        self.cost_credit.clear();
-        self.filler_tiers.clear();
+    /// Installs the per-node health-cost table (soft demotion) for this
+    /// and every later round, until the next call. Suspect nodes *cost
+    /// more* instead of vanishing: locality bought on a node with credit
+    /// `w` counts `w/scale` of a healthy local task in the MINLOCALITY
+    /// key, replica choice prefers lower-penalty hosts, and the filler
+    /// hands out executors lowest-penalty tier first. An empty table
+    /// restores the neutral one at scale 1; a table where every entry is
+    /// neutral gives the same picks (neutral weights scale both sides of
+    /// every exact-rational comparison by the same factor).
+    ///
+    /// Call it between rounds or before the phases start: an app's key
+    /// before its first grant is `hist·S / total·S`, the same rational at
+    /// every scale, so the heap built by [`Round::reset`] stays valid.
+    pub fn set_health_costs(&mut self, costs: &[(NodeId, HealthCost)]) {
+        debug_assert!(self.assignments.is_empty(), "cost table changed mid-round");
+        self.costs.set(costs);
         self.tier_cursor.clear();
-        self.cost_scale = 0;
-        if costs.is_empty() {
-            return self;
-        }
-        let scale = costs[0].1.scale.max(1);
-        self.cost_scale = scale;
-        for &(n, c) in costs {
-            debug_assert_eq!(c.scale, scale, "one cost table, one bucket scale");
-            let i = n.index();
-            if i >= self.cost_credit.len() {
-                self.cost_credit.resize(i + 1, scale);
-            }
-            self.cost_credit[i] = c.credit.clamp(1, scale);
-        }
-        // Graded filler passes: every distinct penalty in the table plus
-        // the implicit zero of unlisted nodes, ascending, minus the
-        // largest (the unconditional fallback scan already covers it).
-        // All-neutral tables collapse to no tiers — the plain scan.
-        self.filler_tiers.push(0);
-        for &(_, c) in costs {
-            let p = scale - c.credit.clamp(1, scale);
-            if !self.filler_tiers.contains(&p) {
-                self.filler_tiers.push(p);
-            }
-        }
-        self.filler_tiers.sort_unstable();
-        self.filler_tiers.pop();
-        self.tier_cursor.resize(self.filler_tiers.len(), 0);
+        self.tier_cursor.resize(self.costs.tiers.len(), 0);
         for app in &mut self.apps {
-            app.cost_scale = scale;
+            app.cost_scale = self.costs.scale;
         }
-        self.rebuild_heap();
-        self
-    }
-
-    /// The node's health credit in `1/cost_scale` units (full credit for
-    /// unlisted nodes or when no table is installed).
-    #[inline]
-    fn credit_of(&self, node: NodeId) -> u32 {
-        if self.cost_scale == 0 {
-            return 1;
-        }
-        self.cost_credit
-            .get(node.index())
-            .copied()
-            .unwrap_or(self.cost_scale)
     }
 
     /// The node's placement penalty (`scale - credit`; zero when healthy
@@ -518,23 +457,7 @@ impl Round {
     /// a suspect one just because the suspect is less contested.
     #[inline]
     pub fn placement_penalty(&self, node: NodeId) -> u32 {
-        if self.cost_scale == 0 {
-            0
-        } else {
-            self.cost_scale - self.credit_of(node)
-        }
-    }
-
-    fn rebuild_heap(&mut self) {
-        self.heap.clear();
-        if self.inter == InterPolicy::MinLocality {
-            for i in 0..self.apps.len() {
-                self.heap.push(Reverse((
-                    LocalityKey::of(&self.apps[i], i),
-                    self.versions[i],
-                )));
-            }
-        }
+        self.costs.scale - self.costs.credit(node)
     }
 
     /// Marks app `i`'s key dirty after a state change: bumps its version
@@ -675,33 +598,31 @@ impl Round {
     }
 
     /// Takes the lowest-id idle executor anywhere (filler phase),
-    /// lowest health-cost tier first when a cost table is installed. The
-    /// cursors only move forward: an entry skipped as taken stays taken,
-    /// so the scans are amortized O(idle) per round.
+    /// lowest health-cost tier first. The cursors only move forward: an
+    /// entry skipped as taken stays taken, so the scans are amortized
+    /// O(idle) per round.
     fn take_any_executor(&mut self) -> Option<ExecutorId> {
-        if self.cost_scale > 0 {
-            // Graded passes: consume the lowest-penalty tier completely
-            // before touching the next (lowest executor id within a
-            // tier, matching the reference's min-by (penalty, id)).
-            // Each tier's cursor only moves forward: a skipped entry is
-            // either taken (stays taken) or above the tier's penalty
-            // (penalties are fixed for the round), so the scans stay
-            // amortized O(tiers · idle) per round.
-            for ti in 0..self.filler_tiers.len() {
-                let pen = self.filler_tiers[ti];
-                while let Some(&e) = self.global_idle.get(self.tier_cursor[ti]) {
-                    if e.pos < self.node_cursor[e.slot as usize] {
-                        self.tier_cursor[ti] += 1;
-                        continue;
-                    }
-                    let raw = self.nodes.keys()[e.slot as usize] as usize;
-                    if self.placement_penalty(NodeId::new(raw)) > pen {
-                        self.tier_cursor[ti] += 1;
-                        continue;
-                    }
-                    debug_assert_eq!(e.pos, self.node_cursor[e.slot as usize]);
-                    return self.take_on_slot(e.slot as usize);
+        // Graded passes: consume the lowest-penalty tier completely
+        // before touching the next (lowest executor id within a tier,
+        // matching the reference's min-by (penalty, id)). Each tier's
+        // cursor only moves forward: a skipped entry is either taken
+        // (stays taken) or above the tier's penalty (penalties are fixed
+        // for the round), so the scans stay amortized O(tiers · idle)
+        // per round. The neutral table has no tiers.
+        for ti in 0..self.costs.tiers.len() {
+            let pen = self.costs.tiers[ti];
+            while let Some(&e) = self.global_idle.get(self.tier_cursor[ti]) {
+                if e.pos < self.node_cursor[e.slot as usize] {
+                    self.tier_cursor[ti] += 1;
+                    continue;
                 }
+                let raw = self.nodes.keys()[e.slot as usize] as usize;
+                if self.placement_penalty(NodeId::new(raw)) > pen {
+                    self.tier_cursor[ti] += 1;
+                    continue;
+                }
+                debug_assert_eq!(e.pos, self.node_cursor[e.slot as usize]);
+                return self.take_on_slot(e.slot as usize);
             }
         }
         while let Some(&e) = self.global_idle.get(self.global_cursor) {
@@ -739,18 +660,14 @@ impl Round {
 
     /// Marks task `t` of job `j` of app `i` satisfied on `node`: removes
     /// it from the unsatisfied list and releases its pressure on the
-    /// demand maps. With a health-cost table active the satisfaction
-    /// earns the node's credit (not a flat unit) toward the app's
-    /// projected locality, and a job made fully local banks its
-    /// bottleneck credit. Returns `(job id, original task index)`. The
-    /// caller must follow up with [`Round::record_grant`] for the same
-    /// app, which refreshes the heap key.
+    /// demand maps. The satisfaction earns the node's health credit toward
+    /// the app's projected locality, and a job made fully local banks its
+    /// bottleneck credit (both a flat unit without a cost table). Returns
+    /// `(job id, original task index)`. The caller must follow up with
+    /// [`Round::record_grant`] for the same app, which refreshes the heap
+    /// key.
     pub fn satisfy_task(&mut self, i: usize, j: usize, t: usize, node: NodeId) -> (JobId, usize) {
-        let credit = if self.cost_scale > 0 {
-            self.credit_of(node)
-        } else {
-            0
-        };
+        let credit = self.costs.credit(node);
         let (task_index, nodes_list) = self.apps[i].jobs[j].tasks.remove(t);
         for &n in nodes_list.iter() {
             let slot = self
@@ -762,22 +679,18 @@ impl Round {
                 *c -= 1;
             }
         }
-        let scale = self.cost_scale;
+        let scale = self.costs.scale;
         let app = &mut self.apps[i];
-        app.jobs[j].satisfied += 1;
+        let job = &mut app.jobs[j];
+        job.satisfied += 1;
+        job.min_credit = job.min_credit.min(credit);
         app.new_local_tasks += 1;
-        if scale > 0 {
-            app.new_task_credit += u64::from(credit);
-            let job = &mut app.jobs[j];
-            job.min_credit = job.min_credit.min(credit);
-        }
-        if app.jobs[j].fully_local() {
+        app.new_task_credit += u64::from(credit);
+        if job.fully_local() {
             app.new_local_jobs += 1;
-            if scale > 0 {
-                app.new_job_credit += u64::from(app.jobs[j].min_credit.min(scale));
-            }
+            app.new_job_credit += u64::from(job.min_credit.min(scale));
         }
-        (app.jobs[j].job, task_index)
+        (job.job, task_index)
     }
 
     /// Access to round-app state (for the intra module).
@@ -854,60 +767,10 @@ impl Round {
         }
     }
 
-    /// Finishes the round.
-    pub fn into_assignments(self) -> Vec<Assignment> {
-        self.finish().0
-    }
-
-    /// Finishes the round, returning the grants and the reusable scratch.
-    pub fn finish(self) -> (Vec<Assignment>, RoundScratch) {
-        let Round {
-            mut heap,
-            versions,
-            mut stash,
-            mut order,
-            mut demand_pool,
-            apps,
-            nodes,
-            idle_lists,
-            node_cursor,
-            global_idle,
-            total_node_demand,
-            assignments,
-            cost_credit,
-            filler_tiers,
-            tier_cursor,
-            ..
-        } = self;
-        heap.clear();
-        stash.clear();
-        order.clear();
-        demand_pool.push(total_node_demand);
-        for app in apps {
-            demand_pool.push(app.node_demand);
-        }
-        (
-            assignments,
-            RoundScratch {
-                heap,
-                versions,
-                stash,
-                order,
-                demand_pool,
-                nodes,
-                idle_lists,
-                node_cursor,
-                global_idle,
-                cost_credit,
-                filler_tiers,
-                tier_cursor,
-            },
-        )
-    }
-
-    /// The locality key of app `i` (diagnostics).
-    pub fn locality_key(&self, i: usize) -> LocalityKey {
-        LocalityKey::of(&self.apps[i], i)
+    /// Finishes the round, handing out its grants. The buffers stay for
+    /// the next [`Round::reset`].
+    pub fn finish(&mut self) -> Vec<Assignment> {
+        std::mem::take(&mut self.assignments)
     }
 }
 
@@ -924,8 +787,7 @@ mod tests {
             })
             .collect();
         AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
+            idle: execs,
             apps: vec![AppState {
                 app: AppId::new(0),
                 quota: 3,
@@ -1014,7 +876,7 @@ mod tests {
         assert_eq!(round.assignments[0].executor, ExecutorId::new(0));
         assert_eq!(round.assignments[0].for_task, Some((JobId::new(0), 0)));
         round.filler_phase();
-        let out = round.into_assignments();
+        let out = round.finish();
         assert_eq!(out.len(), 2, "one local grant + one filler");
         assert_eq!(out[1].for_task, None);
     }
@@ -1060,8 +922,7 @@ mod tests {
             })
             .collect();
         let view = AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
+            idle: execs,
             apps: vec![AppState {
                 app: AppId::new(0),
                 quota: 3,
@@ -1101,10 +962,11 @@ mod tests {
                 },
             ), // penalty 3
         ];
-        let mut round = Round::new(&view).with_health_costs(&costs);
+        let mut round = Round::new(&view);
+        round.set_health_costs(&costs);
         round.locality_phase();
         round.filler_phase();
-        let out = round.into_assignments();
+        let out = round.finish();
         let order: Vec<ExecutorId> = out.iter().map(|a| a.executor).collect();
         assert_eq!(
             order,
@@ -1124,8 +986,7 @@ mod tests {
             })
             .collect();
         let view = AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
+            idle: execs,
             apps: vec![AppState {
                 app: AppId::new(0),
                 quota: 1,
@@ -1147,10 +1008,11 @@ mod tests {
             }],
         };
         let run = |costs: &[(NodeId, HealthCost)]| {
-            let mut round = Round::new(&view).with_health_costs(costs);
+            let mut round = Round::new(&view);
+            round.set_health_costs(costs);
             round.locality_phase();
             round.filler_phase();
-            round.into_assignments()
+            round.finish()
         };
         assert_eq!(run(&[])[0].executor, ExecutorId::new(0), "id tie-break");
         let sick0 = [
@@ -1203,10 +1065,11 @@ mod tests {
             }],
         });
         let run = |costs: &[(NodeId, HealthCost)]| {
-            let mut round = Round::new(&view).with_health_costs(costs);
+            let mut round = Round::new(&view);
+            round.set_health_costs(costs);
             round.locality_phase();
             round.filler_phase();
-            round.into_assignments()
+            round.finish()
         };
         let neutral: Vec<(NodeId, HealthCost)> = (0..2)
             .map(|n| (NodeId::new(n), HealthCost::neutral(8)))
@@ -1214,19 +1077,75 @@ mod tests {
         assert_eq!(run(&[]), run(&neutral));
     }
 
+    /// `apps` applications over six nodes with two executors each; app
+    /// `a`'s jobs prefer overlapping node pairs, so apps contend and the
+    /// filler runs.
+    fn view_with_apps(apps: usize) -> AllocationView {
+        let idle = (0..12)
+            .map(|i| ExecutorInfo {
+                id: ExecutorId::new(i),
+                node: NodeId::new(i / 2),
+            })
+            .collect();
+        let apps = (0..apps)
+            .map(|a| AppState {
+                app: AppId::new(a),
+                quota: 4,
+                held: a % 2,
+                local_jobs: a,
+                total_jobs: 4,
+                local_tasks: 2 * a,
+                total_tasks: 10,
+                pending_jobs: (0..2)
+                    .map(|j| JobDemand {
+                        job: JobId::new(2 * a + j),
+                        unsatisfied_inputs: (0..2 + j)
+                            .map(|t| TaskDemand {
+                                task_index: t,
+                                preferred_nodes: {
+                                    let mut nodes =
+                                        [NodeId::new((a + t) % 6), NodeId::new((a + t + 3) % 7)];
+                                    nodes.sort_unstable();
+                                    nodes.into()
+                                },
+                            })
+                            .collect(),
+                        pending_tasks: 3 + j,
+                        total_inputs: 2 + j,
+                        satisfied_inputs: 0,
+                    })
+                    .collect(),
+            })
+            .collect();
+        AllocationView { idle, apps }
+    }
+
+    /// One allocator whose round is reset in place gives every round the
+    /// output a fresh allocator gives on the same view — across shrinking
+    /// and growing app counts and a cost table set, cleared and set again.
     #[test]
     fn scratch_recycles_buffers_without_changing_results() {
-        let view = view_one_app();
-        let mut first = Round::new(&view);
-        first.locality_phase();
-        first.filler_phase();
-        let (reference, scratch) = first.finish();
-        assert!(!scratch.demand_pool.is_empty(), "buffers returned to pool");
+        use crate::allocator::ExecutorAllocator;
+        use crate::custody::{reference_allocate_with_costs, CustodyAllocator};
+        use custody_simcore::SimRng;
 
-        let mut second = Round::recycled(&view, scratch);
-        second.locality_phase();
-        second.filler_phase();
-        let (again, _) = second.finish();
-        assert_eq!(reference, again);
+        let sick: Vec<(NodeId, HealthCost)> = (0..6)
+            .map(|n| {
+                let credit = if n % 3 == 0 { 3 } else { 8 };
+                (NodeId::new(n), HealthCost { credit, scale: 8 })
+            })
+            .collect();
+        let mut rng = SimRng::seed_from_u64(0);
+        let mut reused = CustodyAllocator::new();
+        for (apps, costs) in [(4, &sick[..]), (1, &[][..]), (3, &sick[..])] {
+            let view = view_with_apps(apps);
+            reused.set_node_health_costs(costs);
+            let out = reused.allocate(&view, &mut rng);
+            let mut fresh = CustodyAllocator::new();
+            fresh.set_node_health_costs(costs);
+            assert_eq!(out, fresh.allocate(&view, &mut rng), "{apps} apps");
+            assert_eq!(out, reference_allocate_with_costs(&view, costs));
+            assert!(!out.is_empty());
+        }
     }
 }

@@ -44,6 +44,8 @@ pub use baselines::{DynamicOfferAllocator, StaticRandomAllocator, StaticSpreadAl
 pub use cost::HealthCost;
 pub use custody::{CustodyAllocator, InterPolicy, IntraPolicy};
 
+use custody_simcore::SimRng;
+
 /// Which cluster manager to run; the axis every experiment compares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AllocatorKind {
@@ -86,12 +88,25 @@ impl AllocatorKind {
         }
     }
 
-    /// Instantiates the allocator.
-    pub fn build(self) -> Box<dyn ExecutorAllocator> {
+    /// Instantiates the allocator for a cluster whose whole executor
+    /// inventory (in executor-id order) is `executors`, shared by
+    /// `num_apps` applications. The static baselines fix their partitions
+    /// here; `StaticRandom` draws its shuffle from `rng`, and nothing else
+    /// ever draws from it.
+    pub fn build(
+        self,
+        executors: &[ExecutorInfo],
+        num_apps: usize,
+        rng: &mut SimRng,
+    ) -> Box<dyn ExecutorAllocator> {
         match self {
             AllocatorKind::Custody => Box::new(CustodyAllocator::new()),
-            AllocatorKind::StaticSpread => Box::new(StaticSpreadAllocator::new()),
-            AllocatorKind::StaticRandom => Box::new(StaticRandomAllocator::new()),
+            AllocatorKind::StaticSpread => {
+                Box::new(StaticSpreadAllocator::new(executors, num_apps))
+            }
+            AllocatorKind::StaticRandom => {
+                Box::new(StaticRandomAllocator::new(executors, num_apps, rng))
+            }
             AllocatorKind::DynamicOffer => Box::new(DynamicOfferAllocator::new()),
             AllocatorKind::CustodyFairIntra => {
                 Box::new(CustodyAllocator::new().with_intra(IntraPolicy::RoundRobinFair))

@@ -98,8 +98,7 @@ mod tests {
     fn disjoint_demands_reach_rate_one() {
         let execs = vec![exec(0, 0), exec(1, 1)];
         let view = AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
+            idle: execs,
             apps: vec![one_task_app(0, &[0]), one_task_app(1, &[1])],
         };
         assert!((max_concurrent_rate(&view) - 1.0).abs() < 1e-9);
@@ -109,8 +108,7 @@ mod tests {
     fn two_apps_one_executor_is_half() {
         let execs = vec![exec(0, 0)];
         let view = AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
+            idle: execs,
             apps: vec![one_task_app(0, &[0]), one_task_app(1, &[0])],
         };
         let rate = max_concurrent_rate(&view);
@@ -121,8 +119,7 @@ mod tests {
     fn three_way_contention_is_a_third() {
         let execs = vec![exec(0, 0)];
         let view = AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
+            idle: execs,
             apps: vec![
                 one_task_app(0, &[0]),
                 one_task_app(1, &[0]),
@@ -137,8 +134,7 @@ mod tests {
     fn unroutable_demand_gives_zero() {
         let execs = vec![exec(0, 0)];
         let view = AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
+            idle: execs,
             apps: vec![one_task_app(0, &[9])],
         };
         assert!(max_concurrent_rate(&view) < 1e-4);
@@ -150,8 +146,7 @@ mod tests {
         let mut a = one_task_app(0, &[0]);
         a.pending_jobs.clear();
         let view = AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
+            idle: execs,
             apps: vec![a],
         };
         assert_eq!(max_concurrent_rate(&view), 1.0);
@@ -187,16 +182,14 @@ mod tests {
         let contended = |napps: usize| {
             let execs = vec![exec(0, 0)];
             AllocationView {
-                idle: execs.clone(),
-                all_executors: execs,
+                idle: execs,
                 apps: (0..napps).map(|i| one_task_app(i, &[0])).collect(),
             }
         };
         let mixed = {
             let execs = vec![exec(0, 0), exec(1, 1)];
             AllocationView {
-                idle: execs.clone(),
-                all_executors: execs,
+                idle: execs,
                 apps: vec![
                     one_task_app(0, &[0]),
                     one_task_app(1, &[0, 1]),
@@ -229,8 +222,7 @@ mod tests {
         // 2^-20 grid, so the exact search must land on it precisely.
         let execs = vec![exec(0, 0)];
         let view = AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
+            idle: execs,
             apps: vec![one_task_app(0, &[0]), one_task_app(1, &[0])],
         };
         let (num, den) = max_concurrent_rate_exact(&view);
@@ -267,8 +259,7 @@ mod tests {
             }],
         };
         let view = AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
+            idle: execs,
             apps: vec![mk_app(0, 0, 1), mk_app(1, 2, 3)],
         };
         assert!((max_concurrent_rate(&view) - 1.0).abs() < 1e-9);

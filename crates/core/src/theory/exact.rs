@@ -150,8 +150,7 @@ mod tests {
     fn fig1_optimum_is_one() {
         let execs: Vec<ExecutorInfo> = (0..4).map(|i| exec(i, i)).collect();
         let view = AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
+            idle: execs,
             apps: vec![
                 app(0, 2, vec![one_task_job(0, 0), one_task_job(1, 1)]),
                 app(1, 2, vec![one_task_job(2, 2), one_task_job(3, 3)]),
@@ -166,8 +165,7 @@ mod tests {
         // single-task jobs: optimum min = 0.5.
         let execs: Vec<ExecutorInfo> = (0..4).map(|i| exec(i, i)).collect();
         let view = AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
+            idle: execs,
             apps: vec![
                 app(0, 2, vec![one_task_job(0, 0), one_task_job(1, 1)]),
                 app(1, 2, vec![one_task_job(2, 0), one_task_job(3, 1)]),
@@ -181,8 +179,7 @@ mod tests {
         // Two apps, one executor, both need it: someone gets nothing.
         let execs = vec![exec(0, 0)];
         let view = AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
+            idle: execs,
             apps: vec![
                 app(0, 1, vec![one_task_job(0, 0)]),
                 app(1, 1, vec![one_task_job(1, 0)]),
@@ -195,8 +192,7 @@ mod tests {
     fn no_apps_is_trivially_one() {
         let execs = vec![exec(0, 0)];
         let view = AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
+            idle: execs,
             apps: vec![],
         };
         assert_eq!(optimal_min_local_job_fraction(&view), 1.0);
@@ -208,8 +204,7 @@ mod tests {
         // can ever be local.
         let execs = vec![exec(0, 0), exec(1, 1)];
         let view = AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
+            idle: execs,
             apps: vec![app(0, 1, vec![one_task_job(0, 0), one_task_job(1, 1)])],
         };
         assert!((optimal_min_local_job_fraction(&view) - 0.5).abs() < 1e-12);
@@ -220,8 +215,7 @@ mod tests {
     fn oversized_instance_rejected() {
         let execs: Vec<ExecutorInfo> = (0..9).map(|i| exec(i, i)).collect();
         let view = AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
+            idle: execs,
             apps: vec![app(0, 9, vec![])],
         };
         let _ = optimal_min_local_job_fraction(&view);

@@ -272,8 +272,7 @@ mod tests {
         // T1 → E1; T2 → E1, E2; T21 → E2, E3.
         let execs = vec![exec(0, 0), exec(1, 1), exec(2, 2)];
         AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
+            idle: execs,
             apps: vec![
                 app(0, 2, vec![vec![task(0, &[0]), task(1, &[0, 1])]]),
                 app(1, 1, vec![vec![task(0, &[1, 2])]]),
@@ -307,8 +306,7 @@ mod tests {
         // rate 0.5 is fine (fractionally).
         let execs = vec![exec(0, 0)];
         let view = AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
+            idle: execs,
             apps: vec![
                 app(0, 1, vec![vec![task(0, &[0])]]),
                 app(1, 1, vec![vec![task(0, &[0])]]),
@@ -323,8 +321,7 @@ mod tests {
     fn empty_demand_is_trivially_feasible() {
         let execs = vec![exec(0, 0)];
         let view = AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
+            idle: execs,
             apps: vec![app(0, 1, vec![])],
         };
         let mut net = FlowNetwork::from_view(&view);
@@ -337,8 +334,7 @@ mod tests {
     fn task_with_no_replica_nodes_cannot_route() {
         let execs = vec![exec(0, 0)];
         let view = AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
+            idle: execs,
             apps: vec![app(0, 1, vec![vec![task(0, &[7])]])],
         };
         let mut net = FlowNetwork::from_view(&view);
@@ -352,8 +348,7 @@ mod tests {
         // (1, 0.5) not.
         let execs = vec![exec(0, 0)];
         let view = AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
+            idle: execs,
             apps: vec![
                 app(0, 1, vec![vec![task(0, &[0])]]),
                 app(1, 1, vec![vec![task(0, &[0])]]),
@@ -371,8 +366,7 @@ mod tests {
         // routes.
         let execs = vec![exec(0, 0)];
         let view = AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
+            idle: execs,
             apps: vec![app(0, 2, vec![vec![task(0, &[0]), task(1, &[0])]])],
         };
         let mut net = FlowNetwork::from_view(&view);

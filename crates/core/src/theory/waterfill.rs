@@ -160,11 +160,7 @@ mod tests {
     }
 
     fn view(execs: Vec<ExecutorInfo>, apps: Vec<AppState>) -> AllocationView {
-        AllocationView {
-            idle: execs.clone(),
-            all_executors: execs,
-            apps,
-        }
+        AllocationView { idle: execs, apps }
     }
 
     #[test]

@@ -24,16 +24,16 @@ use custody_workload::{AppId, JobId};
 /// quotas, held counts, locality histories, and pending jobs whose tasks
 /// prefer 1–3 random nodes (sorted, deduped, sometimes dangling).
 fn random_view(rng: &mut SimRng, nodes: usize, apps: usize) -> AllocationView {
-    let mut all_executors = Vec::new();
+    let mut executors = Vec::new();
     for n in 0..nodes {
         for _ in 0..rng.below(3) {
-            all_executors.push(ExecutorInfo {
-                id: ExecutorId::new(all_executors.len()),
+            executors.push(ExecutorInfo {
+                id: ExecutorId::new(executors.len()),
                 node: NodeId::new(n),
             });
         }
     }
-    let idle: Vec<ExecutorInfo> = all_executors
+    let idle: Vec<ExecutorInfo> = executors
         .iter()
         .filter(|_| rng.chance(0.6))
         .copied()
@@ -118,7 +118,6 @@ fn random_view(rng: &mut SimRng, nodes: usize, apps: usize) -> AllocationView {
 
     AllocationView {
         idle,
-        all_executors,
         apps: app_states,
     }
 }
@@ -253,7 +252,6 @@ fn neutral_cost_vector_degenerates_to_costless_allocation_at_1k_nodes() {
 fn production_round_matches_reference_on_edge_views() {
     let empty = AllocationView {
         idle: vec![],
-        all_executors: vec![],
         apps: vec![],
     };
     assert_eq!(

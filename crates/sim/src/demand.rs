@@ -32,8 +32,7 @@
 //! has changed since the last zero-grant round, re-running the allocator
 //! is provably idempotent and the round is skipped outright.
 
-use custody_cluster::ClusterState;
-use custody_core::{ExecutorInfo, JobDemand, TaskDemand};
+use custody_core::{JobDemand, TaskDemand};
 use custody_dfs::BlockId;
 
 use crate::job::{RuntimeJob, TaskState};
@@ -87,8 +86,6 @@ pub(crate) struct DemandCache {
     /// Registered once at submission (input blocks never change), so
     /// replica churn on a block dirties exactly its readers.
     watchers: Vec<Vec<u32>>,
-    /// The cluster's full executor list (the cluster never changes shape).
-    all_executors: Vec<ExecutorInfo>,
     /// Some job's demand (or app accounting) changed since the last
     /// executed round.
     demand_changed: bool,
@@ -97,21 +94,13 @@ pub(crate) struct DemandCache {
 }
 
 impl DemandCache {
-    pub fn new(num_apps: usize, cluster: &ClusterState) -> Self {
+    pub fn new(num_apps: usize) -> Self {
         DemandCache {
             demand: Vec::new(),
             dirty: Vec::new(),
             dirty_list: Vec::new(),
             active: vec![Vec::new(); num_apps],
             watchers: Vec::new(),
-            all_executors: cluster
-                .executors()
-                .iter()
-                .map(|e| ExecutorInfo {
-                    id: e.id,
-                    node: e.node,
-                })
-                .collect(),
             demand_changed: true,
             pool_changed: true,
         }
@@ -245,10 +234,5 @@ impl DemandCache {
                 "active list out of sync for job {j}"
             );
         }
-    }
-
-    /// The cluster's full executor list.
-    pub fn all_executors(&self) -> &[ExecutorInfo] {
-        &self.all_executors
     }
 }

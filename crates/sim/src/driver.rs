@@ -322,6 +322,9 @@ struct Driver {
     /// `ExecutorId::index()` (ascending iteration, so allocator views are
     /// built in the same order the old tree set produced).
     pool: DenseSet,
+    /// The allocator's stream. The static-random partition is drawn from
+    /// it when the allocator is built; `allocate` is handed it, but no
+    /// allocator draws there.
     alloc_rng: SimRng,
     fail_rng: SimRng,
     noise: TruncatedNormal,
@@ -506,7 +509,21 @@ impl Driver {
         // Until the first detection every onset on record is latent rot.
         let replicas_corrupted = durability.as_ref().map_or(0, |d| d.onset.len());
 
-        let cache = DemandCache::new(campaign.num_apps(), &cluster);
+        let cache = DemandCache::new(campaign.num_apps());
+        // The static baselines fix their partitions from the executor
+        // inventory here, once; it never enters a per-round view.
+        let inventory: Vec<ExecutorInfo> = cluster
+            .executors()
+            .iter()
+            .map(|e| ExecutorInfo {
+                id: e.id,
+                node: e.node,
+            })
+            .collect();
+        let mut alloc_rng = SimRng::for_stream(config.seed, "allocator");
+        let allocator = config
+            .allocator
+            .build(&inventory, apps.len(), &mut alloc_rng);
         // Dataset creation placed initial replicas directly; the change
         // journal tracks mutations *after* this point (jobs resolve their
         // preferred nodes from scratch at submission anyway).
@@ -517,10 +534,10 @@ impl Driver {
             pool: (0..cluster.num_executors()).collect(),
             namenode,
             cluster,
-            allocator: config.allocator.build(),
+            allocator,
             apps,
             jobs: Vec::new(),
-            alloc_rng: SimRng::for_stream(config.seed, "allocator"),
+            alloc_rng,
             fail_rng: SimRng::for_stream(config.seed, "failures"),
             noise: TruncatedNormal::new(1.0, 0.05, 0.85, 1.15),
             noise_rng: SimRng::for_stream(config.seed, "task-noise"),
@@ -1201,8 +1218,7 @@ impl Driver {
     ///
     /// A round whose inputs are unchanged since the previous *zero-grant*
     /// round is skipped: the allocator is a deterministic function of the
-    /// view (none of the allocators draw randomness on a zero-grant call —
-    /// `StaticRandom` draws once on its first call, `DynamicOffer`
+    /// view (no allocator draws in `allocate`, and `DynamicOffer`
     /// advances its cursor only on grants), so re-running it would grant
     /// nothing again. The skip replays the previous round's counting so
     /// metrics stay bit-identical; with the auditor on, every skip is
@@ -1332,11 +1348,7 @@ impl Driver {
                 pending_jobs: self.cache.active_demands(i),
             })
             .collect();
-        AllocationView {
-            idle,
-            all_executors: self.cache.all_executors().to_vec(),
-            apps,
-        }
+        AllocationView { idle, apps }
     }
 
     /// Step 3: offer idle held executors to their applications' task

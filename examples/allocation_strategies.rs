@@ -61,8 +61,7 @@ fn fig3() {
         pending_jobs: vec![one_task_job(id * 2, 0), one_task_job(id * 2 + 1, 1)],
     };
     let view = AllocationView {
-        idle: execs.clone(),
-        all_executors: execs,
+        idle: execs,
         apps: vec![app(0), app(1)],
     };
     // Naive fairness only counts executors, so it considers the plan

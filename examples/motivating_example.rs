@@ -52,20 +52,20 @@ fn fig1_view() -> AllocationView {
         }],
     };
     AllocationView {
-        idle: executors.clone(),
-        all_executors: executors,
+        idle: executors,
         apps: vec![app(0, [0, 1]), app(1, [2, 3])],
     }
 }
 
 fn show(kind: AllocatorKind, view: &AllocationView) {
-    let mut allocator = kind.build();
+    // Every executor starts idle, so the idle list is the inventory.
     let mut rng = SimRng::seed_from_u64(0);
+    let mut allocator = kind.build(&view.idle, view.apps.len(), &mut rng);
     let assignments = allocator.allocate(view, &mut rng);
     println!("{}:", kind.name());
     for a in &assignments {
         let node = view
-            .all_executors
+            .idle
             .iter()
             .find(|e| e.id == a.executor)
             .map(|e| e.node)
@@ -87,7 +87,7 @@ fn show(kind: AllocatorKind, view: &AllocationView) {
     let local = assignments
         .iter()
         .filter(|a| {
-            let node = view.all_executors[a.executor.index()].node;
+            let node = view.idle[a.executor.index()].node;
             view.apps[a.app.index()]
                 .pending_jobs
                 .iter()

@@ -52,12 +52,13 @@ fn fresh_app(id: usize, quota: usize, jobs: Vec<JobDemand>) -> AppState {
 }
 
 /// Counts how many of an app's demanded tasks could run locally under the
-/// produced assignment.
+/// produced assignment. Every executor is idle in these views, so the idle
+/// list is the whole inventory, indexed by executor id.
 fn local_tasks(view: &AllocationView, out: &[custody::core::Assignment], app: usize) -> usize {
     let nodes: Vec<NodeId> = out
         .iter()
         .filter(|a| a.app == AppId::new(app))
-        .map(|a| view.all_executors[a.executor.index()].node)
+        .map(|a| view.idle[a.executor.index()].node)
         .collect();
     // Greedy one-to-one matching of tasks to granted nodes.
     let mut free = nodes.clone();
@@ -82,8 +83,7 @@ fn local_tasks(view: &AllocationView, out: &[custody::core::Assignment], app: us
 fn fig1_custody_achieves_perfect_locality() {
     let execs = executors(4);
     let view = AllocationView {
-        idle: execs.clone(),
-        all_executors: execs,
+        idle: execs,
         apps: vec![
             fresh_app(0, 2, vec![job(0, &[0, 1])]),
             fresh_app(1, 2, vec![job(1, &[2, 3])]),
@@ -92,7 +92,9 @@ fn fig1_custody_achieves_perfect_locality() {
     assert!((max_concurrent_rate(&view) - 1.0).abs() < 1e-9);
 
     let mut rng = SimRng::seed_from_u64(0);
-    let out = AllocatorKind::Custody.build().allocate(&view, &mut rng);
+    let out = AllocatorKind::Custody
+        .build(&view.idle, view.apps.len(), &mut rng)
+        .allocate(&view, &mut rng);
     assert_eq!(local_tasks(&view, &out, 0), 2);
     assert_eq!(local_tasks(&view, &out, 1), 2);
 }
@@ -102,8 +104,7 @@ fn fig1_custody_achieves_perfect_locality() {
 fn fig1_round_robin_baseline_gets_half() {
     let execs = executors(4);
     let view = AllocationView {
-        idle: execs.clone(),
-        all_executors: execs,
+        idle: execs,
         apps: vec![
             fresh_app(0, 2, vec![job(0, &[0, 1])]),
             fresh_app(1, 2, vec![job(1, &[2, 3])]),
@@ -111,7 +112,7 @@ fn fig1_round_robin_baseline_gets_half() {
     };
     let mut rng = SimRng::seed_from_u64(0);
     let out = AllocatorKind::StaticSpread
-        .build()
+        .build(&view.idle, view.apps.len(), &mut rng)
         .allocate(&view, &mut rng);
     assert_eq!(out.len(), 4);
     // Spread deals node 0 → app 0, node 1 → app 1, node 2 → app 0,
@@ -127,8 +128,7 @@ fn fig3_hot_executors_split_between_apps() {
     let execs = executors(4);
     let mk_app = |id: usize| fresh_app(id, 2, vec![job(id * 2, &[0]), job(id * 2 + 1, &[1])]);
     let view = AllocationView {
-        idle: execs.clone(),
-        all_executors: execs,
+        idle: execs,
         apps: vec![mk_app(0), mk_app(1)],
     };
     let mut rng = SimRng::seed_from_u64(0);
@@ -170,8 +170,7 @@ fn fig3_min_locality_beats_count_fairness_on_history() {
     starved.local_tasks = 0;
     starved.total_tasks = 6;
     let view = AllocationView {
-        idle: execs.clone(),
-        all_executors: execs,
+        idle: execs,
         apps: vec![lucky, starved],
     };
     let mut rng = SimRng::seed_from_u64(0);
@@ -255,8 +254,7 @@ fn fig2_flow_network_rate() {
     app2.total_jobs = 1;
     app2.total_tasks = 1;
     let view = AllocationView {
-        idle: execs.clone(),
-        all_executors: execs,
+        idle: execs,
         apps: vec![app1, app2],
     };
     assert!((max_concurrent_rate(&view) - 1.0).abs() < 1e-9);

@@ -74,14 +74,15 @@ fn random_view_spec(rng: &mut SimRng) -> ViewSpec {
     }
 }
 
-fn build_view(spec: &ViewSpec) -> AllocationView {
-    let all_executors: Vec<ExecutorInfo> = (0..spec.nodes * spec.executors_per_node)
+/// The cluster's executor inventory and the view of its idle subset.
+fn build_view(spec: &ViewSpec) -> (Vec<ExecutorInfo>, AllocationView) {
+    let executors: Vec<ExecutorInfo> = (0..spec.nodes * spec.executors_per_node)
         .map(|i| ExecutorInfo {
             id: ExecutorId::new(i),
             node: NodeId::new(i / spec.executors_per_node),
         })
         .collect();
-    let idle: Vec<ExecutorInfo> = all_executors
+    let idle: Vec<ExecutorInfo> = executors
         .iter()
         .zip(&spec.idle_mask)
         .filter(|(_, &is_idle)| is_idle)
@@ -130,11 +131,7 @@ fn build_view(spec: &ViewSpec) -> AllocationView {
             }
         })
         .collect();
-    AllocationView {
-        idle,
-        all_executors,
-        apps,
-    }
+    (executors, AllocationView { idle, apps })
 }
 
 /// All six allocators obey the contract on arbitrary views, and
@@ -144,7 +141,7 @@ fn allocators_respect_contract() {
     let mut rng = SimRng::for_stream(2024, "contract");
     for case in 0..200 {
         let spec = random_view_spec(&mut rng);
-        let view = build_view(&spec);
+        let (executors, view) = build_view(&spec);
         let seed = rng.draw_u64();
         for kind in [
             AllocatorKind::Custody,
@@ -154,15 +151,15 @@ fn allocators_respect_contract() {
             AllocatorKind::CustodyFairIntra,
             AllocatorKind::CustodyNaiveInter,
         ] {
-            let mut alloc = kind.build();
             let mut alloc_rng = SimRng::seed_from_u64(seed);
+            let mut alloc = kind.build(&executors, view.apps.len(), &mut alloc_rng);
             let out = alloc.allocate(&view, &mut alloc_rng);
             validate_assignments(&view, &out);
             // for_task grants must point at a pending task of the app and
             // sit on one of its preferred nodes.
             for a in &out {
                 if let Some((job, task_index)) = a.for_task {
-                    let node = view.all_executors[a.executor.index()].node;
+                    let node = executors[a.executor.index()].node;
                     let app = &view.apps[a.app.index()];
                     let demand = app
                         .pending_jobs
@@ -197,9 +194,9 @@ fn custody_leaves_no_local_grant_behind_single_app() {
         let mut spec = random_view_spec(&mut rng);
         spec.apps.truncate(1);
         checked += 1;
-        let view = build_view(&spec);
-        let mut alloc = AllocatorKind::Custody.build();
+        let (executors, view) = build_view(&spec);
         let mut alloc_rng = SimRng::seed_from_u64(rng.draw_u64());
+        let mut alloc = AllocatorKind::Custody.build(&executors, view.apps.len(), &mut alloc_rng);
         let out = alloc.allocate(&view, &mut alloc_rng);
         let granted: std::collections::HashSet<ExecutorId> =
             out.iter().map(|a| a.executor).collect();

@@ -144,8 +144,7 @@ fn random_view(rng: &mut SimRng, nodes: usize, apps: usize) -> AllocationView {
         })
         .collect();
     AllocationView {
-        idle: executors.clone(),
-        all_executors: executors,
+        idle: executors,
         apps,
     }
 }
