@@ -137,11 +137,6 @@ impl AllocationView {
     pub fn app(&self, id: AppId) -> &AppState {
         &self.apps[id.index()]
     }
-
-    /// Total outstanding demand across applications.
-    pub fn total_demand(&self) -> usize {
-        self.apps.iter().map(|a| a.outstanding_demand()).sum()
-    }
 }
 
 /// One executor-to-application grant.
@@ -287,16 +282,11 @@ mod tests {
     }
 
     #[test]
-    fn view_total_demand() {
-        let mut a = app_state(0, 2, 0);
-        a.pending_jobs = vec![demand(0, 1, 3)];
-        let mut b = app_state(1, 2, 1);
-        b.pending_jobs = vec![demand(1, 1, 1)];
+    fn view_looks_apps_up_by_id() {
         let view = AllocationView {
             idle: vec![],
-            apps: vec![a, b],
+            apps: vec![app_state(0, 2, 0), app_state(1, 2, 1)],
         };
-        assert_eq!(view.total_demand(), 3);
         assert_eq!(view.app(AppId::new(1)).held, 1);
     }
 

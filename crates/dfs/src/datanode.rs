@@ -116,9 +116,113 @@ impl DataNode {
     }
 }
 
+/// Every machine's storage state, indexed by node id, with an O(1)
+/// conservative answer to "does every machine have room for this block?".
+///
+/// Reads go through the slice ([`Deref`](std::ops::Deref)); every change
+/// goes through this type, so the bound behind [`all_fit`](Self::all_fit)
+/// can never overstate the free space.
+#[derive(Debug, Clone)]
+pub struct DataNodes {
+    nodes: Vec<DataNode>,
+    /// A lower bound on every machine's free bytes: lowered to the
+    /// machine's free space by each add, left as is by a remove.
+    free_floor: u64,
+    /// Machines currently decommissioned.
+    decommissioned: usize,
+}
+
+impl DataNodes {
+    /// Whether every machine certainly fits a block of `size_bytes`.
+    /// `false` means only that some machine may not: the caller then
+    /// checks machine by machine.
+    pub fn all_fit(&self, size_bytes: u64) -> bool {
+        self.decommissioned == 0 && self.free_floor >= size_bytes
+    }
+
+    /// Adds a replica to `node` ([`DataNode::add`]).
+    pub(crate) fn add(&mut self, node: NodeId, block: BlockId, size_bytes: u64) -> bool {
+        let dn = &mut self.nodes[node.index()];
+        let added = dn.add(block, size_bytes);
+        self.free_floor = self.free_floor.min(dn.free_bytes());
+        added
+    }
+
+    /// Removes a replica from `node` ([`DataNode::remove`]).
+    pub(crate) fn remove(&mut self, node: NodeId, block: BlockId, size_bytes: u64) -> bool {
+        self.nodes[node.index()].remove(block, size_bytes)
+    }
+
+    /// Decommissions `node` ([`DataNode::decommission`]).
+    pub(crate) fn decommission(&mut self, node: NodeId) {
+        let dn = &mut self.nodes[node.index()];
+        self.decommissioned += usize::from(!dn.is_decommissioned());
+        dn.decommission();
+    }
+
+    /// Recommissions `node` ([`DataNode::recommission`]).
+    pub(crate) fn recommission(&mut self, node: NodeId) {
+        let dn = &mut self.nodes[node.index()];
+        self.decommissioned -= usize::from(dn.is_decommissioned());
+        dn.recommission();
+    }
+}
+
+impl From<Vec<DataNode>> for DataNodes {
+    /// Takes machines indexed by node id (`nodes[i].node` is node `i`).
+    fn from(nodes: Vec<DataNode>) -> Self {
+        DataNodes {
+            free_floor: nodes
+                .iter()
+                .map(DataNode::free_bytes)
+                .min()
+                .unwrap_or(u64::MAX),
+            decommissioned: nodes.iter().filter(|dn| dn.is_decommissioned()).count(),
+            nodes,
+        }
+    }
+}
+
+impl std::ops::Deref for DataNodes {
+    type Target = [DataNode];
+
+    fn deref(&self) -> &[DataNode] {
+        &self.nodes
+    }
+}
+
+/// Equality is the machines' equality: the free-space bound depends on
+/// the order of past adds and removes, not on the state they left.
+impl PartialEq for DataNodes {
+    fn eq(&self, other: &Self) -> bool {
+        self.nodes == other.nodes
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn all_fit_is_a_conservative_bound() {
+        let mut dns = DataNodes::from(
+            (0..3)
+                .map(|i| DataNode::new(NodeId::new(i), 1000))
+                .collect::<Vec<_>>(),
+        );
+        assert!(dns.all_fit(1000));
+        assert!(dns.add(NodeId::new(1), BlockId::new(0), 600));
+        assert!(dns.all_fit(400) && !dns.all_fit(401));
+        assert!(dns.remove(NodeId::new(1), BlockId::new(0), 600));
+        assert!(!dns.all_fit(401), "a remove leaves the bound low");
+        assert!(dns.iter().all(|dn| dn.fits(1000)));
+        dns.decommission(NodeId::new(2));
+        dns.decommission(NodeId::new(2));
+        assert!(!dns.all_fit(1));
+        dns.recommission(NodeId::new(2));
+        assert!(dns.all_fit(400));
+        assert_eq!(DataNodes::from(dns.to_vec()), dns);
+    }
 
     fn node() -> DataNode {
         DataNode::new(NodeId::new(0), 1000)

@@ -33,7 +33,7 @@ pub mod placement;
 pub mod popularity;
 
 pub use block::{Block, BlockId, Dataset, DatasetId, NodeId, BYTES_PER_MB, DEFAULT_BLOCK_SIZE};
-pub use datanode::DataNode;
+pub use datanode::{DataNode, DataNodes};
 pub use namenode::NameNode;
 pub use placement::{
     PlacementPolicy, PopularityPlacement, RackAwarePlacement, RandomPlacement, RoundRobinPlacement,

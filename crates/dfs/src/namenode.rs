@@ -12,7 +12,7 @@
 use custody_simcore::SimRng;
 
 use crate::block::{split_into_blocks, Block, BlockId, Dataset, DatasetId, NodeId};
-use crate::datanode::DataNode;
+use crate::datanode::{DataNode, DataNodes};
 use crate::placement::PlacementPolicy;
 use crate::popularity::AccessTracker;
 
@@ -33,7 +33,7 @@ use crate::popularity::AccessTracker;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct NameNode {
-    datanodes: Vec<DataNode>,
+    datanodes: DataNodes,
     blocks: Vec<Block>,
     datasets: Vec<Dataset>,
     /// Per-block replica locations, kept sorted by node id.
@@ -68,9 +68,11 @@ impl NameNode {
         assert!(num_nodes > 0, "cluster must have nodes");
         assert!(replication > 0, "replication must be positive");
         NameNode {
-            datanodes: (0..num_nodes)
-                .map(|i| DataNode::new(NodeId::new(i), capacity_bytes))
-                .collect(),
+            datanodes: DataNodes::from(
+                (0..num_nodes)
+                    .map(|i| DataNode::new(NodeId::new(i), capacity_bytes))
+                    .collect::<Vec<_>>(),
+            ),
             blocks: Vec::new(),
             datasets: Vec::new(),
             replicas: Vec::new(),
@@ -136,7 +138,7 @@ impl NameNode {
             });
             let mut locs = Vec::with_capacity(targets.len());
             for node in targets {
-                let added = self.datanodes[node.index()].add(block_id, size_bytes);
+                let added = self.datanodes.add(node, block_id, size_bytes);
                 assert!(added, "placement returned unusable node {node}");
                 locs.push(node);
             }
@@ -193,7 +195,7 @@ impl NameNode {
     /// already exists or the node lacks space.
     pub fn add_replica(&mut self, block: BlockId, node: NodeId) -> bool {
         let size = self.blocks[block.index()].size_bytes;
-        if !self.datanodes[node.index()].add(block, size) {
+        if !self.datanodes.add(node, block, size) {
             return false;
         }
         let locs = &mut self.replicas[block.index()];
@@ -224,7 +226,7 @@ impl NameNode {
             marks.remove(mpos);
         }
         let size = self.blocks[block.index()].size_bytes;
-        let removed = self.datanodes[node.index()].remove(block, size);
+        let removed = self.datanodes.remove(node, block, size);
         debug_assert!(removed);
         self.changed.push(block);
         true
@@ -344,7 +346,7 @@ impl NameNode {
                 pinned.push(block);
             }
         }
-        self.datanodes[node.index()].decommission();
+        self.datanodes.decommission(node);
         pinned
     }
 
@@ -364,7 +366,7 @@ impl NameNode {
             self.datanodes[node.index()].is_decommissioned(),
             "recovering {node}, which is not failed"
         );
-        self.datanodes[node.index()].recommission();
+        self.datanodes.recommission(node);
     }
 
     /// Whether `node` is currently failed (decommissioned).
@@ -559,7 +561,7 @@ impl NameNode {
                 );
             }
         }
-        for dn in &self.datanodes {
+        for dn in self.datanodes.iter() {
             for block in dn.blocks() {
                 assert!(
                     self.replicas[block.index()].binary_search(&dn.node).is_ok(),

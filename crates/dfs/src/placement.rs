@@ -13,7 +13,7 @@
 use custody_simcore::SimRng;
 
 use crate::block::NodeId;
-use crate::datanode::DataNode;
+use crate::datanode::{DataNode, DataNodes};
 
 /// Strategy choosing which machines store a new block's replicas.
 pub trait PlacementPolicy {
@@ -25,7 +25,7 @@ pub trait PlacementPolicy {
     /// `replication` nodes only when not enough machines have space.
     fn place(
         &mut self,
-        datanodes: &[DataNode],
+        datanodes: &DataNodes,
         replication: usize,
         size_bytes: u64,
         rng: &mut SimRng,
@@ -50,18 +50,41 @@ impl PlacementPolicy for RandomPlacement {
 
     fn place(
         &mut self,
-        datanodes: &[DataNode],
+        datanodes: &DataNodes,
         replication: usize,
         size_bytes: u64,
         rng: &mut SimRng,
     ) -> Vec<NodeId> {
-        let pool = eligible(datanodes, size_bytes);
-        let k = replication.min(pool.len());
-        rng.choose_distinct(pool.len(), k)
-            .into_iter()
-            .map(|i| datanodes[pool[i]].node)
-            .collect()
+        // When every machine has room (the common case: set-up places
+        // datasets on an empty cluster) the eligible pool is the identity,
+        // so the draw indexes the datanodes directly — the same nodes from
+        // the same draws, in O(replication) rather than O(nodes).
+        if datanodes.all_fit(size_bytes) {
+            let k = replication.min(datanodes.len());
+            return rng
+                .choose_distinct(datanodes.len(), k)
+                .into_iter()
+                .map(|i| datanodes[i].node)
+                .collect();
+        }
+        place_among_eligible(datanodes, replication, size_bytes, rng)
     }
+}
+
+/// [`RandomPlacement`] over a cluster where some machine is full or
+/// decommissioned: a uniform draw from the machines with room.
+fn place_among_eligible(
+    datanodes: &DataNodes,
+    replication: usize,
+    size_bytes: u64,
+    rng: &mut SimRng,
+) -> Vec<NodeId> {
+    let pool = eligible(datanodes, size_bytes);
+    let k = replication.min(pool.len());
+    rng.choose_distinct(pool.len(), k)
+        .into_iter()
+        .map(|i| datanodes[pool[i]].node)
+        .collect()
 }
 
 /// Deterministic round-robin placement: replicas of consecutive blocks
@@ -79,7 +102,7 @@ impl PlacementPolicy for RoundRobinPlacement {
 
     fn place(
         &mut self,
-        datanodes: &[DataNode],
+        datanodes: &DataNodes,
         replication: usize,
         size_bytes: u64,
         _rng: &mut SimRng,
@@ -114,7 +137,7 @@ impl PlacementPolicy for PopularityPlacement {
 
     fn place(
         &mut self,
-        datanodes: &[DataNode],
+        datanodes: &DataNodes,
         replication: usize,
         size_bytes: u64,
         rng: &mut SimRng,
@@ -165,7 +188,7 @@ impl PlacementPolicy for RackAwarePlacement {
 
     fn place(
         &mut self,
-        datanodes: &[DataNode],
+        datanodes: &DataNodes,
         replication: usize,
         size_bytes: u64,
         rng: &mut SimRng,
@@ -243,8 +266,12 @@ mod tests {
     use crate::block::BlockId;
     use custody_simcore::rng::SimRng;
 
-    fn nodes(n: usize, cap: u64) -> Vec<DataNode> {
-        (0..n).map(|i| DataNode::new(NodeId::new(i), cap)).collect()
+    fn nodes(n: usize, cap: u64) -> DataNodes {
+        DataNodes::from(
+            (0..n)
+                .map(|i| DataNode::new(NodeId::new(i), cap))
+                .collect::<Vec<_>>(),
+        )
     }
 
     #[test]
@@ -266,14 +293,44 @@ mod tests {
     fn random_respects_capacity() {
         let mut dns = nodes(5, 1000);
         // Fill three nodes completely.
-        for dn in dns.iter_mut().take(3) {
-            assert!(dn.add(BlockId::new(99), 1000));
+        for i in 0..3 {
+            assert!(dns.add(NodeId::new(i), BlockId::new(99), 1000));
         }
         let mut p = RandomPlacement;
         let mut rng = SimRng::seed_from_u64(2);
         let picks = p.place(&dns, 3, 100, &mut rng);
         assert_eq!(picks.len(), 2, "only two nodes have space");
         assert!(picks.iter().all(|n| n.index() >= 3));
+    }
+
+    #[test]
+    fn random_all_fit_path_matches_eligible_list_path() {
+        let all_fit = nodes(40, 1000);
+        let mut decommissioned = nodes(40, 1000);
+        decommissioned.decommission(NodeId::new(17));
+        let mut full = nodes(40, 1000);
+        assert!(full.add(NodeId::new(0), BlockId::new(99), 1000));
+        for (case, dns) in [
+            ("all fit", &all_fit),
+            ("one decommissioned", &decommissioned),
+            ("one full", &full),
+        ] {
+            assert_eq!(dns.all_fit(100), case == "all fit", "{case}");
+            for seed in 0..30 {
+                for replication in [1, 3, 5, 40, 60] {
+                    let mut fast = SimRng::seed_from_u64(seed);
+                    let mut listed = fast.clone();
+                    let picks = RandomPlacement.place(dns, replication, 100, &mut fast);
+                    assert_eq!(
+                        picks,
+                        place_among_eligible(dns, replication, 100, &mut listed),
+                        "{case}, seed {seed}, replication {replication}"
+                    );
+                    assert_eq!(fast, listed, "{case}: RNG streams diverged");
+                    assert!(picks.iter().all(|n| dns[n.index()].fits(100)), "{case}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -307,7 +364,7 @@ mod tests {
     #[test]
     fn round_robin_skips_full_nodes() {
         let mut dns = nodes(3, 100);
-        assert!(dns[0].add(BlockId::new(0), 100));
+        assert!(dns.add(NodeId::new(0), BlockId::new(0), 100));
         let mut p = RoundRobinPlacement::default();
         let mut rng = SimRng::seed_from_u64(0);
         let picks = p.place(&dns, 2, 50, &mut rng);
@@ -317,8 +374,8 @@ mod tests {
     #[test]
     fn popularity_prefers_emptier_nodes() {
         let mut dns = nodes(3, 1000);
-        assert!(dns[0].add(BlockId::new(0), 800));
-        assert!(dns[1].add(BlockId::new(1), 400));
+        assert!(dns.add(NodeId::new(0), BlockId::new(0), 800));
+        assert!(dns.add(NodeId::new(1), BlockId::new(1), 400));
         let mut p = PopularityPlacement;
         let mut rng = SimRng::seed_from_u64(5);
         let picks = p.place(&dns, 2, 100, &mut rng);
@@ -387,8 +444,8 @@ mod tests {
     fn rack_aware_respects_capacity() {
         let mut dns = nodes(6, 100);
         // Fill all of rack 0.
-        for dn in dns.iter_mut().take(3) {
-            assert!(dn.add(BlockId::new(50), 100));
+        for i in 0..3 {
+            assert!(dns.add(NodeId::new(i), BlockId::new(50), 100));
         }
         let mut p = RackAwarePlacement::new(two_racks());
         let mut rng = SimRng::seed_from_u64(9);

@@ -47,11 +47,10 @@ pub fn check_source(path: &str, source: &str, cfg: &Config) -> Vec<Diagnostic> {
 
 /// Walks the workspace at `root`, lints every `.rs` file outside the
 /// configured skip list, runs the wall-clock cross-check, flags allow
-/// entries that cover no walked file, and returns all diagnostics sorted
-/// by (file, line, lint).
+/// entries that cover no walked file or name no function in the files
+/// they cover, and returns all diagnostics sorted by (file, line, lint).
 pub fn check_workspace(root: &Path, cfg: &Config) -> io::Result<Vec<Diagnostic>> {
     let files = collect_rs_files(root, cfg)?;
-    let mut diags = lints::stale_allows(&files, cfg);
     let mut sources: Vec<(String, String)> = Vec::with_capacity(files.len());
     for rel in files {
         let text = fs::read_to_string(root.join(&rel))?;
@@ -62,6 +61,7 @@ pub fn check_workspace(root: &Path, cfg: &Config) -> io::Result<Vec<Diagnostic>>
         .map(|(rel, text)| (rel.clone(), lexer::annotate(text)))
         .collect();
 
+    let mut diags = lints::stale_allows(&annotated, cfg);
     for (rel, ann) in &annotated {
         diags.extend(lints::check_file(rel, ann, cfg));
     }

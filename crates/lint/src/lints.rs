@@ -97,24 +97,32 @@ pub fn check_file(path: &str, ann: &Annotated<'_>, cfg: &Config) -> Vec<Diagnost
 }
 
 /// Flags every `lint.toml` allow entry whose `path` covers none of the
-/// walked workspace `files`: an allow left behind by deleted code is
-/// policy nothing checks, and it would silently re-open the exception if
-/// the path came back.
-pub fn stale_allows(files: &[String], cfg: &Config) -> Vec<Diagnostic> {
+/// walked workspace `files`, or whose `item` names no function in any
+/// file the entry covers: an allow left behind by deleted code is policy
+/// nothing checks, and it would silently re-open the exception if the
+/// path or function came back.
+pub fn stale_allows(files: &[(String, Annotated<'_>)], cfg: &Config) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for (lint, scope) in &cfg.lints {
         for allow in &scope.allows {
-            if !files.iter().any(|f| allow.covers_path(f)) {
-                out.push(Diagnostic::new(
-                    lint,
-                    "lint.toml",
-                    0,
-                    format!(
-                        "allow entry for `{}` covers no workspace .rs file; delete it",
-                        allow.path
-                    ),
-                ));
-            }
+            let covered: Vec<&Annotated<'_>> = files
+                .iter()
+                .filter(|(f, _)| allow.covers_path(f))
+                .map(|(_, ann)| ann)
+                .collect();
+            let message = match &allow.item {
+                _ if covered.is_empty() => format!(
+                    "allow entry for `{}` covers no workspace .rs file; delete it",
+                    allow.path
+                ),
+                Some(item) if !covered.iter().any(|ann| ann.fn_names.contains(item)) => format!(
+                    "allow entry for `{}` names item `{item}`, which is no function there; \
+                     delete it",
+                    allow.path
+                ),
+                _ => continue,
+            };
+            out.push(Diagnostic::new(lint, "lint.toml", 0, message));
         }
     }
     out

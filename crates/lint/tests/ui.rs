@@ -330,12 +330,23 @@ fn cross_check_ignores_deterministic_peak_fields() {
 
 // --- stale allow entries -------------------------------------------------
 
+/// The fixture config's allow paths, annotated from fixture sources.
+fn stale_fixture_files() -> Vec<(String, custody_lint::lexer::Annotated<'static>)> {
+    vec![
+        (
+            "crates/core/src/allowed.rs".to_string(),
+            custody_lint::lexer::annotate(include_str!("fixtures/unordered/bad.rs")),
+        ),
+        (
+            "crates/core/src/decision.rs".to_string(),
+            custody_lint::lexer::annotate(include_str!("fixtures/float/allowed.rs")),
+        ),
+    ]
+}
+
 #[test]
 fn allow_entries_covering_no_file_are_flagged() {
-    let files = [
-        "crates/core/src/allowed.rs".to_string(),
-        "crates/core/src/decision.rs".to_string(),
-    ];
+    let files = stale_fixture_files();
     let diags = lints::stale_allows(&files, &fixture_config());
     assert_eq!(lints_hit(&diags), ["wall-clock"], "{diags:?}");
     assert!(
@@ -355,4 +366,44 @@ fn allow_entries_covering_no_file_are_flagged() {
     )
     .expect("config parses");
     assert!(lints::stale_allows(&files, &cfg).is_empty());
+}
+
+#[test]
+fn allow_entries_naming_a_missing_item_are_flagged() {
+    let files = stale_fixture_files();
+    let cfg = parse(
+        r#"
+        [lints.float-in-decision-path]
+        files = ["crates/core/src/decision.rs"]
+
+        [[lints.float-in-decision-path.allow]]
+        path = "crates/core/src/decision.rs"
+        item = "report_only"
+        reason = "fixture: the function exists in the covered file"
+
+        [[lints.float-in-decision-path.allow]]
+        path = "crates/core/src/decision.rs"
+        item = "job_fraction"
+        reason = "fixture: the function was deleted"
+
+        [[lints.float-in-decision-path.allow]]
+        path = "crates/core/"
+        item = "decide"
+        reason = "fixture: a directory prefix, the function in one covered file"
+
+        [[lints.float-in-decision-path.allow]]
+        path = "crates/core/src/allowed.rs"
+        item = "report_only"
+        reason = "fixture: the function exists, but in a file this entry does not cover"
+        "#,
+    )
+    .expect("config parses");
+    let diags = lints::stale_allows(&files, &cfg);
+    assert_eq!(diags.len(), 2, "{diags:?}");
+    assert!(diags[0].message.contains("`job_fraction`"), "{diags:?}");
+    assert!(
+        diags[1].message.contains("crates/core/src/allowed.rs")
+            && diags[1].message.contains("`report_only`"),
+        "{diags:?}"
+    );
 }

@@ -1258,12 +1258,19 @@ impl Driver {
         let started = std::time::Instant::now();
         self.cache.begin_round();
         self.refresh_demand();
-        let view = self.view();
-        if view.total_demand() == 0 {
+        // Demand first: most dispatches find no app wanting an executor,
+        // and the idle list is the one part of the view that costs
+        // O(pool), so it is built only for a round that can grant.
+        let apps = self.app_states();
+        if no_demand(&apps) {
             self.alloc_wall += started.elapsed();
             self.last_round = LastRound::NoDemand;
             return 0;
         }
+        let view = AllocationView {
+            idle: self.idle_executors(),
+            apps,
+        };
         self.metrics.allocation_rounds += 1;
         if let Some(costs) = self.demotion_costs() {
             self.allocator.set_node_health_costs(&costs);
@@ -1317,24 +1324,36 @@ impl Driver {
         self.demand_wall += started.elapsed();
     }
 
-    /// The allocator's view of the idle pool and every application's
-    /// cached demand (fresh after [`refresh_demand`](Self::refresh_demand)).
-    fn view(&self) -> AllocationView {
-        // Quarantined nodes' executors stay pooled but invisible: the
-        // allocator can only grant what the view offers, so nothing is
-        // ever placed on a node the health detector has excluded.
-        let idle: Vec<ExecutorInfo> = self
+    /// The idle half of the allocator's view: the pooled executors it may
+    /// grant, in executor-id order.
+    fn idle_executors(&self) -> Vec<ExecutorInfo> {
+        let mut idle = Vec::with_capacity(self.pool.len());
+        let pooled = self
             .pool
             .iter()
             .map(ExecutorId::new)
             .map(|id| ExecutorInfo {
                 id,
                 node: self.cluster.node_of(id),
-            })
-            .filter(|info| self.node_schedulable(info.node))
-            .collect();
-        let apps = self
-            .apps
+            });
+        // Quarantined nodes' executors stay pooled but invisible: the
+        // allocator can only grant what the view offers, so nothing is
+        // ever placed on a node the health detector has excluded. Only a
+        // detector with detection on excludes anything, so every other
+        // run copies the pool without a per-executor health lookup.
+        if self.health.as_ref().is_some_and(|h| h.cfg.detection) {
+            idle.extend(pooled.filter(|info| self.node_schedulable(info.node)));
+        } else {
+            idle.extend(pooled);
+        }
+        idle
+    }
+
+    /// The apps half of the allocator's view: every application's quota,
+    /// holdings, locality history and cached demand (fresh after
+    /// [`refresh_demand`](Self::refresh_demand)).
+    fn app_states(&self) -> Vec<AppState> {
+        self.apps
             .iter()
             .enumerate()
             .map(|(i, a)| AppState {
@@ -1347,8 +1366,7 @@ impl Driver {
                 total_tasks: a.total_tasks,
                 pending_jobs: self.cache.active_demands(i),
             })
-            .collect();
-        AllocationView { idle, apps }
+            .collect()
     }
 
     /// Step 3: offer idle held executors to their applications' task
@@ -1842,6 +1860,13 @@ impl Driver {
         };
         (outcome, self.trace.unwrap_or_default())
     }
+}
+
+/// Whether no application wants an executor: a round over these apps
+/// grants nothing, whatever the idle pool holds. The one definition of a
+/// demand-free round, for running it and for auditing its skip.
+fn no_demand(apps: &[AppState]) -> bool {
+    apps.iter().all(|a| !a.wants_executor())
 }
 
 /// Draws the next arrival of a Poisson fault process — an exponential

@@ -72,10 +72,11 @@
 //!     verified-read gate and re-asserted before `mark_done`).
 
 use custody_cluster::HealthState;
+use custody_core::AllocationView;
 
 use crate::job::TaskState;
 
-use super::{DetectorState, Driver, FaultKind, HealthLayer, LastRound};
+use super::{no_demand, DetectorState, Driver, FaultKind, HealthLayer, LastRound};
 
 impl Driver {
     /// Checks every driver invariant, panicking with a description of
@@ -128,15 +129,18 @@ impl Driver {
             self.cache.is_fresh(),
             "round skipped with stale demand in the cache"
         );
-        let view = self.view();
+        let apps = self.app_states();
         if self.last_round == LastRound::NoDemand {
-            assert_eq!(
-                view.total_demand(),
-                0,
+            assert!(
+                no_demand(&apps),
                 "round skipped as demand-free while an application wants executors"
             );
             return;
         }
+        let view = AllocationView {
+            idle: self.idle_executors(),
+            apps,
+        };
         let mut allocator = self.allocator.clone_box();
         if let Some(costs) = self.demotion_costs() {
             allocator.set_node_health_costs(&costs);

@@ -10,13 +10,18 @@
 //!   id universes that are dense and bounded (the executor pool, an app's
 //!   held set). Iteration is ascending, matching `BTreeSet` order
 //!   bit-for-bit, which is what keeps the refactor invisible to the
-//!   golden-determinism suites.
+//!   golden-determinism suites. A summary level keeps one bit per
+//!   non-empty word, so iterating a sparse set costs O(universe / 4096 +
+//!   occupied words), not O(universe / 64): every dispatch walks each
+//!   app's held set, which on a 40k-executor cluster holds a few dozen
+//!   executors in a 625-word universe.
 //! * [`Interner`] — an epoch-stamped raw-id → dense-slot map for state
 //!   that is keyed by *whichever* ids show up in a round (the allocator's
 //!   per-node demand counts). Clearing is O(1) — bump the epoch — so a
 //!   round over 40 active nodes costs O(40) even on a 100k-node cluster.
 
-/// A set of small unsigned indices stored one bit per element.
+/// A set of small unsigned indices stored one bit per element, with one
+/// summary bit per non-empty word.
 ///
 /// Drop-in replacement for `BTreeSet<usize>`-shaped state where the
 /// universe is dense (ids are minted 0..n). Iteration order is ascending,
@@ -38,6 +43,8 @@
 #[derive(Debug, Clone, Default)]
 pub struct DenseSet {
     words: Vec<u64>,
+    /// Bit `w` is set iff `words[w] != 0`.
+    summary: Vec<u64>,
     len: usize,
 }
 
@@ -49,8 +56,10 @@ impl DenseSet {
 
     /// Creates an empty set sized for indices `0..n` up front.
     pub fn with_universe(n: usize) -> Self {
+        let words = n.div_ceil(64);
         DenseSet {
-            words: vec![0; n.div_ceil(64)],
+            words: vec![0; words],
+            summary: vec![0; words.div_ceil(64)],
             len: 0,
         }
     }
@@ -82,10 +91,12 @@ impl DenseSet {
         let word = index / 64;
         if word >= self.words.len() {
             self.words.resize(word + 1, 0);
+            self.summary.resize((word + 1).div_ceil(64), 0);
         }
         let mask = 1u64 << (index % 64);
         let newly = self.words[word] & mask == 0;
         self.words[word] |= mask;
+        self.summary[word / 64] |= 1u64 << (word % 64);
         self.len += newly as usize;
         newly
     }
@@ -93,47 +104,101 @@ impl DenseSet {
     /// Removes `index`. Returns whether it was present.
     #[inline]
     pub fn remove(&mut self, index: usize) -> bool {
-        let Some(w) = self.words.get_mut(index / 64) else {
+        let word = index / 64;
+        let Some(w) = self.words.get_mut(word) else {
             return false;
         };
         let mask = 1u64 << (index % 64);
         let was = *w & mask != 0;
         *w &= !mask;
+        if *w == 0 {
+            self.summary[word / 64] &= !(1u64 << (word % 64));
+        }
         self.len -= was as usize;
         was
     }
 
-    /// Removes every element; keeps the allocated universe.
+    /// Removes every element; keeps the allocated universe. Touches only
+    /// the occupied words.
     pub fn clear(&mut self) {
-        self.words.fill(0);
+        for (s, bits) in self.summary.iter_mut().enumerate() {
+            while *bits != 0 {
+                self.words[s * 64 + bits.trailing_zeros() as usize] = 0;
+                *bits &= *bits - 1;
+            }
+        }
         self.len = 0;
     }
 
     /// The smallest element, if any.
     pub fn first(&self) -> Option<usize> {
-        self.words
-            .iter()
-            .enumerate()
-            .find(|(_, w)| **w != 0)
-            .map(|(i, w)| i * 64 + w.trailing_zeros() as usize)
+        self.iter().next()
     }
 
     /// Iterates elements in ascending order — the same order the
     /// `BTreeSet` this replaces would produce.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(i, &w)| {
-            let mut bits = w;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    return None;
-                }
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                Some(i * 64 + b)
-            })
-        })
+    pub fn iter(&self) -> Iter<'_> {
+        Iter {
+            words: &self.words,
+            summary: &self.summary,
+            next_summary: 0,
+            summary_bits: 0,
+            word: 0,
+            bits: 0,
+            remaining: self.len,
+        }
     }
 }
+
+/// Ascending iterator over a [`DenseSet`]: walks the summary to the
+/// occupied words, then the set bits of each, so it costs
+/// O(universe / 4096 + occupied words) rather than O(universe / 64).
+#[derive(Debug, Clone)]
+pub struct Iter<'a> {
+    words: &'a [u64],
+    summary: &'a [u64],
+    /// Index of the next summary word to load.
+    next_summary: usize,
+    /// Unvisited occupied-word bits of the summary word before it.
+    summary_bits: u64,
+    /// Index of the word `bits` came from.
+    word: usize,
+    /// Unvisited element bits of `words[word]`.
+    bits: u64,
+    /// Elements not yet yielded; the walk stops at the last one.
+    remaining: usize,
+}
+
+impl Iterator for Iter<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.remaining == 0 {
+            return None;
+        }
+        while self.bits == 0 {
+            while self.summary_bits == 0 {
+                self.summary_bits = self.summary[self.next_summary];
+                self.next_summary += 1;
+            }
+            let w = self.summary_bits.trailing_zeros() as usize;
+            self.summary_bits &= self.summary_bits - 1;
+            self.word = (self.next_summary - 1) * 64 + w;
+            self.bits = self.words[self.word];
+        }
+        let b = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        self.remaining -= 1;
+        Some(self.word * 64 + b)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for Iter<'_> {}
 
 /// Equality is set equality: trailing zero words (capacity artifacts) are
 /// ignored so a grown-and-emptied set equals a fresh one. Checkpoint
@@ -290,6 +355,100 @@ mod tests {
             dense.iter().collect::<Vec<_>>(),
             tree.iter().copied().collect::<Vec<_>>()
         );
+    }
+
+    /// Random insert/remove/clear sequences, checked against `BTreeSet`
+    /// after every step. Universes straddle the 4,096-element summary-word
+    /// boundary, and each run alternates growing and draining phases so
+    /// sets are grown and then emptied.
+    #[test]
+    fn dense_set_matches_btree_model_under_random_ops() {
+        use crate::SimRng;
+        use std::collections::BTreeSet;
+        for seed in 0..24u64 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let universe = [70, 4_096, 4_097, 9_000, 20_000, 300_000][seed as usize % 6];
+            let mut dense = if seed % 2 == 0 {
+                DenseSet::new()
+            } else {
+                DenseSet::with_universe(universe)
+            };
+            let mut model = BTreeSet::new();
+            for step in 0..4_000 {
+                let growing = (step / 500) % 2 == 0;
+                let x = rng.below(universe);
+                match rng.below(100) {
+                    0 => {
+                        dense.clear();
+                        model.clear();
+                    }
+                    r if (r < 70) == growing => {
+                        assert_eq!(dense.insert(x), model.insert(x), "seed {seed}: insert {x}");
+                    }
+                    _ => {
+                        // Mostly remove present elements, so drains empty.
+                        let victim = match model.iter().nth(rng.below(model.len() + 1)) {
+                            Some(&v) if rng.below(4) != 0 => v,
+                            _ => x,
+                        };
+                        assert_eq!(
+                            dense.remove(victim),
+                            model.remove(&victim),
+                            "seed {seed}: remove {victim}"
+                        );
+                    }
+                }
+                assert_eq!(dense.len(), model.len(), "seed {seed} step {step}");
+                assert_eq!(dense.is_empty(), model.is_empty());
+                assert_eq!(
+                    dense.first(),
+                    model.first().copied(),
+                    "seed {seed} step {step}"
+                );
+                assert_eq!(dense.contains(x), model.contains(&x));
+                if step % 97 == 0 || model.len() < 3 {
+                    assert!(
+                        dense.iter().eq(model.iter().copied()),
+                        "seed {seed} step {step}: iteration"
+                    );
+                    assert_eq!(dense.iter().len(), model.len());
+                    let rebuilt: DenseSet = model.iter().copied().collect();
+                    assert_eq!(dense, rebuilt, "seed {seed} step {step}: equality");
+                    assert_eq!(rebuilt, dense);
+                }
+            }
+            for x in model.clone() {
+                assert!(dense.remove(x));
+                model.remove(&x);
+            }
+            assert_eq!(dense, DenseSet::new(), "seed {seed}: drained set");
+            assert_eq!(dense.iter().next(), None);
+            assert_eq!(dense.first(), None);
+        }
+    }
+
+    #[test]
+    fn sparse_set_over_large_universe_iterates_exactly_its_elements() {
+        let elems = [
+            0, 63, 64, 4_095, 4_096, 4_160, 262_143, 262_144, 500_001, 999_999,
+        ];
+        let mut s = DenseSet::with_universe(1_000_000);
+        for &e in elems.iter().rev() {
+            s.insert(e);
+        }
+        assert_eq!(s.iter().collect::<Vec<_>>(), elems);
+        assert_eq!(s.iter().len(), elems.len());
+        assert!(s.remove(0));
+        assert!(s.remove(4_096));
+        assert_eq!(s.first(), Some(63));
+        assert_eq!(
+            s.iter().collect::<Vec<_>>(),
+            [63, 64, 4_095, 4_160, 262_143, 262_144, 500_001, 999_999]
+        );
+        s.clear();
+        assert_eq!(s.iter().next(), None);
+        s.insert(999_999);
+        assert_eq!(s.iter().collect::<Vec<_>>(), [999_999]);
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! seeded through SplitMix64, so the workspace carries no external RNG
 //! dependency and the exact sequences are pinned by this file alone.
 
+use std::collections::BTreeMap;
+
 /// A deterministic PRNG with labelled sub-stream derivation.
 ///
 /// `PartialEq` compares generator state exactly; two generators compare
@@ -129,15 +131,31 @@ impl SimRng {
     /// This is the primitive behind HDFS-style replica placement: "each data
     /// block typically has three replicas randomly distributed in the
     /// cluster" (§II).
+    ///
+    /// The shuffle is sparse: of the identity array `0..n` only the
+    /// positions a swap displaced are stored, so a call costs O(k log k)
+    /// time and O(k) memory whatever `n` is. It makes the same `below`
+    /// draws in the same order as a swap on the full array, and returns
+    /// the same indices.
     pub fn choose_distinct(&mut self, n: usize, k: usize) -> Vec<usize> {
         assert!(k <= n, "cannot choose {k} from {n}");
-        let mut idx: Vec<usize> = (0..n).collect();
+        // Position → value for every position ≥ i whose value is no
+        // longer its own index.
+        let mut displaced: BTreeMap<usize, usize> = BTreeMap::new();
+        let mut out = Vec::with_capacity(k);
         for i in 0..k {
             let j = i + self.below(n - i);
-            idx.swap(i, j);
+            // Swap positions i and j; position i is final after this
+            // step and never read again, so only j's new value is kept.
+            let at_i = displaced.remove(&i).unwrap_or(i);
+            let at_j = if j == i {
+                at_i
+            } else {
+                displaced.insert(j, at_i).unwrap_or(j)
+            };
+            out.push(at_j);
         }
-        idx.truncate(k);
-        idx
+        out
     }
 
     /// Shuffles a slice in place (Fisher–Yates).
@@ -207,6 +225,40 @@ mod tests {
             sorted.dedup();
             assert_eq!(sorted.len(), 3, "duplicates in {picks:?}");
             assert!(picks.iter().all(|&i| i < 10));
+        }
+    }
+
+    /// The dense partial Fisher–Yates the sparse `choose_distinct`
+    /// replaced: swaps on the whole `0..n` array. The oracle it must
+    /// match draw for draw.
+    fn dense_choose_distinct(rng: &mut SimRng, n: usize, k: usize) -> Vec<usize> {
+        let mut idx: Vec<usize> = (0..n).collect();
+        for i in 0..k {
+            let j = i + rng.below(n - i);
+            idx.swap(i, j);
+        }
+        idx.truncate(k);
+        idx
+    }
+
+    #[test]
+    fn choose_distinct_matches_dense_fisher_yates() {
+        for seed in 0..40 {
+            for n in (1..=200).chain([20_000]) {
+                // Placement's small k, plus whole and half shuffles, which
+                // chain displaced positions and draw j == i.
+                let ks = (0..=n.min(5)).chain([n / 2, n]).filter(|&k| k <= 200);
+                for k in ks {
+                    let mut sparse = SimRng::seed_from_u64(seed);
+                    let mut dense = sparse.clone();
+                    assert_eq!(
+                        sparse.choose_distinct(n, k),
+                        dense_choose_distinct(&mut dense, n, k),
+                        "seed {seed}, n {n}, k {k}"
+                    );
+                    assert_eq!(sparse, dense, "seed {seed}, n {n}, k {k}: RNG state");
+                }
+            }
         }
     }
 

@@ -285,7 +285,7 @@ fn namenode_invariants_hold_under_mutation() {
 /// and never exceeds the requested replication.
 #[test]
 fn placement_policies_return_valid_sets() {
-    use custody::dfs::DataNode;
+    use custody::dfs::{DataNode, DataNodes};
     use custody::dfs::{
         PlacementPolicy, PopularityPlacement, RackAwarePlacement, RandomPlacement,
         RoundRobinPlacement,
@@ -305,9 +305,11 @@ fn placement_policies_return_valid_sets() {
             Box::new(RackAwarePlacement::new(rack_of)),
         ];
         for policy in &mut policies {
-            let datanodes: Vec<DataNode> = (0..nodes)
-                .map(|i| DataNode::new(NodeId::new(i), 1000))
-                .collect();
+            let datanodes = DataNodes::from(
+                (0..nodes)
+                    .map(|i| DataNode::new(NodeId::new(i), 1000))
+                    .collect::<Vec<_>>(),
+            );
             for _ in 0..blocks {
                 let picks = policy.place(&datanodes, replication, 100, &mut case_rng);
                 assert!(picks.len() <= replication, "{}", policy.name());
