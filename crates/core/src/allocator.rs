@@ -88,27 +88,6 @@ pub struct AppState {
 }
 
 impl AppState {
-    /// Fraction of jobs that achieved perfect locality (U_ij average);
-    /// `1.0` when no jobs have been observed, so brand-new apps don't
-    /// pre-empt apps with real history.
-    pub fn local_job_fraction(&self) -> f64 {
-        if self.total_jobs == 0 {
-            1.0
-        } else {
-            self.local_jobs as f64 / self.total_jobs as f64
-        }
-    }
-
-    /// Fraction of input tasks that achieved locality (the tie-breaker of
-    /// Algorithm 1).
-    pub fn local_task_fraction(&self) -> f64 {
-        if self.total_tasks == 0 {
-            1.0
-        } else {
-            self.local_tasks as f64 / self.total_tasks as f64
-        }
-    }
-
     /// How many more executors this app can usefully take: bounded by both
     /// the quota headroom and the outstanding tasks.
     pub fn outstanding_demand(&self) -> usize {
@@ -247,24 +226,6 @@ mod tests {
             total_tasks: 0,
             pending_jobs: vec![],
         }
-    }
-
-    #[test]
-    fn fractions_default_to_one_when_empty() {
-        let s = app_state(0, 4, 0);
-        assert_eq!(s.local_job_fraction(), 1.0);
-        assert_eq!(s.local_task_fraction(), 1.0);
-    }
-
-    #[test]
-    fn fractions_compute() {
-        let mut s = app_state(0, 4, 0);
-        s.local_jobs = 1;
-        s.total_jobs = 4;
-        s.local_tasks = 3;
-        s.total_tasks = 6;
-        assert_eq!(s.local_job_fraction(), 0.25);
-        assert_eq!(s.local_task_fraction(), 0.5);
     }
 
     #[test]

@@ -1,18 +1,19 @@
 //! Incremental demand bookkeeping for the allocation loop.
 //!
-//! The driver runs an allocation round after every event. Rebuilding the
-//! whole [`AllocationView`](custody_core::AllocationView) each time means
-//! rescanning every stage of every job — O(total tasks) work per event —
-//! even though a single event touches exactly one job (and often changes
-//! no demand at all). [`DemandCache`] keeps the per-job
-//! [`JobDemand`] records alive across rounds and recomputes only the jobs
-//! a state transition actually dirtied:
+//! The driver runs an allocation round after every event. Rebuilding every
+//! application's demand each time means rescanning every stage of every
+//! job — O(total tasks) work per event — even though a single event
+//! touches exactly one job (and often changes no demand at all). The
+//! driver keeps one [`AllocationView`](custody_core::AllocationView) for
+//! the whole run, and [`DemandCache`] writes each job's [`JobDemand`] into
+//! its app's `pending_jobs` in that view, recomputing only the jobs a
+//! state transition actually dirtied:
 //!
-//! * **submit** — a new job appears (new cache slot, dirty).
+//! * **submit** — a new job appears (dirty, no entry yet).
 //! * **launch** — an input task leaves the unsatisfied list and the app's
 //!   locality accounting may advance.
 //! * **finish** — downstream stages may unlock (new pending tasks) or the
-//!   job may complete (demand disappears).
+//!   job may complete (its entry disappears).
 //! * **re-queue / node failure / recovery** — tasks return to the
 //!   runnable set and unfinished jobs' preferred nodes are re-resolved
 //!   against the post-failure replica map; exactly the jobs whose tasks
@@ -32,7 +33,7 @@
 //! has changed since the last zero-grant round, re-running the allocator
 //! is provably idempotent and the round is skipped outright.
 
-use custody_core::{JobDemand, TaskDemand};
+use custody_core::{AppState, JobDemand, TaskDemand};
 use custody_dfs::BlockId;
 
 use crate::job::{RuntimeJob, TaskState};
@@ -67,21 +68,15 @@ pub(crate) fn job_demand_of(job: &RuntimeJob) -> Option<JobDemand> {
     })
 }
 
-/// Per-job demand records kept alive across allocation rounds, plus the
-/// change tracking that drives round skipping.
+/// Which jobs' demand entries in the kept view are stale, plus the change
+/// tracking that drives round skipping.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct DemandCache {
-    /// Cached demand, indexed by global job index; `None` = wants nothing.
-    demand: Vec<Option<JobDemand>>,
-    /// Jobs whose cached demand is stale.
+    /// Jobs whose demand entry is stale, indexed by global job index.
     dirty: Vec<bool>,
     /// The dirty jobs, each exactly once (guarded by `dirty`), in marking
     /// order — the refresh work list.
     dirty_list: Vec<usize>,
-    /// Per-app lists of job indices with live demand, kept sorted (global
-    /// job indices are assigned in submission order), so view assembly
-    /// walks only jobs that actually want executors.
-    active: Vec<Vec<usize>>,
     /// Jobs whose input stage reads each block, indexed by raw block id.
     /// Registered once at submission (input blocks never change), so
     /// replica churn on a block dirties exactly its readers.
@@ -94,12 +89,10 @@ pub(crate) struct DemandCache {
 }
 
 impl DemandCache {
-    pub fn new(num_apps: usize) -> Self {
+    pub fn new() -> Self {
         DemandCache {
-            demand: Vec::new(),
             dirty: Vec::new(),
             dirty_list: Vec::new(),
-            active: vec![Vec::new(); num_apps],
             watchers: Vec::new(),
             demand_changed: true,
             pool_changed: true,
@@ -110,8 +103,7 @@ impl DemandCache {
     /// contiguous, so one push per submission keeps the vectors aligned)
     /// and indexes it as a watcher of its input blocks.
     pub fn note_job_added(&mut self, job: &RuntimeJob) {
-        let j = self.demand.len();
-        self.demand.push(None);
+        let j = self.dirty.len();
         self.dirty.push(true);
         self.dirty_list.push(j);
         self.demand_changed = true;
@@ -173,48 +165,37 @@ impl DemandCache {
         self.pool_changed = false;
     }
 
-    /// Recomputes every dirty job's demand and maintains the per-app
-    /// active lists — O(jobs dirtied since the last refresh).
-    pub fn refresh(&mut self, jobs: &[RuntimeJob]) {
-        debug_assert_eq!(self.demand.len(), jobs.len(), "one slot per job");
+    /// Recomputes every dirty job's demand into its app's `pending_jobs`
+    /// — replaced, inserted or removed — in O(jobs dirtied since the last
+    /// refresh). Global job ids are assigned in submission order, so each
+    /// list stays sorted by id and the entry is found by binary search.
+    pub fn refresh(&mut self, jobs: &[RuntimeJob], apps: &mut [AppState]) {
+        debug_assert_eq!(self.dirty.len(), jobs.len(), "one slot per job");
         let mut dirty_list = std::mem::take(&mut self.dirty_list);
         for j in dirty_list.drain(..) {
             self.dirty[j] = false;
             let job = &jobs[j];
-            let fresh = job_demand_of(job);
-            let list = &mut self.active[job.app.index()];
-            match (list.binary_search(&j), fresh.is_some()) {
-                (Err(pos), true) => list.insert(pos, j),
-                (Ok(pos), false) => {
-                    list.remove(pos);
+            let pending = &mut apps[job.app.index()].pending_jobs;
+            let found = pending.binary_search_by_key(&job.id, |d| d.job);
+            match (found, job_demand_of(job)) {
+                (Ok(pos), Some(fresh)) => pending[pos] = fresh,
+                (Err(pos), Some(fresh)) => pending.insert(pos, fresh),
+                (Ok(pos), None) => {
+                    pending.remove(pos);
                 }
-                _ => {}
+                (Err(_), None) => {}
             }
-            self.demand[j] = fresh;
         }
         self.dirty_list = dirty_list;
     }
 
-    /// The app's live job demands, in submission order. Call
-    /// [`refresh`](Self::refresh) first.
-    pub fn active_demands(&self, app_idx: usize) -> Vec<JobDemand> {
-        self.active[app_idx]
-            .iter()
-            .map(|&j| {
-                self.demand[j]
-                    .clone()
-                    .expect("active job has cached demand") // lint: allow(panic) — the cache entry is created when the job activates
-            })
-            .collect()
-    }
-
-    /// Invariant audit: every *clean* slot must hold exactly the demand a
-    /// from-scratch recomputation would produce, and the active lists must
-    /// agree with it. This is what catches a missed `mark_job` — e.g. a
-    /// failure path that re-queued a task or changed a preferred list
-    /// without dirtying the job.
-    pub fn audit(&self, jobs: &[RuntimeJob]) {
-        assert_eq!(self.demand.len(), jobs.len(), "one cache slot per job");
+    /// Invariant audit: every *clean* job's entry in `apps` must be
+    /// exactly the demand a from-scratch recomputation would produce (no
+    /// entry when it wants nothing). This is what catches a missed
+    /// `mark_job` — e.g. a failure path that re-queued a task or changed a
+    /// preferred list without dirtying the job.
+    pub fn audit(&self, jobs: &[RuntimeJob], apps: &[AppState]) {
+        assert_eq!(self.dirty.len(), jobs.len(), "one cache slot per job");
         for (j, job) in jobs.iter().enumerate() {
             if self.dirty[j] {
                 assert!(
@@ -223,15 +204,15 @@ impl DemandCache {
                 );
                 continue;
             }
-            let fresh = job_demand_of(job);
+            let pending = &apps[job.app.index()].pending_jobs;
+            let cached = pending
+                .binary_search_by_key(&job.id, |d| d.job)
+                .ok()
+                .map(|pos| &pending[pos]);
             assert_eq!(
-                self.demand[j], fresh,
+                cached,
+                job_demand_of(job).as_ref(),
                 "stale demand cache for job {j}: a mutation was not marked"
-            );
-            assert_eq!(
-                self.active[job.app.index()].binary_search(&j).is_ok(),
-                fresh.is_some(),
-                "active list out of sync for job {j}"
             );
         }
     }

@@ -294,18 +294,12 @@ struct AppRuntime {
     scheduler: Box<dyn TaskScheduler>,
     /// Indices into `Driver::jobs`, in submission order.
     jobs: Vec<usize>,
-    quota: usize,
     /// Executor indices this application currently holds. A bitset keyed
     /// by `ExecutorId::index()`: iteration is ascending, identical to the
     /// `BTreeSet<ExecutorId>` it replaced.
     held: DenseSet,
     /// Pre-generated job specs (and their datasets), indexed by seq.
     specs: Vec<(JobSpec, DatasetId)>,
-    // Locality accounting for the allocator view.
-    total_jobs: usize,
-    local_jobs: usize,
-    total_tasks: usize,
-    local_tasks: usize,
     metrics: AppMetrics,
 }
 
@@ -380,17 +374,22 @@ struct Driver {
     audit_enabled: bool,
     /// Optional per-task trace collector.
     trace: Option<TaskTrace>,
-    /// Per-job demand cache + change tracking.
+    /// The allocator's view, kept for the whole run: the only home of each
+    /// app's allocator-facing state, updated in place. Its idle half is
+    /// filled only during a round that can grant.
+    view: AllocationView,
+    /// Which jobs' entries in `view` are stale, plus round-skip tracking.
     cache: DemandCache,
     /// Outcome of the previous allocation round.
     last_round: LastRound,
-    /// Wall-clock spent building views and allocating.
+    /// Wall-clock spent in allocation rounds: demand refresh, idle list
+    /// and `allocate`.
     alloc_wall: std::time::Duration,
     /// Wall-clock spent popping the event queue.
     event_wall: std::time::Duration,
     /// Wall-clock spent on demand maintenance: demand-cache refresh plus
     /// journal-driven preferred-node re-resolution. Refreshes run inside
-    /// view building, so this overlaps (is not additive with)
+    /// allocation rounds, so this overlaps (is not additive with)
     /// `alloc_wall`.
     demand_wall: std::time::Duration,
     /// Reused buffer for collecting idle held executors per app
@@ -456,13 +455,8 @@ impl Driver {
             apps.push(AppRuntime {
                 scheduler: config.scheduler.build(),
                 jobs: Vec::new(),
-                quota,
                 held: DenseSet::new(),
                 specs,
-                total_jobs: 0,
-                local_jobs: 0,
-                total_tasks: 0,
-                local_tasks: 0,
                 metrics: AppMetrics::new(AppId::new(i), app_spec.name.clone(), app_spec.workload),
             });
         }
@@ -509,7 +503,21 @@ impl Driver {
         // Until the first detection every onset on record is latent rot.
         let replicas_corrupted = durability.as_ref().map_or(0, |d| d.onset.len());
 
-        let cache = DemandCache::new(campaign.num_apps());
+        let view = AllocationView {
+            idle: Vec::new(),
+            apps: AppId::iter_upto(apps.len())
+                .map(|app| AppState {
+                    app,
+                    quota,
+                    held: 0,
+                    local_jobs: 0,
+                    total_jobs: 0,
+                    local_tasks: 0,
+                    total_tasks: 0,
+                    pending_jobs: Vec::new(),
+                })
+                .collect(),
+        };
         // The static baselines fix their partitions from the executor
         // inventory here, once; it never enters a per-round view.
         let inventory: Vec<ExecutorInfo> = cluster
@@ -565,7 +573,8 @@ impl Driver {
             open_disruptions: Vec::new(),
             audit_enabled: cfg!(debug_assertions) || config.audit,
             trace: None,
-            cache,
+            view,
+            cache: DemandCache::new(),
             last_round: LastRound::None,
             alloc_wall: std::time::Duration::ZERO,
             event_wall: std::time::Duration::ZERO,
@@ -654,9 +663,10 @@ impl Driver {
             &self.namenode,
             now,
         );
-        a.total_jobs += 1;
-        a.total_tasks += job.num_input_tasks();
         a.jobs.push(self.jobs.len());
+        let v = &mut self.view.apps[app.index()];
+        v.total_jobs += 1;
+        v.total_tasks += job.num_input_tasks();
         self.cache.note_job_added(&job);
         // A job arriving after a block tombstoned (and after its
         // deadline fired) still gets a bounded wait.
@@ -848,7 +858,7 @@ impl Driver {
             && job.local_input_tasks() == stage.tasks.len()
         {
             job.settled_local = true;
-            self.apps[job.app.index()].local_jobs += 1;
+            self.view.apps[job.app.index()].local_jobs += 1;
         }
     }
 
@@ -878,15 +888,16 @@ impl Driver {
         };
         self.cache.mark_job(j);
         if s == 0 && old_local != attempt.local {
+            let app = &mut self.view.apps[app_idx];
             if old_local == Some(true) {
-                self.apps[app_idx].local_tasks -= 1;
+                app.local_tasks -= 1;
             }
             if attempt.local == Some(true) {
-                self.apps[app_idx].local_tasks += 1;
+                app.local_tasks += 1;
             }
             if self.jobs[j].settled_local && attempt.local != Some(true) {
                 self.jobs[j].settled_local = false;
-                self.apps[app_idx].local_jobs -= 1;
+                app.local_jobs -= 1;
             }
             self.settle_input_accounting(j);
         }
@@ -926,7 +937,7 @@ impl Driver {
             // their snapshot); the re-queued task chases the current map,
             // like any other unlaunched task.
             job.refresh_task_preferred(key.2, &self.namenode);
-            let app = &mut self.apps[job.app.index()];
+            let app = &mut self.view.apps[job.app.index()];
             if was_local {
                 app.local_tasks -= 1;
             }
@@ -1018,6 +1029,7 @@ impl Driver {
         self.abandon_attempt(e, now, displaced);
         if let Some(owner) = self.exec_state[e.index()].owner.take() {
             self.apps[owner.index()].held.remove(e.index());
+            self.view.apps[owner.index()].held -= 1;
         }
         self.pool.remove(e.index());
         if let Some(d) = &mut self.detector {
@@ -1196,6 +1208,7 @@ impl Driver {
                     .map(ExecutorId::new)
                     .filter(|e| self.exec_state[e.index()].running.is_none()),
             );
+            self.view.apps[i].held -= idle.len();
             for &e in &idle {
                 self.apps[i].held.remove(e.index());
                 self.exec_state[e.index()].owner = None;
@@ -1215,6 +1228,10 @@ impl Driver {
     }
 
     /// Step 2: one allocation round through the cluster manager.
+    ///
+    /// The round reads the driver's kept view: the demand cache refreshes
+    /// the dirtied jobs' entries into its apps half, and the idle half is
+    /// filled only when some app wants an executor, then emptied again.
     ///
     /// A round whose inputs are unchanged since the previous *zero-grant*
     /// round is skipped: the allocator is a deterministic function of the
@@ -1261,31 +1278,29 @@ impl Driver {
         // Demand first: most dispatches find no app wanting an executor,
         // and the idle list is the one part of the view that costs
         // O(pool), so it is built only for a round that can grant.
-        let apps = self.app_states();
-        if no_demand(&apps) {
+        if no_demand(&self.view.apps) {
             self.alloc_wall += started.elapsed();
             self.last_round = LastRound::NoDemand;
             return 0;
         }
-        let view = AllocationView {
-            idle: self.idle_executors(),
-            apps,
-        };
+        self.view.idle = self.idle_executors();
         self.metrics.allocation_rounds += 1;
         if let Some(costs) = self.demotion_costs() {
             self.allocator.set_node_health_costs(&costs);
         }
-        let assignments = self.allocator.allocate(&view, &mut self.alloc_rng);
+        let assignments = self.allocator.allocate(&self.view, &mut self.alloc_rng);
         self.alloc_wall += started.elapsed();
         if cfg!(debug_assertions) {
-            custody_core::allocator::validate_assignments(&view, &assignments);
+            custody_core::allocator::validate_assignments(&self.view, &assignments);
         }
+        self.view.idle = Vec::new(); // never kept stale between rounds
         let granted = assignments.len();
         for a in assignments {
             let removed = self.pool.remove(a.executor.index());
             assert!(removed, "allocator granted non-pooled executor");
             self.exec_state[a.executor.index()].owner = Some(a.app);
             self.apps[a.app.index()].held.insert(a.executor.index());
+            self.view.apps[a.app.index()].held += 1;
             if let Some(d) = &mut self.detector {
                 // Every grant is a time-bounded lease; the host node's
                 // heartbeats renew it, silence revokes it.
@@ -1317,10 +1332,11 @@ impl Driver {
             .map(HealthLayer::health_costs)
     }
 
-    /// Recomputes the demand of every job dirtied since the last refresh.
+    /// Recomputes, into the kept view, the demand of every job dirtied
+    /// since the last refresh.
     fn refresh_demand(&mut self) {
         let started = std::time::Instant::now();
-        self.cache.refresh(&self.jobs);
+        self.cache.refresh(&self.jobs, &mut self.view.apps);
         self.demand_wall += started.elapsed();
     }
 
@@ -1347,26 +1363,6 @@ impl Driver {
             idle.extend(pooled);
         }
         idle
-    }
-
-    /// The apps half of the allocator's view: every application's quota,
-    /// holdings, locality history and cached demand (fresh after
-    /// [`refresh_demand`](Self::refresh_demand)).
-    fn app_states(&self) -> Vec<AppState> {
-        self.apps
-            .iter()
-            .enumerate()
-            .map(|(i, a)| AppState {
-                app: AppId::new(i),
-                quota: a.quota,
-                held: a.held.len(),
-                local_jobs: a.local_jobs,
-                total_jobs: a.total_jobs,
-                local_tasks: a.local_tasks,
-                total_tasks: a.total_tasks,
-                pending_jobs: self.cache.active_demands(i),
-            })
-            .collect()
     }
 
     /// Step 3: offer idle held executors to their applications' task
@@ -1624,7 +1620,7 @@ impl Driver {
 
         if is_input {
             if actual_local {
-                self.apps[app_idx].local_tasks += 1;
+                self.view.apps[app_idx].local_tasks += 1;
             }
             self.settle_input_accounting(job_idx);
         }
@@ -2413,12 +2409,10 @@ mod tests {
         );
     }
 
-    #[test]
-    #[should_panic(expected = "local_tasks drifted")]
-    fn auditor_catches_corrupted_accounting() {
+    /// A driver a few events into a run, so jobs, grants and launches
+    /// exist, with every job's demand entry fresh in the kept view.
+    fn pumped_driver() -> Driver {
         let mut driver = Driver::new(&small(AllocatorKind::Custody, 39));
-        // Pump a few events so jobs and launches exist, then corrupt a
-        // counter the way a buggy rollback would.
         for _ in 0..40 {
             let Some(ev) = driver.queue.pop() else { break };
             driver.metrics.events_processed += 1;
@@ -2430,7 +2424,34 @@ mod tests {
             }
             driver.dispatch(now);
         }
-        driver.apps[0].local_tasks += 1;
-        driver.audit();
+        driver.refresh_demand();
+        driver
+    }
+
+    /// One case per corruption of the kept view, the way a buggy update
+    /// or rollback would leave it; the auditor must name each.
+    macro_rules! auditor_catches {
+        ($($name:ident: $expected:literal => $corrupt:expr;)+) => {$(
+            #[test]
+            #[should_panic(expected = $expected)]
+            fn $name() {
+                let mut driver = pumped_driver();
+                let corrupt: fn(&mut Driver) = $corrupt;
+                corrupt(&mut driver);
+                driver.audit();
+            }
+        )+};
+    }
+
+    auditor_catches! {
+        auditor_catches_corrupted_accounting: "local_tasks drifted" =>
+            |d| d.view.apps[0].local_tasks += 1;
+        auditor_catches_corrupted_held_count: "held count drifted" =>
+            |d| d.view.apps[0].held += 1;
+        auditor_catches_corrupted_pending_job: "stale demand cache" =>
+            |d| {
+                let app = d.view.apps.iter_mut().find(|a| !a.pending_jobs.is_empty());
+                app.expect("some app has pending demand").pending_jobs[0].pending_tasks += 1;
+            };
     }
 }

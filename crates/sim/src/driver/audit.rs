@@ -25,8 +25,9 @@
 //!    task has none, and a `Done` task has at most one (a speculation
 //!    loser still draining).
 //! 5. **Locality accounting** — each application's `total_jobs`,
-//!    `total_tasks`, `local_tasks`, and `local_jobs` re-derive exactly
-//!    from its jobs' task records.
+//!    `total_tasks`, `local_tasks`, and `local_jobs` in the kept
+//!    allocation view re-derive exactly from its jobs' task records, and
+//!    its `held` count from its held set.
 //! 6. **Stage counters** — every stage's `launched`/`completed` counts
 //!    match its tasks' states.
 //! 7. **Wake conservation** — queued `Wake` events equal the dedup set,
@@ -35,8 +36,9 @@
 //!    [`NameNode::check_invariants`](custody_dfs::NameNode)), plus
 //!    agreement between the driver's fault records and DataNode
 //!    decommission state.
-//! 9. **Demand-cache freshness** — every clean cache slot matches a
-//!    from-scratch recomputation, and every skipped allocation round is
+//! 9. **Demand-cache freshness** — every clean job's entry in the kept
+//!    view matches a from-scratch recomputation, the view's idle half is
+//!    empty between rounds, and every skipped allocation round is
 //!    one the allocator would really have wasted: re-derived on the spot
 //!    (without touching driver state), a round skipped after a
 //!    demand-free round sees no demand, and one skipped after a
@@ -72,7 +74,6 @@
 //!     verified-read gate and re-asserted before `mark_done`).
 
 use custody_cluster::HealthState;
-use custody_core::AllocationView;
 
 use crate::job::TaskState;
 
@@ -93,7 +94,11 @@ impl Driver {
         );
         self.audit_topology();
         self.audit_preferred();
-        self.cache.audit(&self.jobs);
+        self.cache.audit(&self.jobs, &self.view.apps);
+        assert!(
+            self.view.idle.is_empty(),
+            "the kept view holds an idle list between rounds"
+        );
         if let Some(h) = &self.health {
             self.audit_health(h);
         }
@@ -117,8 +122,9 @@ impl Driver {
     }
 
     /// Invariant 9, skip half: called in place of a skipped allocation
-    /// round, it rebuilds that round's view — the quiescent cache has
-    /// nothing to refresh — and checks the replayed outcome is the one
+    /// round, it re-reads that round's view — the quiescent cache has
+    /// nothing to refresh, and a clone of the kept view gets the idle
+    /// half — and checks the replayed outcome is the one
     /// running the round would produce: no demand after a demand-free
     /// round, and no grant after a zero-grant round from a copy of the
     /// allocator drawing on a copy of its RNG stream. Driver state is left
@@ -129,18 +135,15 @@ impl Driver {
             self.cache.is_fresh(),
             "round skipped with stale demand in the cache"
         );
-        let apps = self.app_states();
         if self.last_round == LastRound::NoDemand {
             assert!(
-                no_demand(&apps),
+                no_demand(&self.view.apps),
                 "round skipped as demand-free while an application wants executors"
             );
             return;
         }
-        let view = AllocationView {
-            idle: self.idle_executors(),
-            apps,
-        };
+        let mut view = self.view.clone();
+        view.idle = self.idle_executors();
         let mut allocator = self.allocator.clone_box();
         if let Some(costs) = self.demotion_costs() {
             allocator.set_node_health_costs(&costs);
@@ -470,11 +473,12 @@ impl Driver {
         }
     }
 
-    /// Invariants 5–6: per-app locality accounting and stage counters
-    /// re-derive from the task records.
+    /// Invariants 5–6: the view's per-app counters and the stage counters
+    /// re-derive from the task records and the held sets.
     fn audit_accounting(&self) {
-        for (i, a) in self.apps.iter().enumerate() {
-            assert_eq!(a.total_jobs, a.jobs.len(), "app {i} job count drifted");
+        for (i, (a, v)) in self.apps.iter().zip(&self.view.apps).enumerate() {
+            assert_eq!(v.held, a.held.len(), "app {i} held count drifted");
+            assert_eq!(v.total_jobs, a.jobs.len(), "app {i} job count drifted");
             let mut total_tasks = 0;
             let mut local_tasks = 0;
             let mut local_jobs = 0;
@@ -491,9 +495,9 @@ impl Driver {
                     );
                 }
             }
-            assert_eq!(a.total_tasks, total_tasks, "app {i} total_tasks drifted");
-            assert_eq!(a.local_tasks, local_tasks, "app {i} local_tasks drifted");
-            assert_eq!(a.local_jobs, local_jobs, "app {i} local_jobs drifted");
+            assert_eq!(v.total_tasks, total_tasks, "app {i} total_tasks drifted");
+            assert_eq!(v.local_tasks, local_tasks, "app {i} local_tasks drifted");
+            assert_eq!(v.local_jobs, local_jobs, "app {i} local_jobs drifted");
         }
         for (j, job) in self.jobs.iter().enumerate() {
             for (s, stage) in job.stages.iter().enumerate() {

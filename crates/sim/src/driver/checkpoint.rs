@@ -203,6 +203,7 @@ fn assert_converged(live: &Driver, ghost: &Driver) {
     check!(durability);
     check!(repair_armed);
     check!(open_disruptions);
+    check!(view);
     check!(cache);
     assert_eq!(
         live.apps.len(),
@@ -219,7 +220,6 @@ fn assert_converged(live: &Driver, ghost: &Driver) {
                 );)+
             };
         }
-        check_app!(jobs, quota, held, metrics);
-        check_app!(total_jobs, local_jobs, total_tasks, local_tasks);
+        check_app!(jobs, held, metrics);
     }
 }
