@@ -98,9 +98,10 @@ pub enum InterPolicy {
 pub struct CustodyAllocator {
     intra: IntraPolicy,
     inter: InterPolicy,
-    /// The round state, reset in place on every call so its buffers
-    /// (selection heap, node interner, demand maps) are allocated once. It
-    /// also holds the health-cost table installed by
+    /// The round state, kept across calls: each call reconciles it with
+    /// the new view, rebuilding only the jobs whose demand changed, so its
+    /// buffers are allocated once and its grants equal a fresh
+    /// allocator's. It also holds the health-cost table installed by
     /// [`ExecutorAllocator::set_node_health_costs`].
     round: Round,
 }

@@ -10,16 +10,29 @@
 //! executors are only consumed — so an entry that fails an eligibility
 //! check can never become eligible again and may be dropped for good.
 //!
-//! Node-keyed state is **interned**: raw `NodeId`s are mapped to dense
-//! per-round slots ([`Interner`]), so a round's memory and setup cost scale
-//! with the nodes that actually appear in the view (idle hosts + demanded
-//! replicas), never with the cluster size. On a 100k-node cluster a round
-//! over 50 active nodes touches 50 slots. Idle executors live in per-slot
-//! sorted lists consumed front-to-back — within a round executors are only
-//! ever taken, so a cursor per slot replaces the old
+//! The demand half is **kept across rounds**. The allocator runs whenever
+//! a job arrives or finishes (§V), so consecutive views differ by a few
+//! jobs. [`Round::reset`] walks each app's pending jobs next to the kept
+//! [`RoundJob`]s and rebuilds a job only when its id, its satisfied or
+//! total input count, or one of its unsatisfied tasks (index, or
+//! preferred-node handle by [`Arc::ptr_eq`]) differs. The test is exact:
+//! the kept job holds a clone of every handle, so a compared allocation
+//! is alive and immutable, and a kept job that passes it is exactly the
+//! job a fresh build would make. A rebuild moves the job's per-node
+//! counts with it, so the demand maps always equal a fresh build's.
+//!
+//! Node-keyed state is **interned** into dense slots, so a round's memory
+//! and cost follow the nodes that appear in the view, never the cluster
+//! size. Demanded nodes are keyed by a [`DemandIndex`] that persists with
+//! the jobs and releases a slot when no kept task prefers its node any
+//! more. Idle nodes are interned per round ([`Interner`]), and one pass
+//! over the id-ordered idle list chains each slot's executors in id order,
+//! consumed front-to-back — within a round executors are only ever taken,
+//! so a head per slot replaces the old
 //! `BTreeMap<NodeId, BTreeSet<ExecutorId>>` while preserving its
 //! lowest-id-first order bit for bit.
 
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -29,7 +42,7 @@ use custody_dfs::NodeId;
 use custody_simcore::Interner;
 use custody_workload::{AppId, JobId};
 
-use crate::allocator::{AllocationView, Assignment};
+use crate::allocator::{AllocationView, Assignment, ExecutorInfo, JobDemand};
 use crate::cost::HealthCost;
 use crate::custody::inter::{min_locality, LocalityKey};
 use crate::custody::intra;
@@ -59,6 +72,39 @@ impl RoundJob {
     pub fn fully_local(&self) -> bool {
         self.satisfied == self.total_inputs
     }
+
+    /// A fresh build of `job`'s demand.
+    fn build(job: &JobDemand) -> Self {
+        RoundJob {
+            job: job.job,
+            tasks: job
+                .unsatisfied_inputs
+                .iter()
+                .map(|t| (t.task_index, Arc::clone(&t.preferred_nodes)))
+                .collect(),
+            satisfied: job.satisfied_inputs,
+            total_inputs: job.total_inputs,
+            min_credit: u32::MAX,
+        }
+    }
+
+    /// True when this kept job is exactly what [`RoundJob::build`] would
+    /// make of `job` (up to the per-round `min_credit`). Comparing handles
+    /// by pointer is exact: this job holds a clone of each, so the
+    /// allocation is alive, immutable and cannot have been reused.
+    fn matches(&self, job: &JobDemand) -> bool {
+        self.job == job.job
+            && self.satisfied == job.satisfied_inputs
+            && self.total_inputs == job.total_inputs
+            && self.tasks.len() == job.unsatisfied_inputs.len()
+            && self
+                .tasks
+                .iter()
+                .zip(&job.unsatisfied_inputs)
+                .all(|((index, nodes), t)| {
+                    *index == t.task_index && Arc::ptr_eq(nodes, &t.preferred_nodes)
+                })
+    }
 }
 
 /// One application's state inside a round.
@@ -80,10 +126,10 @@ pub struct RoundApp {
     pub new_local_tasks: usize,
     /// Pending tasks not yet covered by a grant.
     pub demand_remaining: usize,
-    /// Pending jobs.
+    /// Pending jobs, kept across rounds.
     pub jobs: Vec<RoundJob>,
     /// Count of this app's unsatisfied tasks preferring each node,
-    /// indexed by the round's interned node slot.
+    /// indexed by the node's [`DemandIndex`] slot; kept with `jobs`.
     node_demand: Vec<u32>,
     /// Health credit (in `1/cost_scale` units) earned by tasks satisfied
     /// this round — `Σ credit(node)` over satisfactions. Equals
@@ -119,17 +165,10 @@ impl RoundApp {
         )
     }
 
-    /// This app's unsatisfied-task pressure on the interned node `slot`.
+    /// This app's unsatisfied-task pressure on the demand slot `slot`.
     #[inline]
     fn node_demand_at(&self, slot: usize) -> u32 {
         self.node_demand.get(slot).copied().unwrap_or(0)
-    }
-
-    #[inline]
-    fn sub_node_demand_at(&mut self, slot: usize) {
-        if let Some(c) = self.node_demand.get_mut(slot) {
-            *c -= 1;
-        }
     }
 
     /// Executors the app may still take.
@@ -153,16 +192,28 @@ impl RoundApp {
         total_tasks: usize,
     ) -> Self {
         RoundApp {
-            app,
-            quota,
-            held: 0,
             hist_local_jobs,
             total_jobs,
             hist_local_tasks,
             total_tasks,
+            demand_remaining: quota,
+            ..RoundApp::empty(app, quota)
+        }
+    }
+
+    /// An app slot with no history, no demand and no kept jobs.
+    fn empty(app: AppId, quota: usize) -> Self {
+        RoundApp {
+            app,
+            quota,
+            held: 0,
+            hist_local_jobs: 0,
+            total_jobs: 0,
+            hist_local_tasks: 0,
+            total_tasks: 0,
             new_local_jobs: 0,
             new_local_tasks: 0,
-            demand_remaining: quota,
+            demand_remaining: 0,
             jobs: Vec::new(),
             node_demand: Vec::new(),
             new_task_credit: 0,
@@ -178,14 +229,17 @@ impl RoundApp {
 type HeapEntry = Reverse<(LocalityKey, u32)>;
 
 /// One idle executor in the round-global list: its id, its node's interned
-/// slot, and its position inside that slot's idle list. An entry is taken
-/// exactly when `pos` falls below the slot's consume cursor.
+/// slot, and the list index of the slot's next executor ([`NO_ENTRY`] for
+/// the last).
 #[derive(Debug, Clone, Copy)]
 struct IdleEntry {
     id: ExecutorId,
     slot: u32,
-    pos: u32,
+    next: u32,
 }
+
+/// The end of a slot's chain of idle executors.
+const NO_ENTRY: u32 = u32::MAX;
 
 /// The installed per-node health-cost table (soft demotion). The default
 /// is the neutral table at scale 1 — every credit 1, every penalty 0, no
@@ -255,26 +309,124 @@ impl CostTable {
     }
 }
 
-/// The state machine of an allocation round. One value is reset in place
-/// for every round ([`Round::reset`]), so its buffers — the selection
-/// heap, the node interner, idle lists and per-app demand — are allocated
-/// once and reused; the health-cost table persists across resets until
-/// the next [`Round::set_health_costs`].
+/// Demanded nodes, kept across rounds with the jobs that demand them: a
+/// dense slot for every node some kept task prefers, and the per-slot
+/// total over apps. A slot whose total falls to zero is released and
+/// reused, so the slot count follows the nodes demanded at one time, not
+/// every node ever demanded — per-app counts never grow as apps × cluster.
+#[derive(Debug, Clone, Default)]
+struct DemandIndex {
+    /// Raw node id → slot + 1; 0 marks a node no kept task prefers.
+    slot_of: Vec<u32>,
+    /// Slot → raw node id, meaningful while the slot's total is positive.
+    keys: Vec<u32>,
+    /// Σ over apps of their per-slot counts — makes
+    /// [`Round::contention_excluding`] O(1) instead of O(apps).
+    total: Vec<u32>,
+    /// Released slots, reused before a new one is minted.
+    free: Vec<u32>,
+}
+
+impl DemandIndex {
+    /// The node's slot while some kept task prefers it.
+    #[inline]
+    fn slot(&self, node: NodeId) -> Option<usize> {
+        match self.slot_of.get(node.index()) {
+            Some(&s) if s > 0 => Some(s as usize - 1),
+            _ => None,
+        }
+    }
+
+    /// The raw node a live slot stands for.
+    #[inline]
+    fn node(&self, slot: usize) -> NodeId {
+        NodeId::new(self.keys[slot] as usize)
+    }
+
+    /// Counts one more preference for each of `nodes` in an app's
+    /// `counts` and in the totals.
+    fn add(&mut self, counts: &mut Vec<u32>, nodes: &[NodeId]) {
+        for &n in nodes {
+            let slot = match self.slot(n) {
+                Some(slot) => slot,
+                None => self.mint(n),
+            };
+            if slot >= counts.len() {
+                counts.resize(slot + 1, 0);
+            }
+            counts[slot] += 1;
+            self.total[slot] += 1;
+        }
+    }
+
+    /// Removes one preference for each of `nodes` from an app's `counts`
+    /// and the totals, releasing slots no kept task prefers any more.
+    fn sub(&mut self, counts: &mut [u32], nodes: &[NodeId]) {
+        for &n in nodes {
+            let slot = self.slot(n).expect("a counted preference holds its slot"); // lint: allow(panic) — every preference removed here was counted by `add`, which keeps the slot live
+            counts[slot] -= 1;
+            self.total[slot] -= 1;
+            if self.total[slot] == 0 {
+                self.slot_of[n.index()] = 0;
+                self.free.push(slot as u32);
+            }
+        }
+    }
+
+    /// Counts every unsatisfied task of `job`.
+    fn add_job(&mut self, counts: &mut Vec<u32>, job: &RoundJob) {
+        for (_, nodes) in &job.tasks {
+            self.add(counts, nodes);
+        }
+    }
+
+    /// Gives back the counts of every unsatisfied task of `job`.
+    fn sub_job(&mut self, counts: &mut [u32], job: &RoundJob) {
+        for (_, nodes) in &job.tasks {
+            self.sub(counts, nodes);
+        }
+    }
+
+    fn mint(&mut self, node: NodeId) -> usize {
+        let raw = node.index();
+        if raw >= self.slot_of.len() {
+            self.slot_of.resize(raw + 1, 0);
+        }
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.keys[slot as usize] = raw as u32;
+                slot as usize
+            }
+            None => {
+                self.keys.push(raw as u32);
+                self.total.push(0);
+                self.keys.len() - 1
+            }
+        };
+        self.slot_of[raw] = slot as u32 + 1;
+        slot
+    }
+}
+
+/// The state machine of an allocation round. One value serves every
+/// round: [`Round::reset`] rebuilds the idle half and the per-round
+/// scalars in place and reconciles the kept demand half with the view, so
+/// buffers are allocated once and unchanged jobs are not copied again.
+/// The health-cost table persists until the next
+/// [`Round::set_health_costs`].
 #[derive(Debug, Clone, Default)]
 pub struct Round {
-    /// Raw node id → dense per-round slot, covering every node that hosts
-    /// an idle executor or appears in some task's preferred list.
-    nodes: Interner,
-    /// Idle executors per slot, ascending by id. Only the first
-    /// `idle_slots` entries belong to this round; the tail is pooled
-    /// capacity awaiting reuse.
-    idle_lists: Vec<Vec<ExecutorId>>,
-    /// Number of slots that host idle executors (idle nodes are interned
-    /// first, so their slots are exactly `0..idle_slots`).
-    idle_slots: usize,
-    /// Consumed prefix of each slot's idle list. Executors are only ever
-    /// taken within a round, so taken = a prefix.
-    node_cursor: Vec<u32>,
+    /// Raw node id → dense per-round slot for every node that hosts an
+    /// idle executor, in order of first appearance in the view.
+    idle_nodes: Interner,
+    /// Per slot, the `global_idle` index of its lowest-id untaken
+    /// executor ([`NO_ENTRY`] once all are taken); the slot's executors
+    /// chain through [`IdleEntry::next`] in ascending id order. Executors
+    /// are only ever taken within a round, so the taken ones are exactly
+    /// the chain's entries before the head.
+    slot_head: Vec<u32>,
+    /// Per slot, its last executor so far (used while building).
+    slot_tail: Vec<u32>,
     /// Every idle executor, ascending by id (the order `BTreeSet` gave).
     global_idle: Vec<IdleEntry>,
     /// Skip-ahead cursor over `global_idle`: entries before it are
@@ -282,9 +434,16 @@ pub struct Round {
     global_cursor: usize,
     idle_count: usize,
     apps: Vec<RoundApp>,
-    /// Σ over apps of `node_demand`, indexed by slot — makes
-    /// [`Round::contention_excluding`] O(1) instead of O(apps).
-    total_node_demand: Vec<u32>,
+    /// Per app, where [`Round::has_local_opportunity`]'s scan resumes:
+    /// every earlier position is known to hold no local opportunity.
+    /// Within a round executors are only taken and demand only shrinks,
+    /// so a position found empty stays empty.
+    opportunity_cursor: Vec<Cell<usize>>,
+    /// The demanded nodes of every kept job, with their total pressure.
+    demand: DemandIndex,
+    /// An empty job list with capacity, swapped in while an app's kept
+    /// jobs are reconciled.
+    spare_jobs: Vec<RoundJob>,
     assignments: Vec<Assignment>,
     inter: InterPolicy,
     intra: IntraPolicy,
@@ -306,116 +465,19 @@ impl Round {
         round
     }
 
-    /// Rebuilds the round from `view` in place, reusing every buffer. The
-    /// installed health-cost table is kept.
+    /// Readies the round for `view` in place, reusing every buffer: the
+    /// idle half and the per-round scalars are rebuilt, and each app's
+    /// kept jobs are reconciled with its pending jobs. The result equals
+    /// a fresh round's on the same view. The installed health-cost table
+    /// is kept.
     pub fn reset(&mut self, view: &AllocationView, inter: InterPolicy, intra: IntraPolicy) {
         self.inter = inter;
         self.intra = intra;
-        self.nodes.clear();
-
-        // Idle nodes are interned first, in order of appearance, so a new
-        // slot is always minted at the end of the active prefix.
-        let mut idle_slots = 0;
-        for e in &view.idle {
-            let slot = self.nodes.intern(e.node.index());
-            if slot == idle_slots {
-                if idle_slots == self.idle_lists.len() {
-                    self.idle_lists.push(Vec::new());
-                }
-                self.idle_lists[idle_slots].clear();
-                idle_slots += 1;
-            }
-            self.idle_lists[slot].push(e.id);
-        }
-        self.idle_slots = idle_slots;
-        for list in &mut self.idle_lists[..idle_slots] {
-            // Views built from the driver's pool arrive in id order; the
-            // sort is a no-op there but keeps arbitrary views correct.
-            if !list.is_sorted() {
-                list.sort_unstable();
-            }
-        }
-        self.node_cursor.clear();
-        self.node_cursor.resize(idle_slots, 0);
-        self.global_idle.clear();
-        for (slot, list) in self.idle_lists[..idle_slots].iter().enumerate() {
-            self.global_idle
-                .extend(list.iter().enumerate().map(|(pos, &id)| IdleEntry {
-                    id,
-                    slot: slot as u32,
-                    pos: pos as u32,
-                }));
-        }
-        self.global_idle.sort_unstable_by_key(|e| e.id);
-        self.global_cursor = 0;
-        self.idle_count = view.idle.len();
-        self.tier_cursor.fill(0);
-
-        // Each app slot keeps its job list and demand buffer from the
-        // previous round; new slots start empty.
-        self.total_node_demand.clear();
-        self.apps.truncate(view.apps.len());
-        for (i, a) in view.apps.iter().enumerate() {
-            let (mut jobs, mut node_demand) = self
-                .apps
-                .get_mut(i)
-                .map(|old| {
-                    (
-                        std::mem::take(&mut old.jobs),
-                        std::mem::take(&mut old.node_demand),
-                    )
-                })
-                .unwrap_or_default();
-            jobs.clear();
-            jobs.extend(a.pending_jobs.iter().map(|j| {
-                RoundJob {
-                    job: j.job,
-                    tasks: j
-                        .unsatisfied_inputs
-                        .iter()
-                        .map(|t| (t.task_index, Arc::clone(&t.preferred_nodes)))
-                        .collect(),
-                    satisfied: j.satisfied_inputs,
-                    total_inputs: j.total_inputs,
-                    min_credit: u32::MAX,
-                }
-            }));
-            node_demand.clear();
-            for (_, nodes_list) in jobs.iter().flat_map(|job| &job.tasks) {
-                for &n in nodes_list.iter() {
-                    let slot = self.nodes.intern(n.index());
-                    if slot >= node_demand.len() {
-                        node_demand.resize(slot + 1, 0);
-                    }
-                    node_demand[slot] += 1;
-                    if slot >= self.total_node_demand.len() {
-                        self.total_node_demand.resize(slot + 1, 0);
-                    }
-                    self.total_node_demand[slot] += 1;
-                }
-            }
-            let app = RoundApp {
-                app: a.app,
-                quota: a.quota,
-                held: a.held,
-                hist_local_jobs: a.local_jobs,
-                total_jobs: a.total_jobs,
-                hist_local_tasks: a.local_tasks,
-                total_tasks: a.total_tasks,
-                new_local_jobs: 0,
-                new_local_tasks: 0,
-                demand_remaining: a.pending_jobs.iter().map(|j| j.pending_tasks).sum(),
-                jobs,
-                node_demand,
-                new_task_credit: 0,
-                new_job_credit: 0,
-                cost_scale: self.costs.scale,
-            };
-            match self.apps.get_mut(i) {
-                Some(slot) => *slot = app,
-                None => self.apps.push(app),
-            }
-        }
+        self.reset_idle(view);
+        self.reconcile_apps(view);
+        self.opportunity_cursor.clear();
+        self.opportunity_cursor
+            .resize(view.apps.len(), Cell::new(0));
         self.assignments.clear();
         self.versions.clear();
         self.versions.resize(view.apps.len(), 0);
@@ -425,6 +487,112 @@ impl Round {
                 self.heap
                     .push(Reverse((LocalityKey::of(&self.apps[i], i), 0)));
             }
+        }
+    }
+
+    /// Rebuilds the idle half from `view.idle` in one pass.
+    fn reset_idle(&mut self, view: &AllocationView) {
+        // Views built from the driver's pool arrive in id order; any
+        // other view is sorted first, so executors are always handed out
+        // lowest id first.
+        let sorted: Vec<ExecutorInfo>;
+        let idle = if view.idle.is_sorted_by_key(|e| e.id) {
+            &view.idle
+        } else {
+            sorted = {
+                let mut v = view.idle.clone();
+                v.sort_unstable_by_key(|e| e.id);
+                v
+            };
+            &sorted
+        };
+        self.idle_nodes.clear();
+        self.slot_head.clear();
+        self.slot_tail.clear();
+        self.global_idle.clear();
+        for (index, e) in idle.iter().enumerate() {
+            let index = index as u32;
+            // Slots are minted in order of appearance, so a new slot is
+            // always the next one.
+            let slot = self.idle_nodes.intern(e.node.index());
+            if slot == self.slot_head.len() {
+                self.slot_head.push(index);
+                self.slot_tail.push(index);
+            } else {
+                self.global_idle[self.slot_tail[slot] as usize].next = index;
+                self.slot_tail[slot] = index;
+            }
+            self.global_idle.push(IdleEntry {
+                id: e.id,
+                slot: slot as u32,
+                next: NO_ENTRY,
+            });
+        }
+        self.global_cursor = 0;
+        self.idle_count = view.idle.len();
+        self.tier_cursor.fill(0);
+    }
+
+    /// Brings the kept demand half in line with `view.apps`. Each app's
+    /// kept jobs are walked next to its pending jobs in submission order:
+    /// a kept job that [`RoundJob::matches`] stays, any other kept job
+    /// gives its per-node counts back, and a pending job without a match
+    /// is built fresh and adds its counts. The cost follows the jobs that
+    /// changed, plus one pointer comparison per unsatisfied task.
+    fn reconcile_apps(&mut self, view: &AllocationView) {
+        for mut gone in self.apps.drain(view.apps.len().min(self.apps.len())..) {
+            for job in &gone.jobs {
+                self.demand.sub_job(&mut gone.node_demand, job);
+            }
+        }
+        for (i, a) in view.apps.iter().enumerate() {
+            if i == self.apps.len() {
+                self.apps.push(RoundApp::empty(a.app, a.quota));
+            }
+            let app = &mut self.apps[i];
+            let mut kept = std::mem::replace(&mut app.jobs, std::mem::take(&mut self.spare_jobs));
+            let mut old = kept.drain(..).peekable();
+            let mut demand_remaining = 0;
+            for pending in &a.pending_jobs {
+                demand_remaining += pending.pending_tasks;
+                // Kept jobs ahead of this one have left the view.
+                while let Some(gone) = old.next_if(|k| k.job < pending.job) {
+                    self.demand.sub_job(&mut app.node_demand, &gone);
+                }
+                let job = match old.next_if(|k| k.job == pending.job) {
+                    Some(mut same) if same.matches(pending) => {
+                        same.min_credit = u32::MAX;
+                        same
+                    }
+                    stale => {
+                        if let Some(stale) = stale {
+                            self.demand.sub_job(&mut app.node_demand, &stale);
+                        }
+                        let fresh = RoundJob::build(pending);
+                        self.demand.add_job(&mut app.node_demand, &fresh);
+                        fresh
+                    }
+                };
+                app.jobs.push(job);
+            }
+            for gone in old {
+                self.demand.sub_job(&mut app.node_demand, &gone);
+            }
+            self.spare_jobs = kept;
+
+            app.app = a.app;
+            app.quota = a.quota;
+            app.held = a.held;
+            app.hist_local_jobs = a.local_jobs;
+            app.total_jobs = a.total_jobs;
+            app.hist_local_tasks = a.local_tasks;
+            app.total_tasks = a.total_tasks;
+            app.new_local_jobs = 0;
+            app.new_local_tasks = 0;
+            app.demand_remaining = demand_remaining;
+            app.new_task_credit = 0;
+            app.new_job_credit = 0;
+            app.cost_scale = self.costs.scale;
         }
     }
 
@@ -500,7 +668,7 @@ impl Round {
                 self.heap.pop();
                 continue;
             }
-            if !self.has_local_opportunity(&self.apps[i]) {
+            if !self.has_local_opportunity(i) {
                 let entry = self.heap.pop().expect("peeked entry exists"); // lint: allow(panic) — pop follows the successful peek just above
                 self.stash.push(entry);
                 continue;
@@ -534,66 +702,74 @@ impl Round {
         }
     }
 
-    /// Untaken idle executors on `slot`.
+    /// The `global_idle` entry at `index` has been taken: exactly the
+    /// entries before their slot's head are.
     #[inline]
-    fn idle_remaining(&self, slot: usize) -> usize {
-        if slot < self.idle_slots {
-            self.idle_lists[slot].len() - self.node_cursor[slot] as usize
-        } else {
-            0
-        }
+    fn taken(&self, index: usize) -> bool {
+        (index as u32) < self.slot_head[self.global_idle[index].slot as usize]
+    }
+
+    /// An untaken idle executor exists on the idle slot `slot`.
+    #[inline]
+    fn slot_has_idle(&self, slot: usize) -> bool {
+        self.slot_head[slot] != NO_ENTRY
     }
 
     /// An idle executor exists on `node`.
     pub fn node_has_idle(&self, node: NodeId) -> bool {
-        self.nodes
+        self.idle_nodes
             .get(node.index())
-            .is_some_and(|slot| self.idle_remaining(slot) > 0)
+            .is_some_and(|slot| self.slot_has_idle(slot))
     }
 
-    /// True if `app` has an unsatisfied task whose block sits on a node
-    /// with an idle executor.
-    fn has_local_opportunity(&self, app: &RoundApp) -> bool {
-        // Iterate whichever side is denser in information: the app's
-        // demanded slots are typically few, so walk those.
-        app.node_demand
-            .iter()
-            .enumerate()
-            .any(|(slot, &c)| c > 0 && self.idle_remaining(slot) > 0)
-    }
-
-    /// This app's unsatisfied-task pressure on `node`.
-    pub fn app_node_demand(&self, i: usize, node: NodeId) -> u32 {
-        self.nodes
-            .get(node.index())
-            .map_or(0, |slot| self.apps[i].node_demand_at(slot))
+    /// True if app `i` has an unsatisfied task whose block sits on a
+    /// node with an idle executor.
+    fn has_local_opportunity(&self, i: usize) -> bool {
+        let app = &self.apps[i];
+        let cursor = &self.opportunity_cursor[i];
+        // Walk the shorter side: a round that grants a freed executor or
+        // two has a handful of idle nodes, a grant-heavy one may have
+        // more idle nodes than the app demands. Neither length changes
+        // within a round, so every call walks the same side and resumes
+        // where the last one stopped.
+        let idle_slots = self.slot_head.len();
+        let found = if idle_slots <= app.node_demand.len() {
+            (cursor.get()..idle_slots).find(|&slot| {
+                self.slot_has_idle(slot)
+                    && self
+                        .demand
+                        .slot(NodeId::new(self.idle_nodes.keys()[slot] as usize))
+                        .is_some_and(|d| app.node_demand_at(d) > 0)
+            })
+        } else {
+            (cursor.get()..app.node_demand.len()).find(|&slot| {
+                app.node_demand[slot] > 0 && self.node_has_idle(self.demand.node(slot))
+            })
+        };
+        cursor.set(found.unwrap_or(usize::MAX));
+        found.is_some()
     }
 
     /// Unsatisfied-task pressure on `node` from apps other than `except` —
     /// total pressure minus the app's own, O(1).
     pub fn contention_excluding(&self, node: NodeId, except: usize) -> u32 {
-        let Some(slot) = self.nodes.get(node.index()) else {
+        let Some(slot) = self.demand.slot(node) else {
             return 0;
         };
-        let total = self.total_node_demand.get(slot).copied().unwrap_or(0);
-        total - self.apps[except].node_demand_at(slot)
+        self.demand.total[slot] - self.apps[except].node_demand_at(slot)
     }
 
     /// Consumes the next (lowest-id) idle executor on `slot`.
     fn take_on_slot(&mut self, slot: usize) -> Option<ExecutorId> {
-        let cursor = self.node_cursor[slot] as usize;
-        let id = *self.idle_lists[slot].get(cursor)?;
-        self.node_cursor[slot] += 1;
+        let e = *self.global_idle.get(self.slot_head[slot] as usize)?;
+        self.slot_head[slot] = e.next;
         self.idle_count -= 1;
-        Some(id)
+        Some(e.id)
     }
 
     /// Takes the lowest-id idle executor on `node`.
     pub fn take_executor_on(&mut self, node: NodeId) -> Option<ExecutorId> {
-        let slot = self
-            .nodes
-            .get(node.index())
-            .filter(|&s| s < self.idle_slots)?;
+        let slot = self.idle_nodes.get(node.index())?;
         self.take_on_slot(slot)
     }
 
@@ -612,28 +788,31 @@ impl Round {
         for ti in 0..self.costs.tiers.len() {
             let pen = self.costs.tiers[ti];
             while let Some(&e) = self.global_idle.get(self.tier_cursor[ti]) {
-                if e.pos < self.node_cursor[e.slot as usize] {
+                if self.taken(self.tier_cursor[ti]) {
                     self.tier_cursor[ti] += 1;
                     continue;
                 }
-                let raw = self.nodes.keys()[e.slot as usize] as usize;
+                let raw = self.idle_nodes.keys()[e.slot as usize] as usize;
                 if self.placement_penalty(NodeId::new(raw)) > pen {
                     self.tier_cursor[ti] += 1;
                     continue;
                 }
-                debug_assert_eq!(e.pos, self.node_cursor[e.slot as usize]);
+                debug_assert_eq!(
+                    self.slot_head[e.slot as usize] as usize,
+                    self.tier_cursor[ti]
+                );
                 return self.take_on_slot(e.slot as usize);
             }
         }
         while let Some(&e) = self.global_idle.get(self.global_cursor) {
-            if e.pos < self.node_cursor[e.slot as usize] {
+            if self.taken(self.global_cursor) {
                 self.global_cursor += 1;
                 continue;
             }
-            // The first untaken entry of a slot sits exactly at its
-            // cursor: earlier positions have lower ids, appear earlier
-            // here, and were skipped only because they were taken.
-            debug_assert_eq!(e.pos, self.node_cursor[e.slot as usize]);
+            // The first untaken entry of a slot is its head: the slot's
+            // earlier entries have lower ids, appear earlier here, and
+            // were skipped only because they were taken.
+            debug_assert_eq!(self.slot_head[e.slot as usize] as usize, self.global_cursor);
             return self.take_on_slot(e.slot as usize);
         }
         None
@@ -668,19 +847,10 @@ impl Round {
     /// key.
     pub fn satisfy_task(&mut self, i: usize, j: usize, t: usize, node: NodeId) -> (JobId, usize) {
         let credit = self.costs.credit(node);
-        let (task_index, nodes_list) = self.apps[i].jobs[j].tasks.remove(t);
-        for &n in nodes_list.iter() {
-            let slot = self
-                .nodes
-                .get(n.index())
-                .expect("demanded node was interned at round build"); // lint: allow(panic) — demand nodes are interned when the round is built
-            self.apps[i].sub_node_demand_at(slot);
-            if let Some(c) = self.total_node_demand.get_mut(slot) {
-                *c -= 1;
-            }
-        }
         let scale = self.costs.scale;
         let app = &mut self.apps[i];
+        let (task_index, nodes_list) = app.jobs[j].tasks.remove(t);
+        self.demand.sub(&mut app.node_demand, &nodes_list);
         let job = &mut app.jobs[j];
         job.satisfied += 1;
         job.min_credit = job.min_credit.min(credit);
@@ -691,11 +861,6 @@ impl Round {
             app.new_job_credit += u64::from(job.min_credit.min(scale));
         }
         (job.job, task_index)
-    }
-
-    /// Access to round-app state (for the intra module).
-    pub fn app_mut(&mut self, i: usize) -> &mut RoundApp {
-        &mut self.apps[i]
     }
 
     /// Access to round-app state.
@@ -740,7 +905,7 @@ impl Round {
             let candidate = match self.inter {
                 InterPolicy::MinLocality => self.min_local_candidate(),
                 InterPolicy::NaiveCountFair => {
-                    self.select_app(|_, a| a.headroom() > 0 && self.has_local_opportunity(a))
+                    self.select_app(|i, a| a.headroom() > 0 && self.has_local_opportunity(i))
                 }
             };
             let Some(i) = candidate else { break };
@@ -767,8 +932,8 @@ impl Round {
         }
     }
 
-    /// Finishes the round, handing out its grants. The buffers stay for
-    /// the next [`Round::reset`].
+    /// Finishes the round, handing out its grants. The buffers and the
+    /// kept jobs stay for the next [`Round::reset`].
     pub fn finish(&mut self) -> Vec<Assignment> {
         std::mem::take(&mut self.assignments)
     }
@@ -861,10 +1026,24 @@ mod tests {
 
     #[test]
     fn node_demand_counts_preferences() {
-        let round = Round::new(&view_one_app());
-        assert_eq!(round.app_node_demand(0, NodeId::new(0)), 1);
-        assert_eq!(round.app_node_demand(0, NodeId::new(5)), 1);
-        assert_eq!(round.app_node_demand(0, NodeId::new(7)), 0);
+        // A second app with no demand: contention excluding it is app 0's
+        // own pressure.
+        let mut view = view_one_app();
+        view.apps.push(AppState {
+            app: AppId::new(1),
+            quota: 1,
+            held: 0,
+            local_jobs: 0,
+            total_jobs: 0,
+            local_tasks: 0,
+            total_tasks: 0,
+            pending_jobs: Vec::new(),
+        });
+        let round = Round::new(&view);
+        assert_eq!(round.contention_excluding(NodeId::new(0), 1), 1);
+        assert_eq!(round.contention_excluding(NodeId::new(5), 1), 1);
+        assert_eq!(round.contention_excluding(NodeId::new(7), 1), 0);
+        assert_eq!(round.contention_excluding(NodeId::new(0), 0), 0);
         assert_eq!(round.app(0).demand_remaining, 2);
     }
 

@@ -88,6 +88,17 @@ impl AllocatorKind {
         }
     }
 
+    /// True for Custody and its ablation variants — the allocators that
+    /// keep their round across calls.
+    pub fn is_custody(self) -> bool {
+        matches!(
+            self,
+            AllocatorKind::Custody
+                | AllocatorKind::CustodyFairIntra
+                | AllocatorKind::CustodyNaiveInter
+        )
+    }
+
     /// Instantiates the allocator for a cluster whose whole executor
     /// inventory (in executor-id order) is `executors`, shared by
     /// `num_apps` applications. The static baselines fix their partitions

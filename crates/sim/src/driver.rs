@@ -47,7 +47,7 @@
 use std::collections::BTreeSet;
 
 use custody_cluster::{ClusterState, ExecutorId};
-use custody_core::{AllocationView, AppState, ExecutorAllocator, ExecutorInfo};
+use custody_core::{AllocationView, AllocatorKind, AppState, ExecutorAllocator, ExecutorInfo};
 use custody_dfs::{DatasetId, NameNode};
 use custody_scheduler::speculation::{SpeculationConfig, SpeculationPolicy};
 use custody_scheduler::{Placement, RetryPolicy, RunnableTask, TaskScheduler};
@@ -309,6 +309,9 @@ struct Driver {
     namenode: NameNode,
     cluster: ClusterState,
     allocator: Box<dyn ExecutorAllocator>,
+    /// Which allocator `allocator` is; the auditor builds a fresh one of
+    /// the same kind to check a Custody allocator's kept round.
+    allocator_kind: AllocatorKind,
     apps: Vec<AppRuntime>,
     jobs: Vec<RuntimeJob>,
     exec_state: Vec<ExecState>,
@@ -543,6 +546,7 @@ impl Driver {
             namenode,
             cluster,
             allocator,
+            allocator_kind: config.allocator,
             apps,
             jobs: Vec::new(),
             alloc_rng,
@@ -1285,13 +1289,17 @@ impl Driver {
         }
         self.view.idle = self.idle_executors();
         self.metrics.allocation_rounds += 1;
-        if let Some(costs) = self.demotion_costs() {
-            self.allocator.set_node_health_costs(&costs);
+        let costs = self.demotion_costs();
+        if let Some(costs) = &costs {
+            self.allocator.set_node_health_costs(costs);
         }
         let assignments = self.allocator.allocate(&self.view, &mut self.alloc_rng);
         self.alloc_wall += started.elapsed();
         if cfg!(debug_assertions) {
             custody_core::allocator::validate_assignments(&self.view, &assignments);
+        }
+        if self.audit_enabled {
+            self.audit_kept_round(&assignments, costs.as_deref());
         }
         self.view.idle = Vec::new(); // never kept stale between rounds
         let granted = assignments.len();
@@ -1382,11 +1390,17 @@ impl Driver {
                         .map(ExecutorId::new)
                         .filter(|e| self.exec_state[e.index()].running.is_none()),
                 );
+                // One runnable list per app per pass: only a launch
+                // changes it. A decline leaves every task as it was, and a
+                // speculative clone copies a task that is already running.
+                let mut runnable = std::mem::take(&mut self.runnable_scratch);
+                let mut collected = false;
                 for &e in &idle {
-                    let mut runnable = std::mem::take(&mut self.runnable_scratch);
-                    self.runnable_tasks(i, now, &mut runnable);
+                    if !collected {
+                        self.runnable_tasks(i, now, &mut runnable);
+                        collected = true;
+                    }
                     if runnable.is_empty() {
-                        self.runnable_scratch = runnable;
                         if self.try_speculate(i, e, now) {
                             launched_this_pass += 1;
                             continue;
@@ -1394,9 +1408,7 @@ impl Driver {
                         break;
                     }
                     let node = self.cluster.node_of(e);
-                    let placement = self.apps[i].scheduler.on_offer(node, &runnable, now);
-                    self.runnable_scratch = runnable;
-                    match placement {
+                    match self.apps[i].scheduler.on_offer(node, &runnable, now) {
                         Placement::NoWork => break,
                         Placement::Decline { retry_after } => {
                             // The executor would idle through the
@@ -1419,9 +1431,11 @@ impl Driver {
                         } => {
                             self.launch(i, e, job, stage, task_index, local, now);
                             launched_this_pass += 1;
+                            collected = false;
                         }
                     }
                 }
+                self.runnable_scratch = runnable;
             }
             launched_total += launched_this_pass;
             if launched_this_pass == 0 {

@@ -42,7 +42,9 @@
 //!    one the allocator would really have wasted: re-derived on the spot
 //!    (without touching driver state), a round skipped after a
 //!    demand-free round sees no demand, and one skipped after a
-//!    zero-grant round gets no grant from a copy of the allocator.
+//!    zero-grant round gets no grant from a copy of the allocator. A
+//!    Custody allocator keeps its round across calls, so every round it
+//!    plays must grant exactly what a freshly built one grants.
 //! 10. **Belief coherence** (detector mode) — executor death tracks
 //!     suspicion/lease-revocation belief exactly, DFS decommissions
 //!     track DataNode suspicion, ownership and leases form a bijection,
@@ -74,6 +76,8 @@
 //!     verified-read gate and re-asserted before `mark_done`).
 
 use custody_cluster::HealthState;
+use custody_core::{Assignment, HealthCost};
+use custody_dfs::NodeId;
 
 use crate::job::TaskState;
 
@@ -153,6 +157,32 @@ impl Driver {
             grants.is_empty(),
             "skipped round would have granted {} executors",
             grants.len()
+        );
+    }
+
+    /// Invariant 9, kept-round half: a Custody allocator reconciles the
+    /// round it kept from its previous call with the new view, so its
+    /// `granted` must equal the grants of a freshly built allocator of the
+    /// same kind, priced with the same health `costs`, on the same view.
+    /// Other allocators are left alone: the dynamic-offer cursor is state
+    /// by design.
+    pub(super) fn audit_kept_round(
+        &self,
+        granted: &[Assignment],
+        costs: Option<&[(NodeId, HealthCost)]>,
+    ) {
+        if !self.allocator_kind.is_custody() {
+            return;
+        }
+        let mut rng = self.alloc_rng.clone();
+        let mut fresh = self.allocator_kind.build(&[], self.apps.len(), &mut rng);
+        if let Some(costs) = costs {
+            fresh.set_node_health_costs(costs);
+        }
+        assert_eq!(
+            granted,
+            fresh.allocate(&self.view, &mut rng),
+            "kept allocator round diverged from a freshly built one"
         );
     }
 

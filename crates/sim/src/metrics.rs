@@ -86,20 +86,23 @@ pub struct RunMetrics {
     /// application's demand changed since the last zero-grant round
     /// (their outcome is replayed, not recomputed).
     pub rounds_skipped: usize,
-    /// Cumulative wall-clock time spent building allocation views and
-    /// running the allocator, in seconds. Real time, not simulated time —
-    /// varies across machines and runs, so it is excluded from
-    /// determinism comparisons.
+    /// Cumulative wall-clock time spent in allocation rounds that were
+    /// not skipped, in seconds: the demand-cache refresh into the kept
+    /// view, the idle list (rounds that can grant) and the allocator call.
+    /// Real time, not simulated time — varies across machines and runs,
+    /// so it is excluded from determinism comparisons.
     pub allocator_wall_secs: f64,
     /// Cumulative wall-clock time spent popping the event queue, in
     /// seconds. Real time — excluded from determinism comparisons.
     pub event_pop_wall_secs: f64,
     /// Cumulative wall-clock time spent on demand maintenance
     /// (demand-cache refreshes plus journal-driven preferred-node
-    /// re-resolution), in seconds. Cache refreshes run inside view
-    /// building, so this overlaps — is not additive with —
-    /// [`allocator_wall_secs`](Self::allocator_wall_secs). Real time —
-    /// excluded from determinism comparisons.
+    /// re-resolution), in seconds. Cache refreshes run at the start of
+    /// each allocation round, so that part overlaps — is not additive
+    /// with — [`allocator_wall_secs`](Self::allocator_wall_secs); the
+    /// re-resolution runs in the event handlers that change the replica
+    /// map, outside it. Real time — excluded from determinism
+    /// comparisons.
     pub demand_wall_secs: f64,
     /// Peak resident set size of the whole process at the end of the run
     /// (Linux `VmHWM`), in bytes; 0 where unavailable. A process-wide
