@@ -4,7 +4,7 @@
 //! cargo run --release -p custody-bench --bin simulate -- \
 //!     --workload sort --nodes 50 --allocator custody --jobs 10 --seed 42 \
 //!     [--baseline spark-static] [--racks 4] [--placement rack-aware] \
-//!     [--quota 12] [--scheduler delay:3000|fifo|locality-first] \
+//!     [--quota 12] [--scheduler delay|delay:<ms>|fifo|locality-first] \
 //!     [--fail 10:3] [--chaos <mtbf-secs>[:<downtime-secs>]] [--audit] \
 //!     [--detector <drop-prob>[:<suspicion-secs>]] [--checkpoint <secs>] \
 //!     [--master-crash <prob>] [--speculation] \
@@ -14,6 +14,10 @@
 //!     [--demotion soft|off] [--retry-budget <n>] \
 //!     [--trace out.tsv] [--analyze]
 //! ```
+//!
+//! `--scheduler delay` waits Spark's default 3 s for locality;
+//! `locality-first` is `delay:0` (prefer local slots, never wait) and its
+//! run label reads `sched=delay`.
 //!
 //! With `--baseline <allocator>` the same configuration is run twice and
 //! the comparison printed; `--trace` writes the per-task TSV log. Every
@@ -84,7 +88,7 @@ fn parse_scheduler(s: &str) -> SchedulerKind {
     match s {
         "delay" => SchedulerKind::spark_default(),
         "fifo" => SchedulerKind::Fifo,
-        "locality-first" => SchedulerKind::LocalityFirst,
+        "locality-first" => SchedulerKind::Delay(SimDuration::ZERO),
         other => usage_error(&format!(
             "unknown scheduler {other:?} (delay|delay:<ms>|fifo|locality-first)"
         )),

@@ -10,6 +10,12 @@
 //! non-local — the per-job locality variance visible in the paper's
 //! Fig. 7 ("some jobs only have less than 35 % of local tasks").
 //!
+//! A set is one contiguous run of the runnable list (the
+//! [`TaskScheduler::on_offer`] contract), so an offer walks the runs as
+//! they are listed and never regroups the list. Sets are served in FIFO
+//! order of their oldest task (earliest `runnable_since`, then lowest
+//! index), ties broken by job id, then stage.
+//!
 //! Offer handling, in Spark's order:
 //!
 //! 1. A data-local task (earliest set first, FIFO within a set) launches
@@ -97,17 +103,14 @@ fn launch(task: &RunnableTask, local: bool) -> Placement {
     }
 }
 
-/// Task sets in FIFO order: keyed by the earliest `runnable_since` in the
-/// set, then job id, then stage.
-fn sets_in_order(runnable: &[RunnableTask]) -> Vec<((JobId, usize), SimTime)> {
-    let mut earliest: BTreeMap<(JobId, usize), SimTime> = BTreeMap::new();
-    for t in runnable {
-        let e = earliest.entry((t.job, t.stage)).or_insert(t.runnable_since);
-        *e = (*e).min(t.runnable_since);
-    }
-    let mut sets: Vec<((JobId, usize), SimTime)> = earliest.into_iter().collect();
-    sets.sort_by_key(|&((job, stage), since)| (since, job, stage));
-    sets
+/// A task set's key: its (job, stage).
+fn set_key(task: &RunnableTask) -> (JobId, usize) {
+    (task.job, task.stage)
+}
+
+/// The oldest task of a run: earliest `runnable_since`, then lowest index.
+fn oldest<'a>(tasks: impl Iterator<Item = &'a RunnableTask>) -> Option<&'a RunnableTask> {
+    tasks.min_by_key(|t| (t.runnable_since, t.task_index))
 }
 
 impl TaskScheduler for DelayScheduler {
@@ -116,20 +119,24 @@ impl TaskScheduler for DelayScheduler {
     }
 
     fn on_offer(&mut self, node: NodeId, runnable: &[RunnableTask], now: SimTime) -> Placement {
-        if runnable.is_empty() {
-            return Placement::NoWork;
-        }
-        let sets = sets_in_order(runnable);
+        let mut sets: Vec<(&RunnableTask, &[RunnableTask])> = runnable
+            .chunk_by(|a, b| set_key(a) == set_key(b))
+            // A chunk is never empty, so every run keeps its oldest task.
+            .filter_map(|run| Some((oldest(run.iter())?, run)))
+            .collect();
+        sets.sort_unstable_by_key(|&(first, _)| (first.runnable_since, first.job, first.stage));
+        debug_assert!(
+            sets.iter()
+                .enumerate()
+                .all(|(i, &(a, _))| sets[..i].iter().all(|&(b, _)| set_key(a) != set_key(b))),
+            "a task set spans two runs of the runnable list"
+        );
 
         // 1. Local task: earliest set first, FIFO within the set. A local
         //    launch resets the set's clock and level.
-        for &(key, _) in &sets {
-            let candidate = runnable
-                .iter()
-                .filter(|t| (t.job, t.stage) == key && t.local_on(node))
-                .min_by_key(|t| (t.runnable_since, t.task_index));
-            if let Some(task) = candidate {
-                let state = self.set_state(key, task.runnable_since);
+        for &(_, run) in &sets {
+            if let Some(task) = oldest(run.iter().filter(|t| t.local_on(node))) {
+                let state = self.set_state(set_key(task), task.runnable_since);
                 state.clock_start = now;
                 state.allow_any = false;
                 return launch(task, true);
@@ -145,34 +152,27 @@ impl TaskScheduler for DelayScheduler {
             return launch(task, false);
         }
 
-        // 3. Non-local placements: expired sets launch, others wait.
-        let mut earliest_expiry: Option<SimDuration> = None;
-        for &(key, first_runnable) in &sets {
+        // 3. Non-local placements: the first expired set launches its
+        //    oldest task, others wait. Every set reaching the end recorded
+        //    its expiry, so only an empty list finds none.
+        let mut retry_after: Option<SimDuration> = None;
+        for (first, _) in sets {
             let threshold = self.wait_threshold;
-            let state = self.set_state(key, first_runnable);
+            let state = self.set_state(set_key(first), first.runnable_since);
             if !state.allow_any {
                 let waited = now.saturating_since(state.clock_start);
-                if waited >= threshold {
-                    state.allow_any = true;
-                } else {
+                if waited < threshold {
                     let remaining = threshold - waited;
-                    earliest_expiry = Some(match earliest_expiry {
-                        Some(e) => e.min(remaining),
-                        None => remaining,
-                    });
+                    retry_after = Some(retry_after.map_or(remaining, |r| r.min(remaining)));
                     continue;
                 }
+                state.allow_any = true;
             }
-            let task = runnable
-                .iter()
-                .filter(|t| (t.job, t.stage) == key)
-                .min_by_key(|t| (t.runnable_since, t.task_index))
-                .expect("set has at least one task"); // lint: allow(panic) — set keys are derived from runnable, so each has a task
-            return launch(task, false);
+            return launch(first, false);
         }
-        Placement::Decline {
-            retry_after: earliest_expiry.expect("some set must be waiting"), // lint: allow(panic) — reached only after a waiting set recorded its expiry
-        }
+        retry_after.map_or(Placement::NoWork, |retry_after| Placement::Decline {
+            retry_after,
+        })
     }
 
     fn clone_box(&self) -> Box<dyn TaskScheduler> {
@@ -371,5 +371,268 @@ mod tests {
                 }
             );
         }
+    }
+}
+
+/// The regrouping implementation: it rebuilds the task sets from the
+/// whole runnable list on every offer and assumes no order in the list.
+/// Kept as the oracle the run-walking scheduler must agree with.
+#[cfg(test)]
+mod regrouping {
+    use super::*;
+
+    #[derive(Debug, Clone)]
+    pub(super) struct RegroupingDelayScheduler {
+        wait_threshold: SimDuration,
+        sets: BTreeMap<(JobId, usize), SetState>,
+    }
+
+    impl RegroupingDelayScheduler {
+        pub(super) fn new(wait_threshold: SimDuration) -> Self {
+            RegroupingDelayScheduler {
+                wait_threshold,
+                sets: BTreeMap::new(),
+            }
+        }
+
+        fn set_state(&mut self, key: (JobId, usize), first_runnable: SimTime) -> &mut SetState {
+            self.sets.entry(key).or_insert(SetState {
+                clock_start: first_runnable,
+                allow_any: false,
+            })
+        }
+
+        pub(super) fn on_offer(
+            &mut self,
+            node: NodeId,
+            runnable: &[RunnableTask],
+            now: SimTime,
+        ) -> Placement {
+            if runnable.is_empty() {
+                return Placement::NoWork;
+            }
+            let sets = sets_in_order(runnable);
+
+            // 1. Local task: earliest set first, FIFO within the set. A local
+            //    launch resets the set's clock and level.
+            for &(key, _) in &sets {
+                let candidate = runnable
+                    .iter()
+                    .filter(|t| (t.job, t.stage) == key && t.local_on(node))
+                    .min_by_key(|t| (t.runnable_since, t.task_index));
+                if let Some(task) = candidate {
+                    let state = self.set_state(key, task.runnable_since);
+                    state.clock_start = now;
+                    state.allow_any = false;
+                    return launch(task, true);
+                }
+            }
+
+            // 2. Preference-free task (no locality to wait for).
+            if let Some(task) = runnable
+                .iter()
+                .filter(|t| !t.has_preference())
+                .min_by_key(|t| (t.runnable_since, t.job, t.stage, t.task_index))
+            {
+                return launch(task, false);
+            }
+
+            // 3. Non-local placements: expired sets launch, others wait.
+            let mut earliest_expiry: Option<SimDuration> = None;
+            for &(key, first_runnable) in &sets {
+                let threshold = self.wait_threshold;
+                let state = self.set_state(key, first_runnable);
+                if !state.allow_any {
+                    let waited = now.saturating_since(state.clock_start);
+                    if waited >= threshold {
+                        state.allow_any = true;
+                    } else {
+                        let remaining = threshold - waited;
+                        earliest_expiry = Some(match earliest_expiry {
+                            Some(e) => e.min(remaining),
+                            None => remaining,
+                        });
+                        continue;
+                    }
+                }
+                let task = runnable
+                    .iter()
+                    .filter(|t| (t.job, t.stage) == key)
+                    .min_by_key(|t| (t.runnable_since, t.task_index))
+                    .expect("set has at least one task");
+                return launch(task, false);
+            }
+            Placement::Decline {
+                retry_after: earliest_expiry.expect("some set must be waiting"),
+            }
+        }
+    }
+
+    /// Task sets in FIFO order: keyed by the earliest `runnable_since` in the
+    /// set, then job id, then stage.
+    fn sets_in_order(runnable: &[RunnableTask]) -> Vec<((JobId, usize), SimTime)> {
+        let mut earliest: BTreeMap<(JobId, usize), SimTime> = BTreeMap::new();
+        for t in runnable {
+            let e = earliest.entry((t.job, t.stage)).or_insert(t.runnable_since);
+            *e = (*e).min(t.runnable_since);
+        }
+        let mut sets: Vec<((JobId, usize), SimTime)> = earliest.into_iter().collect();
+        sets.sort_by_key(|&((job, stage), since)| (since, job, stage));
+        sets
+    }
+}
+
+#[cfg(test)]
+mod sequence_tests {
+    use super::regrouping::RegroupingDelayScheduler;
+    use super::*;
+    use custody_simcore::SimRng;
+
+    const NODES: usize = 30;
+
+    /// Random offer sequences: live task sets come and go, launched tasks
+    /// leave the list, and some return later with a fresh
+    /// `runnable_since`, as a re-queued task does. Each offer lists the
+    /// sets as contiguous runs in shuffled order.
+    struct Sequence {
+        rng: SimRng,
+        now: SimTime,
+        next_job: usize,
+        /// Next unused stage per job.
+        next_stage: BTreeMap<JobId, usize>,
+        live: Vec<RunnableTask>,
+        launched: Vec<RunnableTask>,
+    }
+
+    impl Sequence {
+        fn new(seed: u64) -> Self {
+            Sequence {
+                rng: SimRng::seed_from_u64(seed),
+                now: SimTime::ZERO,
+                next_job: 0,
+                next_stage: BTreeMap::new(),
+                live: Vec::new(),
+                launched: Vec::new(),
+            }
+        }
+
+        fn live_sets(&self) -> BTreeMap<(JobId, usize), Vec<RunnableTask>> {
+            let mut sets: BTreeMap<(JobId, usize), Vec<RunnableTask>> = BTreeMap::new();
+            for t in &self.live {
+                sets.entry((t.job, t.stage)).or_default().push(t.clone());
+            }
+            sets
+        }
+
+        /// Adds one set of 1–8 tasks: a new job's, or another stage of a
+        /// job already seen. About one set in seven is preference-free.
+        fn add_set(&mut self) {
+            let job = if self.next_job > 0 && self.rng.chance(0.3) {
+                JobId::new(self.rng.below(self.next_job))
+            } else {
+                self.next_job += 1;
+                JobId::new(self.next_job - 1)
+            };
+            let stage = self.next_stage.entry(job).or_insert(0);
+            let this_stage = *stage;
+            *stage += 1;
+            let free = self.rng.chance(0.15);
+            for task_index in 0..1 + self.rng.below(8) {
+                let preferred_nodes: std::sync::Arc<[NodeId]> = if free {
+                    [].into()
+                } else {
+                    let k = 1 + self.rng.below(3);
+                    self.rng
+                        .choose_distinct(NODES, k)
+                        .into_iter()
+                        .map(NodeId::new)
+                        .collect()
+                };
+                self.live.push(RunnableTask {
+                    job,
+                    stage: this_stage,
+                    task_index,
+                    preferred_nodes,
+                    runnable_since: self.now,
+                });
+            }
+        }
+
+        /// Advances the clock, changes the live sets, and returns the
+        /// runnable list for the next offer.
+        fn step(&mut self) -> Vec<RunnableTask> {
+            self.now += SimDuration::from_millis(self.rng.below(400) as u64);
+            while self.live.is_empty() || (self.live_sets().len() < 6 && self.rng.chance(0.2)) {
+                self.add_set();
+            }
+            if !self.launched.is_empty() && self.rng.chance(0.15) {
+                let i = self.rng.below(self.launched.len());
+                let mut task = self.launched.swap_remove(i);
+                task.runnable_since = self.now;
+                self.live.push(task);
+            }
+            let mut sets: Vec<Vec<RunnableTask>> = self.live_sets().into_values().collect();
+            self.rng.shuffle(&mut sets);
+            sets.into_iter()
+                .flat_map(|mut set| {
+                    set.sort_by_key(|t| t.task_index);
+                    set
+                })
+                .collect()
+        }
+
+        fn remove(&mut self, job: JobId, stage: usize, task_index: usize) {
+            let i = self
+                .live
+                .iter()
+                .position(|t| (t.job, t.stage, t.task_index) == (job, stage, task_index))
+                .expect("launched task is live");
+            self.launched.push(self.live.swap_remove(i));
+        }
+    }
+
+    #[test]
+    fn agrees_with_the_regrouping_scheduler() {
+        for seed in 0..6u64 {
+            let wait = [0, 500, 3_000][seed as usize % 3];
+            let mut sched = DelayScheduler::new(SimDuration::from_millis(wait));
+            let mut oracle = RegroupingDelayScheduler::new(SimDuration::from_millis(wait));
+            let mut seq = Sequence::new(seed);
+            let (mut launches, mut declines) = (0, 0);
+            for offer in 0..500 {
+                let runnable = seq.step();
+                let node = NodeId::new(seq.rng.below(NODES));
+                let expected = oracle.on_offer(node, &runnable, seq.now);
+                let got = sched.on_offer(node, &runnable, seq.now);
+                assert_eq!(got, expected, "seed {seed} offer {offer}: {runnable:?}");
+                match got {
+                    Placement::Launch {
+                        job,
+                        stage,
+                        task_index,
+                        ..
+                    } => {
+                        launches += 1;
+                        seq.remove(job, stage, task_index);
+                    }
+                    Placement::Decline { .. } => declines += 1,
+                    Placement::NoWork => unreachable!("the list is never empty"),
+                }
+            }
+            assert!(launches > 100, "seed {seed}: only {launches} launches");
+            if wait > 0 {
+                assert!(declines > 10, "seed {seed}: only {declines} declines");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_list_is_no_work_without_state() {
+        let mut sched = DelayScheduler::new(SimDuration::from_secs(3));
+        assert_eq!(
+            sched.on_offer(NodeId::new(0), &[], SimTime::from_secs(1)),
+            Placement::NoWork
+        );
+        assert!(sched.sets.is_empty());
     }
 }

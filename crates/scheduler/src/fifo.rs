@@ -1,10 +1,10 @@
-//! Locality-oblivious FIFO scheduling — the ablation lower bound.
+//! Locality-oblivious FIFO scheduling.
 //!
-//! Launches the earliest-runnable task on whatever executor is offered,
-//! never waiting for locality. Shows how much of Custody's gain survives
-//! when the *task* scheduler squanders the locality the *executor*
-//! allocation bought (answer: a lot, because Custody put the executors on
-//! the right nodes — FIFO lands tasks locally by construction more often).
+//! Launches the earliest-runnable task (ties broken by job, stage, then
+//! index) on whatever executor is offered, never waiting for locality. A
+//! launch is reported local only when the offered node happens to hold
+//! the task's input, so the locality a FIFO run shows is what the
+//! executor allocation alone placed.
 
 use custody_dfs::NodeId;
 use custody_simcore::SimTime;

@@ -8,14 +8,13 @@
 //! task scheduler then places *tasks on executors*. "In our experiments,
 //! all the applications use the standard delay scheduling of Spark to
 //! accept resource offers and schedule tasks" (§V) — so this crate
-//! implements delay scheduling \[22\] plus the degenerate policies used in
-//! ablations:
+//! implements delay scheduling \[22\] plus a locality-oblivious policy:
 //!
-//! * [`DelayScheduler`] — a task declines non-local slots until it has
-//!   waited past a threshold, then runs anywhere.
-//! * [`SchedulerKind::LocalityFirst`] — delay scheduling with a zero
-//!   threshold: prefer local slots, never wait.
-//! * [`FifoScheduler`] — pure FIFO, locality-oblivious (the lower bound).
+//! * [`DelayScheduler`] — a task set declines non-local slots until it
+//!   has waited past a threshold, then runs anywhere. A zero threshold
+//!   prefers local slots but never waits.
+//! * [`FifoScheduler`] — launches the earliest-runnable task on whatever
+//!   executor is offered, never waiting for locality.
 //!
 //! The interface is offer-based like Spark/Mesos: the runtime offers one
 //! free executor (identified by its host node) to the scheduler, which
@@ -100,7 +99,9 @@ pub trait TaskScheduler {
     fn name(&self) -> &'static str;
 
     /// Offers a free executor on `node` at time `now`; `runnable` lists
-    /// the tasks that could launch (FIFO order of becoming runnable).
+    /// the tasks that could launch. Each task set — one (job, stage) — is
+    /// one contiguous run of `runnable`, its tasks in ascending index.
+    /// Returns [`Placement::NoWork`] exactly when `runnable` is empty.
     fn on_offer(&mut self, node: NodeId, runnable: &[RunnableTask], now: SimTime) -> Placement;
 
     /// Deep-copies the scheduler, internal state included. Master
@@ -118,10 +119,9 @@ impl Clone for Box<dyn TaskScheduler> {
 /// Which task scheduler an application runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {
-    /// Delay scheduling with the given wait threshold.
+    /// Delay scheduling with the given wait threshold; zero prefers
+    /// local slots but never waits.
     Delay(SimDuration),
-    /// Prefer local slots but never wait (delay threshold zero).
-    LocalityFirst,
     /// Locality-oblivious FIFO.
     Fifo,
 }
@@ -137,7 +137,6 @@ impl SchedulerKind {
     pub fn name(self) -> &'static str {
         match self {
             SchedulerKind::Delay(_) => "delay",
-            SchedulerKind::LocalityFirst => "locality-first",
             SchedulerKind::Fifo => "fifo",
         }
     }
@@ -146,7 +145,6 @@ impl SchedulerKind {
     pub fn build(self) -> Box<dyn TaskScheduler> {
         match self {
             SchedulerKind::Delay(wait) => Box::new(DelayScheduler::new(wait)),
-            SchedulerKind::LocalityFirst => Box::new(DelayScheduler::new(SimDuration::ZERO)),
             SchedulerKind::Fifo => Box::new(FifoScheduler::new()),
         }
     }
@@ -180,6 +178,5 @@ mod tests {
     fn kinds_build() {
         assert_eq!(SchedulerKind::spark_default().name(), "delay");
         assert_eq!(SchedulerKind::Fifo.build().name(), "fifo");
-        assert_eq!(SchedulerKind::LocalityFirst.build().name(), "delay");
     }
 }

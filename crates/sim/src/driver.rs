@@ -1204,14 +1204,7 @@ impl Driver {
         let mut released = 0;
         let mut idle = std::mem::take(&mut self.idle_scratch);
         for i in 0..self.apps.len() {
-            idle.clear();
-            idle.extend(
-                self.apps[i]
-                    .held
-                    .iter()
-                    .map(ExecutorId::new)
-                    .filter(|e| self.exec_state[e.index()].running.is_none()),
-            );
+            self.idle_held(i, &mut idle);
             self.view.apps[i].held -= idle.len();
             for &e in &idle {
                 self.apps[i].held.remove(e.index());
@@ -1373,6 +1366,18 @@ impl Driver {
         idle
     }
 
+    /// Collects app `i`'s held executors that run nothing into `out`.
+    fn idle_held(&self, i: usize, out: &mut Vec<ExecutorId>) {
+        out.clear();
+        out.extend(
+            self.apps[i]
+                .held
+                .iter()
+                .map(ExecutorId::new)
+                .filter(|e| self.exec_state[e.index()].running.is_none()),
+        );
+    }
+
     /// Step 3: offer idle held executors to their applications' task
     /// schedulers. Returns `(tasks launched, earliest decline retry)`.
     fn offer_pass(&mut self, now: SimTime) -> (usize, Option<SimDuration>) {
@@ -1382,14 +1387,7 @@ impl Driver {
         loop {
             let mut launched_this_pass = 0;
             for i in 0..self.apps.len() {
-                idle.clear();
-                idle.extend(
-                    self.apps[i]
-                        .held
-                        .iter()
-                        .map(ExecutorId::new)
-                        .filter(|e| self.exec_state[e.index()].running.is_none()),
-                );
+                self.idle_held(i, &mut idle);
                 // One runnable list per app per pass: only a launch
                 // changes it. A decline leaves every task as it was, and a
                 // speculative clone copies a task that is already running.
@@ -1400,16 +1398,18 @@ impl Driver {
                         self.runnable_tasks(i, now, &mut runnable);
                         collected = true;
                     }
-                    if runnable.is_empty() {
-                        if self.try_speculate(i, e, now) {
-                            launched_this_pass += 1;
-                            continue;
-                        }
-                        break;
-                    }
                     let node = self.cluster.node_of(e);
                     match self.apps[i].scheduler.on_offer(node, &runnable, now) {
-                        Placement::NoWork => break,
+                        // Nothing runnable: the executor may still clone
+                        // a straggler; once none qualifies, the app's
+                        // other idle executors get nothing either.
+                        Placement::NoWork => {
+                            if self.try_speculate(i, e, now) {
+                                launched_this_pass += 1;
+                            } else {
+                                break;
+                            }
+                        }
                         Placement::Decline { retry_after } => {
                             // The executor would idle through the
                             // locality wait — the moment Spark launches
@@ -1447,12 +1447,13 @@ impl Driver {
     }
 
     /// Collects the runnable, unlaunched tasks of app `i` into `out`, in
-    /// (job, stage, task) order. Tasks re-queued by a transient fault stay
-    /// invisible until their backoff gate passes (dispatch keeps a wake
-    /// armed for the earliest gate, so a gated task can never starve).
-    /// Takes a caller-owned buffer so the offer pass reuses one
-    /// allocation across offers instead of building a fresh Vec per idle
-    /// executor.
+    /// (job, stage, task) order, so each task set is one contiguous run
+    /// (the [`custody_scheduler::TaskScheduler::on_offer`] contract).
+    /// Tasks re-queued by a transient fault stay invisible until their
+    /// backoff gate passes (dispatch keeps a wake armed for the earliest
+    /// gate, so a gated task can never starve). Takes a caller-owned
+    /// buffer so the offer pass reuses one allocation across offers
+    /// instead of building a fresh Vec per idle executor.
     fn runnable_tasks(&self, i: usize, now: SimTime, out: &mut Vec<RunnableTask>) {
         out.clear();
         for &j in &self.apps[i].jobs {
@@ -1484,11 +1485,7 @@ impl Driver {
                             job: job.id,
                             stage: s,
                             task_index: t,
-                            preferred_nodes: if s == 0 {
-                                task.preferred.clone()
-                            } else {
-                                [].into()
-                            },
+                            preferred_nodes: task.preferred.clone(),
                             runnable_since: since,
                         });
                     }

@@ -463,7 +463,7 @@ fn scarce_rows(num_nodes: usize, other: AllocatorKind, jobs_per_app: usize, seed
         let mut cfg = paper(w, num_nodes, jobs_per_app, seed)
             .with_allocator(allocator)
             .with_quota(QuotaMode::FixedPerApp(8))
-            .with_scheduler(SchedulerKind::LocalityFirst);
+            .with_scheduler(SchedulerKind::Delay(SimDuration::ZERO));
         cfg.cluster = cfg.cluster.with_replication(1);
         vec![cfg]
     };

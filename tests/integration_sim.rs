@@ -5,7 +5,7 @@
 use custody::core::AllocatorKind;
 use custody::scheduler::SchedulerKind;
 use custody::sim::{PlacementKind, QuotaMode, SimConfig, Simulation};
-use custody::simcore::SimTime;
+use custody::simcore::{SimDuration, SimTime};
 use custody::workload::{Campaign, DatasetMode, WorkloadKind};
 
 fn demo(allocator: AllocatorKind, seed: u64) -> SimConfig {
@@ -146,8 +146,12 @@ fn zero_wait_scheduler_reduces_delay_but_costs_baseline_locality() {
         cfg
     };
     let waiting = Simulation::run(&base).cluster_metrics;
-    let eager =
-        Simulation::run(&base.clone().with_scheduler(SchedulerKind::LocalityFirst)).cluster_metrics;
+    let eager = Simulation::run(
+        &base
+            .clone()
+            .with_scheduler(SchedulerKind::Delay(SimDuration::ZERO)),
+    )
+    .cluster_metrics;
     assert!(
         eager.input_locality().mean() <= waiting.input_locality().mean() + 1e-9,
         "waiting should buy locality for the baseline"
