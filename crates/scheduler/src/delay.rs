@@ -36,7 +36,7 @@ use custody_workload::JobId;
 use crate::{Placement, RunnableTask, TaskScheduler};
 
 /// Per-task-set delay-scheduling state.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct SetState {
     /// Last time the set launched a local task (or was first seen).
     clock_start: SimTime,
@@ -65,9 +65,10 @@ struct SetState {
 /// let p = sched.on_offer(NodeId::new(5), &[task], SimTime::from_secs(1));
 /// assert!(matches!(p, Placement::Launch { local: true, .. }));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DelayScheduler {
     wait_threshold: SimDuration,
+    /// The offered sets of running jobs; a job's sets go when it ends.
     sets: BTreeMap<(JobId, usize), SetState>,
 }
 
@@ -79,11 +80,6 @@ impl DelayScheduler {
             wait_threshold,
             sets: BTreeMap::new(),
         }
-    }
-
-    /// The configured wait threshold.
-    pub fn wait_threshold(&self) -> SimDuration {
-        self.wait_threshold
     }
 
     fn set_state(&mut self, key: (JobId, usize), first_runnable: SimTime) -> &mut SetState {
@@ -173,6 +169,10 @@ impl TaskScheduler for DelayScheduler {
         retry_after.map_or(Placement::NoWork, |retry_after| Placement::Decline {
             retry_after,
         })
+    }
+
+    fn on_job_end(&mut self, job: JobId) {
+        self.sets.retain(|&(j, _), _| j != job);
     }
 
     fn clone_box(&self) -> Box<dyn TaskScheduler> {
@@ -356,6 +356,45 @@ mod tests {
         assert!(matches!(p, Placement::Launch { job, .. } if job == JobId::new(0)));
         let p = s.on_offer(NodeId::new(0), &tasks[1..], SimTime::from_millis(3_600));
         assert!(matches!(p, Placement::Decline { .. }));
+    }
+
+    #[test]
+    fn job_end_drops_exactly_that_jobs_sets() {
+        let mut s = sched();
+        let tasks = vec![
+            task(0, 0, 0, &[9], 0),
+            task(0, 1, 0, &[9], 0),
+            task(1, 0, 0, &[5], 1),
+            task(1, 0, 1, &[9], 1),
+        ];
+        // A local launch restarts job 1's clock at 2 s; then every set
+        // declines a non-local offer.
+        let p = s.on_offer(NodeId::new(5), &tasks, SimTime::from_secs(2));
+        assert!(matches!(p, Placement::Launch { job, local: true, .. } if job == JobId::new(1)));
+        let p = s.on_offer(
+            NodeId::new(0),
+            &[&tasks[..2], &tasks[3..]].concat(),
+            SimTime::from_secs(2),
+        );
+        assert_eq!(
+            p,
+            Placement::Decline {
+                retry_after: SimDuration::from_secs(1)
+            }
+        );
+        s.on_job_end(JobId::new(0));
+        assert_eq!(
+            s.sets.keys().copied().collect::<Vec<_>>(),
+            [(JobId::new(1), 0)]
+        );
+        // Job 1's set still counts from 2 s, not from its tasks' 1 s.
+        let p = s.on_offer(NodeId::new(0), &tasks[3..], SimTime::from_millis(3_500));
+        assert_eq!(
+            p,
+            Placement::Decline {
+                retry_after: SimDuration::from_millis(1_500)
+            }
+        );
     }
 
     #[test]
@@ -623,6 +662,50 @@ mod sequence_tests {
             if wait > 0 {
                 assert!(declines > 10, "seed {seed}: only {declines} declines");
             }
+        }
+    }
+
+    /// The decline contract of [`TaskScheduler::on_offer`]: re-offering
+    /// the declined list to the same node anywhere before the deadline
+    /// declines again with that deadline and changes nothing.
+    #[test]
+    fn a_decline_holds_until_its_deadline() {
+        for seed in 0..6u64 {
+            let wait = [500, 3_000][seed as usize % 2];
+            let mut sched = DelayScheduler::new(SimDuration::from_millis(wait));
+            let mut seq = Sequence::new(seed);
+            let mut declines = 0;
+            for offer in 0..500 {
+                let runnable = seq.step();
+                let node = NodeId::new(seq.rng.below(NODES));
+                match sched.on_offer(node, &runnable, seq.now) {
+                    Placement::Launch {
+                        job,
+                        stage,
+                        task_index,
+                        ..
+                    } => seq.remove(job, stage, task_index),
+                    Placement::Decline { retry_after } => {
+                        declines += 1;
+                        let deadline = seq.now + retry_after;
+                        let snapshot = sched.clone();
+                        for _ in 0..3 {
+                            let ahead = seq.rng.below(retry_after.as_micros() as usize);
+                            let t = seq.now + SimDuration::from_micros(ahead as u64);
+                            assert_eq!(
+                                sched.on_offer(node, &runnable, t),
+                                Placement::Decline {
+                                    retry_after: deadline - t
+                                },
+                                "seed {seed} offer {offer}: re-offer at {t:?}"
+                            );
+                            assert_eq!(sched, snapshot, "seed {seed} offer {offer}: state moved");
+                        }
+                    }
+                    Placement::NoWork => unreachable!("the list is never empty"),
+                }
+            }
+            assert!(declines > 10, "seed {seed}: only {declines} declines");
         }
     }
 

@@ -19,7 +19,10 @@
 //! The interface is offer-based like Spark/Mesos: the runtime offers one
 //! free executor (identified by its host node) to the scheduler, which
 //! either launches a runnable task or declines, optionally asking to be
-//! re-offered after a wait.
+//! re-offered after a wait. A decline holds until that wait ends. The
+//! runtime tells the scheduler when a job finishes or fails, so, like
+//! Spark dropping a finished `TaskSetManager`, it keeps state only for
+//! running jobs.
 //!
 //! [`speculation`] implements the straggler-mitigation extension the paper
 //! points to (§IV-B: "we can further utilize existing straggler mitigation
@@ -93,8 +96,8 @@ pub enum Placement {
     NoWork,
 }
 
-/// An application-level task scheduler.
-pub trait TaskScheduler {
+/// An application-level task scheduler; `Debug` dumps its whole state.
+pub trait TaskScheduler: std::fmt::Debug {
     /// Policy name for reports.
     fn name(&self) -> &'static str;
 
@@ -102,7 +105,16 @@ pub trait TaskScheduler {
     /// the tasks that could launch. Each task set — one (job, stage) — is
     /// one contiguous run of `runnable`, its tasks in ascending index.
     /// Returns [`Placement::NoWork`] exactly when `runnable` is empty.
+    ///
+    /// After `Decline { retry_after }` at `now`, the same `node` and
+    /// `runnable` offered at any `t < now + retry_after` decline again with
+    /// the same deadline and leave the scheduler unchanged.
+    /// [`FifoScheduler`] never declines.
     fn on_offer(&mut self, node: NodeId, runnable: &[RunnableTask], now: SimTime) -> Placement;
+
+    /// Notice that `job` finished or failed: none of its tasks will be
+    /// offered again, so state kept for it can go.
+    fn on_job_end(&mut self, _job: JobId) {}
 
     /// Deep-copies the scheduler, internal state included. Master
     /// checkpointing snapshots each application's scheduler so replayed

@@ -37,8 +37,8 @@ impl Default for SpeculationConfig {
 pub struct SpeculationPolicy {
     config: SpeculationConfig,
     total_tasks: usize,
+    /// Completed-task durations, kept in ascending order.
     completed_durations: Vec<SimDuration>,
-    sorted: bool,
 }
 
 impl SpeculationPolicy {
@@ -48,14 +48,13 @@ impl SpeculationPolicy {
             config,
             total_tasks,
             completed_durations: Vec::new(),
-            sorted: true,
         }
     }
 
     /// Records a completed task's duration.
     pub fn record_completion(&mut self, duration: SimDuration) {
-        self.completed_durations.push(duration);
-        self.sorted = false;
+        let at = self.completed_durations.partition_point(|&d| d <= duration);
+        self.completed_durations.insert(at, duration);
     }
 
     /// Number of recorded completions.
@@ -71,20 +70,16 @@ impl SpeculationPolicy {
     /// midpoint-of-the-two-middles median (`sim`'s `driver/health.rs`),
     /// whose ratios feed a cost model and must not bias pessimistic on
     /// even peer counts.
-    pub fn median_duration(&mut self) -> Option<SimDuration> {
+    pub fn median_duration(&self) -> Option<SimDuration> {
         if self.completed_durations.is_empty() {
             return None;
-        }
-        if !self.sorted {
-            self.completed_durations.sort_unstable();
-            self.sorted = true;
         }
         Some(self.completed_durations[(self.completed_durations.len() - 1) / 2])
     }
 
     /// Whether a task that started at `started_at` should get a
     /// speculative clone at time `now`.
-    pub fn should_speculate(&mut self, started_at: SimTime, now: SimTime) -> bool {
+    pub fn should_speculate(&self, started_at: SimTime, now: SimTime) -> bool {
         if self.total_tasks == 0 {
             return false;
         }
@@ -170,7 +165,7 @@ mod tests {
 
     #[test]
     fn empty_stage_never_speculates() {
-        let mut p = policy(0);
+        let p = policy(0);
         assert!(!p.should_speculate(SimTime::ZERO, SimTime::from_secs(1000)));
         assert_eq!(p.median_duration(), None);
     }

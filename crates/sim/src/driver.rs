@@ -199,6 +199,8 @@ struct RunningTask {
     launched_at: SimTime,
     /// Whether this attempt is a speculative clone.
     is_clone: bool,
+    /// Whether a clone of this attempt was launched (never cloned twice).
+    cloned: bool,
     /// The input block and the replica this attempt reads it from
     /// (`Some` for input-stage attempts with a resolvable source). The
     /// completion is checksum-verified against this replica when the
@@ -230,17 +232,22 @@ enum Kill {
 }
 
 impl Kill {
-    /// Decides what killing `attempt`, already off its executor, does.
-    fn of(attempt: &RunningTask, jobs: &[RuntimeJob], exec_state: &[ExecState]) -> Kill {
+    /// Decides what killing `attempt`, already off its executor, does. A
+    /// twin runs on an executor of the same app (auditor invariant 1).
+    fn of(
+        attempt: &RunningTask,
+        jobs: &[RuntimeJob],
+        apps: &[AppRuntime],
+        exec_state: &[ExecState],
+    ) -> Kill {
         let key = (attempt.job_idx, attempt.stage, attempt.task);
         if let TaskState::Done { .. } = jobs[key.0].stages[key.1].tasks[key.2].state {
             return Kill::RaceLost;
         }
-        exec_state
-            .iter()
-            .filter(|st| !st.dead)
-            .find_map(|st| st.running.filter(|r| (r.job_idx, r.stage, r.task) == key))
-            .map_or(Kill::Requeue, Kill::Twin)
+        let held = &apps[jobs[key.0].app.index()].held;
+        let same_task = |r: &RunningTask| (r.job_idx, r.stage, r.task) == key;
+        let twin = |e: usize| exec_state[e].running.filter(same_task);
+        held.iter().find_map(twin).map_or(Kill::Requeue, Kill::Twin)
     }
 
     /// Charges a faulted attempt's kill against the faulting layer's
@@ -265,8 +272,8 @@ impl Kill {
 #[derive(Debug, Clone, Default, PartialEq)]
 struct SpecState {
     config: SpeculationConfig,
+    /// Per-(job, stage) policies of running jobs; a job's go when it ends.
     policies: std::collections::BTreeMap<(usize, usize), SpeculationPolicy>,
-    cloned: std::collections::BTreeSet<(usize, usize, usize)>,
     launches: usize,
 }
 
@@ -332,7 +339,7 @@ struct Driver {
     /// `wakes.len()`, so a decline burst can never flood the queue.
     pending_wakes: usize,
     /// Speculative-execution state, if enabled: per-(job, stage) policy
-    /// plus the set of tasks that already have a clone in flight.
+    /// and the clone count.
     speculation: Option<SpecState>,
     /// Each fault layer is `Some` only when configured and not inert: it
     /// owns its config, its RNG streams (dedicated, so sweeping one layer
@@ -741,7 +748,7 @@ impl Driver {
                     &mut self.metrics,
                     &mut self.queue,
                 );
-                let kill = Kill::of(&running, &self.jobs, &self.exec_state);
+                let kill = Kill::of(&running, &self.jobs, &self.apps, &self.exec_state);
                 let gate = kill.charge(&mut self.jobs[running.job_idx], d.retry, &mut d.rng, now);
                 if dropped {
                     self.refresh_all_preferred();
@@ -759,7 +766,7 @@ impl Driver {
             let p = h.fault_probability(node);
             if h.fault_rng.chance(p) {
                 self.metrics.task_faults_injected += 1;
-                let kill = Kill::of(&running, &self.jobs, &self.exec_state);
+                let kill = Kill::of(&running, &self.jobs, &self.apps, &self.exec_state);
                 let job = &mut self.jobs[running.job_idx];
                 let gate = kill.charge(job, h.retry, &mut h.fault_rng, now);
                 self.on_attempt_fault(&running, kill, gate, now);
@@ -847,6 +854,17 @@ impl Driver {
             app.metrics
                 .input_stage_secs
                 .push(job.input_stage_time.as_secs_f64());
+            self.end_job(key.0);
+        }
+    }
+
+    /// Job `j` finished or failed: its scheduler state and speculation
+    /// policies go, as none of its tasks is offered or speculated again.
+    fn end_job(&mut self, j: usize) {
+        let job = &self.jobs[j];
+        self.apps[job.app.index()].scheduler.on_job_end(job.id);
+        if let Some(spec) = &mut self.speculation {
+            spec.policies.retain(|&(job, _), _| job != j);
         }
     }
 
@@ -951,10 +969,6 @@ impl Driver {
             }
         }
         self.cache.mark_job(key.0);
-        if let Some(spec) = &mut self.speculation {
-            // The relaunched attempt may be speculated afresh.
-            spec.cloned.remove(&key);
-        }
         self.metrics.tasks_requeued += 1;
         true
     }
@@ -991,16 +1005,15 @@ impl Driver {
     /// stale) and the job leaves the system as failed — its tasks stop
     /// counting as demand and its executors free up immediately.
     fn fail_job(&mut self, j: usize, now: SimTime) {
-        for e in (0..self.exec_state.len()).map(ExecutorId::new) {
-            let st = &mut self.exec_state[e.index()];
-            if st.dead || st.running.is_none_or(|r| r.job_idx != j) {
-                continue;
-            }
+        let held = &self.apps[self.jobs[j].app.index()].held;
+        let runs_j = |e: &usize| self.exec_state[*e].running.is_some_and(|r| r.job_idx == j);
+        let busy: Vec<usize> = held.iter().filter(runs_j).collect();
+        for e in busy.into_iter().map(ExecutorId::new) {
             // Fence the attempt's in-flight Finish, then roll the attempt
             // back exactly: a failed job's task records must hold no
             // launch credit (the auditor re-derives them). Its disruption
             // entries are dropped below.
-            st.epoch += 1;
+            self.exec_state[e.index()].epoch += 1;
             self.abandon_attempt(e, now, &mut BTreeSet::new());
         }
         self.retry_gates.retain(|&(job, _, _), _| job != j);
@@ -1016,6 +1029,7 @@ impl Driver {
         self.jobs[j].mark_failed(now);
         self.metrics.jobs_failed += 1;
         self.cache.mark_job(j);
+        self.end_job(j);
     }
 
     /// Kills one live executor (physically in oracle mode, in the
@@ -1059,7 +1073,7 @@ impl Driver {
         };
         st.idle_since = now;
         self.end_remote_read(&r);
-        let kill = Kill::of(&r, &self.jobs, &self.exec_state);
+        let kill = Kill::of(&r, &self.jobs, &self.apps, &self.exec_state);
         if self.apply_kill(&r, kill, now) {
             displaced.insert((r.job_idx, r.stage, r.task));
         }
@@ -1508,65 +1522,46 @@ impl Driver {
         let Some(spec) = &mut self.speculation else {
             return false;
         };
-        // Collect every straggler without a clone, in deterministic
-        // (job, stage, task) order.
-        let mut candidates: Vec<(usize, usize, usize)> = Vec::new();
-        for &j in &self.apps[i].jobs {
-            if self.jobs[j].is_finished() {
-                continue;
-            }
-            for (st, stage) in self.jobs[j].stages.iter().enumerate() {
-                if stage.ready_at.is_none() || stage.is_complete() {
-                    continue;
-                }
-                for (t, task) in stage.tasks.iter().enumerate() {
-                    let TaskState::Running { launched_at, .. } = task.state else {
-                        continue;
-                    };
-                    let key = (j, st, t);
-                    if spec.cloned.contains(&key) {
-                        continue;
-                    }
-                    let Some(policy) = spec.policies.get_mut(&(j, st)) else {
-                        continue;
-                    };
-                    if policy.should_speculate(launched_at, now) {
-                        candidates.push(key);
-                    }
-                }
-            }
-        }
+        // Every straggler without a clone, in (job, stage, task) order: an
+        // uncloned original attempt on one of the app's executors. It is
+        // its task's record-bound attempt, so the task runs since its launch.
+        let held = &self.apps[i].held;
+        let mut candidates: Vec<(TaskKey, ExecutorId)> = held
+            .iter()
+            .filter_map(|e| Some((self.exec_state[e].running?, ExecutorId::new(e))))
+            .filter(|(r, _)| !r.is_clone && !r.cloned)
+            .filter(|(r, _)| {
+                let policy = spec.policies.get(&(r.job_idx, r.stage));
+                policy.is_some_and(|p| p.should_speculate(r.launched_at, now))
+            })
+            .map(|(r, host)| ((r.job_idx, r.stage, r.task), host))
+            .collect();
+        candidates.sort_unstable_by_key(|&(key, _)| key);
         // Price each candidate by its original attempt's host node.
         let penalties: Vec<u32> = candidates
             .iter()
-            .map(|&(j, st, t)| {
-                let node = self.exec_state.iter().enumerate().find_map(|(ei, es)| {
-                    es.running.as_ref().and_then(|r| {
-                        (r.job_idx == j && r.stage == st && r.task == t && !r.is_clone)
-                            .then(|| self.cluster.node_of(ExecutorId::new(ei)))
+            .map(|&(_, host)| match &self.health {
+                Some(h) if h.cfg.detection => h
+                    .peer_ratio(self.cluster.node_of(host).index(), h.cfg.min_samples)
+                    .map(|r| {
+                        custody_core::HealthCost::from_ratio(
+                            r,
+                            h.cfg.cost_scale,
+                            h.cfg.cost_cap_ratio,
+                        )
+                        .penalty()
                     })
-                });
-                match (&self.health, node) {
-                    (Some(h), Some(n)) if h.cfg.detection => h
-                        .peer_ratio(n.index(), h.cfg.min_samples)
-                        .map(|r| {
-                            custody_core::HealthCost::from_ratio(
-                                r,
-                                h.cfg.cost_scale,
-                                h.cfg.cost_cap_ratio,
-                            )
-                            .penalty()
-                        })
-                        .unwrap_or(0),
-                    _ => 0,
-                }
+                    .unwrap_or(0),
+                _ => 0,
             })
             .collect();
         let Some(choice) = custody_scheduler::speculation::pick_clone_source(&penalties) else {
             return false; // no straggler qualifies
         };
-        let (j, st, t) = candidates[choice];
-        spec.cloned.insert((j, st, t));
+        let ((j, st, t), host) = candidates[choice];
+        if let Some(original) = &mut self.exec_state[host.index()].running {
+            original.cloned = true;
+        }
         spec.launches += 1;
         // Launch the clone on `e` without touching the task record: the
         // first attempt to finish wins (`on_finish` ignores the loser).
@@ -1695,6 +1690,7 @@ impl Driver {
             local: is_input.then_some(local),
             launched_at: now,
             is_clone,
+            cloned: false,
             read_from,
             launch_epoch: epoch,
         });
@@ -1810,6 +1806,13 @@ impl Driver {
                 "deferred Finish reports never delivered after heal"
             );
         }
+        // Every job ended, and per-job state ends with its job.
+        assert!(
+            self.speculation
+                .as_ref()
+                .is_none_or(|s| s.policies.is_empty()),
+            "speculation policies outlive their jobs"
+        );
         let mut m = self.metrics;
         m.tasks_speculated = self.speculation.as_ref().map_or(0, |s| s.launches);
         // End-of-run metric self-consistency: every clone's race resolved
@@ -2463,6 +2466,18 @@ mod tests {
             |d| {
                 let app = d.view.apps.iter_mut().find(|a| !a.pending_jobs.is_empty());
                 app.expect("some app has pending demand").pending_jobs[0].pending_tasks += 1;
+            };
+        auditor_catches_attempt_on_another_apps_executor: "without being held by it" =>
+            |d| {
+                let e = d.exec_state.iter().position(|st| st.running.is_some());
+                let e = e.expect("some executor is busy");
+                let from = d.exec_state[e].owner.expect("a busy executor is held").index();
+                let to = (from + 1) % d.apps.len();
+                d.apps[from].held.remove(e);
+                d.apps[to].held.insert(e);
+                d.view.apps[from].held -= 1;
+                d.view.apps[to].held += 1;
+                d.exec_state[e].owner = Some(AppId::new(to));
             };
     }
 }

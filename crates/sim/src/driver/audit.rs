@@ -14,7 +14,9 @@
 //!
 //! 1. **Executor conservation** — every executor is held by at most one
 //!    application, and `AppRuntime::held` is exactly the inverse of
-//!    `ExecState::owner`. Pool members are idle, alive, and unowned.
+//!    `ExecState::owner`. An attempt runs only on an executor its job's
+//!    application holds, so an app's held set finds all its attempts.
+//!    Pool members are idle, alive, and unowned.
 //! 2. **Death discipline** — a dead executor runs nothing, is owned by
 //!    nobody, sits in no pool, and its host node is recorded as down
 //!    (and vice versa: every down node's executors are dead).
@@ -408,9 +410,11 @@ impl Driver {
                 );
             }
             if let Some(r) = st.running {
-                assert!(
-                    st.owner.is_some(),
-                    "executor {e} runs a task without an owner"
+                let app = self.jobs[r.job_idx].app;
+                assert_eq!(
+                    st.owner,
+                    Some(app),
+                    "executor {e} runs a task of {app} without being held by it"
                 );
                 if r.remote_input {
                     remote += 1;

@@ -221,5 +221,11 @@ fn assert_converged(live: &Driver, ghost: &Driver) {
             };
         }
         check_app!(jobs, held, metrics);
+        // Set clocks decide placements; `Debug` dumps a scheduler whole.
+        assert_eq!(
+            format!("{:?}", a.scheduler),
+            format!("{:?}", b.scheduler),
+            "recovery diverged on an app's task scheduler"
+        );
     }
 }

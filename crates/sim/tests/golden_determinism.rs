@@ -327,3 +327,38 @@ fn chaos_with_speculation_identical() {
     cfg.cluster.num_nodes = 6;
     run_pair(cfg, "chaos + speculation");
 }
+
+#[test]
+fn speculation_under_failslow_detection_matches_recorded_values() {
+    // Pins speculation across commits, which the audited/unaudited pairs
+    // above cannot: with health detection on, stragglers on measurably
+    // slow nodes are cloned first, and in this run that pick differs from
+    // the first-in-order one (a first-in-order pick moves the re-queue,
+    // failure and event counts). The values are recorded from a run; a
+    // change that moves any of them changed simulated behaviour.
+    use custody_scheduler::speculation::SpeculationConfig;
+    use custody_sim::FailSlowConfig;
+    let fs = FailSlowConfig::default()
+        .with_sick_fraction(0.4)
+        .with_transient_fault_prob(0.02)
+        .with_retry_budget(3);
+    let mut cfg = SimConfig::small_demo(55)
+        .with_failslow(fs)
+        .with_speculation(SpeculationConfig {
+            quantile: 0.5,
+            multiplier: 1.2,
+        });
+    cfg.campaign = cfg.campaign.with_jobs_per_app(6);
+    let m = run_pair(cfg, "speculation under fail-slow detection");
+    assert_eq!(
+        (
+            m.tasks_speculated,
+            m.clones_won,
+            m.clones_lost,
+            m.tasks_requeued,
+            m.jobs_failed,
+            m.events_processed,
+        ),
+        (4, 1, 3, 55, 5, 1334)
+    );
+}
