@@ -41,7 +41,8 @@ use std::time::Instant;
 use custody_bench::{scale_config, synthetic_round_view};
 use custody_core::custody::{reference_allocate, reference_allocate_with_costs};
 use custody_core::{
-    CustodyAllocator, DynamicOfferAllocator, ExecutorAllocator, HealthCost, StaticSpreadAllocator,
+    CustodyAllocator, DynamicOfferAllocator, ExecutorAllocator, HealthCost,
+    StaticPartitionAllocator,
 };
 use custody_dfs::NodeId;
 use custody_sim::{RunMetrics, Simulation};
@@ -225,7 +226,7 @@ fn alloc_round(nodes: usize, apps: usize) -> AllocRound {
     let reference_ns = best_ns(REFERENCE_CALLS, || {
         black_box(reference_allocate(black_box(&view)));
     });
-    let mut spread = StaticSpreadAllocator::new(&view.idle, view.apps.len());
+    let mut spread = StaticPartitionAllocator::spread(&view.idle, view.apps.len());
     let static_spread_ns = best_ns(ROUND_CALLS, || {
         black_box(spread.allocate(black_box(&view), &mut rng));
     });

@@ -1,13 +1,14 @@
 //! Data-unaware baseline cluster managers (§II, §VII).
 //!
-//! * [`StaticSpreadAllocator`] — Spark standalone with `spreadOut = true`,
-//!   the paper's comparison baseline: at registration each application is
-//!   given a fixed set of executors chosen round-robin across worker nodes
-//!   ("existing cluster managers usually allocate executors in a
-//!   round-robin fashion", Fig. 1), and keeps that set for its lifetime.
-//! * [`StaticRandomAllocator`] — static partition drawn uniformly at
-//!   random ("the standalone manager randomly selects among all the
-//!   available resources", §VI-C).
+//! * [`StaticPartitionAllocator::spread`] — Spark standalone with
+//!   `spreadOut = true`, the paper's comparison baseline: at registration
+//!   each application is given a fixed set of executors chosen
+//!   round-robin across worker nodes ("existing cluster managers usually
+//!   allocate executors in a round-robin fashion", Fig. 1), and keeps
+//!   that set for its lifetime.
+//! * [`StaticPartitionAllocator::random`] — static partition drawn
+//!   uniformly at random ("the standalone manager randomly selects among
+//!   all the available resources", §VI-C).
 //! * [`DynamicOfferAllocator`] — a Mesos-style offer loop: idle executors
 //!   are offered to applications in rotation and accepted whenever the
 //!   application has runnable tasks, with no view of data locations.
@@ -55,7 +56,7 @@ impl Budget {
     }
 }
 
-/// Builds the spread partition used by [`StaticSpreadAllocator`]: walk the
+/// Builds the spread partition of [`StaticPartitionAllocator::spread`]: walk the
 /// executor list one *slot layer* at a time — first executor of every
 /// node, then the second of every node — and deal each executor to the
 /// application with (a) the fewest executors so far and (b) among ties,
@@ -94,7 +95,7 @@ fn spread_partition(executors: &[ExecutorInfo], num_apps: usize) -> BTreeMap<Exe
     owner
 }
 
-/// Uniform-random static partition for [`StaticRandomAllocator`]: one
+/// Uniform-random static partition of [`StaticPartitionAllocator::random`]: one
 /// shuffle of the inventory, dealt round-robin. With no applications the
 /// partition is empty and nothing is drawn.
 fn random_partition(
@@ -113,91 +114,67 @@ fn random_partition(
         .collect()
 }
 
-/// Grants every idle executor to its fixed owner, bounded only by the
-/// owner's quota headroom: under static sharing "an application only has
-/// access to a [fixed] subset of executors throughout its lifetime" (§II)
-/// — it parks on its whole partition whether or not it has runnable work.
-fn allocate_by_ownership(
-    view: &AllocationView,
-    owner: &BTreeMap<ExecutorId, AppId>,
-) -> Vec<Assignment> {
-    let mut headroom: Vec<usize> = view
-        .apps
-        .iter()
-        .map(|a| a.quota.saturating_sub(a.held))
-        .collect();
-    let mut out = Vec::new();
-    for e in &view.idle {
-        let Some(&app) = owner.get(&e.id) else {
-            continue;
-        };
-        if headroom[app.index()] > 0 {
-            headroom[app.index()] -= 1;
-            out.push(Assignment {
-                executor: e.id,
-                app,
-                for_task: None,
-            });
-        }
-    }
-    out
-}
-
-/// Spark standalone (`spreadOut = true`): static node-round-robin
-/// partition.
+/// Spark standalone's static sharing: every executor has a fixed owner,
+/// chosen once at construction, and every idle executor is granted to its
+/// owner, bounded only by the owner's quota headroom. "An application
+/// only has access to a \[fixed\] subset of executors throughout its
+/// lifetime" (§II) — it parks on its whole partition whether or not it has
+/// runnable work. The two constructors differ only in how the partition
+/// is dealt.
 #[derive(Debug, Clone)]
-pub struct StaticSpreadAllocator {
+pub struct StaticPartitionAllocator {
     owner: BTreeMap<ExecutorId, AppId>,
+    name: &'static str,
 }
 
-impl StaticSpreadAllocator {
-    /// Creates the allocator, spreading `executors` (the cluster's whole
-    /// inventory, in executor-id order) over `num_apps` applications.
-    pub fn new(executors: &[ExecutorInfo], num_apps: usize) -> Self {
-        StaticSpreadAllocator {
+impl StaticPartitionAllocator {
+    /// `spark-static` (`spreadOut = true`): spreads `executors` (the
+    /// cluster's whole inventory, in executor-id order) node-round-robin
+    /// over `num_apps` applications.
+    pub fn spread(executors: &[ExecutorInfo], num_apps: usize) -> Self {
+        StaticPartitionAllocator {
             owner: spread_partition(executors, num_apps),
+            name: "spark-static",
         }
     }
-}
 
-impl ExecutorAllocator for StaticSpreadAllocator {
-    fn name(&self) -> &'static str {
-        "spark-static"
-    }
-
-    fn allocate(&mut self, view: &AllocationView, _rng: &mut SimRng) -> Vec<Assignment> {
-        allocate_by_ownership(view, &self.owner)
-    }
-
-    fn clone_box(&self) -> Box<dyn ExecutorAllocator> {
-        Box::new(self.clone())
-    }
-}
-
-/// Spark standalone without spreading: static uniform-random partition.
-#[derive(Debug, Clone)]
-pub struct StaticRandomAllocator {
-    owner: BTreeMap<ExecutorId, AppId>,
-}
-
-impl StaticRandomAllocator {
-    /// Creates the allocator, dealing `executors` (the cluster's whole
-    /// inventory, in executor-id order) at random over `num_apps`
-    /// applications. The partition is the only draw from `rng`.
-    pub fn new(executors: &[ExecutorInfo], num_apps: usize, rng: &mut SimRng) -> Self {
-        StaticRandomAllocator {
+    /// `static-random`: deals `executors` (the cluster's whole inventory,
+    /// in executor-id order) at random over `num_apps` applications. The
+    /// partition is the only draw from `rng`.
+    pub fn random(executors: &[ExecutorInfo], num_apps: usize, rng: &mut SimRng) -> Self {
+        StaticPartitionAllocator {
             owner: random_partition(executors, num_apps, rng),
+            name: "static-random",
         }
     }
 }
 
-impl ExecutorAllocator for StaticRandomAllocator {
+impl ExecutorAllocator for StaticPartitionAllocator {
     fn name(&self) -> &'static str {
-        "static-random"
+        self.name
     }
 
     fn allocate(&mut self, view: &AllocationView, _rng: &mut SimRng) -> Vec<Assignment> {
-        allocate_by_ownership(view, &self.owner)
+        let mut headroom: Vec<usize> = view
+            .apps
+            .iter()
+            .map(|a| a.quota.saturating_sub(a.held))
+            .collect();
+        let mut out = Vec::new();
+        for e in &view.idle {
+            let Some(&app) = self.owner.get(&e.id) else {
+                continue;
+            };
+            if headroom[app.index()] > 0 {
+                headroom[app.index()] -= 1;
+                out.push(Assignment {
+                    executor: e.id,
+                    app,
+                    for_task: None,
+                });
+            }
+        }
+        out
     }
 
     fn clone_box(&self) -> Box<dyn ExecutorAllocator> {
@@ -355,7 +332,7 @@ mod tests {
             1,
             vec![app_with_demand(0, 2, 2), app_with_demand(1, 2, 2)],
         );
-        let mut alloc = StaticSpreadAllocator::new(&v.idle, v.apps.len());
+        let mut alloc = StaticPartitionAllocator::spread(&v.idle, v.apps.len());
         let out = alloc.allocate(&v, &mut rng);
         validate_assignments(&v, &out);
         assert_eq!(out.len(), 4);
@@ -375,7 +352,7 @@ mod tests {
             1,
             vec![app_with_demand(0, 3, 3), app_with_demand(1, 3, 3)],
         );
-        let mut alloc = StaticRandomAllocator::new(&v.idle, v.apps.len(), &mut rng);
+        let mut alloc = StaticPartitionAllocator::random(&v.idle, v.apps.len(), &mut rng);
         let first = alloc.allocate(&v, &mut rng);
         validate_assignments(&v, &first);
         let second = alloc.allocate(&v, &mut rng);
@@ -392,7 +369,7 @@ mod tests {
             1,
             vec![app_with_demand(0, 2, 1), app_with_demand(1, 2, 2)],
         );
-        let mut alloc = StaticSpreadAllocator::new(&v.idle, v.apps.len());
+        let mut alloc = StaticPartitionAllocator::spread(&v.idle, v.apps.len());
         let out = alloc.allocate(&v, &mut rng);
         validate_assignments(&v, &out);
         let to_app0 = out.iter().filter(|a| a.app == AppId::new(0)).count();
@@ -455,8 +432,8 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(0);
         let v = view(2, 1, vec![]);
         let allocators: [Box<dyn ExecutorAllocator>; 3] = [
-            Box::new(StaticSpreadAllocator::new(&v.idle, 0)),
-            Box::new(StaticRandomAllocator::new(&v.idle, 0, &mut rng)),
+            Box::new(StaticPartitionAllocator::spread(&v.idle, 0)),
+            Box::new(StaticPartitionAllocator::random(&v.idle, 0, &mut rng)),
             Box::new(DynamicOfferAllocator::new()),
         ];
         for mut alloc in allocators {

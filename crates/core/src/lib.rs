@@ -40,7 +40,7 @@ pub mod theory;
 pub use allocator::{
     AllocationView, AppState, Assignment, ExecutorAllocator, ExecutorInfo, JobDemand, TaskDemand,
 };
-pub use baselines::{DynamicOfferAllocator, StaticRandomAllocator, StaticSpreadAllocator};
+pub use baselines::{DynamicOfferAllocator, StaticPartitionAllocator};
 pub use cost::HealthCost;
 pub use custody::{CustodyAllocator, InterPolicy, IntraPolicy};
 
@@ -113,10 +113,10 @@ impl AllocatorKind {
         match self {
             AllocatorKind::Custody => Box::new(CustodyAllocator::new()),
             AllocatorKind::StaticSpread => {
-                Box::new(StaticSpreadAllocator::new(executors, num_apps))
+                Box::new(StaticPartitionAllocator::spread(executors, num_apps))
             }
             AllocatorKind::StaticRandom => {
-                Box::new(StaticRandomAllocator::new(executors, num_apps, rng))
+                Box::new(StaticPartitionAllocator::random(executors, num_apps, rng))
             }
             AllocatorKind::DynamicOffer => Box::new(DynamicOfferAllocator::new()),
             AllocatorKind::CustodyFairIntra => {

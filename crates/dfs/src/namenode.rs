@@ -309,17 +309,8 @@ impl NameNode {
     ) -> usize {
         let mut created = 0;
         for (block, _) in tracker.top_k(top_k) {
-            let size = self.blocks[block.index()].size_bytes;
             for _ in 0..extra_per_block {
-                // Candidate machines: have space, don't already store it.
-                let mut candidates: Vec<(u64, u64, NodeId)> = self
-                    .datanodes
-                    .iter()
-                    .filter(|dn| dn.fits(size) && !dn.stores(block))
-                    .map(|dn| (dn.used_bytes(), rng.draw_u64(), dn.node))
-                    .collect();
-                candidates.sort_unstable();
-                let Some(&(_, _, node)) = candidates.first() else {
+                let Some(node) = self.replica_target(block, rng) else {
                     break;
                 };
                 let added = self.add_replica(block, node);
@@ -477,15 +468,7 @@ impl NameNode {
         for &block in order {
             let b = block.index();
             while created < max_new && self.live_replica_count(b) < self.replication {
-                let size = self.blocks[b].size_bytes;
-                let mut candidates: Vec<(u64, u64, NodeId)> = self
-                    .datanodes
-                    .iter()
-                    .filter(|dn| dn.fits(size) && !dn.stores(block))
-                    .map(|dn| (dn.used_bytes(), rng.draw_u64(), dn.node))
-                    .collect();
-                candidates.sort_unstable();
-                let Some(&(_, _, node)) = candidates.first() else {
+                let Some(node) = self.replica_target(block, rng) else {
                     break; // no machine can take another replica
                 };
                 let added = self.add_replica(block, node);
@@ -502,24 +485,32 @@ impl NameNode {
         created
     }
 
-    /// Brings every block back up to the target replication factor by
-    /// creating replicas on the machines with the most free space (HDFS's
-    /// under-replicated-block queue, collapsed to an instant). Returns the
-    /// number of replicas created.
-    pub fn restore_replication(&mut self, rng: &mut SimRng) -> usize {
-        let order: Vec<BlockId> = (0..self.blocks.len()).map(BlockId::new).collect();
-        self.restore_blocks(rng, &order, usize::MAX)
+    /// The machine a new replica of `block` goes to: among those with
+    /// room that do not already store it, the least used, ties broken by
+    /// one `rng` draw per candidate in DataNode order. `None` if no
+    /// machine can take it.
+    fn replica_target(&self, block: BlockId, rng: &mut SimRng) -> Option<NodeId> {
+        let size = self.blocks[block.index()].size_bytes;
+        let mut candidates: Vec<(u64, u64, NodeId)> = self
+            .datanodes
+            .iter()
+            .filter(|dn| dn.fits(size) && !dn.stores(block))
+            .map(|dn| (dn.used_bytes(), rng.draw_u64(), dn.node))
+            .collect();
+        candidates.sort_unstable();
+        candidates.first().map(|&(_, _, node)| node)
     }
 
-    /// Paced variant of [`restore_replication`](Self::restore_replication):
-    /// creates at most `max_new` replicas per call, in block order, so a
-    /// caller can drain HDFS's under-replicated-block queue in batches
-    /// instead of one instant storm. Returns the number created; a
-    /// return smaller than `max_new` means the queue is (currently) dry.
-    /// Because the healing draws a block consumes depend only on that
-    /// block's own debt, looping this to saturation converges to the
-    /// same replica map as one `restore_replication` on the same stream.
-    pub fn restore_replication_batch(&mut self, rng: &mut SimRng, max_new: usize) -> usize {
+    /// Brings blocks back up to the target replication factor in block
+    /// order, creating at most `max_new` replicas on the machines with the
+    /// most free space (HDFS's under-replicated-block queue). `usize::MAX`
+    /// collapses the queue to one instant storm; a smaller budget lets a
+    /// caller drain it in batches. Returns the number created; a return
+    /// smaller than `max_new` means the queue is (currently) dry. Because
+    /// the healing draws a block consumes depend only on that block's own
+    /// debt, looping a batch to saturation converges to the same replica
+    /// map as one unbounded call on the same stream.
+    pub fn restore_replication(&mut self, rng: &mut SimRng, max_new: usize) -> usize {
         let order: Vec<BlockId> = (0..self.blocks.len()).map(BlockId::new).collect();
         self.restore_blocks(rng, &order, max_new)
     }
@@ -731,11 +722,11 @@ mod tests {
         );
         a.fail_node(NodeId::new(3));
         b.fail_node(NodeId::new(3));
-        let instant = a.restore_replication(&mut rng_a);
+        let instant = a.restore_replication(&mut rng_a, usize::MAX);
         assert!(instant > 0, "failing a node must leave debt");
         let mut paced = 0;
         loop {
-            let created = b.restore_replication_batch(&mut rng_b, 2);
+            let created = b.restore_replication(&mut rng_b, 2);
             assert!(created <= 2, "batch cap exceeded");
             paced += created;
             b.check_invariants();
@@ -744,7 +735,7 @@ mod tests {
             }
         }
         assert_eq!(paced, instant, "pacing must drain the exact same debt");
-        assert_eq!(b.restore_replication_batch(&mut rng_b, 2), 0);
+        assert_eq!(b.restore_replication(&mut rng_b, 2), 0);
         for i in 0..b.replicas.len() {
             assert_eq!(b.replicas[i].len(), b.replication);
         }
@@ -780,9 +771,9 @@ mod tests {
                     a.fail_node(node);
                     b.fail_node(node);
                 }
-                let instant = a.restore_replication(&mut rng_a);
+                let instant = a.restore_replication(&mut rng_a, usize::MAX);
                 assert!(instant > 0);
-                while b.restore_replication_batch(&mut rng_b, batch) == batch {}
+                while b.restore_replication(&mut rng_b, batch) == batch {}
                 assert_eq!(a, b, "seed {seed} batch {batch}: maps diverged");
                 assert_eq!(
                     rng_a.draw_u64(),
@@ -980,7 +971,7 @@ mod tests {
         let ds = nn.create_dataset("d", GB, DEFAULT_BLOCK_SIZE, &mut RandomPlacement, &mut rng);
         let lost = nn.datanode(NodeId::new(3)).block_count();
         nn.fail_node(NodeId::new(3));
-        let created = nn.restore_replication(&mut rng);
+        let created = nn.restore_replication(&mut rng, usize::MAX);
         assert_eq!(created, lost, "one new replica per lost replica");
         for &b in &nn.dataset(ds).blocks.clone() {
             assert_eq!(nn.locations(b).len(), 3, "replication restored");
@@ -1011,7 +1002,7 @@ mod tests {
         for &n in &down {
             nn.fail_node(n);
         }
-        nn.restore_replication(&mut rng);
+        nn.restore_replication(&mut rng, usize::MAX);
         for &b in &nn.dataset(ds).blocks.clone() {
             assert_eq!(nn.locations(b).len(), 3, "replication restored");
             for &n in &down {
@@ -1031,7 +1022,7 @@ mod tests {
         let ds = nn.create_dataset("d", GB, DEFAULT_BLOCK_SIZE, &mut RandomPlacement, &mut rng);
         let victim = NodeId::new(2);
         nn.fail_node(victim);
-        nn.restore_replication(&mut rng);
+        nn.restore_replication(&mut rng, usize::MAX);
         assert!(nn.is_node_failed(victim));
         nn.recover_node(victim);
         assert!(!nn.is_node_failed(victim));
@@ -1044,7 +1035,7 @@ mod tests {
         // and the recovered one is a healing candidate (it is empty, so
         // the most-free-space rule picks it first).
         nn.fail_node(NodeId::new(5));
-        let created = nn.restore_replication(&mut rng);
+        let created = nn.restore_replication(&mut rng, usize::MAX);
         assert!(created > 0);
         assert!(
             nn.datanode(victim).block_count() > 0,
@@ -1084,7 +1075,7 @@ mod tests {
         nn.check_invariants();
         // Repair lands a fresh replica on the surviving machine and
         // de-pins the borrowed-time copy in the same stroke.
-        assert_eq!(nn.restore_replication(&mut rng), 1);
+        assert_eq!(nn.restore_replication(&mut rng, usize::MAX), 1);
         let other = NodeId::new(1 - home.index());
         assert_eq!(nn.locations(b), &[other], "fresh replica took over");
         assert_eq!(nn.datanode(home).block_count(), 0, "pinned copy dropped");
@@ -1110,9 +1101,9 @@ mod tests {
         let b = nn.dataset(ds).blocks[0];
         let home = nn.locations(b)[0];
         nn.fail_node(home);
-        assert_eq!(nn.restore_replication_batch(&mut rng, 0), 0);
+        assert_eq!(nn.restore_replication(&mut rng, 0), 0);
         assert_eq!(nn.locations(b), &[home], "still served from the pin");
-        assert_eq!(nn.restore_replication_batch(&mut rng, 1), 1);
+        assert_eq!(nn.restore_replication(&mut rng, 1), 1);
         assert_ne!(nn.locations(b), &[home], "budgeted repair de-pinned");
         nn.check_invariants();
     }
@@ -1145,7 +1136,7 @@ mod tests {
             assert!(changed.contains(&blk), "{blk} dropped but not journaled");
         }
 
-        nn.restore_replication(&mut rng);
+        nn.restore_replication(&mut rng, usize::MAX);
         assert!(!nn.take_changed_blocks().is_empty(), "healing journals");
         nn.clear_changed_blocks();
         assert!(nn.take_changed_blocks().is_empty());
@@ -1182,7 +1173,7 @@ mod tests {
         let victim = NodeId::new(2);
         nn.suspect_node(victim);
         // The master healed every under-replicated block in the meantime...
-        nn.restore_replication(&mut rng);
+        nn.restore_replication(&mut rng, usize::MAX);
         // ...so the reinstated disk's copies are all excess.
         assert_eq!(nn.reinstate_node(victim, true), 0);
         assert_eq!(nn.datanode(victim).block_count(), 0);

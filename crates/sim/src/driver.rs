@@ -71,7 +71,7 @@ mod partition;
 
 use chaos::{ChaosEvent, ChaosLayer};
 use checkpoint::MasterLog;
-use detector::{DetectorEvent, DetectorState};
+use detector::{DetectorEvent, DetectorState, HbChannel};
 use durability::{DurabilityEvent, DurabilityLayer};
 use health::{HealthEvent, HealthLayer};
 use partition::{PartitionEvent, PartitionLayer};
@@ -164,6 +164,19 @@ enum FaultKind {
     Machine,
     /// Executor processes lost; the DataNode (and its replicas) survived.
     ExecutorsOnly,
+}
+
+impl FaultKind {
+    /// Whether a node down with this fault is silent on `channel`: a
+    /// machine loss stops both the executor runtime and the DataNode, an
+    /// executor-only fault the executor runtime alone. Every decision
+    /// about which of a node's halves a fault takes down is this one.
+    fn silences(self, channel: HbChannel) -> bool {
+        match self {
+            FaultKind::Machine => true,
+            FaultKind::ExecutorsOnly => channel == HbChannel::Executor,
+        }
+    }
 }
 
 /// What the previous call to [`Driver::allocation_round`] did — consulted
@@ -274,7 +287,6 @@ struct SpecState {
     config: SpeculationConfig,
     /// Per-(job, stage) policies of running jobs; a job's go when it ends.
     policies: std::collections::BTreeMap<(usize, usize), SpeculationPolicy>,
-    launches: usize,
 }
 
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -333,13 +345,12 @@ struct Driver {
     fail_rng: SimRng,
     noise: TruncatedNormal,
     noise_rng: SimRng,
-    /// Pending wake timestamps (deduplicated).
+    /// Pending wake timestamps (deduplicated); the auditor checks they
+    /// are exactly the times of the queued `Wake` events, so a decline
+    /// burst can never flood the queue.
     wakes: BTreeSet<SimTime>,
-    /// `Wake` events in the queue; the auditor checks it always equals
-    /// `wakes.len()`, so a decline burst can never flood the queue.
-    pending_wakes: usize,
-    /// Speculative-execution state, if enabled: per-(job, stage) policy
-    /// and the clone count.
+    /// Speculative-execution state, if enabled: the config and the
+    /// per-(job, stage) policies.
     speculation: Option<SpecState>,
     /// Each fault layer is `Some` only when configured and not inert: it
     /// owns its config, its RNG streams (dedicated, so sweeping one layer
@@ -561,7 +572,6 @@ impl Driver {
             noise: TruncatedNormal::new(1.0, 0.05, 0.85, 1.15),
             noise_rng: SimRng::for_stream(config.seed, "task-noise"),
             wakes: BTreeSet::new(),
-            pending_wakes: 0,
             speculation: config.speculation.map(|config| SpecState {
                 config,
                 ..SpecState::default()
@@ -632,7 +642,6 @@ impl Driver {
             Event::NodeFail { node } => self.on_scripted_fail(node, now),
             Event::Wake => {
                 self.wakes.remove(&now);
-                self.pending_wakes -= 1;
             }
             Event::RestoreTick => self.on_restore_tick(now),
             Event::Checkpoint => self.on_checkpoint_tick(now),
@@ -1094,31 +1103,48 @@ impl Driver {
         }
     }
 
-    /// A machine dies: its replicas vanish (HDFS immediately re-replicates
-    /// under-replicated blocks elsewhere), its executors are lost until
-    /// the machine recovers (scripted failures never do), tasks running
-    /// on them are re-queued, and unlaunched input tasks re-resolve their
-    /// preferred nodes against the post-failure replica map.
-    fn on_node_fail(&mut self, node: custody_dfs::NodeId, now: SimTime) {
-        self.metrics.nodes_failed += 1;
-        self.node_down[node.index()] = Some(FaultKind::Machine);
+    /// The one node-down transition: `node` goes down with `kind`,
+    /// whether up until now or held down by an executor-only fault that a
+    /// scripted failure escalates. Only what `kind` newly silences falls.
+    /// A falling DataNode's replicas vanish (HDFS re-replicates
+    /// under-replicated blocks elsewhere) and unlaunched input tasks
+    /// re-resolve their preferred nodes against the new replica map;
+    /// falling executors are lost until the node recovers (scripted
+    /// failures never do) and the tasks running on them are re-queued.
+    fn on_node_fault(&mut self, node: custody_dfs::NodeId, kind: FaultKind, now: SimTime) {
+        let was = self.node_down[node.index()].replace(kind);
+        let falls = |channel| kind.silences(channel) && !was.is_some_and(|w| w.silences(channel));
+        let executors_fall = falls(HbChannel::Executor);
+        let datanode_falls = falls(HbChannel::DataNode);
+        match kind {
+            FaultKind::Machine => self.metrics.nodes_failed += 1,
+            FaultKind::ExecutorsOnly => self.metrics.executor_faults += 1,
+        }
         if let Some(d) = &mut self.detector {
             // The master learns nothing here: only heartbeat silence
             // (suspicion, lease expiry) changes its belief.
-            d.phys_fail(node, now, FaultKind::Machine);
-            self.fence_executors_on(node);
+            d.phys_fail(node, now, was, kind);
+            if executors_fall {
+                self.fence_executors_on(node);
+            }
             return;
         }
-        self.metrics.blocks_lost += self.namenode.fail_node(node).len();
-        // Crash repair goes through the unified scheduler: instant in
-        // bare-oracle runs, paced (and priority-ordered) whenever a
-        // pacing layer is active — crash debt no longer jumps the queue
-        // ahead of partition-heal or corruption debt.
-        self.schedule_repair(now);
-
-        self.kill_executors_on(node, now);
-        self.refresh_all_preferred();
-        self.cache.mark_pool_changed();
+        if datanode_falls {
+            self.metrics.blocks_lost += self.namenode.fail_node(node).len();
+            // Crash repair goes through the unified scheduler: instant in
+            // bare-oracle runs, paced (and priority-ordered) whenever a
+            // pacing layer is active.
+            self.schedule_repair(now);
+        }
+        if executors_fall {
+            self.kill_executors_on(node, now);
+        }
+        if datanode_falls {
+            self.refresh_all_preferred();
+        }
+        if executors_fall {
+            self.cache.mark_pool_changed();
+        }
     }
 
     /// Re-resolves preferred nodes after the replica map changed. The
@@ -1146,29 +1172,12 @@ impl Driver {
     }
 
     /// A scripted [`NodeFailure`](crate::config::NodeFailure) fires: the
-    /// node goes down for good. If a chaos fault already holds the node
-    /// down, the script makes that outage permanent — escalating an
+    /// machine goes down for good. If a chaos fault already holds the
+    /// node down, the script makes that outage permanent — escalating an
     /// executor-only fault to a full machine loss (replicas drop now).
     fn on_scripted_fail(&mut self, node: custody_dfs::NodeId, now: SimTime) {
-        match self.node_down[node.index()] {
-            None => self.on_node_fail(node, now),
-            Some(FaultKind::ExecutorsOnly) => {
-                self.node_down[node.index()] = Some(FaultKind::Machine);
-                self.metrics.nodes_failed += 1;
-                if let Some(d) = &mut self.detector {
-                    // Escalation destroys the disk; the DFS channel gets
-                    // a fresh incarnation and the master finds out via
-                    // heartbeat silence.
-                    d.phys_epoch_dfs[node.index()] += 1;
-                    d.data_lost[node.index()] = true;
-                    d.phys_down_at[node.index()] = now;
-                } else {
-                    self.metrics.blocks_lost += self.namenode.fail_node(node).len();
-                    self.schedule_repair(now);
-                    self.refresh_all_preferred();
-                }
-            }
-            Some(FaultKind::Machine) => {}
+        if self.node_down[node.index()] != Some(FaultKind::Machine) {
+            self.on_node_fault(node, FaultKind::Machine, now);
         }
         self.perma_down[node.index()] = true;
     }
@@ -1562,7 +1571,7 @@ impl Driver {
         if let Some(original) = &mut self.exec_state[host.index()].running {
             original.cloned = true;
         }
-        spec.launches += 1;
+        self.metrics.tasks_speculated += 1;
         // Launch the clone on `e` without touching the task record: the
         // first attempt to finish wins (`on_finish` ignores the loser).
         // Clones pay the host node's fail-slow penalty too, and are never
@@ -1760,7 +1769,6 @@ impl Driver {
             return;
         }
         self.wakes.insert(at);
-        self.pending_wakes += 1;
         self.queue.schedule(at, Event::Wake);
     }
 
@@ -1814,7 +1822,6 @@ impl Driver {
             "speculation policies outlive their jobs"
         );
         let mut m = self.metrics;
-        m.tasks_speculated = self.speculation.as_ref().map_or(0, |s| s.launches);
         // End-of-run metric self-consistency: every clone's race resolved
         // one way or the other, and recoveries never outnumber the faults
         // that caused them. `nodes_recovered` counts executor-only fault
@@ -2478,6 +2485,10 @@ mod tests {
                 d.view.apps[from].held -= 1;
                 d.view.apps[to].held += 1;
                 d.exec_state[e].owner = Some(AppId::new(to));
+            };
+        auditor_catches_wake_without_event: "queued Wake events out of sync" =>
+            |d| {
+                d.wakes.insert(SimTime::from_secs(100_000));
             };
     }
 }

@@ -32,12 +32,15 @@
 //!    its `held` count from its held set.
 //! 6. **Stage counters** — every stage's `launched`/`completed` counts
 //!    match its tasks' states.
-//! 7. **Wake conservation** — queued `Wake` events equal the dedup set,
-//!    so a decline burst can never flood the event queue.
+//! 7. **Wake conservation** — the times of the `Wake` events actually
+//!    queued are exactly the dedup set, so a decline burst can never
+//!    flood the event queue.
 //! 8. **NameNode invariants** — replica maps and usage accounting (see
-//!    [`NameNode::check_invariants`](custody_dfs::NameNode)), plus
-//!    agreement between the driver's fault records and DataNode
-//!    decommission state.
+//!    [`NameNode::check_invariants`](custody_dfs::NameNode)), plus, in
+//!    oracle mode, agreement with the driver's fault records: an
+//!    executor is dead exactly when its node's fault silences the
+//!    executor channel, and a DataNode is decommissioned exactly when it
+//!    silences the DataNode channel (`FaultKind::silences`).
 //! 9. **Demand-cache freshness** — every clean job's entry in the kept
 //!    view matches a from-scratch recomputation, the view's idle half is
 //!    empty between rounds, and every skipped allocation round is
@@ -48,10 +51,11 @@
 //!    Custody allocator keeps its round across calls, so every round it
 //!    plays must grant exactly what a freshly built one grants.
 //! 10. **Belief coherence** (detector mode) — executor death tracks
-//!     suspicion/lease-revocation belief exactly, DFS decommissions
-//!     track DataNode suspicion, ownership and leases form a bijection,
-//!     suspicion timers are disarmed exactly while their suspicion
-//!     stands, and no stale completion ever slipped past epoch fencing.
+//!     executor-channel suspicion and lease revocation exactly, DFS
+//!     decommissions track DataNode-channel suspicion, ownership and
+//!     leases form a bijection, no channel record is suspected with its
+//!     suspicion timer armed, and no stale completion ever slipped past
+//!     epoch fencing.
 //! 11. **Gray-failure discipline** (fail-slow layer) — no job's retry
 //!     count exceeds the budget, a failed job holds no live attempts and
 //!     no backoff gates, backoff gates cover only re-queued (runnable)
@@ -80,10 +84,13 @@
 use custody_cluster::HealthState;
 use custody_core::{Assignment, HealthCost};
 use custody_dfs::NodeId;
+use custody_simcore::SimTime;
 
 use crate::job::TaskState;
 
-use super::{no_demand, DetectorState, Driver, FaultKind, HealthLayer, LastRound};
+use super::{
+    no_demand, DetectorState, Driver, Event, FaultKind, HbChannel, HealthLayer, LastRound,
+};
 
 impl Driver {
     /// Checks every driver invariant, panicking with a description of
@@ -93,11 +100,7 @@ impl Driver {
         self.audit_executors();
         self.audit_attempts();
         self.audit_accounting();
-        assert_eq!(
-            self.pending_wakes,
-            self.wakes.len(),
-            "queued Wake events out of sync with the dedup set"
-        );
+        self.audit_wakes();
         self.audit_topology();
         self.audit_preferred();
         self.cache.audit(&self.jobs, &self.view.apps);
@@ -557,6 +560,24 @@ impl Driver {
         }
     }
 
+    /// Invariant 7: the dedup set holds exactly the times of the queued
+    /// `Wake` events (the set has no duplicates, so neither may the
+    /// queue).
+    fn audit_wakes(&self) {
+        let mut queued: Vec<SimTime> = self
+            .queue
+            .iter()
+            .filter(|(_, event)| matches!(event, Event::Wake))
+            .map(|(at, _)| at)
+            .collect();
+        queued.sort_unstable();
+        assert!(
+            queued.iter().eq(&self.wakes),
+            "queued Wake events out of sync with the dedup set: {queued:?} queued, {:?} recorded",
+            self.wakes
+        );
+    }
+
     /// Invariant 8: driver fault records, executor liveness, and DFS
     /// decommission state all agree; then the NameNode's own deep check.
     ///
@@ -573,27 +594,23 @@ impl Driver {
         if let Some(d) = &self.detector {
             return self.audit_detector(d);
         }
+        let silenced = |node: NodeId, channel| {
+            self.node_down[node.index()].is_some_and(|k: FaultKind| k.silences(channel))
+        };
         for (e, st) in self.exec_state.iter().enumerate() {
             let node = self.cluster.node_of(custody_cluster::ExecutorId::new(e));
             assert_eq!(
                 st.dead,
-                self.node_down[node.index()].is_some(),
+                silenced(node, HbChannel::Executor),
                 "executor {e} liveness disagrees with its node's fault record"
             );
         }
-        for (n, down) in self.node_down.iter().enumerate() {
-            let failed = self.namenode.is_node_failed(custody_dfs::NodeId::new(n));
-            match down {
-                Some(FaultKind::Machine) => assert!(
-                    failed,
-                    "node {n} lost its machine but the NameNode still places there"
-                ),
-                Some(FaultKind::ExecutorsOnly) => assert!(
-                    !failed,
-                    "node {n} lost only executors but its DataNode is decommissioned"
-                ),
-                None => assert!(!failed, "node {n} is up but decommissioned"),
-            }
+        for n in (0..self.node_down.len()).map(NodeId::new) {
+            assert_eq!(
+                self.namenode.is_node_failed(n),
+                silenced(n, HbChannel::DataNode),
+                "node {n} DataNode decommission state disagrees with its fault record"
+            );
         }
     }
 
@@ -607,7 +624,7 @@ impl Driver {
     fn audit_detector(&self, d: &DetectorState) {
         for (e, st) in self.exec_state.iter().enumerate() {
             let node = self.cluster.node_of(custody_cluster::ExecutorId::new(e));
-            let believed_dead = d.exec_suspected[node.index()] || d.revoked[e];
+            let believed_dead = d.channel(node, HbChannel::Executor).suspected || d.revoked[e];
             assert_eq!(
                 st.dead, believed_dead,
                 "executor {e} deadness disagrees with suspicion/revocation belief"
@@ -618,22 +635,17 @@ impl Driver {
                 "executor {e} ownership and lease disagree"
             );
         }
-        for n in 0..self.node_down.len() {
+        for n in (0..self.node_down.len()).map(NodeId::new) {
             assert_eq!(
-                self.namenode.is_node_failed(custody_dfs::NodeId::new(n)),
-                d.dfs_suspected[n],
+                self.namenode.is_node_failed(n),
+                d.channel(n, HbChannel::DataNode).suspected,
                 "node {n} DFS decommission state disagrees with suspicion belief"
             );
-            if d.exec_suspected[n] {
+            for channel in HbChannel::ALL {
+                let c = d.channel(n, channel);
                 assert!(
-                    !d.exec_deadline_armed[n],
-                    "node {n} exec-suspected with its suspicion timer still armed"
-                );
-            }
-            if d.dfs_suspected[n] {
-                assert!(
-                    !d.dfs_deadline_armed[n],
-                    "node {n} dfs-suspected with its suspicion timer still armed"
+                    !(c.suspected && c.deadline_armed),
+                    "node {n} {channel:?} channel suspected with its suspicion timer still armed"
                 );
             }
         }

@@ -17,7 +17,7 @@ use custody_simcore::{EventQueue, SimDuration, SimRng, SimTime};
 
 use crate::config::ChaosConfig;
 
-use super::{schedule_arrival, unrouted, DetectorEvent, Driver, Event, FaultKind};
+use super::{schedule_arrival, unrouted, DetectorEvent, Driver, Event, FaultKind, HbChannel};
 
 /// The chaos layer's events (see the module docs). A recovery carries
 /// the kind of fault it ends.
@@ -99,12 +99,11 @@ impl Driver {
         let victim = up[chaos.rng.below(up.len())];
         let downtime = Exponential::with_mean(cfg.mean_downtime_secs).sample(&mut chaos.rng);
         let kind = if exec_only {
-            self.on_executor_fault(victim, now);
             FaultKind::ExecutorsOnly
         } else {
-            self.on_node_fail(victim, now);
             FaultKind::Machine
         };
+        self.on_node_fault(victim, kind, now);
         self.queue.schedule(
             now + SimDuration::from_secs_f64(downtime),
             Event::Chaos(ChaosEvent::Recover { node: victim, kind }),
@@ -125,21 +124,6 @@ impl Driver {
             }
             _ => io_time,
         }
-    }
-
-    /// An executor-only fault: the machine's executor processes die but
-    /// its DataNode (and replicas) survive, so nothing is re-replicated
-    /// and preferred nodes are unchanged.
-    fn on_executor_fault(&mut self, node: NodeId, now: SimTime) {
-        self.metrics.executor_faults += 1;
-        self.node_down[node.index()] = Some(FaultKind::ExecutorsOnly);
-        if let Some(d) = &mut self.detector {
-            d.phys_fail(node, now, FaultKind::ExecutorsOnly);
-            self.fence_executors_on(node);
-            return;
-        }
-        self.kill_executors_on(node, now);
-        self.cache.mark_pool_changed();
     }
 
     /// A machine a chaos fault of `kind` took down rejoins: its executors
@@ -171,7 +155,7 @@ impl Driver {
             self.metrics.nodes_recovered += 1;
             return;
         }
-        if kind == FaultKind::Machine {
+        if kind.silences(HbChannel::DataNode) {
             self.namenode.recover_node(node);
         }
         let executors: Vec<ExecutorId> = self.cluster.executors_on(node).to_vec();

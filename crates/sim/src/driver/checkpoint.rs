@@ -188,7 +188,6 @@ fn assert_converged(live: &Driver, ghost: &Driver) {
     check!(fail_rng);
     check!(noise_rng);
     check!(wakes);
-    check!(pending_wakes);
     check!(speculation);
     check!(chaos);
     check!(detector);

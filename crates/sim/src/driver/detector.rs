@@ -21,14 +21,17 @@
 //!   [`Driver::rebind_attempt`](super::Driver::rebind_attempt).
 //!
 //! Two channels are modeled per node — the executor runtime and the
-//! DataNode — because an executor-only fault silences the first while the
-//! second keeps beating. Each channel carries a *physical epoch* stamped
-//! at emission: a heartbeat whose epoch no longer matches predates a
-//! fail/recover transition and is discarded, so a pre-crash heartbeat can
-//! never vouch for a dead node.
+//! DataNode — and the master keeps one [`Channel`] record for each.
+//! Which channels a fault stops is stated once, by `FaultKind::silences`:
+//! a machine loss silences both, an executor-only fault the executor
+//! channel alone, so the DataNode keeps beating through it. Each channel
+//! carries a *physical epoch*, bumped whenever a fault or recovery
+//! silences or restarts it and stamped at emission: a heartbeat whose
+//! epoch no longer matches predates such a transition and is discarded,
+//! so a pre-crash heartbeat can never vouch for a dead node.
 //!
 //! Suspicion timers follow the classic re-arm pattern: one deadline per
-//! (node, channel) is armed at `last_heartbeat + timeout`; when it fires
+//! channel record is armed at `last_hb + timeout`; when it fires
 //! early (a heartbeat arrived meanwhile) it re-arms at the earliest
 //! instant it could still trip, so exactly one deadline per channel is
 //! ever in flight. Leases share one global timer armed at the earliest
@@ -60,34 +63,50 @@ pub(crate) enum DetectorEvent {
         channel: HbChannel,
         phys_epoch: u64,
     },
-    /// A suspicion timer fires.
-    Deadline { node: NodeId, kind: DeadlineKind },
+    /// A channel's suspicion timer fires.
+    Deadline { node: NodeId, channel: HbChannel },
     /// The earliest-expiring lease may have run out.
     LeaseExpiry,
 }
 
-/// Which per-node heartbeat emitter a heartbeat came from.
+/// Which per-node heartbeat emitter a heartbeat came from; which faults
+/// stop it is `FaultKind::silences`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum HbChannel {
-    /// The executor runtime — silenced by any fault on the node.
+    /// The executor runtime.
     Executor,
-    /// The DataNode — survives executor-only faults.
+    /// The DataNode.
     DataNode,
 }
 
-/// Which suspicion timer fired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum DeadlineKind {
-    /// The executor channel has possibly been silent for the timeout.
-    ExecSuspect,
-    /// The DataNode channel has possibly been silent for the timeout.
-    DfsSuspect,
+impl HbChannel {
+    /// Both channels, in the order every per-channel loop walks them.
+    pub(crate) const ALL: [HbChannel; 2] = [HbChannel::Executor, HbChannel::DataNode];
+}
+
+/// The master's record of one node's heartbeat channel: its watch over
+/// the channel, and the channel's physical incarnation.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Channel {
+    /// Latest heartbeat arrival.
+    pub last_hb: SimTime,
+    /// Belief: the channel is considered dead. A suspected executor
+    /// channel belief-killed the node's executors; a suspected DataNode
+    /// channel dropped its replicas and re-replication ran.
+    pub suspected: bool,
+    /// Whether this channel's `Deadline` is pending. Invariant while the
+    /// run is live: armed ⟺ not suspected.
+    pub deadline_armed: bool,
+    /// Physical incarnation, bumped by every fault that silences the
+    /// channel and every recovery that restarts it, so in-flight
+    /// heartbeats from the old incarnation are discarded on arrival.
+    pub phys_epoch: u64,
 }
 
 /// The master's belief state plus the physical-truth bookkeeping needed
 /// to score it (detection latency, false suspicions, data loss).
 ///
-/// Belief lives in `exec_suspected` / `dfs_suspected` / the executors'
+/// Belief lives in the channels' `suspected` flags and the executors'
 /// `dead` flags; physical truth lives in `Driver::node_down` and the
 /// `phys_*` fields here. The invariant auditor checks the two sides stay
 /// coupled exactly as documented on each field.
@@ -97,36 +116,18 @@ pub(crate) struct DetectorState {
     pub cp: ControlPlaneConfig,
     /// Heartbeat drop and delay draws (the `"control-plane"` stream).
     rng: SimRng,
-    /// Latest executor-channel heartbeat arrival per node.
-    pub last_exec_hb: Vec<SimTime>,
-    /// Latest DataNode-channel heartbeat arrival per node.
-    pub last_dfs_hb: Vec<SimTime>,
-    /// Belief: the node's executors are considered dead.
-    pub exec_suspected: Vec<bool>,
-    /// Belief: the node's DataNode is considered dead (its replicas were
-    /// dropped and re-replication ran).
-    pub dfs_suspected: Vec<bool>,
+    /// Per node, one record per channel, indexed by `HbChannel as usize`.
+    pub channels: Vec<[Channel; 2]>,
     /// Physical truth: the node's disk contents are actually gone (a
     /// machine fault destroyed them). A blip the detector never noticed
     /// resets this at recovery — the disk came back intact.
     pub data_lost: Vec<bool>,
     /// When the node last went physically down (for detection latency).
     pub phys_down_at: Vec<SimTime>,
-    /// Physical incarnation of the executor channel; bumped on every
-    /// fail *and* recover so in-flight heartbeats from the old
-    /// incarnation are discarded on arrival.
-    pub phys_epoch_exec: Vec<u64>,
-    /// Physical incarnation of the DataNode channel (machine faults only).
-    pub phys_epoch_dfs: Vec<u64>,
     /// Whether a `HeartbeatTick` is pending for the node. Ticks stop when
     /// the machine is down (nothing can emit) or the run has drained;
     /// recovery restarts them iff stopped.
     pub hb_tick_active: Vec<bool>,
-    /// Whether a `Deadline { kind: ExecSuspect }` is pending per node.
-    /// Invariant while the run is live: armed ⟺ not suspected.
-    pub exec_deadline_armed: Vec<bool>,
-    /// Whether a `Deadline { kind: DfsSuspect }` is pending per node.
-    pub dfs_deadline_armed: Vec<bool>,
     /// Per-executor: belief-killed by lease revocation (as opposed to
     /// node suspicion). The next heartbeat from its node reinstates it.
     pub revoked: Vec<bool>,
@@ -156,27 +157,26 @@ impl DetectorState {
         for n in 0..num_nodes {
             let node = NodeId::new(n);
             queue.schedule(tick, Event::Detector(DetectorEvent::HeartbeatTick { node }));
-            for kind in [DeadlineKind::ExecSuspect, DeadlineKind::DfsSuspect] {
+            for channel in HbChannel::ALL {
                 queue.schedule(
                     deadline,
-                    Event::Detector(DetectorEvent::Deadline { node, kind }),
+                    Event::Detector(DetectorEvent::Deadline { node, channel }),
                 );
             }
         }
+        let watched = Channel {
+            last_hb: SimTime::ZERO,
+            suspected: false,
+            deadline_armed: true,
+            phys_epoch: 0,
+        };
         Some(DetectorState {
             cp,
             rng: SimRng::for_stream(seed, "control-plane"),
-            last_exec_hb: vec![SimTime::ZERO; num_nodes],
-            last_dfs_hb: vec![SimTime::ZERO; num_nodes],
-            exec_suspected: vec![false; num_nodes],
-            dfs_suspected: vec![false; num_nodes],
+            channels: vec![[watched; 2]; num_nodes],
             data_lost: vec![false; num_nodes],
             phys_down_at: vec![SimTime::ZERO; num_nodes],
-            phys_epoch_exec: vec![0; num_nodes],
-            phys_epoch_dfs: vec![0; num_nodes],
             hb_tick_active: vec![true; num_nodes],
-            exec_deadline_armed: vec![true; num_nodes],
-            dfs_deadline_armed: vec![true; num_nodes],
             revoked: vec![false; cluster.num_executors()],
             leases: LeaseTable::new(),
             lease_deadline_at: None,
@@ -203,16 +203,32 @@ impl DetectorState {
         SimDuration::from_secs_f64(self.cp.suspicion_timeout_secs)
     }
 
-    /// Physical failure in detector mode: record truth and bump the
-    /// channels' incarnation epochs so in-flight heartbeats from the dead
-    /// incarnation are fenced — and change *nothing* about the master's
-    /// belief. Only heartbeat silence does that.
-    pub(super) fn phys_fail(&mut self, node: NodeId, now: SimTime, kind: FaultKind) {
-        self.phys_down_at[node.index()] = now;
-        self.phys_epoch_exec[node.index()] += 1;
-        if kind == FaultKind::Machine {
-            self.phys_epoch_dfs[node.index()] += 1;
-            self.data_lost[node.index()] = true;
+    /// The master's record of `node`'s `channel`.
+    pub(crate) fn channel(&self, node: NodeId, channel: HbChannel) -> &Channel {
+        &self.channels[node.index()][channel as usize]
+    }
+
+    /// Physical failure in detector mode: `node`, down with `was` (if
+    /// anything), goes down with `kind`. Record truth and bump the epoch
+    /// of every channel the fault newly silences, so in-flight heartbeats
+    /// from the dead incarnation are fenced — and change *nothing* about
+    /// the master's belief. Only heartbeat silence does that.
+    pub(super) fn phys_fail(
+        &mut self,
+        node: NodeId,
+        now: SimTime,
+        was: Option<FaultKind>,
+        kind: FaultKind,
+    ) {
+        let n = node.index();
+        self.phys_down_at[n] = now;
+        for channel in HbChannel::ALL {
+            if kind.silences(channel) && !was.is_some_and(|w| w.silences(channel)) {
+                self.channels[n][channel as usize].phys_epoch += 1;
+            }
+        }
+        if kind.silences(HbChannel::DataNode) {
+            self.data_lost[n] = true;
         }
     }
 
@@ -223,14 +239,17 @@ impl DetectorState {
     /// lost). Returns whether the node's heartbeat tick had stopped and
     /// must be restarted.
     pub(super) fn phys_recover(&mut self, node: NodeId, kind: FaultKind) -> bool {
-        if kind == FaultKind::Machine && !self.dfs_suspected[node.index()] {
-            self.data_lost[node.index()] = false;
+        let n = node.index();
+        if kind.silences(HbChannel::DataNode) && !self.channel(node, HbChannel::DataNode).suspected
+        {
+            self.data_lost[n] = false;
         }
-        self.phys_epoch_exec[node.index()] += 1;
-        if kind == FaultKind::Machine {
-            self.phys_epoch_dfs[node.index()] += 1;
+        for channel in HbChannel::ALL {
+            if kind.silences(channel) {
+                self.channels[n][channel as usize].phys_epoch += 1;
+            }
         }
-        !std::mem::replace(&mut self.hb_tick_active[node.index()], true)
+        !std::mem::replace(&mut self.hb_tick_active[n], true)
     }
 }
 
@@ -280,15 +299,11 @@ impl Driver {
                     .partition
                     .as_ref()
                     .is_none_or(|p| p.connectivity.node_reaches_master(node));
-                // The DataNode still beats through an executor-only fault.
-                let channels = [
-                    (HbChannel::Executor, down.is_none(), d.phys_epoch_exec[n]),
-                    (HbChannel::DataNode, true, d.phys_epoch_dfs[n]),
-                ];
-                for (channel, beating, phys_epoch) in channels {
-                    if !beating {
-                        continue;
+                for channel in HbChannel::ALL {
+                    if down.is_some_and(|k| k.silences(channel)) {
+                        continue; // the DataNode beats through an executor-only fault
                     }
+                    let phys_epoch = d.channels[n][channel as usize].phys_epoch;
                     if let Some(delay) = d.channel_hop() {
                         if reaches_master {
                             let arrive = DetectorEvent::HeartbeatArrive {
@@ -304,148 +319,125 @@ impl Driver {
                 let interval = SimDuration::from_secs_f64(d.cp.heartbeat_interval_secs);
                 self.queue.schedule(now + interval, Event::Detector(tick));
             }
-            // An executor-channel heartbeat reaches the master: renew the
-            // node's leases, reinstate belief-dead executors, and reap
-            // ghost attempts left over from incarnations that died while
-            // the master looked away.
+            // A heartbeat reaches the master. A current incarnation's
+            // heartbeat refreshes its channel and ends a suspicion of it,
+            // restarting the watch; what else it proves depends on the
+            // channel.
             DetectorEvent::HeartbeatArrive {
                 node,
-                channel: HbChannel::Executor,
+                channel,
                 phys_epoch,
             } => {
                 let n = node.index();
-                if phys_epoch != d.phys_epoch_exec[n] {
+                let c = &mut d.channels[n][channel as usize];
+                if phys_epoch != c.phys_epoch {
                     return; // emitted by an incarnation that has since died
                 }
-                d.last_exec_hb[n] = d.last_exec_hb[n].max(now);
-                let renew_to = now + SimDuration::from_secs_f64(d.cp.lease_duration_secs);
-                let was_suspected = d.exec_suspected[n];
-                let executors: Vec<ExecutorId> = self.cluster.executors_on(node).to_vec();
-                let mut reinstated = false;
-                for &e in &executors {
-                    d.leases.renew(e, renew_to);
-                    let st = &mut self.exec_state[e.index()];
-                    if st.dead {
-                        // Belief-dead can only mean suspected or
-                        // lease-revoked; this heartbeat proves the
-                        // incarnation alive either way.
-                        debug_assert!(was_suspected || d.revoked[e.index()]);
-                        debug_assert!(st.running.is_none() && st.owner.is_none());
-                        st.dead = false;
-                        st.idle_since = now;
-                        self.pool.insert(e.index());
-                        d.revoked[e.index()] = false;
-                        reinstated = true;
-                    }
-                }
+                c.last_hb = c.last_hb.max(now);
+                let was_suspected = std::mem::replace(&mut c.suspected, false);
                 if was_suspected {
-                    d.exec_suspected[n] = false;
                     // Suspicion left the deadline disarmed; restart the
                     // watch.
-                    debug_assert!(!d.exec_deadline_armed[n]);
-                    d.exec_deadline_armed[n] = true;
-                    let kind = DeadlineKind::ExecSuspect;
-                    let deadline = DetectorEvent::Deadline { node, kind };
+                    debug_assert!(!c.deadline_armed);
+                    c.deadline_armed = true;
+                    let deadline = DetectorEvent::Deadline { node, channel };
                     self.queue
                         .schedule(now + timeout, Event::Detector(deadline));
                 }
-                if reinstated {
-                    self.cache.mark_pool_changed();
-                }
-                // Ghost reaping: a running attempt whose launch epoch no
-                // longer matches belongs to an incarnation that restarted
-                // underneath the master (a blip too short to suspect, or
-                // a doomed launch onto a down node that has since
-                // recovered). Its Finish is fenced or was never
-                // scheduled; re-queue the task now.
-                let mut displaced: BTreeSet<TaskKey> = BTreeSet::new();
-                for &e in &executors {
-                    let st = &self.exec_state[e.index()];
-                    if !st.dead && st.running.is_some_and(|r| r.launch_epoch != st.epoch) {
-                        self.abandon_attempt(e, now, &mut displaced);
+                match channel {
+                    // Renew the node's leases, reinstate belief-dead
+                    // executors, and reap ghost attempts left over from
+                    // incarnations that died while the master looked away.
+                    HbChannel::Executor => {
+                        let renew_to = now + SimDuration::from_secs_f64(d.cp.lease_duration_secs);
+                        let executors: Vec<ExecutorId> = self.cluster.executors_on(node).to_vec();
+                        let mut reinstated = false;
+                        for &e in &executors {
+                            d.leases.renew(e, renew_to);
+                            let st = &mut self.exec_state[e.index()];
+                            if st.dead {
+                                // Belief-dead can only mean suspected or
+                                // lease-revoked; this heartbeat proves the
+                                // incarnation alive either way.
+                                debug_assert!(was_suspected || d.revoked[e.index()]);
+                                debug_assert!(st.running.is_none() && st.owner.is_none());
+                                st.dead = false;
+                                st.idle_since = now;
+                                self.pool.insert(e.index());
+                                d.revoked[e.index()] = false;
+                                reinstated = true;
+                            }
+                        }
+                        if reinstated {
+                            self.cache.mark_pool_changed();
+                        }
+                        // Ghost reaping: a running attempt whose launch
+                        // epoch no longer matches belongs to an
+                        // incarnation that restarted underneath the
+                        // master (a blip too short to suspect, or a
+                        // doomed launch onto a down node that has since
+                        // recovered). Its Finish is fenced or was never
+                        // scheduled; re-queue the task now.
+                        let mut displaced: BTreeSet<TaskKey> = BTreeSet::new();
+                        for &e in &executors {
+                            let st = &self.exec_state[e.index()];
+                            if !st.dead && st.running.is_some_and(|r| r.launch_epoch != st.epoch) {
+                                self.abandon_attempt(e, now, &mut displaced);
+                            }
+                        }
+                        if !displaced.is_empty() {
+                            self.open_disruptions.push((now, displaced));
+                        }
                     }
-                }
-                if !displaced.is_empty() {
-                    self.open_disruptions.push((now, displaced));
-                }
-            }
-            // A DataNode-channel heartbeat reaches the master: a falsely
-            // (or stalely) suspected DataNode is reinstated — with its
-            // data if the disk actually survived, empty if the suspicion
-            // was right and the node came back wiped.
-            DetectorEvent::HeartbeatArrive {
-                node,
-                channel: HbChannel::DataNode,
-                phys_epoch,
-            } => {
-                let n = node.index();
-                if phys_epoch != d.phys_epoch_dfs[n] {
-                    return;
-                }
-                d.last_dfs_hb[n] = d.last_dfs_hb[n].max(now);
-                if !d.dfs_suspected[n] {
-                    return;
-                }
-                d.dfs_suspected[n] = false;
-                let survived = !d.data_lost[n];
-                // Whatever incarnation is beating now has an intact
-                // (possibly empty) disk going forward.
-                d.data_lost[n] = false;
-                debug_assert!(!d.dfs_deadline_armed[n]);
-                d.dfs_deadline_armed[n] = true;
-                let kind = DeadlineKind::DfsSuspect;
-                let deadline = DetectorEvent::Deadline { node, kind };
-                self.queue
-                    .schedule(now + timeout, Event::Detector(deadline));
-                if self.namenode.reinstate_node(node, survived) > 0 {
-                    // Replicas reappeared; unlaunched tasks may prefer
-                    // them — and a tombstoned block may have just regained
-                    // an intact copy, un-parking its waiting tasks.
-                    self.refresh_all_preferred();
-                    self.durability_recheck_unavailable();
+                    // A falsely (or stalely) suspected DataNode is
+                    // reinstated — with its data if the disk actually
+                    // survived, empty if the suspicion was right and the
+                    // node came back wiped.
+                    HbChannel::DataNode => {
+                        if !was_suspected {
+                            return;
+                        }
+                        let survived = !d.data_lost[n];
+                        // Whatever incarnation is beating now has an
+                        // intact (possibly empty) disk going forward.
+                        d.data_lost[n] = false;
+                        if self.namenode.reinstate_node(node, survived) > 0 {
+                            // Replicas reappeared; unlaunched tasks may
+                            // prefer them — and a tombstoned block may have
+                            // just regained an intact copy, un-parking its
+                            // waiting tasks.
+                            self.refresh_all_preferred();
+                            self.durability_recheck_unavailable();
+                        }
+                    }
                 }
             }
             // A suspicion timer fires. If the channel really has been
             // silent for the whole timeout the node is suspected;
             // otherwise re-arm at the earliest instant the timeout could
             // still trip.
-            DetectorEvent::Deadline { node, kind } => {
+            DetectorEvent::Deadline { node, channel } => {
                 let n = node.index();
-                let (armed, last_hb, suspected) = match kind {
-                    DeadlineKind::ExecSuspect => (
-                        &mut d.exec_deadline_armed[n],
-                        d.last_exec_hb[n],
-                        &mut d.exec_suspected[n],
-                    ),
-                    DeadlineKind::DfsSuspect => (
-                        &mut d.dfs_deadline_armed[n],
-                        d.last_dfs_hb[n],
-                        &mut d.dfs_suspected[n],
-                    ),
-                };
-                debug_assert!(*armed, "deadline fired while disarmed");
-                *armed = false;
+                let c = &mut d.channels[n][channel as usize];
+                debug_assert!(c.deadline_armed, "deadline fired while disarmed");
+                c.deadline_armed = false;
                 if drained {
                     return; // the run has drained; stop the timer chain
                 }
-                if last_hb + timeout > now {
+                if c.last_hb + timeout > now {
                     // A heartbeat arrived since this deadline was set.
-                    *armed = true;
-                    let deadline = DetectorEvent::Deadline { node, kind };
+                    c.deadline_armed = true;
+                    let deadline = DetectorEvent::Deadline { node, channel };
                     self.queue
-                        .schedule(last_hb + timeout, Event::Detector(deadline));
+                        .schedule(c.last_hb + timeout, Event::Detector(deadline));
                     return;
                 }
-                debug_assert!(!*suspected);
-                *suspected = true;
+                debug_assert!(!c.suspected);
+                c.suspected = true;
                 // Scored as detection latency (from the node's physical
                 // failure) if the channel is really down, as a false
                 // suspicion if it is not.
-                let really_down = match kind {
-                    DeadlineKind::ExecSuspect => self.node_down[n].is_some(),
-                    DeadlineKind::DfsSuspect => self.node_down[n] == Some(FaultKind::Machine),
-                };
-                if really_down {
+                if self.node_down[n].is_some_and(|k| k.silences(channel)) {
                     let latency = now.saturating_since(d.phys_down_at[n]);
                     self.metrics
                         .detection_latency_secs
@@ -454,9 +446,9 @@ impl Driver {
                     self.metrics.false_suspicions += 1;
                 }
                 let lost = d.data_lost[n];
-                match kind {
-                    DeadlineKind::ExecSuspect => self.suspect_executors(node, now),
-                    DeadlineKind::DfsSuspect => self.suspect_datanode(node, lost, now),
+                match channel {
+                    HbChannel::Executor => self.suspect_executors(node, now),
+                    HbChannel::DataNode => self.suspect_datanode(node, lost, now),
                 }
             }
             // The earliest lease may have expired: revoke every lease that

@@ -367,7 +367,9 @@ impl Driver {
         if self.repair_pacing().is_some() {
             self.arm_repair_tick(now);
         } else {
-            self.metrics.replicas_repaired += self.namenode.restore_replication(&mut self.fail_rng);
+            self.metrics.replicas_repaired += self
+                .namenode
+                .restore_replication(&mut self.fail_rng, usize::MAX);
         }
     }
 
@@ -405,8 +407,7 @@ impl Driver {
             self.namenode
                 .restore_blocks(&mut self.fail_rng, &order, batch)
         } else {
-            self.namenode
-                .restore_replication_batch(&mut self.fail_rng, batch)
+            self.namenode.restore_replication(&mut self.fail_rng, batch)
         };
         self.metrics.replicas_repaired += created;
         if created > 0 {

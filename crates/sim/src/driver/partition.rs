@@ -307,7 +307,7 @@ impl Driver {
                 return true;
             }
             let Some(d) = &self.detector else { return true };
-            if d.exec_suspected[node.index()] || d.dfs_suspected[node.index()] {
+            if d.channels[node.index()].iter().any(|c| c.suspected) {
                 return false;
             }
             self.cluster

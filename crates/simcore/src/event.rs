@@ -169,6 +169,13 @@ impl<E> EventQueue<E> {
         self.next_seq
     }
 
+    /// All pending events as `(time, event)` pairs in no particular order,
+    /// without disturbing the queue — for checks that only count or
+    /// collect, where [`snapshot`](Self::snapshot)'s sort is wasted.
+    pub fn iter(&self) -> impl Iterator<Item = (SimTime, &E)> {
+        self.heap.iter().map(|e| (e.time, &e.event))
+    }
+
     /// All pending events in delivery order, without disturbing the queue.
     /// Used by checkpoint/recovery convergence checks to compare two
     /// queues' exact future schedules.
@@ -290,5 +297,21 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop().unwrap().event, 42);
         assert_eq!(q.peek_time(), None);
+    }
+
+    #[test]
+    fn iter_sees_every_pending_event_without_popping() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(3), 'c');
+        q.schedule(SimTime::from_secs(1), 'a');
+        q.schedule(SimTime::from_secs(2), 'b');
+        q.pop();
+        let mut pending: Vec<(SimTime, char)> = q.iter().map(|(at, &e)| (at, e)).collect();
+        pending.sort_unstable();
+        assert_eq!(
+            pending,
+            vec![(SimTime::from_secs(2), 'b'), (SimTime::from_secs(3), 'c')]
+        );
+        assert_eq!(q.len(), 2);
     }
 }
