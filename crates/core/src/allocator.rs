@@ -162,6 +162,15 @@ pub trait ExecutorAllocator {
     /// health layer is off.
     fn set_node_health_costs(&mut self, _costs: &[(NodeId, crate::cost::HealthCost)]) {}
 
+    /// Whether [`allocate`](Self::allocate) is a function of the view and
+    /// the installed health costs alone, so that a caller may replay an
+    /// earlier call's grants on an identical view instead of calling
+    /// again. An allocator whose state moves on grants (an offer cursor)
+    /// returns `false`.
+    fn replayable(&self) -> bool {
+        true
+    }
+
     /// Deep-copies the allocator, internal state included (static
     /// partitions, offer cursors). Master checkpointing snapshots the
     /// allocator so a recovered master replays identical grants.

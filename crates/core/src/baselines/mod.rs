@@ -229,6 +229,12 @@ impl ExecutorAllocator for DynamicOfferAllocator {
         out
     }
 
+    /// The rotation cursor moves on every grant, so the same view can
+    /// grant differently on the next call.
+    fn replayable(&self) -> bool {
+        false
+    }
+
     fn clone_box(&self) -> Box<dyn ExecutorAllocator> {
         Box::new(self.clone())
     }

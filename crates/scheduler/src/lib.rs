@@ -109,7 +109,9 @@ pub trait TaskScheduler: std::fmt::Debug {
     /// After `Decline { retry_after }` at `now`, the same `node` and
     /// `runnable` offered at any `t < now + retry_after` decline again with
     /// the same deadline and leave the scheduler unchanged.
-    /// [`FifoScheduler`] never declines.
+    /// [`FifoScheduler`] never declines. The simulation driver relies on
+    /// this: it does not make an offer its decline memo answers, and its
+    /// auditor re-makes each such offer on a copy of the scheduler.
     fn on_offer(&mut self, node: NodeId, runnable: &[RunnableTask], now: SimTime) -> Placement;
 
     /// Notice that `job` finished or failed: none of its tasks will be

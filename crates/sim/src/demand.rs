@@ -31,7 +31,13 @@
 //! The cache also tracks two change flags — app demand and idle-pool
 //! membership — consulted by the driver's round-skip logic: when neither
 //! has changed since the last zero-grant round, re-running the allocator
-//! is provably idempotent and the round is skipped outright.
+//! is provably idempotent and the round is skipped outright. The demand
+//! flag also gates grant replay (see `Driver::allocation_round`).
+//!
+//! Every add or mark also bumps the owning application's *generation*,
+//! whether or not the job was already dirty: the offer pass keys its
+//! decline memo on it, as an app's runnable list can only change when one
+//! of its jobs is added or marked.
 
 use custody_core::{AppState, JobDemand, TaskDemand};
 use custody_dfs::BlockId;
@@ -86,6 +92,11 @@ pub(crate) struct DemandCache {
     demand_changed: bool,
     /// Idle-pool membership changed since the last executed round.
     pool_changed: bool,
+    /// Each job's application index, indexed by global job index.
+    job_app: Vec<usize>,
+    /// Per application index, bumped by every add or mark of one of its
+    /// jobs.
+    app_generation: Vec<u64>,
 }
 
 impl DemandCache {
@@ -96,6 +107,8 @@ impl DemandCache {
             watchers: Vec::new(),
             demand_changed: true,
             pool_changed: true,
+            job_app: Vec::new(),
+            app_generation: Vec::new(),
         }
     }
 
@@ -107,6 +120,12 @@ impl DemandCache {
         self.dirty.push(true);
         self.dirty_list.push(j);
         self.demand_changed = true;
+        let app = job.app.index();
+        if app >= self.app_generation.len() {
+            self.app_generation.resize(app + 1, 0);
+        }
+        self.job_app.push(app);
+        self.app_generation[app] += 1;
         for block in &job.input_blocks {
             let b = block.index();
             if b >= self.watchers.len() {
@@ -120,13 +139,21 @@ impl DemandCache {
         }
     }
 
-    /// Marks one job's cached demand stale.
+    /// Marks one job's cached demand stale and moves its application's
+    /// generation.
     pub fn mark_job(&mut self, job_idx: usize) {
         if !self.dirty[job_idx] {
             self.dirty[job_idx] = true;
             self.dirty_list.push(job_idx);
         }
         self.demand_changed = true;
+        self.app_generation[self.job_app[job_idx]] += 1;
+    }
+
+    /// Application `app`'s generation: equal readings mean none of its
+    /// jobs was added or marked in between.
+    pub fn app_generation(&self, app: usize) -> u64 {
+        self.app_generation.get(app).copied().unwrap_or(0)
     }
 
     /// The jobs whose input stage reads any of `blocks`, ascending and
@@ -145,6 +172,12 @@ impl DemandCache {
     /// Records that the idle pool gained or lost an executor.
     pub fn mark_pool_changed(&mut self) {
         self.pool_changed = true;
+    }
+
+    /// Some job was added or marked since the last executed round. Read
+    /// before [`begin_round`](Self::begin_round) clears it.
+    pub fn demand_changed(&self) -> bool {
+        self.demand_changed
     }
 
     /// Neither demand nor pool changed since the last executed round, so

@@ -44,11 +44,14 @@
 //!    task scheduler, which launches tasks (paying local or remote read
 //!    time) or declines while delay scheduling waits for locality.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use custody_cluster::{ClusterState, ExecutorId};
-use custody_core::{AllocationView, AllocatorKind, AppState, ExecutorAllocator, ExecutorInfo};
-use custody_dfs::{DatasetId, NameNode};
+use custody_core::{
+    AllocationView, AllocatorKind, AppState, Assignment, ExecutorAllocator, ExecutorInfo,
+    HealthCost,
+};
+use custody_dfs::{DatasetId, NameNode, NodeId};
 use custody_scheduler::speculation::{SpeculationConfig, SpeculationPolicy};
 use custody_scheduler::{Placement, RetryPolicy, RunnableTask, TaskScheduler};
 use custody_simcore::dist::{Distribution, Exponential, TruncatedNormal, Zipf};
@@ -180,8 +183,9 @@ impl FaultKind {
 }
 
 /// What the previous call to [`Driver::allocation_round`] did — consulted
-/// by the round-skip logic: when nothing the allocator can see has changed
-/// since, the round's outcome is replayed instead of recomputed.
+/// by the round-skip and grant-replay logic: when nothing the allocator can
+/// see has changed since, the round's outcome is replayed instead of
+/// recomputed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LastRound {
     /// No round has run yet.
@@ -191,8 +195,80 @@ enum LastRound {
     /// Pool non-empty but no application wanted anything (early return,
     /// uncounted).
     NoDemand,
-    /// The round executed, was counted, and granted this many executors.
+    /// The round executed (or replayed), was counted, and granted this
+    /// many executors.
     Counted(usize),
+}
+
+/// The last executed round's grants and what they were decided on, kept
+/// so that a later round on the same inputs replays them instead of
+/// calling the allocator.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct KeptRound {
+    /// The grants, in the order `allocate` returned them.
+    grants: Vec<Assignment>,
+    /// `Driver::pool_generation` when the round ran.
+    pool_generation: u64,
+    /// The health layer's generation when the round ran.
+    health_generation: u64,
+    /// Audited runs only: the round's idle list and per-app held counts,
+    /// which a replayed round must see again.
+    idle: Vec<ExecutorInfo>,
+    held: Vec<usize>,
+}
+
+/// One offer the app's scheduler declined: the decline's absolute
+/// deadline, and until when the memo vouches for it — the deadline, or an
+/// earlier retry gate whose opening changes the runnable list.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Declined {
+    deadline: SimTime,
+    until: SimTime,
+}
+
+/// The nodes an app's scheduler declined under one runnable-list
+/// generation. By the [`TaskScheduler::on_offer`] decline contract, the
+/// same node offered the same list before the deadline declines again
+/// with the same deadline and leaves the scheduler unchanged, so such an
+/// offer need not be made.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct DeclineMemo {
+    /// The app's runnable-list generation the entries were recorded under
+    /// (see [`Driver::runnable_generation`]).
+    generation: (u64, u64),
+    nodes: BTreeMap<NodeId, Declined>,
+}
+
+impl DeclineMemo {
+    /// The deadline of a decline that still holds for `node` at `now`.
+    fn hit(&self, generation: (u64, u64), node: NodeId, now: SimTime) -> Option<SimTime> {
+        if self.generation != generation {
+            return None;
+        }
+        let declined = self.nodes.get(&node)?;
+        (now < declined.until).then_some(declined.deadline)
+    }
+
+    /// Records a decline of `node` under `generation`, dropping entries of
+    /// an older one.
+    fn record(&mut self, generation: (u64, u64), node: NodeId, declined: Declined) {
+        if self.generation != generation {
+            self.generation = generation;
+            self.nodes.clear();
+        }
+        self.nodes.insert(node, declined);
+    }
+}
+
+/// How often dispatch took one of its two exact short-cuts. Driver-private
+/// and not part of [`RunMetrics`]: they say how much work was saved, not
+/// what was simulated.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct Shortcuts {
+    /// Allocation rounds that replayed the kept grants.
+    rounds_replayed: usize,
+    /// Offers answered from a decline memo.
+    offers_memoized: usize,
 }
 
 /// One in-flight attempt of a task. The task *record*
@@ -320,6 +396,8 @@ struct AppRuntime {
     /// Pre-generated job specs (and their datasets), indexed by seq.
     specs: Vec<(JobSpec, DatasetId)>,
     metrics: AppMetrics,
+    /// Offers the scheduler declined under the current runnable list.
+    declines: DeclineMemo,
 }
 
 #[derive(Clone)]
@@ -403,6 +481,19 @@ struct Driver {
     cache: DemandCache,
     /// Outcome of the previous allocation round.
     last_round: LastRound,
+    /// Bumped by every pool change other than the release step and the
+    /// grant loop: a kill, a chaos recovery, a detector reinstatement.
+    pool_generation: u64,
+    /// Executors the release step returned since the last executed or
+    /// replayed round.
+    released_since_round: usize,
+    /// The last executed round, for grant replay.
+    kept_round: KeptRound,
+    /// The health-cost table installed in the allocator, with the health
+    /// generation it was built at (demotion runs only).
+    health_costs: Option<(u64, Vec<(NodeId, HealthCost)>)>,
+    /// Replayed rounds and memoized offers.
+    shortcuts: Shortcuts,
     /// Wall-clock spent in allocation rounds: demand refresh, idle list
     /// and `allocate`.
     alloc_wall: std::time::Duration,
@@ -479,6 +570,7 @@ impl Driver {
                 held: DenseSet::new(),
                 specs,
                 metrics: AppMetrics::new(AppId::new(i), app_spec.name.clone(), app_spec.workload),
+                declines: DeclineMemo::default(),
             });
         }
 
@@ -597,6 +689,11 @@ impl Driver {
             view,
             cache: DemandCache::new(),
             last_round: LastRound::None,
+            pool_generation: 0,
+            released_since_round: 0,
+            kept_round: KeptRound::default(),
+            health_costs: None,
+            shortcuts: Shortcuts::default(),
             alloc_wall: std::time::Duration::ZERO,
             event_wall: std::time::Duration::ZERO,
             demand_wall: std::time::Duration::ZERO,
@@ -610,25 +707,31 @@ impl Driver {
     }
 
     fn run(mut self) -> (SimOutcome, TaskTrace) {
-        loop {
-            let pop_started = std::time::Instant::now();
-            let Some(ev) = self.queue.pop() else { break };
-            self.event_wall += pop_started.elapsed();
-            self.maybe_crash_master(&ev);
-            if let Some(log) = &mut self.master {
-                log.wal.push((ev.time, ev.seq, ev.event));
-            }
-            self.handle_event(ev.event, ev.time);
-            if self.audit_enabled {
-                self.audit();
-            }
-            if ev.event == Event::Checkpoint {
-                // Snapshot *after* the Checkpoint event's own dispatch so
-                // the WAL restarts empty from exactly this state.
-                self.take_checkpoint();
-            }
-        }
+        while self.step() {}
         self.finish()
+    }
+
+    /// Pops and handles the next event; `false` once the queue is empty.
+    fn step(&mut self) -> bool {
+        let pop_started = std::time::Instant::now();
+        let Some(ev) = self.queue.pop() else {
+            return false;
+        };
+        self.event_wall += pop_started.elapsed();
+        self.maybe_crash_master(&ev);
+        if let Some(log) = &mut self.master {
+            log.wal.push((ev.time, ev.seq, ev.event));
+        }
+        self.handle_event(ev.event, ev.time);
+        if self.audit_enabled {
+            self.audit();
+        }
+        if ev.event == Event::Checkpoint {
+            // Snapshot *after* the Checkpoint event's own dispatch so
+            // the WAL restarts empty from exactly this state.
+            self.take_checkpoint();
+        }
+        true
     }
 
     /// Handles one popped event — the unit the WAL records and master
@@ -1053,6 +1156,7 @@ impl Driver {
         }
         state.dead = true;
         state.epoch += 1;
+        self.pool_generation += 1;
         self.abandon_attempt(e, now, displaced);
         if let Some(owner) = self.exec_state[e.index()].owner.take() {
             self.apps[owner.index()].held.remove(e.index());
@@ -1205,16 +1309,34 @@ impl Driver {
     fn dispatch(&mut self, now: SimTime) {
         self.release_idle_executors();
         self.allocation_round(now);
-        let (_launched, min_retry) = self.offer_pass(now);
+        let next_gate = self.next_retry_gate(now);
+        let gates = self.retry_gates.len();
+        let (_launched, min_retry) = self.offer_pass(now, next_gate);
         if let Some(retry) = min_retry {
             self.schedule_wake(now + retry);
         }
         // Keep a wake armed for the earliest future retry gate: an
         // earlier wake may fire (and be consumed) before the gate opens,
-        // and the gated task would otherwise never be re-offered.
-        if let Some(&gate) = self.retry_gates.values().filter(|&&g| g > now).min() {
+        // and the gated task would otherwise never be re-offered. The
+        // offer pass only drops gates, at launch; if it dropped one, it
+        // may have been the earliest.
+        let next_gate = if self.retry_gates.len() == gates {
+            next_gate
+        } else {
+            self.next_retry_gate(now)
+        };
+        if let Some(gate) = next_gate {
             self.schedule_wake(gate);
         }
+    }
+
+    /// The earliest retry gate still closed at `now`.
+    fn next_retry_gate(&self, now: SimTime) -> Option<SimTime> {
+        self.retry_gates
+            .values()
+            .copied()
+            .filter(|&g| g > now)
+            .min()
     }
 
     /// Step 1: every idle executor returns to the pool so the next
@@ -1223,7 +1345,7 @@ impl Driver {
     /// track of all the idle executors and dynamically allocate executors
     /// once new jobs are submitted". Static allocators re-grant released
     /// executors to their fixed owners, so their semantics are unchanged.
-    fn release_idle_executors(&mut self) -> usize {
+    fn release_idle_executors(&mut self) {
         let mut released = 0;
         let mut idle = std::mem::take(&mut self.idle_scratch);
         for i in 0..self.apps.len() {
@@ -1242,9 +1364,9 @@ impl Driver {
         idle.clear();
         self.idle_scratch = idle;
         if released > 0 {
+            self.released_since_round += released;
             self.cache.mark_pool_changed();
         }
-        released
     }
 
     /// Step 2: one allocation round through the cluster manager.
@@ -1253,17 +1375,28 @@ impl Driver {
     /// the dirtied jobs' entries into its apps half, and the idle half is
     /// filled only when some app wants an executor, then emptied again.
     ///
-    /// A round whose inputs are unchanged since the previous *zero-grant*
-    /// round is skipped: the allocator is a deterministic function of the
-    /// view (no allocator draws in `allocate`, and `DynamicOffer`
-    /// advances its cursor only on grants), so re-running it would grant
-    /// nothing again. The skip replays the previous round's counting so
-    /// metrics stay bit-identical; with the auditor on, every skip is
-    /// re-derived first (`audit_skipped_round`).
-    fn allocation_round(&mut self, now: SimTime) -> usize {
+    /// Three exact short-cuts avoid calling the allocator. Every allocator
+    /// but `DynamicOffer` is a function of the view and the installed
+    /// health costs (no allocator draws in `allocate`, and `DynamicOffer`
+    /// advances its cursor only on grants), so on an unchanged view it
+    /// would decide the same again:
+    ///
+    /// * **Skip.** Nothing changed since a zero-grant or demand-free
+    ///   round: nothing would be granted. The skip replays the previous
+    ///   round's counting, so metrics stay bit-identical.
+    /// * **Replay.** Since the last executed round no job was marked, the
+    ///   only pool change is the release of exactly its grants, and
+    ///   neither the pool nor the health generation moved: the view is the
+    ///   one that round saw, so its grants are applied again through the
+    ///   same grant loop (leases, `held`, round counter), skipping only the
+    ///   idle list and `allocate`.
+    /// * With the auditor on, every skip is re-derived first
+    ///   (`audit_skipped_round`) and every replay re-checked against the
+    ///   recorded idle list and a fresh allocator (`audit_replayed_round`).
+    fn allocation_round(&mut self, now: SimTime) {
         if self.pool.is_empty() {
             self.last_round = LastRound::EmptyPool;
-            return 0;
+            return;
         }
         if self.cache.is_quiescent() {
             match self.last_round {
@@ -1275,7 +1408,7 @@ impl Driver {
                     }
                     self.metrics.allocation_rounds += 1;
                     self.metrics.rounds_skipped += 1;
-                    return 0;
+                    return;
                 }
                 // Same pool, still nothing wanted: the early return would
                 // fire again without reaching the allocator.
@@ -1284,7 +1417,7 @@ impl Driver {
                         self.audit_skipped_round();
                     }
                     self.metrics.rounds_skipped += 1;
-                    return 0;
+                    return;
                 }
                 // A granting round dirties the pool and `EmptyPool` with a
                 // now non-empty pool implies a pool change, so these are
@@ -1293,6 +1426,20 @@ impl Driver {
             }
         }
         let started = std::time::Instant::now();
+        if self.round_replays() {
+            self.cache.begin_round();
+            debug_assert!(self.cache.is_fresh(), "replayed round with stale demand");
+            if self.audit_enabled {
+                self.audit_replayed_round();
+            }
+            self.metrics.allocation_rounds += 1;
+            self.shortcuts.rounds_replayed += 1;
+            let grants = std::mem::take(&mut self.kept_round.grants);
+            self.alloc_wall += started.elapsed();
+            self.grant(&grants, now);
+            self.kept_round.grants = grants;
+            return;
+        }
         self.cache.begin_round();
         self.refresh_demand();
         // Demand first: most dispatches find no app wanting an executor,
@@ -1301,25 +1448,62 @@ impl Driver {
         if no_demand(&self.view.apps) {
             self.alloc_wall += started.elapsed();
             self.last_round = LastRound::NoDemand;
-            return 0;
+            return;
         }
         self.view.idle = self.idle_executors();
         self.metrics.allocation_rounds += 1;
-        let costs = self.demotion_costs();
-        if let Some(costs) = &costs {
-            self.allocator.set_node_health_costs(costs);
-        }
+        self.install_health_costs();
         let assignments = self.allocator.allocate(&self.view, &mut self.alloc_rng);
         self.alloc_wall += started.elapsed();
         if cfg!(debug_assertions) {
             custody_core::allocator::validate_assignments(&self.view, &assignments);
         }
         if self.audit_enabled {
-            self.audit_kept_round(&assignments, costs.as_deref());
+            let costs = self.health_costs.as_ref().map(|(_, c)| &c[..]);
+            self.audit_kept_round(&self.view, &assignments, costs);
         }
-        self.view.idle = Vec::new(); // never kept stale between rounds
-        let granted = assignments.len();
-        for a in assignments {
+        // The view's idle half is never kept stale between rounds.
+        let idle = std::mem::take(&mut self.view.idle);
+        let (idle, held) = if self.audit_enabled {
+            (idle, self.view.apps.iter().map(|a| a.held).collect())
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        self.grant(&assignments, now);
+        self.kept_round = KeptRound {
+            grants: assignments,
+            pool_generation: self.pool_generation,
+            health_generation: self.health_generation(),
+            idle,
+            held,
+        };
+    }
+
+    /// Whether this round's inputs are exactly the last executed round's,
+    /// so it may replay that round's grants (see
+    /// [`allocation_round`](Self::allocation_round)). Every grant is back
+    /// in the pool and nothing else was released, so the released set is
+    /// the grants; `held` is then what that round saw too (the auditor
+    /// checks it).
+    fn round_replays(&self) -> bool {
+        let kept = &self.kept_round;
+        matches!(self.last_round, LastRound::Counted(_))
+            && !self.cache.demand_changed()
+            && self.released_since_round == kept.grants.len()
+            && kept.pool_generation == self.pool_generation
+            && kept.health_generation == self.health_generation()
+            && self.allocator.replayable()
+            && kept
+                .grants
+                .iter()
+                .all(|a| self.pool.contains(a.executor.index()))
+    }
+
+    /// Applies one round's grants: pool, owner, `held` and a lease per
+    /// grant. Ends the round: what is released from here on counts toward
+    /// the next one.
+    fn grant(&mut self, grants: &[Assignment], now: SimTime) {
+        for a in grants {
             let removed = self.pool.remove(a.executor.index());
             assert!(removed, "allocator granted non-pooled executor");
             self.exec_state[a.executor.index()].owner = Some(a.app);
@@ -1337,11 +1521,34 @@ impl Driver {
                 }
             }
         }
-        if granted > 0 {
+        if !grants.is_empty() {
             self.cache.mark_pool_changed();
         }
-        self.last_round = LastRound::Counted(granted);
-        granted
+        self.released_since_round = 0;
+        self.last_round = LastRound::Counted(grants.len());
+    }
+
+    /// The health layer's generation (0 without the layer).
+    fn health_generation(&self) -> u64 {
+        self.health.as_ref().map_or(0, |h| h.generation)
+    }
+
+    /// Installs the demotion cost table in the allocator when demotion is
+    /// on and the health generation moved since the installed one: the
+    /// allocator keeps a table until the next install.
+    fn install_health_costs(&mut self) {
+        let generation = self.health_generation();
+        if self
+            .health_costs
+            .as_ref()
+            .is_some_and(|(g, _)| *g == generation)
+        {
+            return;
+        }
+        if let Some(costs) = self.demotion_costs() {
+            self.allocator.set_node_health_costs(&costs);
+            self.health_costs = Some((generation, costs));
+        }
     }
 
     /// The per-node health costs the allocator prices placements with
@@ -1349,7 +1556,7 @@ impl Driver {
     /// on them earns less credit and the filler visits them last —
     /// instead of vanishing. Allocators that ignore the hint (the
     /// data-unaware baselines) are free to.
-    fn demotion_costs(&self) -> Option<Vec<(custody_dfs::NodeId, custody_core::HealthCost)>> {
+    fn demotion_costs(&self) -> Option<Vec<(NodeId, HealthCost)>> {
         self.health
             .as_ref()
             .filter(|h| h.cfg.detection && h.cfg.demotion)
@@ -1403,7 +1610,23 @@ impl Driver {
 
     /// Step 3: offer idle held executors to their applications' task
     /// schedulers. Returns `(tasks launched, earliest decline retry)`.
-    fn offer_pass(&mut self, now: SimTime) -> (usize, Option<SimDuration>) {
+    ///
+    /// An offer its app's decline memo answers is not made: the node was
+    /// declined under the same runnable list (no job of the app added or
+    /// marked, no block parked or unparked) and its deadline has not
+    /// passed, nor has `next_gate`, the earliest retry gate still closed
+    /// when it was declined. By the [`TaskScheduler::on_offer`] decline
+    /// contract the scheduler would decline again with the same deadline
+    /// and stay unchanged, so the `Decline` arm runs on the memoized
+    /// deadline: wakes and speculative clones are exactly those of the
+    /// offer. With the auditor on, every memoized offer is re-made on a
+    /// copy of the scheduler (`audit_memo_hit`). The runnable list is
+    /// built lazily, on the first offer the memo does not answer.
+    fn offer_pass(
+        &mut self,
+        now: SimTime,
+        next_gate: Option<SimTime>,
+    ) -> (usize, Option<SimDuration>) {
         let mut launched_total = 0;
         let mut min_retry: Option<SimDuration> = None;
         let mut idle = std::mem::take(&mut self.idle_scratch);
@@ -1417,12 +1640,34 @@ impl Driver {
                 let mut runnable = std::mem::take(&mut self.runnable_scratch);
                 let mut collected = false;
                 for &e in &idle {
-                    if !collected {
-                        self.runnable_tasks(i, now, &mut runnable);
-                        collected = true;
-                    }
                     let node = self.cluster.node_of(e);
-                    match self.apps[i].scheduler.on_offer(node, &runnable, now) {
+                    let generation = self.runnable_generation(i);
+                    let placement = match self.apps[i].declines.hit(generation, node, now) {
+                        Some(deadline) => {
+                            if self.audit_enabled {
+                                self.audit_memo_hit(i, node, deadline, now);
+                            }
+                            self.shortcuts.offers_memoized += 1;
+                            Placement::Decline {
+                                retry_after: deadline.saturating_since(now),
+                            }
+                        }
+                        None => {
+                            if !collected {
+                                self.runnable_tasks(i, now, &mut runnable);
+                                collected = true;
+                            }
+                            let placement = self.apps[i].scheduler.on_offer(node, &runnable, now);
+                            if let Placement::Decline { retry_after } = placement {
+                                let deadline = now + retry_after;
+                                let until = next_gate.map_or(deadline, |g| g.min(deadline));
+                                let declined = Declined { deadline, until };
+                                self.apps[i].declines.record(generation, node, declined);
+                            }
+                            placement
+                        }
+                    };
+                    match placement {
                         // Nothing runnable: the executor may still clone
                         // a straggler; once none qualifies, the app's
                         // other idle executors get nothing either.
@@ -1469,6 +1714,16 @@ impl Driver {
         }
     }
 
+    /// App `i`'s runnable-list generation: its runnable list can change
+    /// only when one of its jobs is added or marked (the demand cache's
+    /// app generation), when the durability layer parks or unparks a
+    /// block (every app's list may hide or show a task), or when a retry
+    /// gate opens (which the memo bounds by time instead).
+    fn runnable_generation(&self, i: usize) -> (u64, u64) {
+        let parked = self.durability.as_ref().map_or(0, |d| d.parked_generation);
+        (self.cache.app_generation(i), parked)
+    }
+
     /// Collects the runnable, unlaunched tasks of app `i` into `out`, in
     /// (job, stage, task) order, so each task set is one contiguous run
     /// (the [`custody_scheduler::TaskScheduler::on_offer`] contract).
@@ -1479,6 +1734,7 @@ impl Driver {
     /// instead of building a fresh Vec per idle executor.
     fn runnable_tasks(&self, i: usize, now: SimTime, out: &mut Vec<RunnableTask>) {
         out.clear();
+        let gated = !self.retry_gates.is_empty();
         for &j in &self.apps[i].jobs {
             let job = &self.jobs[j];
             if job.is_finished() {
@@ -1489,7 +1745,10 @@ impl Driver {
                     continue;
                 }
                 for (t, task) in stage.tasks.iter().enumerate() {
-                    if self.retry_gates.get(&(j, s, t)).is_some_and(|&g| now < g) {
+                    let TaskState::Runnable { since } = task.state else {
+                        continue;
+                    };
+                    if gated && self.retry_gates.get(&(j, s, t)).is_some_and(|&g| now < g) {
                         continue; // backing off after a transient fault
                     }
                     if s == 0 {
@@ -1503,15 +1762,13 @@ impl Driver {
                             }
                         }
                     }
-                    if let TaskState::Runnable { since } = task.state {
-                        out.push(RunnableTask {
-                            job: job.id,
-                            stage: s,
-                            task_index: t,
-                            preferred_nodes: task.preferred.clone(),
-                            runnable_since: since,
-                        });
-                    }
+                    out.push(RunnableTask {
+                        job: job.id,
+                        stage: s,
+                        task_index: t,
+                        preferred_nodes: task.preferred.clone(),
+                        runnable_since: since,
+                    });
                 }
             }
         }
@@ -2428,6 +2685,109 @@ mod tests {
             12,
             "every job either completed or failed cleanly"
         );
+    }
+
+    /// Both dispatch short-cuts fire on an audited composed-fault run
+    /// (lossy heartbeats, fail-slow nodes with detection and demotion,
+    /// latent corruption): rounds replay their kept grants and offers are
+    /// answered from decline memos, each re-derived by the auditor.
+    #[test]
+    fn composed_faults_replay_rounds_and_memoize_declines() {
+        use crate::config::{ControlPlaneConfig, CorruptionConfig, FailSlowConfig};
+        let cfg = small(AllocatorKind::Custody, 40)
+            .with_control_plane(ControlPlaneConfig::default())
+            .with_failslow(FailSlowConfig::default().with_sick_fraction(0.3))
+            .with_corruption(CorruptionConfig::default().with_latent_fraction(0.1))
+            .with_audit(true);
+        let mut driver = Driver::new(&cfg);
+        while driver.step() {}
+        let Shortcuts {
+            rounds_replayed,
+            offers_memoized,
+        } = driver.shortcuts;
+        assert!(rounds_replayed > 0, "no round replayed its grants");
+        assert!(offers_memoized > 0, "no offer was answered from a memo");
+        let out = driver.finish().0.cluster_metrics;
+        assert_eq!(out.jobs_completed + out.jobs_failed, 12);
+        assert!(
+            out.allocation_rounds > rounds_replayed,
+            "replays are counted among the rounds"
+        );
+    }
+
+    /// Parking hides a task from every app's runnable list without
+    /// marking its job, so it must invalidate decline memos. With single
+    /// replicas and fast scrubbing, scrub detections tombstone blocks whose
+    /// tasks some app's memo was recorded with; the seeds are ones where a
+    /// stale memo would answer an offer the scheduler no longer declines
+    /// the same way, which the auditor's memo check reports.
+    #[test]
+    fn parked_blocks_invalidate_decline_memos() {
+        use crate::config::CorruptionConfig;
+        let shared = DatasetMode::SharedPool {
+            pool_size: 2,
+            skew: 1.0,
+        };
+        for (seed, mode, latent, mean_gap) in [
+            (12, DatasetMode::FreshPerJob, 0.3, 2.0),
+            (3, shared, 0.6, 5.0),
+        ] {
+            let mut cc = CorruptionConfig::default()
+                .with_latent_fraction(latent)
+                .with_mean_time_between_corruptions(mean_gap)
+                .with_scrub_interval(1.0);
+            cc.scrub_blocks_per_tick = 2;
+            cc.retry_budget = 64;
+            let mut cfg = small(AllocatorKind::Custody, seed)
+                .with_corruption(cc)
+                .with_audit(true);
+            cfg.cluster = cfg.cluster.with_replication(1);
+            cfg.campaign = cfg.campaign.with_dataset_mode(mode);
+            let mut driver = Driver::new(&cfg);
+            while driver.step() {}
+            assert!(driver.shortcuts.offers_memoized > 0, "seed {seed}");
+            let out = driver.finish().0.cluster_metrics;
+            assert!(out.blocks_unavailable > 0, "seed {seed}: nothing parked");
+            assert_eq!(out.jobs_completed + out.jobs_failed, 12, "seed {seed}");
+        }
+    }
+
+    /// A node entering probation becomes schedulable again, and with
+    /// demotion off no cost changes with it: only the health generation
+    /// tells a replayed round that its idle list grew. Brutal slowdowns on
+    /// a small cluster quarantine nodes and start probations while rounds
+    /// replay; the auditor compares each replay's idle list with the kept
+    /// round's.
+    #[test]
+    fn probation_start_refuses_a_replay_without_demotion() {
+        use crate::config::FailSlowConfig;
+        let mut fs = FailSlowConfig::default()
+            .with_sick_fraction(0.3)
+            .with_transient_fault_prob(0.0)
+            .with_demotion(false);
+        fs.mean_onset_secs = 2.0;
+        fs.cpu_factor = 12.0;
+        fs.disk_factor = 12.0;
+        fs.nic_factor = 12.0;
+        fs.min_samples = 3;
+        fs.probation_delay_secs = 2.0;
+        let mut replayed = 0;
+        for seed in [2, 5, 6] {
+            let mut cfg = small(AllocatorKind::StaticSpread, seed)
+                .with_failslow(fs)
+                .with_audit(true);
+            cfg.cluster.num_nodes = 6;
+            let mut driver = Driver::new(&cfg);
+            while driver.step() {}
+            replayed += driver.shortcuts.rounds_replayed;
+            let out = driver.finish().0.cluster_metrics;
+            assert!(
+                out.nodes_quarantined > 0,
+                "seed {seed}: nothing quarantined"
+            );
+            assert_eq!(out.jobs_completed, 12, "seed {seed}");
+        }
+        assert!(replayed > 0, "no round replayed its grants");
     }
 
     /// A driver a few events into a run, so jobs, grants and launches

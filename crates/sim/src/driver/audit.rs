@@ -49,7 +49,13 @@
 //!    demand-free round sees no demand, and one skipped after a
 //!    zero-grant round gets no grant from a copy of the allocator. A
 //!    Custody allocator keeps its round across calls, so every round it
-//!    plays must grant exactly what a freshly built one grants.
+//!    plays must grant exactly what a freshly built one grants. A
+//!    replayed round sees the kept round's idle list, held counts and
+//!    health costs again, and its grants are what a copy of the live
+//!    allocator (and, for Custody, a fresh one) grants on them. An offer
+//!    answered by a decline memo is re-made on a copy of the app's
+//!    scheduler, which must decline with the same deadline and stay
+//!    equal to the original.
 //! 10. **Belief coherence** (detector mode) — executor death tracks
 //!     executor-channel suspicion and lease revocation exactly, DFS
 //!     decommissions track DataNode-channel suspicion, ownership and
@@ -82,8 +88,9 @@
 //!     verified-read gate and re-asserted before `mark_done`).
 
 use custody_cluster::HealthState;
-use custody_core::{Assignment, HealthCost};
+use custody_core::{AllocationView, Assignment, HealthCost};
 use custody_dfs::NodeId;
+use custody_scheduler::Placement;
 use custody_simcore::SimTime;
 
 use crate::job::TaskState;
@@ -165,14 +172,72 @@ impl Driver {
         );
     }
 
+    /// Invariant 9, replay half: called in place of the allocator on a
+    /// replayed round, it rebuilds the round's view and checks it is the
+    /// kept round's — idle list, held counts and installed health costs —
+    /// and that the kept grants are what a copy of the live allocator
+    /// grants on it, and for a Custody allocator a fresh one too
+    /// ([`audit_kept_round`](Self::audit_kept_round)).
+    pub(super) fn audit_replayed_round(&self) {
+        let kept = &self.kept_round;
+        let mut view = self.view.clone();
+        view.idle = self.idle_executors();
+        assert_eq!(
+            view.idle, kept.idle,
+            "replayed round sees another idle list than the kept round"
+        );
+        let held: Vec<usize> = view.apps.iter().map(|a| a.held).collect();
+        assert_eq!(
+            held, kept.held,
+            "replayed round sees other held counts than the kept round"
+        );
+        let costs = self.health_costs.as_ref().map(|(_, c)| &c[..]);
+        assert_eq!(
+            costs.map(<[_]>::to_vec),
+            self.demotion_costs(),
+            "replayed round with a stale health-cost table installed"
+        );
+        let mut live = self.allocator.clone_box();
+        assert_eq!(
+            live.allocate(&view, &mut self.alloc_rng.clone()),
+            kept.grants,
+            "replayed grants differ from what the allocator grants"
+        );
+        self.audit_kept_round(&view, &kept.grants, costs);
+    }
+
+    /// Invariant 9, memo half: an offer of `node` to app `i` that its
+    /// decline memo answered with `deadline` is re-made on a copy of the
+    /// app's scheduler, which must decline with the same deadline and be
+    /// left equal to the original (the `on_offer` decline contract).
+    pub(super) fn audit_memo_hit(&self, i: usize, node: NodeId, deadline: SimTime, now: SimTime) {
+        let mut runnable = Vec::new();
+        self.runnable_tasks(i, now, &mut runnable);
+        let scheduler = &self.apps[i].scheduler;
+        let mut copy = scheduler.clone_box();
+        assert_eq!(
+            copy.on_offer(node, &runnable, now),
+            Placement::Decline {
+                retry_after: deadline.saturating_since(now)
+            },
+            "memoized decline of {node} for app {i} no longer holds"
+        );
+        assert_eq!(
+            format!("{copy:?}"),
+            format!("{scheduler:?}"),
+            "the offer of {node} a memo answered would have changed app {i}'s scheduler"
+        );
+    }
+
     /// Invariant 9, kept-round half: a Custody allocator reconciles the
     /// round it kept from its previous call with the new view, so its
     /// `granted` must equal the grants of a freshly built allocator of the
-    /// same kind, priced with the same health `costs`, on the same view.
+    /// same kind, priced with the same health `costs`, on the same `view`.
     /// Other allocators are left alone: the dynamic-offer cursor is state
     /// by design.
     pub(super) fn audit_kept_round(
         &self,
+        view: &AllocationView,
         granted: &[Assignment],
         costs: Option<&[(NodeId, HealthCost)]>,
     ) {
@@ -186,7 +251,7 @@ impl Driver {
         }
         assert_eq!(
             granted,
-            fresh.allocate(&self.view, &mut rng),
+            fresh.allocate(view, &mut rng),
             "kept allocator round diverged from a freshly built one"
         );
     }

@@ -167,6 +167,7 @@ impl Driver {
             self.pool.insert(e.index());
         }
         self.metrics.nodes_recovered += 1;
+        self.pool_generation += 1;
         self.cache.mark_pool_changed();
     }
 }

@@ -204,6 +204,11 @@ fn assert_converged(live: &Driver, ghost: &Driver) {
     check!(open_disruptions);
     check!(view);
     check!(cache);
+    check!(pool_generation);
+    check!(released_since_round);
+    check!(kept_round);
+    check!(health_costs);
+    check!(shortcuts);
     assert_eq!(
         live.apps.len(),
         ghost.apps.len(),
@@ -219,7 +224,7 @@ fn assert_converged(live: &Driver, ghost: &Driver) {
                 );)+
             };
         }
-        check_app!(jobs, held, metrics);
+        check_app!(jobs, held, metrics, declines);
         // Set clocks decide placements; `Debug` dumps a scheduler whole.
         assert_eq!(
             format!("{:?}", a.scheduler),

@@ -350,9 +350,18 @@ impl Driver {
                     // incarnations that died while the master looked away.
                     HbChannel::Executor => {
                         let renew_to = now + SimDuration::from_secs_f64(d.cp.lease_duration_secs);
-                        let executors: Vec<ExecutorId> = self.cluster.executors_on(node).to_vec();
                         let mut reinstated = false;
-                        for &e in &executors {
+                        // Ghost reaping: a running attempt whose launch
+                        // epoch no longer matches belongs to an
+                        // incarnation that restarted underneath the
+                        // master (a blip too short to suspect, or a
+                        // doomed launch onto a down node that has since
+                        // recovered). Its Finish is fenced or was never
+                        // scheduled; its task re-queues once every lease
+                        // is renewed. Usually there is none, and an empty
+                        // list allocates nothing.
+                        let mut ghosts: Vec<ExecutorId> = Vec::new();
+                        for &e in self.cluster.executors_on(node) {
                             d.leases.renew(e, renew_to);
                             let st = &mut self.exec_state[e.index()];
                             if st.dead {
@@ -366,24 +375,17 @@ impl Driver {
                                 self.pool.insert(e.index());
                                 d.revoked[e.index()] = false;
                                 reinstated = true;
+                            } else if st.running.is_some_and(|r| r.launch_epoch != st.epoch) {
+                                ghosts.push(e);
                             }
                         }
                         if reinstated {
+                            self.pool_generation += 1;
                             self.cache.mark_pool_changed();
                         }
-                        // Ghost reaping: a running attempt whose launch
-                        // epoch no longer matches belongs to an
-                        // incarnation that restarted underneath the
-                        // master (a blip too short to suspect, or a
-                        // doomed launch onto a down node that has since
-                        // recovered). Its Finish is fenced or was never
-                        // scheduled; re-queue the task now.
                         let mut displaced: BTreeSet<TaskKey> = BTreeSet::new();
-                        for &e in &executors {
-                            let st = &self.exec_state[e.index()];
-                            if !st.dead && st.running.is_some_and(|r| r.launch_epoch != st.epoch) {
-                                self.abandon_attempt(e, now, &mut displaced);
-                            }
+                        for e in ghosts {
+                            self.abandon_attempt(e, now, &mut displaced);
                         }
                         if !displaced.is_empty() {
                             self.open_disruptions.push((now, displaced));

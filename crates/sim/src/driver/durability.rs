@@ -57,6 +57,10 @@ pub(super) struct DurabilityLayer {
     /// until the unavailability deadline fails their jobs cleanly (or a
     /// falsely-suspected holder rejoins with the data).
     pub(super) unavailable: BTreeSet<BlockId>,
+    /// Bumped by every insert into or removal from `unavailable`. Parking
+    /// hides tasks from every application's runnable list without marking
+    /// their jobs, so the offer pass's decline memo is keyed on this too.
+    pub(super) parked_generation: u64,
     /// Next block index the scrubber examines (wraps around).
     pub(super) scrub_cursor: usize,
     /// Corruption draws: latent seeding, arrivals, victim picks, read
@@ -115,6 +119,7 @@ impl DurabilityLayer {
             cfg,
             onset,
             unavailable: BTreeSet::new(),
+            parked_generation: 0,
             scrub_cursor: 0,
             rng,
         })
@@ -148,6 +153,7 @@ impl DurabilityLayer {
             return true;
         }
         if self.unavailable.insert(block) {
+            self.parked_generation += 1;
             let deadline = SimDuration::from_secs_f64(self.cfg.unavailability_deadline_secs);
             metrics.blocks_unavailable += 1;
             queue.schedule(
@@ -353,6 +359,7 @@ impl Driver {
             .collect();
         for block in recovered {
             d.unavailable.remove(&block);
+            d.parked_generation += 1;
             self.metrics.blocks_recovered += 1;
         }
     }

@@ -122,6 +122,10 @@ pub(crate) struct HealthLayer {
     /// Transient-fault coins and retry-backoff jitter (the
     /// `"task-faults"` stream).
     pub fault_rng: SimRng,
+    /// Bumped whenever a belief's state, cost or `probes_started`
+    /// changes: equal readings mean `Driver::node_schedulable` and the
+    /// demotion cost table are unchanged in between.
+    pub generation: u64,
 }
 
 impl HealthLayer {
@@ -183,6 +187,7 @@ impl HealthLayer {
             ),
             rng,
             fault_rng: SimRng::for_stream(seed, "task-faults"),
+            generation: 0,
         })
     }
 
@@ -316,6 +321,7 @@ impl HealthLayer {
             next.name()
         );
         b.state = next;
+        self.generation += 1;
     }
 
     /// Quarantines `node` unless doing so would leave half the live
@@ -427,6 +433,9 @@ impl HealthLayer {
         let b = &mut self.belief[node.index()];
         let changed = b.cost != next;
         b.cost = next;
+        if changed {
+            self.generation += 1;
+        }
         changed
     }
 
@@ -533,6 +542,7 @@ impl Driver {
                 // window is what got the node quarantined and must not
                 // retry the verdict.
                 b.samples.clear();
+                h.generation += 1;
                 h.refresh_cost(node);
                 self.cache.mark_pool_changed();
             }
@@ -574,6 +584,7 @@ impl Driver {
         );
         if b.state == HealthState::Probation {
             b.probes_started += 1;
+            h.generation += 1;
             self.metrics.probes_launched += 1;
             if b.probes_started >= cap {
                 // The node just stopped accepting placements; the cached
