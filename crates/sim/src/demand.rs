@@ -28,16 +28,13 @@
 //! submission: when the NameNode journals a changed block, only the jobs
 //! actually reading that block get their preferred lists re-resolved.
 //!
-//! The cache also tracks two change flags — app demand and idle-pool
-//! membership — consulted by the driver's round-skip logic: when neither
-//! has changed since the last zero-grant round, re-running the allocator
-//! is provably idempotent and the round is skipped outright. The demand
-//! flag also gates grant replay (see `Driver::allocation_round`).
-//!
-//! Every add or mark also bumps the owning application's *generation*,
-//! whether or not the job was already dirty: the offer pass keys its
-//! decline memo on it, as an app's runnable list can only change when one
-//! of its jobs is added or marked.
+//! Every add or mark bumps the cache's *generation*, and the owning
+//! application's, whether or not the job was already dirty. The driver
+//! stamps each allocation round with the first: a round whose demand
+//! generation has not moved reads the same demand, one of the inputs
+//! round reuse compares (see `Driver::allocation_round`). The offer pass
+//! keys its decline memo on the second, as an app's runnable list can
+//! only change when one of its jobs is added or marked.
 
 use custody_core::{AppState, JobDemand, TaskDemand};
 use custody_dfs::BlockId;
@@ -74,8 +71,8 @@ pub(crate) fn job_demand_of(job: &RuntimeJob) -> Option<JobDemand> {
     })
 }
 
-/// Which jobs' demand entries in the kept view are stale, plus the change
-/// tracking that drives round skipping.
+/// Which jobs' demand entries in the kept view are stale, plus the
+/// generations that say whether any moved.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct DemandCache {
     /// Jobs whose demand entry is stale, indexed by global job index.
@@ -87,11 +84,8 @@ pub(crate) struct DemandCache {
     /// Registered once at submission (input blocks never change), so
     /// replica churn on a block dirties exactly its readers.
     watchers: Vec<Vec<u32>>,
-    /// Some job's demand (or app accounting) changed since the last
-    /// executed round.
-    demand_changed: bool,
-    /// Idle-pool membership changed since the last executed round.
-    pool_changed: bool,
+    /// Bumped by every add or mark of any job.
+    generation: u64,
     /// Each job's application index, indexed by global job index.
     job_app: Vec<usize>,
     /// Per application index, bumped by every add or mark of one of its
@@ -100,18 +94,6 @@ pub(crate) struct DemandCache {
 }
 
 impl DemandCache {
-    pub fn new() -> Self {
-        DemandCache {
-            dirty: Vec::new(),
-            dirty_list: Vec::new(),
-            watchers: Vec::new(),
-            demand_changed: true,
-            pool_changed: true,
-            job_app: Vec::new(),
-            app_generation: Vec::new(),
-        }
-    }
-
     /// Registers a newly submitted job (global job indices are dense and
     /// contiguous, so one push per submission keeps the vectors aligned)
     /// and indexes it as a watcher of its input blocks.
@@ -119,7 +101,7 @@ impl DemandCache {
         let j = self.dirty.len();
         self.dirty.push(true);
         self.dirty_list.push(j);
-        self.demand_changed = true;
+        self.generation += 1;
         let app = job.app.index();
         if app >= self.app_generation.len() {
             self.app_generation.resize(app + 1, 0);
@@ -139,15 +121,21 @@ impl DemandCache {
         }
     }
 
-    /// Marks one job's cached demand stale and moves its application's
-    /// generation.
+    /// Marks one job's cached demand stale and moves the generation and
+    /// its application's.
     pub fn mark_job(&mut self, job_idx: usize) {
         if !self.dirty[job_idx] {
             self.dirty[job_idx] = true;
             self.dirty_list.push(job_idx);
         }
-        self.demand_changed = true;
+        self.generation += 1;
         self.app_generation[self.job_app[job_idx]] += 1;
+    }
+
+    /// The demand generation: equal readings mean no job was added or
+    /// marked in between.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Application `app`'s generation: equal readings mean none of its
@@ -169,33 +157,9 @@ impl DemandCache {
         out.dedup();
     }
 
-    /// Records that the idle pool gained or lost an executor.
-    pub fn mark_pool_changed(&mut self) {
-        self.pool_changed = true;
-    }
-
-    /// Some job was added or marked since the last executed round. Read
-    /// before [`begin_round`](Self::begin_round) clears it.
-    pub fn demand_changed(&self) -> bool {
-        self.demand_changed
-    }
-
-    /// Neither demand nor pool changed since the last executed round, so
-    /// re-running the allocator would reproduce its exact outcome.
-    pub fn is_quiescent(&self) -> bool {
-        !self.demand_changed && !self.pool_changed
-    }
-
     /// No job's cached demand is stale: a view built now needs no refresh.
     pub fn is_fresh(&self) -> bool {
         self.dirty_list.is_empty()
-    }
-
-    /// Resets the change flags at the start of an executed round; grants
-    /// made inside the round re-set the pool flag.
-    pub fn begin_round(&mut self) {
-        self.demand_changed = false;
-        self.pool_changed = false;
     }
 
     /// Recomputes every dirty job's demand into its app's `pending_jobs`

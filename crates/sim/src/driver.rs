@@ -182,37 +182,35 @@ impl FaultKind {
     }
 }
 
-/// What the previous call to [`Driver::allocation_round`] did — consulted
-/// by the round-skip and grant-replay logic: when nothing the allocator can
-/// see has changed since, the round's outcome is replayed instead of
-/// recomputed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LastRound {
-    /// No round has run yet.
+/// What the last allocation round decided.
+#[derive(Debug, Clone, Default, PartialEq)]
+enum Decision {
+    /// Nothing to reuse: no round has run yet, or the idle pool was empty
+    /// (early return, uncounted).
+    #[default]
     None,
-    /// The idle pool was empty (early return, uncounted).
-    EmptyPool,
     /// Pool non-empty but no application wanted anything (early return,
     /// uncounted).
-    NoDemand,
-    /// The round executed (or replayed), was counted, and granted this
-    /// many executors.
-    Counted(usize),
+    DemandFree,
+    /// The round was counted and granted these, in the order `allocate`
+    /// returned them (possibly none).
+    Grants(Vec<Assignment>),
 }
 
-/// The last executed round's grants and what they were decided on, kept
-/// so that a later round on the same inputs replays them instead of
-/// calling the allocator.
+/// The last allocation round's decision and the stamps it was decided
+/// on, kept so that a later round on the same inputs reuses the decision
+/// instead of recomputing it (see [`Driver::allocation_round`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 struct KeptRound {
-    /// The grants, in the order `allocate` returned them.
-    grants: Vec<Assignment>,
+    decision: Decision,
+    /// The demand cache's generation when the round ran.
+    demand_generation: u64,
     /// `Driver::pool_generation` when the round ran.
     pool_generation: u64,
     /// The health layer's generation when the round ran.
     health_generation: u64,
-    /// Audited runs only: the round's idle list and per-app held counts,
-    /// which a replayed round must see again.
+    /// Audited runs only: the counted round's idle list and per-app held
+    /// counts, which a round reusing its grants must see again.
     idle: Vec<ExecutorInfo>,
     held: Vec<usize>,
 }
@@ -477,17 +475,17 @@ struct Driver {
     /// app's allocator-facing state, updated in place. Its idle half is
     /// filled only during a round that can grant.
     view: AllocationView,
-    /// Which jobs' entries in `view` are stale, plus round-skip tracking.
+    /// Which jobs' entries in `view` are stale, and the demand generation.
     cache: DemandCache,
-    /// Outcome of the previous allocation round.
-    last_round: LastRound,
-    /// Bumped by every pool change other than the release step and the
-    /// grant loop: a kill, a chaos recovery, a detector reinstatement.
+    /// Bumped by every change to the pool or to the allocator's view of it
+    /// other than the release step and the grant loop: a kill, a chaos
+    /// recovery, a detector reinstatement or suspicion, a health
+    /// transition that moves a node's schedulability or cost.
     pool_generation: u64,
-    /// Executors the release step returned since the last executed or
-    /// replayed round.
+    /// Executors the release step returned since the last counted or
+    /// demand-free round.
     released_since_round: usize,
-    /// The last executed round, for grant replay.
+    /// The last round's decision, for round reuse.
     kept_round: KeptRound,
     /// The health-cost table installed in the allocator, with the health
     /// generation it was built at (demotion runs only).
@@ -687,8 +685,7 @@ impl Driver {
             audit_enabled: cfg!(debug_assertions) || config.audit,
             trace: None,
             view,
-            cache: DemandCache::new(),
-            last_round: LastRound::None,
+            cache: DemandCache::default(),
             pool_generation: 0,
             released_since_round: 0,
             kept_round: KeptRound::default(),
@@ -900,7 +897,7 @@ impl Driver {
                 &mut self.metrics,
                 &mut self.queue,
             ) {
-                self.cache.mark_pool_changed();
+                self.pool_generation += 1;
             }
         }
         let key = (running.job_idx, running.stage, running.task);
@@ -1246,9 +1243,6 @@ impl Driver {
         if datanode_falls {
             self.refresh_all_preferred();
         }
-        if executors_fall {
-            self.cache.mark_pool_changed();
-        }
     }
 
     /// Re-resolves preferred nodes after the replica map changed. The
@@ -1311,8 +1305,7 @@ impl Driver {
         self.allocation_round(now);
         let next_gate = self.next_retry_gate(now);
         let gates = self.retry_gates.len();
-        let (_launched, min_retry) = self.offer_pass(now, next_gate);
-        if let Some(retry) = min_retry {
+        if let Some(retry) = self.offer_pass(now, next_gate) {
             self.schedule_wake(now + retry);
         }
         // Keep a wake armed for the earliest future retry gate: an
@@ -1363,10 +1356,7 @@ impl Driver {
         }
         idle.clear();
         self.idle_scratch = idle;
-        if released > 0 {
-            self.released_since_round += released;
-            self.cache.mark_pool_changed();
-        }
+        self.released_since_round += released;
     }
 
     /// Step 2: one allocation round through the cluster manager.
@@ -1375,79 +1365,76 @@ impl Driver {
     /// the dirtied jobs' entries into its apps half, and the idle half is
     /// filled only when some app wants an executor, then emptied again.
     ///
-    /// Three exact short-cuts avoid calling the allocator. Every allocator
-    /// but `DynamicOffer` is a function of the view and the installed
-    /// health costs (no allocator draws in `allocate`, and `DynamicOffer`
-    /// advances its cursor only on grants), so on an unchanged view it
-    /// would decide the same again:
+    /// **Round reuse.** The paper re-runs the allocator only when jobs
+    /// arrive or finish (§V); the driver gets the same effect exactly by
+    /// reusing the last round's decision when nothing it read has moved.
+    /// Every allocator but `DynamicOffer` is a function of the view and the
+    /// installed health costs (no allocator draws in `allocate`, and
+    /// `DynamicOffer` advances its cursor only on grants). A round's inputs
+    /// are the kept round's when no job was added or marked (the demand
+    /// generation), no pool change happened but the release step's
+    /// (`pool_generation`), and the executors released since are exactly
+    /// the kept grants, all back in the pool. Then:
     ///
-    /// * **Skip.** Nothing changed since a zero-grant or demand-free
-    ///   round: nothing would be granted. The skip replays the previous
-    ///   round's counting, so metrics stay bit-identical.
-    /// * **Replay.** Since the last executed round no job was marked, the
-    ///   only pool change is the release of exactly its grants, and
-    ///   neither the pool nor the health generation moved: the view is the
-    ///   one that round saw, so its grants are applied again through the
-    ///   same grant loop (leases, `held`, round counter), skipping only the
-    ///   idle list and `allocate`.
-    /// * With the auditor on, every skip is re-derived first
-    ///   (`audit_skipped_round`) and every replay re-checked against the
-    ///   recorded idle list and a fresh allocator (`audit_replayed_round`).
+    /// * **Demand-free** — the early return would fire again: skipped,
+    ///   uncounted, as one `rounds_skipped`.
+    /// * **Zero grants** — the allocator would see the view it granted
+    ///   nothing from: skipped, counted as a round and as skipped.
+    /// * **Grants** — replayed through the same grant loop (leases,
+    ///   `held`, round counter), skipping only the idle list and
+    ///   `allocate`, when the health generation did not move either and
+    ///   the allocator is `replayable`.
+    ///
+    /// With the auditor on, every reuse is re-derived first
+    /// (`audit_reused_round`).
     fn allocation_round(&mut self, now: SimTime) {
         if self.pool.is_empty() {
-            self.last_round = LastRound::EmptyPool;
+            self.kept_round.decision = Decision::None;
             return;
         }
-        if self.cache.is_quiescent() {
-            match self.last_round {
-                // Same non-empty pool, same demand: the allocator would
-                // see the identical view it granted nothing from.
-                LastRound::Counted(0) => {
+        let started = std::time::Instant::now();
+        if self.inputs_unchanged() {
+            let replayable = self.kept_round.health_generation == self.health_generation()
+                && self.allocator.replayable();
+            match &mut self.kept_round.decision {
+                Decision::DemandFree => {
                     if self.audit_enabled {
-                        self.audit_skipped_round();
+                        self.audit_reused_round(None);
+                    }
+                    self.metrics.rounds_skipped += 1;
+                    return;
+                }
+                Decision::Grants(grants) if grants.is_empty() => {
+                    if self.audit_enabled {
+                        self.audit_reused_round(Some(&[]));
                     }
                     self.metrics.allocation_rounds += 1;
                     self.metrics.rounds_skipped += 1;
                     return;
                 }
-                // Same pool, still nothing wanted: the early return would
-                // fire again without reaching the allocator.
-                LastRound::NoDemand => {
+                Decision::Grants(grants) if replayable => {
+                    let grants = std::mem::take(grants);
                     if self.audit_enabled {
-                        self.audit_skipped_round();
+                        self.audit_reused_round(Some(&grants));
                     }
-                    self.metrics.rounds_skipped += 1;
+                    self.metrics.allocation_rounds += 1;
+                    self.shortcuts.rounds_replayed += 1;
+                    self.alloc_wall += started.elapsed();
+                    self.grant(&grants, now);
+                    self.kept_round.decision = Decision::Grants(grants);
                     return;
                 }
-                // A granting round dirties the pool and `EmptyPool` with a
-                // now non-empty pool implies a pool change, so these are
-                // unreachable while quiescent; execute normally if hit.
-                _ => {}
+                Decision::Grants(_) | Decision::None => {}
             }
         }
-        let started = std::time::Instant::now();
-        if self.round_replays() {
-            self.cache.begin_round();
-            debug_assert!(self.cache.is_fresh(), "replayed round with stale demand");
-            if self.audit_enabled {
-                self.audit_replayed_round();
-            }
-            self.metrics.allocation_rounds += 1;
-            self.shortcuts.rounds_replayed += 1;
-            let grants = std::mem::take(&mut self.kept_round.grants);
-            self.alloc_wall += started.elapsed();
-            self.grant(&grants, now);
-            self.kept_round.grants = grants;
-            return;
-        }
-        self.cache.begin_round();
         self.refresh_demand();
         // Demand first: most dispatches find no app wanting an executor,
         // and the idle list is the one part of the view that costs
         // O(pool), so it is built only for a round that can grant.
         if no_demand(&self.view.apps) {
             self.alloc_wall += started.elapsed();
-            self.last_round = LastRound::NoDemand;
+            self.released_since_round = 0;
+            self.keep_round(Decision::DemandFree, Vec::new(), Vec::new());
             return;
         }
         self.view.idle = self.idle_executors();
@@ -1470,33 +1457,38 @@ impl Driver {
             (Vec::new(), Vec::new())
         };
         self.grant(&assignments, now);
+        self.keep_round(Decision::Grants(assignments), idle, held);
+    }
+
+    /// Whether this round's inputs are exactly the kept round's (see
+    /// [`allocation_round`](Self::allocation_round)). Every kept grant is
+    /// back in the pool and nothing else was released, so the released
+    /// set is the grants; `held` is then what that round saw too (the
+    /// auditor checks it).
+    fn inputs_unchanged(&self) -> bool {
+        let kept = &self.kept_round;
+        let grants: &[Assignment] = match &kept.decision {
+            Decision::Grants(grants) => grants,
+            Decision::None | Decision::DemandFree => &[],
+        };
+        kept.demand_generation == self.cache.generation()
+            && kept.pool_generation == self.pool_generation
+            && self.released_since_round == grants.len()
+            && grants
+                .iter()
+                .all(|a| self.pool.contains(a.executor.index()))
+    }
+
+    /// Records this round's decision with the stamps it was decided on.
+    fn keep_round(&mut self, decision: Decision, idle: Vec<ExecutorInfo>, held: Vec<usize>) {
         self.kept_round = KeptRound {
-            grants: assignments,
+            decision,
+            demand_generation: self.cache.generation(),
             pool_generation: self.pool_generation,
             health_generation: self.health_generation(),
             idle,
             held,
         };
-    }
-
-    /// Whether this round's inputs are exactly the last executed round's,
-    /// so it may replay that round's grants (see
-    /// [`allocation_round`](Self::allocation_round)). Every grant is back
-    /// in the pool and nothing else was released, so the released set is
-    /// the grants; `held` is then what that round saw too (the auditor
-    /// checks it).
-    fn round_replays(&self) -> bool {
-        let kept = &self.kept_round;
-        matches!(self.last_round, LastRound::Counted(_))
-            && !self.cache.demand_changed()
-            && self.released_since_round == kept.grants.len()
-            && kept.pool_generation == self.pool_generation
-            && kept.health_generation == self.health_generation()
-            && self.allocator.replayable()
-            && kept
-                .grants
-                .iter()
-                .all(|a| self.pool.contains(a.executor.index()))
     }
 
     /// Applies one round's grants: pool, owner, `held` and a lease per
@@ -1521,11 +1513,7 @@ impl Driver {
                 }
             }
         }
-        if !grants.is_empty() {
-            self.cache.mark_pool_changed();
-        }
         self.released_since_round = 0;
-        self.last_round = LastRound::Counted(grants.len());
     }
 
     /// The health layer's generation (0 without the layer).
@@ -1609,7 +1597,7 @@ impl Driver {
     }
 
     /// Step 3: offer idle held executors to their applications' task
-    /// schedulers. Returns `(tasks launched, earliest decline retry)`.
+    /// schedulers. Returns the earliest decline retry.
     ///
     /// An offer its app's decline memo answers is not made: the node was
     /// declined under the same runnable list (no job of the app added or
@@ -1622,12 +1610,7 @@ impl Driver {
     /// offer. With the auditor on, every memoized offer is re-made on a
     /// copy of the scheduler (`audit_memo_hit`). The runnable list is
     /// built lazily, on the first offer the memo does not answer.
-    fn offer_pass(
-        &mut self,
-        now: SimTime,
-        next_gate: Option<SimTime>,
-    ) -> (usize, Option<SimDuration>) {
-        let mut launched_total = 0;
+    fn offer_pass(&mut self, now: SimTime, next_gate: Option<SimTime>) -> Option<SimDuration> {
         let mut min_retry: Option<SimDuration> = None;
         let mut idle = std::mem::take(&mut self.idle_scratch);
         loop {
@@ -1705,11 +1688,10 @@ impl Driver {
                 }
                 self.runnable_scratch = runnable;
             }
-            launched_total += launched_this_pass;
             if launched_this_pass == 0 {
                 idle.clear();
                 self.idle_scratch = idle;
-                return (launched_total, min_retry);
+                return min_retry;
             }
         }
     }
@@ -2687,10 +2669,11 @@ mod tests {
         );
     }
 
-    /// Both dispatch short-cuts fire on an audited composed-fault run
+    /// Every dispatch short-cut fires on an audited composed-fault run
     /// (lossy heartbeats, fail-slow nodes with detection and demotion,
-    /// latent corruption): rounds replay their kept grants and offers are
-    /// answered from decline memos, each re-derived by the auditor.
+    /// latent corruption): rounds are skipped, rounds replay their kept
+    /// grants and offers are answered from decline memos, each re-derived
+    /// by the auditor.
     #[test]
     fn composed_faults_replay_rounds_and_memoize_declines() {
         use crate::config::{ControlPlaneConfig, CorruptionConfig, FailSlowConfig};
@@ -2709,6 +2692,7 @@ mod tests {
         assert!(offers_memoized > 0, "no offer was answered from a memo");
         let out = driver.finish().0.cluster_metrics;
         assert_eq!(out.jobs_completed + out.jobs_failed, 12);
+        assert!(out.rounds_skipped > 0, "no round was skipped");
         assert!(
             out.allocation_rounds > rounds_replayed,
             "replays are counted among the rounds"
@@ -2788,6 +2772,64 @@ mod tests {
             assert_eq!(out.jobs_completed, 12, "seed {seed}");
         }
         assert!(replayed > 0, "no round replayed its grants");
+    }
+
+    /// A fail-slow run with detection, stepped until `ready` holds.
+    fn failslow_driver_until(ready: fn(&Driver) -> bool) -> Driver {
+        use crate::config::FailSlowConfig;
+        let cfg = small(AllocatorKind::StaticSpread, 3)
+            .with_failslow(FailSlowConfig::default().with_sick_fraction(0.3));
+        let mut driver = Driver::new(&cfg);
+        while !ready(&driver) {
+            assert!(driver.step(), "the run ended first");
+        }
+        driver
+    }
+
+    /// A health change that moves no other stamp, as a speculative clone
+    /// probing a probation node below its cap does, leaves the allocator's
+    /// view alone: a zero-grant round is still skipped, as the pinned
+    /// round counts require. Only a replay reads the health generation.
+    #[test]
+    fn zero_grant_skip_ignores_the_health_generation() {
+        let mut driver = failslow_driver_until(|d| {
+            d.kept_round.decision == Decision::Grants(Vec::new()) && d.inputs_unchanged()
+        });
+        let m = &driver.metrics;
+        let counts = (m.allocation_rounds + 1, m.rounds_skipped + 1);
+        if let Some(h) = &mut driver.health {
+            h.generation += 1;
+        }
+        driver.allocation_round(driver.queue.now());
+        let m = &driver.metrics;
+        assert_eq!((m.allocation_rounds, m.rounds_skipped), counts);
+    }
+
+    /// A probe that fills a probation node's quota hides the node's pooled
+    /// executors from the allocator. When the probe is a speculative clone
+    /// nothing is released or marked, so the probe must move the pool
+    /// stamp itself. The kept round is forged to a zero-grant decision
+    /// over the current view, which the next round would otherwise skip.
+    #[test]
+    fn probe_cap_refuses_a_zero_grant_skip() {
+        use custody_cluster::HealthState;
+        let mut driver = failslow_driver_until(|d| !d.idle_executors().is_empty());
+        let idle = driver.idle_executors();
+        let node = idle[0].node;
+        let held = driver.view.apps.iter().map(|a| a.held).collect();
+        driver.refresh_demand();
+        driver.released_since_round = 0;
+        driver.keep_round(Decision::Grants(Vec::new()), idle, held);
+        assert!(driver.inputs_unchanged());
+        if let Some(h) = &mut driver.health {
+            let b = &mut h.belief[node.index()];
+            b.state = HealthState::Probation;
+            b.probes_started = h.cfg.probation_probes - 1;
+        }
+        let skipped = driver.metrics.rounds_skipped;
+        driver.note_health_launch(node);
+        driver.allocation_round(driver.queue.now());
+        assert_eq!(driver.metrics.rounds_skipped, skipped, "round skipped");
     }
 
     /// A driver a few events into a run, so jobs, grants and launches

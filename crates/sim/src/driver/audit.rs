@@ -43,16 +43,16 @@
 //!    silences the DataNode channel (`FaultKind::silences`).
 //! 9. **Demand-cache freshness** — every clean job's entry in the kept
 //!    view matches a from-scratch recomputation, the view's idle half is
-//!    empty between rounds, and every skipped allocation round is
-//!    one the allocator would really have wasted: re-derived on the spot
-//!    (without touching driver state), a round skipped after a
-//!    demand-free round sees no demand, and one skipped after a
-//!    zero-grant round gets no grant from a copy of the allocator. A
+//!    empty between rounds, and every round that reuses the kept
+//!    decision is one the allocator would really have decided the same
+//!    way, re-derived on the spot without touching driver state: a round
+//!    reused after a demand-free round sees no demand; any other sees the
+//!    kept round's idle list and held counts again, and its grants (none
+//!    for a skip) are what a copy of the live allocator, priced with the
+//!    current health costs, and for Custody a fresh one, grant on them; a
+//!    replay with grants also finds the installed cost table current. A
 //!    Custody allocator keeps its round across calls, so every round it
-//!    plays must grant exactly what a freshly built one grants. A
-//!    replayed round sees the kept round's idle list, held counts and
-//!    health costs again, and its grants are what a copy of the live
-//!    allocator (and, for Custody, a fresh one) grants on them. An offer
+//!    plays must grant exactly what a freshly built one grants. An offer
 //!    answered by a decline memo is re-made on a copy of the app's
 //!    scheduler, which must decline with the same deadline and stay
 //!    equal to the original.
@@ -95,9 +95,7 @@ use custody_simcore::SimTime;
 
 use crate::job::TaskState;
 
-use super::{
-    no_demand, DetectorState, Driver, Event, FaultKind, HbChannel, HealthLayer, LastRound,
-};
+use super::{no_demand, DetectorState, Driver, Event, FaultKind, HbChannel, HealthLayer};
 
 impl Driver {
     /// Checks every driver invariant, panicking with a description of
@@ -137,73 +135,61 @@ impl Driver {
         }
     }
 
-    /// Invariant 9, skip half: called in place of a skipped allocation
-    /// round, it re-reads that round's view — the quiescent cache has
-    /// nothing to refresh, and a clone of the kept view gets the idle
-    /// half — and checks the replayed outcome is the one
-    /// running the round would produce: no demand after a demand-free
-    /// round, and no grant after a zero-grant round from a copy of the
-    /// allocator drawing on a copy of its RNG stream. Driver state is left
-    /// untouched, so an audited run stays bit-identical to an unaudited
-    /// one.
-    pub(super) fn audit_skipped_round(&self) {
+    /// Invariant 9, reuse half: called in place of a round that reuses
+    /// the kept decision, before it is applied. After a demand-free round
+    /// (`grants` is `None`) no application may want anything. Otherwise it
+    /// rebuilds the round's view — the unchanged cache has nothing to
+    /// refresh, and a clone of the kept view gets the idle half — and
+    /// checks it is the kept round's (idle list and held counts), that the
+    /// reused `grants` are what a copy of the live allocator priced with
+    /// the current health costs grants on it (a zero-grant skip does not
+    /// read the health generation, so the installed table may predate
+    /// it), for a replay with grants that the installed cost table is
+    /// current, and for a Custody allocator that a fresh one
+    /// grants the same ([`audit_kept_round`](Self::audit_kept_round)).
+    /// Driver state is left untouched, so an audited run stays
+    /// bit-identical to an unaudited one.
+    pub(super) fn audit_reused_round(&self, grants: Option<&[Assignment]>) {
         assert!(
             self.cache.is_fresh(),
-            "round skipped with stale demand in the cache"
+            "round reused with stale demand in the cache"
         );
-        if self.last_round == LastRound::NoDemand {
-            assert!(
+        let Some(grants) = grants else {
+            return assert!(
                 no_demand(&self.view.apps),
                 "round skipped as demand-free while an application wants executors"
             );
-            return;
-        }
-        let mut view = self.view.clone();
-        view.idle = self.idle_executors();
-        let mut allocator = self.allocator.clone_box();
-        if let Some(costs) = self.demotion_costs() {
-            allocator.set_node_health_costs(&costs);
-        }
-        let grants = allocator.allocate(&view, &mut self.alloc_rng.clone());
-        assert!(
-            grants.is_empty(),
-            "skipped round would have granted {} executors",
-            grants.len()
-        );
-    }
-
-    /// Invariant 9, replay half: called in place of the allocator on a
-    /// replayed round, it rebuilds the round's view and checks it is the
-    /// kept round's — idle list, held counts and installed health costs —
-    /// and that the kept grants are what a copy of the live allocator
-    /// grants on it, and for a Custody allocator a fresh one too
-    /// ([`audit_kept_round`](Self::audit_kept_round)).
-    pub(super) fn audit_replayed_round(&self) {
+        };
         let kept = &self.kept_round;
         let mut view = self.view.clone();
         view.idle = self.idle_executors();
         assert_eq!(
             view.idle, kept.idle,
-            "replayed round sees another idle list than the kept round"
+            "reused round sees another idle list than the kept round"
         );
         let held: Vec<usize> = view.apps.iter().map(|a| a.held).collect();
         assert_eq!(
             held, kept.held,
-            "replayed round sees other held counts than the kept round"
+            "reused round sees other held counts than the kept round"
         );
-        let costs = self.health_costs.as_ref().map(|(_, c)| &c[..]);
-        assert_eq!(
-            costs.map(<[_]>::to_vec),
-            self.demotion_costs(),
-            "replayed round with a stale health-cost table installed"
-        );
+        let costs = self.demotion_costs();
+        if !grants.is_empty() {
+            assert_eq!(
+                self.health_costs.as_ref().map(|(_, c)| &c[..]),
+                costs.as_deref(),
+                "replayed round with a stale health-cost table installed"
+            );
+        }
         let mut live = self.allocator.clone_box();
+        if let Some(costs) = &costs {
+            live.set_node_health_costs(costs);
+        }
         assert_eq!(
             live.allocate(&view, &mut self.alloc_rng.clone()),
-            kept.grants,
-            "replayed grants differ from what the allocator grants"
+            grants,
+            "reused round's grants differ from what the allocator grants"
         );
-        self.audit_kept_round(&view, &kept.grants, costs);
+        self.audit_kept_round(&view, grants, costs.as_deref());
     }
 
     /// Invariant 9, memo half: an offer of `node` to app `i` that its

@@ -168,6 +168,5 @@ impl Driver {
         }
         self.metrics.nodes_recovered += 1;
         self.pool_generation += 1;
-        self.cache.mark_pool_changed();
     }
 }

@@ -195,7 +195,6 @@ fn assert_converged(live: &Driver, ghost: &Driver) {
     check!(perma_down);
     check!(remote_reads_in_flight);
     check!(metrics);
-    check!(last_round);
     check!(health);
     check!(retry_gates);
     check!(partition);

@@ -381,7 +381,6 @@ impl Driver {
                         }
                         if reinstated {
                             self.pool_generation += 1;
-                            self.cache.mark_pool_changed();
                         }
                         let mut displaced: BTreeSet<TaskKey> = BTreeSet::new();
                         for e in ghosts {
@@ -486,9 +485,6 @@ impl Driver {
                 if !displaced.is_empty() {
                     self.open_disruptions.push((now, displaced));
                 }
-                if !expired.is_empty() {
-                    self.cache.mark_pool_changed();
-                }
             }
         }
     }
@@ -501,7 +497,11 @@ impl Driver {
         let executors: Vec<ExecutorId> = self.cluster.executors_on(node).to_vec();
         self.note_minority_discards(&executors);
         self.kill_executors_on(node, now);
-        self.cache.mark_pool_changed();
+        // Moves the stamp even when lease expiry already belief-killed
+        // every executor here and the pool is unchanged: the round after
+        // a suspicion has always run in full, and the pinned round counts
+        // say so.
+        self.pool_generation += 1;
     }
 
     /// The master gave up on a node's DataNode: drop its replicas and

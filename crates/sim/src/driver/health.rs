@@ -544,7 +544,7 @@ impl Driver {
                 b.samples.clear();
                 h.generation += 1;
                 h.refresh_cost(node);
-                self.cache.mark_pool_changed();
+                self.pool_generation += 1;
             }
         }
     }
@@ -589,7 +589,7 @@ impl Driver {
             if b.probes_started >= cap {
                 // The node just stopped accepting placements; the cached
                 // idle view must not replay it as available.
-                self.cache.mark_pool_changed();
+                self.pool_generation += 1;
             }
         }
     }
