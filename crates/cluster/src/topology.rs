@@ -57,21 +57,6 @@ impl ClusterSpec {
         }
     }
 
-    /// The paper's small deployment (25 nodes).
-    pub fn paper_small() -> Self {
-        Self::paper(25)
-    }
-
-    /// The paper's medium deployment (50 nodes).
-    pub fn paper_medium() -> Self {
-        Self::paper(50)
-    }
-
-    /// The paper's full deployment (100 nodes).
-    pub fn paper_large() -> Self {
-        Self::paper(100)
-    }
-
     /// A tiny cluster for worked examples (Figs. 1, 3, 4): `n` nodes,
     /// one single-slot executor each, replication 1 so each block lives on
     /// exactly one node.
@@ -252,14 +237,13 @@ mod tests {
 
     #[test]
     fn paper_spec_matches_evaluation_setup() {
-        let s = ClusterSpec::paper_large();
+        let s = ClusterSpec::paper(100);
         assert_eq!(s.num_nodes, 100);
         assert_eq!(s.executors_per_node, 2);
         assert_eq!(s.cores_per_node, 8);
         assert_eq!(s.replication, 3);
         assert_eq!(s.total_executors(), 200);
-        assert_eq!(ClusterSpec::paper_small().num_nodes, 25);
-        assert_eq!(ClusterSpec::paper_medium().num_nodes, 50);
+        assert_eq!(ClusterSpec::paper(25).num_nodes, 25);
     }
 
     #[test]

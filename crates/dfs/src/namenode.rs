@@ -98,11 +98,6 @@ impl NameNode {
         self.blocks.len()
     }
 
-    /// Total number of registered datasets.
-    pub fn num_datasets(&self) -> usize {
-        self.datasets.len()
-    }
-
     /// Registers a dataset of `total_bytes`, splitting it into blocks of
     /// `block_size` and placing each block's replicas via `policy`.
     ///
@@ -412,17 +407,6 @@ impl NameNode {
         self.replicas
             .iter()
             .filter(|locs| locs.len() == 1 && self.datanodes[locs[0].index()].is_decommissioned())
-            .count()
-    }
-
-    /// Number of blocks whose *only* replica sits on `node` — what a
-    /// suspicion of that node alone puts on borrowed time. Counts both
-    /// live and decommissioned nodes so callers can score a suspicion
-    /// before or after it takes effect.
-    pub fn sole_replica_on(&self, node: NodeId) -> usize {
-        self.replicas
-            .iter()
-            .filter(|locs| locs.len() == 1 && locs[0] == node)
             .count()
     }
 
@@ -932,7 +916,6 @@ mod tests {
             &mut RandomPlacement,
             &mut rng,
         );
-        assert_eq!(nn.num_datasets(), 2);
         let blocks_a = &nn.dataset(a).blocks;
         let blocks_b = &nn.dataset(b).blocks;
         assert!(blocks_a.iter().all(|x| !blocks_b.contains(x)));

@@ -11,7 +11,9 @@
 //!
 //! * **submit** — a new job appears (dirty, no entry yet).
 //! * **launch** — an input task leaves the unsatisfied list and the app's
-//!   locality accounting may advance.
+//!   locality history may advance.
+//! * **rebind** — a twin attempt of another locality takes over a
+//!   running task's record.
 //! * **finish** — downstream stages may unlock (new pending tasks) or the
 //!   job may complete (its entry disappears).
 //! * **re-queue / node failure / recovery** — tasks return to the
@@ -20,6 +22,13 @@
 //!   re-queued or whose preferred lists actually changed are dirtied
 //!   (the invariant auditor cross-checks this precision after every
 //!   event).
+//!
+//! The cache is also the only writer of each application's locality
+//! history in the view — Algorithm 1's `total_jobs`, `total_tasks`,
+//! `local_tasks` and `local_jobs`. It keeps every job's last [`Credit`]
+//! to those counters, and a refresh moves the app's counters from a
+//! dirty job's old credit to the one its task records give now, so the
+//! history is derived from the records rather than kept by hand.
 //!
 //! Dirty jobs sit in an explicit work list, so a refresh costs O(dirtied)
 //! rather than O(all jobs) — at 100k nodes × thousands of jobs the
@@ -41,11 +50,12 @@ use custody_dfs::BlockId;
 
 use crate::job::{RuntimeJob, TaskState};
 
-/// Computes one job's allocator-facing demand; `None` when the job wants
+/// Computes one job's allocator-facing demand, given `satisfied_inputs`,
+/// its input tasks launched data-locally; `None` when the job wants
 /// nothing (finished, or no runnable stage has unlaunched tasks). Single
 /// source of truth shared by the cache's refresh and its audit, so the
 /// two can never drift.
-pub(crate) fn job_demand_of(job: &RuntimeJob) -> Option<JobDemand> {
+pub(crate) fn job_demand_of(job: &RuntimeJob, satisfied_inputs: usize) -> Option<JobDemand> {
     let pending = job.pending_tasks();
     if job.is_finished() || pending == 0 {
         return None;
@@ -61,7 +71,6 @@ pub(crate) fn job_demand_of(job: &RuntimeJob) -> Option<JobDemand> {
             preferred_nodes: t.preferred.clone(),
         })
         .collect();
-    let satisfied_inputs = job.local_input_tasks();
     Some(JobDemand {
         job: job.id,
         unsatisfied_inputs,
@@ -71,11 +80,45 @@ pub(crate) fn job_demand_of(job: &RuntimeJob) -> Option<JobDemand> {
     })
 }
 
-/// Which jobs' demand entries in the kept view are stale, plus the
-/// generations that say whether any moved.
+/// One job's share of its application's locality history: the job, its
+/// input tasks, those launched data-locally, and the job again as a local
+/// job when every input task was. A job with no input task is never
+/// local.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Credit {
+    pub total_jobs: usize,
+    pub total_tasks: usize,
+    pub local_tasks: usize,
+    pub local_jobs: usize,
+}
+
+impl Credit {
+    /// `job`'s credit, `local` of its input tasks launched data-locally.
+    fn of(job: &RuntimeJob, local: usize) -> Self {
+        let tasks = job.num_input_tasks();
+        Credit {
+            total_jobs: 1,
+            total_tasks: tasks,
+            local_tasks: local,
+            local_jobs: usize::from(tasks > 0 && local == tasks),
+        }
+    }
+
+    /// Moves `app`'s history from crediting `self` to crediting `new`.
+    fn move_to(self, new: Credit, app: &mut AppState) {
+        app.total_jobs = app.total_jobs - self.total_jobs + new.total_jobs;
+        app.total_tasks = app.total_tasks - self.total_tasks + new.total_tasks;
+        app.local_tasks = app.local_tasks - self.local_tasks + new.local_tasks;
+        app.local_jobs = app.local_jobs - self.local_jobs + new.local_jobs;
+    }
+}
+
+/// Which jobs' demand entries and credits in the kept view are stale,
+/// plus the generations that say whether any moved.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct DemandCache {
-    /// Jobs whose demand entry is stale, indexed by global job index.
+    /// Jobs whose demand entry and credit are stale, indexed by global
+    /// job index.
     dirty: Vec<bool>,
     /// The dirty jobs, each exactly once (guarded by `dirty`), in marking
     /// order — the refresh work list.
@@ -91,15 +134,20 @@ pub(crate) struct DemandCache {
     /// Per application index, bumped by every add or mark of one of its
     /// jobs.
     app_generation: Vec<u64>,
+    /// Each job's credit to its app's history as of its last refresh,
+    /// indexed by global job index.
+    credit: Vec<Credit>,
 }
 
 impl DemandCache {
     /// Registers a newly submitted job (global job indices are dense and
-    /// contiguous, so one push per submission keeps the vectors aligned)
-    /// and indexes it as a watcher of its input blocks.
+    /// contiguous, so one push per submission keeps the vectors aligned),
+    /// not yet credited to its app's history, and indexes it as a watcher
+    /// of its input blocks.
     pub fn note_job_added(&mut self, job: &RuntimeJob) {
         let j = self.dirty.len();
         self.dirty.push(true);
+        self.credit.push(Credit::default());
         self.dirty_list.push(j);
         self.generation += 1;
         let app = job.app.index();
@@ -121,8 +169,8 @@ impl DemandCache {
         }
     }
 
-    /// Marks one job's cached demand stale and moves the generation and
-    /// its application's.
+    /// Marks one job's cached demand and credit stale and moves the
+    /// generation and its application's.
     pub fn mark_job(&mut self, job_idx: usize) {
         if !self.dirty[job_idx] {
             self.dirty[job_idx] = true;
@@ -162,19 +210,25 @@ impl DemandCache {
         self.dirty_list.is_empty()
     }
 
-    /// Recomputes every dirty job's demand into its app's `pending_jobs`
-    /// — replaced, inserted or removed — in O(jobs dirtied since the last
-    /// refresh). Global job ids are assigned in submission order, so each
-    /// list stays sorted by id and the entry is found by binary search.
+    /// Recomputes every dirty job's credit into its app's history and its
+    /// demand into its app's `pending_jobs` — replaced, inserted or
+    /// removed — in O(jobs dirtied since the last refresh). Global job ids
+    /// are assigned in submission order, so each list stays sorted by id
+    /// and the entry is found by binary search.
     pub fn refresh(&mut self, jobs: &[RuntimeJob], apps: &mut [AppState]) {
         debug_assert_eq!(self.dirty.len(), jobs.len(), "one slot per job");
         let mut dirty_list = std::mem::take(&mut self.dirty_list);
         for j in dirty_list.drain(..) {
             self.dirty[j] = false;
             let job = &jobs[j];
-            let pending = &mut apps[job.app.index()].pending_jobs;
+            let app = &mut apps[job.app.index()];
+            let local = job.local_input_tasks();
+            let credit = Credit::of(job, local);
+            self.credit[j].move_to(credit, app);
+            self.credit[j] = credit;
+            let pending = &mut app.pending_jobs;
             let found = pending.binary_search_by_key(&job.id, |d| d.job);
-            match (found, job_demand_of(job)) {
+            match (found, job_demand_of(job, local)) {
                 (Ok(pos), Some(fresh)) => pending[pos] = fresh,
                 (Err(pos), Some(fresh)) => pending.insert(pos, fresh),
                 (Ok(pos), None) => {
@@ -186,11 +240,26 @@ impl DemandCache {
         self.dirty_list = dirty_list;
     }
 
-    /// Invariant audit: every *clean* job's entry in `apps` must be
-    /// exactly the demand a from-scratch recomputation would produce (no
-    /// entry when it wants nothing). This is what catches a missed
-    /// `mark_job` — e.g. a failure path that re-queued a task or changed a
-    /// preferred list without dirtying the job.
+    /// The sum of the credits recorded for `jobs` (global job indices):
+    /// what their app's history in the view must read.
+    pub fn credited(&self, jobs: &[usize]) -> Credit {
+        jobs.iter().fold(Credit::default(), |sum, &j| {
+            let c = self.credit[j];
+            Credit {
+                total_jobs: sum.total_jobs + c.total_jobs,
+                total_tasks: sum.total_tasks + c.total_tasks,
+                local_tasks: sum.local_tasks + c.local_tasks,
+                local_jobs: sum.local_jobs + c.local_jobs,
+            }
+        })
+    }
+
+    /// Invariant audit: every *clean* job's recorded credit and its entry
+    /// in `apps` must be exactly what a from-scratch recomputation would
+    /// produce (no entry when it wants nothing). This is what catches a
+    /// missed `mark_job` — e.g. a failure path that re-queued a task,
+    /// rebound a record or changed a preferred list without dirtying the
+    /// job.
     pub fn audit(&self, jobs: &[RuntimeJob], apps: &[AppState]) {
         assert_eq!(self.dirty.len(), jobs.len(), "one cache slot per job");
         for (j, job) in jobs.iter().enumerate() {
@@ -201,6 +270,12 @@ impl DemandCache {
                 );
                 continue;
             }
+            let local = job.local_input_tasks();
+            assert_eq!(
+                self.credit[j],
+                Credit::of(job, local),
+                "stale locality credit for job {j}: a mutation was not marked"
+            );
             let pending = &apps[job.app.index()].pending_jobs;
             let cached = pending
                 .binary_search_by_key(&job.id, |d| d.job)
@@ -208,7 +283,7 @@ impl DemandCache {
                 .map(|pos| &pending[pos]);
             assert_eq!(
                 cached,
-                job_demand_of(job).as_ref(),
+                job_demand_of(job, local).as_ref(),
                 "stale demand cache for job {j}: a mutation was not marked"
             );
         }

@@ -272,7 +272,7 @@ struct Shortcuts {
 /// One in-flight attempt of a task. The task *record*
 /// ([`crate::job::RuntimeTask`]) describes exactly one attempt — the
 /// record-bound one; a speculative clone carries its own locality and
-/// launch time here so accounting can be moved attempt-exactly when the
+/// launch time here so the record can be rebound attempt-exactly when the
 /// record-bound attempt dies or loses its race.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct RunningTask {
@@ -314,7 +314,7 @@ enum Kill {
     /// its locality credit).
     Twin(RunningTask),
     /// This was the last attempt: the task re-queues and the record-bound
-    /// launch accounting is rolled back exactly.
+    /// launch is rolled back exactly.
     Requeue,
 }
 
@@ -784,9 +784,6 @@ impl Driver {
             now,
         );
         a.jobs.push(self.jobs.len());
-        let v = &mut self.view.apps[app.index()];
-        v.total_jobs += 1;
-        v.total_tasks += job.num_input_tasks();
         self.cache.note_job_added(&job);
         // A job arriving after a block tombstoned (and after its
         // deadline fired) still gets a bounded wait.
@@ -977,29 +974,12 @@ impl Driver {
         }
     }
 
-    /// Accounting hook: called when a job's input stage fully launches,
-    /// so Algorithm 1's historical fractions advance. Guarded by the
-    /// job's `settled_local` flag so a failure-induced re-queue and
-    /// relaunch cannot double-credit.
-    fn settle_input_accounting(&mut self, job_idx: usize) {
-        let job = &mut self.jobs[job_idx];
-        let stage = &job.stages[0];
-        if !job.settled_local
-            && stage.launched == stage.tasks.len()
-            && job.local_input_tasks() == stage.tasks.len()
-        {
-            job.settled_local = true;
-            self.view.apps[job.app.index()].local_jobs += 1;
-        }
-    }
-
-    /// Makes the task record describe `attempt` (locality + launch time),
-    /// moving the per-app locality accounting by the exact difference.
-    /// No-op when the record already describes it.
+    /// Makes the task record describe `attempt` (locality + launch time)
+    /// and marks the job, so the app's locality history follows the
+    /// record. No-op when the record already describes it.
     fn rebind_attempt(&mut self, attempt: &RunningTask) {
         let key = (attempt.job_idx, attempt.stage, attempt.task);
         let (j, s, t) = key;
-        let app_idx = self.jobs[j].app.index();
         let record = &mut self.jobs[j].stages[s].tasks[t];
         let TaskState::Running {
             since,
@@ -1018,20 +998,6 @@ impl Driver {
             local: attempt.local,
         };
         self.cache.mark_job(j);
-        if s == 0 && old_local != attempt.local {
-            let app = &mut self.view.apps[app_idx];
-            if old_local == Some(true) {
-                app.local_tasks -= 1;
-            }
-            if attempt.local == Some(true) {
-                app.local_tasks += 1;
-            }
-            if self.jobs[j].settled_local && attempt.local != Some(true) {
-                self.jobs[j].settled_local = false;
-                app.local_jobs -= 1;
-            }
-            self.settle_input_accounting(j);
-        }
     }
 
     /// An in-flight attempt died: carries out `kill`, decided for it by
@@ -1059,8 +1025,7 @@ impl Driver {
                 TaskState::Running { launched_at, .. } if launched_at == running.launched_at),
             "record-bound attempt mismatch at re-queue"
         );
-        let was_local = job
-            .mark_requeued(key.1, key.2, now)
+        job.mark_requeued(key.1, key.2, now)
             .unwrap_or_else(|state| lifecycle_bug("re-queueing", key, state));
         if key.1 == 0 {
             // The record's preferred snapshot may predate replica churn
@@ -1068,14 +1033,6 @@ impl Driver {
             // their snapshot); the re-queued task chases the current map,
             // like any other unlaunched task.
             job.refresh_task_preferred(key.2, &self.namenode);
-            let app = &mut self.view.apps[job.app.index()];
-            if was_local {
-                app.local_tasks -= 1;
-            }
-            if job.settled_local {
-                job.settled_local = false;
-                app.local_jobs -= 1;
-            }
         }
         self.cache.mark_job(key.0);
         self.metrics.tasks_requeued += 1;
@@ -1190,15 +1147,22 @@ impl Driver {
         true
     }
 
-    /// Kills every live executor on `node`. Displaced tasks are tracked
-    /// as one open disruption for the recovery-time-to-stable-locality
-    /// metric.
+    /// Kills every live executor on `node`, as one disruption.
     fn kill_executors_on(&mut self, node: custody_dfs::NodeId, now: SimTime) {
         let executors: Vec<ExecutorId> = self.cluster.executors_on(node).to_vec();
+        self.disrupt(now, |d, displaced| {
+            for e in executors {
+                d.kill_executor(e, now, displaced);
+            }
+        });
+    }
+
+    /// Runs `kill`, which rolls attempts back and collects the tasks it
+    /// re-queues, and tracks those tasks, if any, as one open disruption
+    /// for the recovery-time-to-stable-locality metric.
+    fn disrupt(&mut self, now: SimTime, kill: impl FnOnce(&mut Self, &mut BTreeSet<TaskKey>)) {
         let mut displaced = BTreeSet::new();
-        for e in executors {
-            self.kill_executor(e, now, &mut displaced);
-        }
+        kill(self, &mut displaced);
         if !displaced.is_empty() {
             self.open_disruptions.push((now, displaced));
         }
@@ -1871,13 +1835,6 @@ impl Driver {
             .metrics
             .queueing_delay_secs
             .push(queueing.as_secs_f64());
-
-        if is_input {
-            if actual_local {
-                self.view.apps[app_idx].local_tasks += 1;
-            }
-            self.settle_input_accounting(job_idx);
-        }
 
         self.start_attempt(executor, (job_idx, stage, task), false, now);
         if !self.open_disruptions.is_empty() {
@@ -2832,6 +2789,64 @@ mod tests {
         assert_eq!(driver.metrics.rounds_skipped, skipped, "round skipped");
     }
 
+    /// When a twin of another locality takes over a running input task's
+    /// record, the rebind is all the kill changes about the job: no task
+    /// re-queues, so only the rebind's own mark keeps the job's locality
+    /// credit and demand fresh. Aggressive speculation on a small cluster
+    /// runs a clone beside its original; an executor-only fault on the
+    /// original's node, running nothing else of the job, kills the
+    /// original, and the audit must find the job fresh.
+    #[test]
+    fn twin_of_another_locality_takes_over_the_record() {
+        use custody_scheduler::speculation::SpeculationConfig;
+        // An original input attempt with a live clone of another
+        // locality on another node, its node running nothing else of the
+        // job: that node and the clone.
+        fn split_twins(d: &Driver) -> Option<(custody_dfs::NodeId, RunningTask)> {
+            d.exec_state.iter().enumerate().find_map(|(e, st)| {
+                let original = st.running.filter(|r| r.stage == 0 && r.cloned)?;
+                let key = (original.job_idx, original.stage, original.task);
+                let node = d.cluster.node_of(ExecutorId::new(e));
+                let clone = d.exec_state.iter().enumerate().find_map(|(c, other)| {
+                    let r = other.running.filter(|r| r.is_clone)?;
+                    let elsewhere = d.cluster.node_of(ExecutorId::new(c)) != node;
+                    ((r.job_idx, r.stage, r.task) == key && elsewhere).then_some(r)
+                })?;
+                let alone = d.cluster.executors_on(node).iter().all(|o| {
+                    o.index() == e
+                        || d.exec_state[o.index()]
+                            .running
+                            .is_none_or(|r| r.job_idx != original.job_idx)
+                });
+                (clone.local != original.local && alone).then_some((node, clone))
+            })
+        }
+        for seed in 25..45 {
+            let mut cfg =
+                small(AllocatorKind::StaticSpread, seed).with_speculation(SpeculationConfig {
+                    quantile: 0.25,
+                    multiplier: 1.0,
+                });
+            cfg.cluster.num_nodes = 4;
+            let mut driver = Driver::new(&cfg);
+            while driver.step() {
+                let Some((node, clone)) = split_twins(&driver) else {
+                    continue;
+                };
+                driver.refresh_demand();
+                driver.on_node_fault(node, FaultKind::ExecutorsOnly, driver.queue.now());
+                let record = driver.jobs[clone.job_idx].stages[0].tasks[clone.task].state;
+                assert!(
+                    matches!(record, TaskState::Running { local, .. } if local == clone.local),
+                    "the clone did not take over the record"
+                );
+                driver.audit();
+                return;
+            }
+        }
+        panic!("no clone of another locality ran beside its original");
+    }
+
     /// A driver a few events into a run, so jobs, grants and launches
     /// exist, with every job's demand entry fresh in the kept view.
     fn pumped_driver() -> Driver {
@@ -2869,6 +2884,20 @@ mod tests {
     auditor_catches! {
         auditor_catches_corrupted_accounting: "local_tasks drifted" =>
             |d| d.view.apps[0].local_tasks += 1;
+        auditor_catches_unmarked_locality_change: "stale locality credit" =>
+            |d| {
+                // A running input task turns local or remote, on its
+                // record and its attempt alike, without its job marked.
+                let st = d.exec_state.iter_mut().find(|st| {
+                    st.running.is_some_and(|r| r.stage == 0)
+                });
+                let r = st.and_then(|st| st.running.as_mut()).expect("some input task runs");
+                r.local = r.local.map(|local| !local);
+                let record = &mut d.jobs[r.job_idx].stages[0].tasks[r.task].state;
+                if let TaskState::Running { local, .. } = record {
+                    *local = r.local;
+                }
+            };
         auditor_catches_corrupted_held_count: "held count drifted" =>
             |d| d.view.apps[0].held += 1;
         auditor_catches_corrupted_pending_job: "stale demand cache" =>

@@ -28,8 +28,9 @@
 //!    loser still draining).
 //! 5. **Locality accounting** — each application's `total_jobs`,
 //!    `total_tasks`, `local_tasks`, and `local_jobs` in the kept
-//!    allocation view re-derive exactly from its jobs' task records, and
-//!    its `held` count from its held set.
+//!    allocation view equal the sum of the credits the demand cache
+//!    recorded for its jobs (whose freshness against the task records is
+//!    invariant 9's), and its `held` count re-derives from its held set.
 //! 6. **Stage counters** — every stage's `launched`/`completed` counts
 //!    match its tasks' states.
 //! 7. **Wake conservation** — the times of the `Wake` events actually
@@ -42,7 +43,8 @@
 //!    executor channel, and a DataNode is decommissioned exactly when it
 //!    silences the DataNode channel (`FaultKind::silences`).
 //! 9. **Demand-cache freshness** — every clean job's entry in the kept
-//!    view matches a from-scratch recomputation, the view's idle half is
+//!    view and its recorded locality credit match a from-scratch
+//!    recomputation from its task records, the view's idle half is
 //!    empty between rounds, and every round that reuses the kept
 //!    decision is one the allocator would really have decided the same
 //!    way, re-derived on the spot without touching driver state: a round
@@ -561,31 +563,17 @@ impl Driver {
         }
     }
 
-    /// Invariants 5–6: the view's per-app counters and the stage counters
-    /// re-derive from the task records and the held sets.
+    /// Invariants 5–6: the view's per-app counters sum the cache's
+    /// recorded credits, `held` re-derives from the held sets, and the
+    /// stage counters from the task records.
     fn audit_accounting(&self) {
         for (i, (a, v)) in self.apps.iter().zip(&self.view.apps).enumerate() {
             assert_eq!(v.held, a.held.len(), "app {i} held count drifted");
-            assert_eq!(v.total_jobs, a.jobs.len(), "app {i} job count drifted");
-            let mut total_tasks = 0;
-            let mut local_tasks = 0;
-            let mut local_jobs = 0;
-            for &j in &a.jobs {
-                let job = &self.jobs[j];
-                let local = job.local_input_tasks();
-                total_tasks += job.num_input_tasks();
-                local_tasks += local;
-                if job.settled_local {
-                    local_jobs += 1;
-                    assert!(
-                        local == job.num_input_tasks(),
-                        "app {i} job {j} settled local with a non-local input"
-                    );
-                }
-            }
-            assert_eq!(v.total_tasks, total_tasks, "app {i} total_tasks drifted");
-            assert_eq!(v.local_tasks, local_tasks, "app {i} local_tasks drifted");
-            assert_eq!(v.local_jobs, local_jobs, "app {i} local_jobs drifted");
+            let c = self.cache.credited(&a.jobs);
+            assert_eq!(v.total_jobs, c.total_jobs, "app {i} job count drifted");
+            assert_eq!(v.total_tasks, c.total_tasks, "app {i} total_tasks drifted");
+            assert_eq!(v.local_tasks, c.local_tasks, "app {i} local_tasks drifted");
+            assert_eq!(v.local_jobs, c.local_jobs, "app {i} local_jobs drifted");
         }
         for (j, job) in self.jobs.iter().enumerate() {
             for (s, stage) in job.stages.iter().enumerate() {

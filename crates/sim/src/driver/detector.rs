@@ -38,8 +38,6 @@
 //! expiry — a new grant's expiry can never precede an armed deadline
 //! because every armed deadline is at most one lease duration away.
 
-use std::collections::BTreeSet;
-
 use custody_cluster::{ExecutorId, LeaseTable};
 use custody_dfs::NodeId;
 use custody_simcore::dist::{Distribution, Exponential};
@@ -47,7 +45,7 @@ use custody_simcore::{EventQueue, SimDuration, SimRng, SimTime};
 
 use crate::config::ControlPlaneConfig;
 
-use super::{unrouted, Driver, Event, FaultKind, TaskKey};
+use super::{unrouted, Driver, Event, FaultKind};
 use custody_cluster::ClusterState;
 
 /// The control plane's events (see their handling in
@@ -382,13 +380,11 @@ impl Driver {
                         if reinstated {
                             self.pool_generation += 1;
                         }
-                        let mut displaced: BTreeSet<TaskKey> = BTreeSet::new();
-                        for e in ghosts {
-                            self.abandon_attempt(e, now, &mut displaced);
-                        }
-                        if !displaced.is_empty() {
-                            self.open_disruptions.push((now, displaced));
-                        }
+                        self.disrupt(now, |d, displaced| {
+                            for e in ghosts {
+                                d.abandon_attempt(e, now, displaced);
+                            }
+                        });
                     }
                     // A falsely (or stalely) suspected DataNode is
                     // reinstated — with its data if the disk actually
@@ -476,15 +472,13 @@ impl Driver {
                 }
                 // Leases expiring under a cut fence live minority work.
                 self.note_minority_discards(&expired);
-                let mut displaced: BTreeSet<TaskKey> = BTreeSet::new();
-                for &e in &expired {
-                    self.metrics.leases_revoked += 1;
-                    // Drops the lease as part of the kill.
-                    self.kill_executor(e, now, &mut displaced);
-                }
-                if !displaced.is_empty() {
-                    self.open_disruptions.push((now, displaced));
-                }
+                self.disrupt(now, |d, displaced| {
+                    for &e in &expired {
+                        d.metrics.leases_revoked += 1;
+                        // Drops the lease as part of the kill.
+                        d.kill_executor(e, now, displaced);
+                    }
+                });
             }
         }
     }

@@ -257,16 +257,14 @@ impl Driver {
         if lost.is_empty() {
             return;
         }
-        let mut displaced = BTreeSet::new();
-        for e in lost {
-            // A belief-killed executor was rolled back already.
-            if !self.exec_state[e.index()].dead && self.abandon_attempt(e, now, &mut displaced) {
-                self.metrics.partition_work_discarded += 1;
+        self.disrupt(now, |d, displaced| {
+            for e in lost {
+                // A belief-killed executor was rolled back already.
+                if !d.exec_state[e.index()].dead && d.abandon_attempt(e, now, displaced) {
+                    d.metrics.partition_work_discarded += 1;
+                }
             }
-        }
-        if !displaced.is_empty() {
-            self.open_disruptions.push((now, displaced));
-        }
+        });
     }
 
     /// Counts live minority attempts the master is about to fence

@@ -143,10 +143,6 @@ pub struct RuntimeJob {
     pub submitted_at: SimTime,
     /// Completion time of the last stage.
     pub finished_at: Option<SimTime>,
-    /// Whether the job has been credited as fully-locally-launched in the
-    /// allocator's accounting (undone if a failure re-queues an input
-    /// task).
-    pub settled_local: bool,
     /// Transient-fault retries this job has consumed (bounded by the
     /// gray-failure layer's per-job retry budget).
     pub retries: usize,
@@ -217,7 +213,6 @@ impl RuntimeJob {
             stages,
             submitted_at: now,
             finished_at: None,
-            settled_local: false,
             retries: 0,
             failed: false,
         }
@@ -347,22 +342,21 @@ impl RuntimeJob {
     }
 
     /// Re-queues a running task after its executor died: the task becomes
-    /// runnable again at `now` with a fresh locality slate. Returns
-    /// whether the killed attempt had been counted data-local; `Err` with
-    /// the task's state, unchanged, if it was not running.
+    /// runnable again at `now` with a fresh locality slate; `Err` with the
+    /// task's state, unchanged, if it was not running.
     pub fn mark_requeued(
         &mut self,
         stage: usize,
         task: usize,
         now: SimTime,
-    ) -> Result<bool, TaskState> {
+    ) -> Result<(), TaskState> {
         let t = &mut self.stages[stage].tasks[task];
-        let TaskState::Running { local, .. } = t.state else {
+        let TaskState::Running { .. } = t.state else {
             return Err(t.state);
         };
         t.state = TaskState::Runnable { since: now };
         self.stages[stage].launched -= 1;
-        Ok(local == Some(true))
+        Ok(())
     }
 
     /// Re-resolves one input task's preferred nodes from the NameNode.
@@ -545,19 +539,20 @@ mod tests {
     }
 
     #[test]
-    fn requeue_resets_task_and_reports_locality() {
+    fn requeue_resets_task_and_its_locality() {
         let mut j = job();
         j.mark_launched(0, 0, SimTime::from_secs(11), Some(true))
             .unwrap();
         assert_eq!(j.stages[0].launched, 1);
-        assert_eq!(j.mark_requeued(0, 0, SimTime::from_secs(12)), Ok(true));
+        assert_eq!(j.mark_requeued(0, 0, SimTime::from_secs(12)), Ok(()));
         assert_eq!(j.stages[0].launched, 0);
+        assert_eq!(j.local_input_tasks(), 0);
         let t = &j.stages[0].tasks[0];
         assert_eq!(t.state, runnable(12));
         // Relaunch non-locally this time.
         let since = j.mark_launched(0, 0, SimTime::from_secs(13), Some(false));
         assert_eq!(since, Ok(SimTime::from_secs(12)));
-        assert_eq!(j.mark_requeued(0, 0, SimTime::from_secs(14)), Ok(false));
+        assert_eq!(j.mark_requeued(0, 0, SimTime::from_secs(14)), Ok(()));
     }
 
     #[test]

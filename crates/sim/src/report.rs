@@ -4,16 +4,6 @@ use custody_simcore::stats::Summary;
 
 use crate::metrics::RunMetrics;
 
-/// Formats `mean ± std` with the given precision.
-pub fn mean_std(s: &Summary, decimals: usize) -> String {
-    format!(
-        "{:.prec$} ± {:.prec$}",
-        s.mean(),
-        s.std_dev(),
-        prec = decimals
-    )
-}
-
 /// Formats a percentage `mean ± std` from a fraction-valued summary.
 pub fn pct_mean_std(s: &Summary) -> String {
     format!("{:5.1}% ± {:4.1}%", s.mean() * 100.0, s.std_dev() * 100.0)
@@ -100,13 +90,6 @@ mod tests {
         s.extend([0.5, 0.7]);
         let txt = pct_mean_std(&s);
         assert!(txt.contains("60.0%"), "{txt}");
-    }
-
-    #[test]
-    fn mean_std_formatting() {
-        let mut s = Summary::new();
-        s.extend([2.0, 4.0]);
-        assert_eq!(mean_std(&s, 1), "3.0 ± 1.0");
     }
 
     #[test]

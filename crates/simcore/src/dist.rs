@@ -80,11 +80,6 @@ impl Exponential {
         assert!(mean > 0.0 && mean.is_finite(), "bad mean");
         Exponential { mean }
     }
-
-    /// Creates an exponential distribution with rate `lambda`.
-    pub fn with_rate(lambda: f64) -> Self {
-        Self::with_mean(1.0 / lambda)
-    }
 }
 
 impl Distribution for Exponential {
@@ -230,8 +225,6 @@ mod tests {
         let d = Exponential::with_mean(4.0);
         assert!((mean_of(&d, 50_000, 3) - 4.0).abs() < 0.1);
         assert_eq!(d.mean(), Some(4.0));
-        let d2 = Exponential::with_rate(0.25);
-        assert_eq!(d2.mean(), Some(4.0));
     }
 
     #[test]

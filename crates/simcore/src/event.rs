@@ -195,21 +195,6 @@ impl<E> EventQueue<E> {
         out.sort_by(|a, b| a.time.cmp(&b.time).then_with(|| a.seq.cmp(&b.seq)));
         out
     }
-
-    /// Drains all events whose time equals the next pending timestamp,
-    /// returning them in insertion order. Useful for batching simultaneous
-    /// events (e.g. all executor releases at a job boundary) into one
-    /// allocation round.
-    pub fn pop_batch(&mut self) -> Vec<ScheduledEvent<E>> {
-        let Some(t) = self.peek_time() else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        while self.peek_time() == Some(t) {
-            out.push(self.pop().expect("peeked event must pop")); // lint: allow(panic) — pop follows the successful peek above
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -261,23 +246,6 @@ mod tests {
         q.pop();
         q.schedule(SimTime::from_secs(10), 2u8);
         assert_eq!(q.pop().unwrap().event, 2);
-    }
-
-    #[test]
-    fn pop_batch_groups_simultaneous_events() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(1), "a");
-        q.schedule(SimTime::from_secs(1), "b");
-        q.schedule(SimTime::from_secs(2), "c");
-        let batch = q.pop_batch();
-        assert_eq!(
-            batch.iter().map(|e| e.event).collect::<Vec<_>>(),
-            vec!["a", "b"]
-        );
-        assert_eq!(q.len(), 1);
-        let batch2 = q.pop_batch();
-        assert_eq!(batch2[0].event, "c");
-        assert!(q.pop_batch().is_empty());
     }
 
     #[test]

@@ -48,16 +48,6 @@ impl Welford {
         }
     }
 
-    /// Sample (Bessel-corrected) variance; 0.0 with fewer than two
-    /// observations.
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
@@ -261,7 +251,6 @@ mod tests {
         assert!((w.mean() - 5.0).abs() < 1e-12);
         assert!((w.variance() - 4.0).abs() < 1e-12);
         assert!((w.std_dev() - 2.0).abs() < 1e-12);
-        assert!((w.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]

@@ -111,13 +111,6 @@ impl Campaign {
         self
     }
 
-    /// Overrides the arrival intensity.
-    pub fn with_mean_interarrival(mut self, secs: f64) -> Self {
-        assert!(secs > 0.0);
-        self.mean_interarrival_secs = secs;
-        self
-    }
-
     /// Overrides the dataset regime.
     pub fn with_dataset_mode(mut self, mode: DatasetMode) -> Self {
         self.dataset_mode = mode;
@@ -163,13 +156,11 @@ mod tests {
     fn builders_override() {
         let c = Campaign::paper(WorkloadKind::WordCount)
             .with_jobs_per_app(5)
-            .with_mean_interarrival(1.5)
             .with_dataset_mode(DatasetMode::SharedPool {
                 pool_size: 3,
                 skew: 1.0,
             });
         assert_eq!(c.total_jobs(), 20);
-        assert_eq!(c.mean_interarrival_secs, 1.5);
         assert!(matches!(c.dataset_mode, DatasetMode::SharedPool { .. }));
     }
 

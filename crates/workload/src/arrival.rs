@@ -68,11 +68,6 @@ impl SubmissionSchedule {
     pub fn is_empty(&self) -> bool {
         self.submissions.is_empty()
     }
-
-    /// Time of the final submission.
-    pub fn last_time(&self) -> Option<SimTime> {
-        self.submissions.last().map(|s| s.time)
-    }
 }
 
 #[cfg(test)]
@@ -155,10 +150,9 @@ mod tests {
     }
 
     #[test]
-    fn last_time_and_empty() {
+    fn len_and_empty() {
         let s = SubmissionSchedule::generate(&campaign().with_jobs_per_app(1), 1);
         assert_eq!(s.len(), 4);
         assert!(!s.is_empty());
-        assert_eq!(s.last_time().unwrap(), s.submissions().last().unwrap().time);
     }
 }
