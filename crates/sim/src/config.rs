@@ -1,5 +1,7 @@
 //! Simulation configuration.
 
+use std::collections::BTreeSet;
+
 use custody_cluster::ClusterSpec;
 use custody_core::AllocatorKind;
 use custody_dfs::NodeId;
@@ -1216,6 +1218,12 @@ impl SimConfig {
                 &message,
             )?;
         }
+        let down: BTreeSet<NodeId> = self.failures.iter().map(|f| f.node).collect();
+        ensure(
+            down.len() < self.cluster.num_nodes,
+            "failures",
+            "scripted failures take down every node: no executor would be left to finish the campaign",
+        )?;
         self.chaos.as_ref().map_or(Ok(()), ChaosConfig::validate)?;
         self.control_plane
             .as_ref()
@@ -1468,6 +1476,18 @@ mod tests {
                     node: NodeId::new(99),
                 }]),
                 "failure targets unknown node-99",
+            ),
+            (
+                demo().with_failures(
+                    (0..demo().cluster.num_nodes)
+                        .flat_map(|n| [0, 5].map(|at| (at, n)))
+                        .map(|(at, n)| NodeFailure {
+                            at: SimTime::from_secs(at),
+                            node: NodeId::new(n),
+                        })
+                        .collect(),
+                ),
+                "no executor would be left to finish the campaign",
             ),
             (
                 demo().with_chaos(ChaosConfig {

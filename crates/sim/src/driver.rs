@@ -55,7 +55,7 @@ use custody_dfs::{DatasetId, NameNode, NodeId};
 use custody_scheduler::speculation::{SpeculationConfig, SpeculationPolicy};
 use custody_scheduler::{Placement, RetryPolicy, RunnableTask, TaskScheduler};
 use custody_simcore::dist::{Distribution, Exponential, TruncatedNormal, Zipf};
-use custody_simcore::{DenseSet, EventQueue, SimDuration, SimRng, SimTime};
+use custody_simcore::{EventQueue, SimDuration, SimRng, SimTime};
 use custody_workload::{AppId, DatasetMode, JobId, JobSpec, SubmissionSchedule};
 
 use crate::config::{ControlPlaneConfig, SimConfig};
@@ -70,6 +70,7 @@ mod checkpoint;
 mod detector;
 mod durability;
 mod health;
+mod ledger;
 mod partition;
 
 use chaos::{ChaosEvent, ChaosLayer};
@@ -77,6 +78,7 @@ use checkpoint::MasterLog;
 use detector::{DetectorEvent, DetectorState, HbChannel};
 use durability::{DurabilityEvent, DurabilityLayer};
 use health::{HealthEvent, HealthLayer};
+use ledger::ExecutorLedger;
 use partition::{PartitionEvent, PartitionLayer};
 
 /// Entry point: runs a configuration to completion.
@@ -197,16 +199,15 @@ enum Decision {
     Grants(Vec<Assignment>),
 }
 
-/// The last allocation round's decision and the stamps it was decided
-/// on, kept so that a later round on the same inputs reuses the decision
-/// instead of recomputing it (see [`Driver::allocation_round`]).
+/// The last allocation round's decision and the demand and health stamps
+/// it was decided on (the executor ledger keeps the pool's), kept so that
+/// a later round on the same inputs reuses the decision instead of
+/// recomputing it (see [`Driver::allocation_round`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 struct KeptRound {
     decision: Decision,
     /// The demand cache's generation when the round ran.
     demand_generation: u64,
-    /// `Driver::pool_generation` when the round ran.
-    pool_generation: u64,
     /// The health layer's generation when the round ran.
     health_generation: u64,
     /// Audited runs only: the counted round's idle list and per-app held
@@ -324,14 +325,14 @@ impl Kill {
     fn of(
         attempt: &RunningTask,
         jobs: &[RuntimeJob],
-        apps: &[AppRuntime],
+        ledger: &ExecutorLedger,
         exec_state: &[ExecState],
     ) -> Kill {
         let key = (attempt.job_idx, attempt.stage, attempt.task);
         if let TaskState::Done { .. } = jobs[key.0].stages[key.1].tasks[key.2].state {
             return Kill::RaceLost;
         }
-        let held = &apps[jobs[key.0].app.index()].held;
+        let held = ledger.held(jobs[key.0].app.index());
         let same_task = |r: &RunningTask| (r.job_idx, r.stage, r.task) == key;
         let twin = |e: usize| exec_state[e].running.filter(same_task);
         held.iter().find_map(twin).map_or(Kill::Requeue, Kill::Twin)
@@ -365,11 +366,7 @@ struct SpecState {
 
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct ExecState {
-    owner: Option<AppId>,
     running: Option<RunningTask>,
-    /// The executor's host machine has failed; stale `Finish` events for
-    /// tasks killed by the failure are ignored.
-    dead: bool,
     /// Incarnation counter, bumped every time the executor dies. A
     /// `Finish` event whose epoch does not match is a completion of a
     /// task killed by a failure — possibly fired after the executor
@@ -387,10 +384,6 @@ struct AppRuntime {
     scheduler: Box<dyn TaskScheduler>,
     /// Indices into `Driver::jobs`, in submission order.
     jobs: Vec<usize>,
-    /// Executor indices this application currently holds. A bitset keyed
-    /// by `ExecutorId::index()`: iteration is ascending, identical to the
-    /// `BTreeSet<ExecutorId>` it replaced.
-    held: DenseSet,
     /// Pre-generated job specs (and their datasets), indexed by seq.
     specs: Vec<(JobSpec, DatasetId)>,
     metrics: AppMetrics,
@@ -410,10 +403,9 @@ struct Driver {
     apps: Vec<AppRuntime>,
     jobs: Vec<RuntimeJob>,
     exec_state: Vec<ExecState>,
-    /// Idle, unowned executors, as a bitset keyed by
-    /// `ExecutorId::index()` (ascending iteration, so allocator views are
-    /// built in the same order the old tree set produced).
-    pool: DenseSet,
+    /// The idle pool, each executor's owner and death, each app's held
+    /// set, and the pool's generation; their only writer.
+    ledger: ExecutorLedger,
     /// The allocator's stream. The static-random partition is drawn from
     /// it when the allocator is built; `allocate` is handed it, but no
     /// allocator draws there.
@@ -477,14 +469,6 @@ struct Driver {
     view: AllocationView,
     /// Which jobs' entries in `view` are stale, and the demand generation.
     cache: DemandCache,
-    /// Bumped by every change to the pool or to the allocator's view of it
-    /// other than the release step and the grant loop: a kill, a chaos
-    /// recovery, a detector reinstatement or suspicion, a health
-    /// transition that moves a node's schedulability or cost.
-    pool_generation: u64,
-    /// Executors the release step returned since the last counted or
-    /// demand-free round.
-    released_since_round: usize,
     /// The last round's decision, for round reuse.
     kept_round: KeptRound,
     /// The health-cost table installed in the allocator, with the health
@@ -565,7 +549,6 @@ impl Driver {
             apps.push(AppRuntime {
                 scheduler: config.scheduler.build(),
                 jobs: Vec::new(),
-                held: DenseSet::new(),
                 specs,
                 metrics: AppMetrics::new(AppId::new(i), app_spec.name.clone(), app_spec.workload),
                 declines: DeclineMemo::default(),
@@ -650,7 +633,7 @@ impl Driver {
         let mut driver = Driver {
             queue,
             exec_state: vec![ExecState::default(); cluster.num_executors()],
-            pool: (0..cluster.num_executors()).collect(),
+            ledger: ExecutorLedger::new(cluster.num_executors(), apps.len()),
             namenode,
             cluster,
             allocator,
@@ -686,8 +669,6 @@ impl Driver {
             trace: None,
             view,
             cache: DemandCache::default(),
-            pool_generation: 0,
-            released_since_round: 0,
             kept_round: KeptRound::default(),
             health_costs: None,
             shortcuts: Shortcuts::default(),
@@ -792,10 +773,8 @@ impl Driver {
     }
 
     fn on_finish(&mut self, executor: ExecutorId, epoch: u64, now: SimTime) {
-        let stale = {
-            let state = &self.exec_state[executor.index()];
-            state.dead || state.epoch != epoch
-        };
+        let stale =
+            self.ledger.is_dead(executor) || self.exec_state[executor.index()].epoch != epoch;
         if let Some(p) = &mut self.partition {
             let node = self.cluster.node_of(executor);
             if !stale && !p.connectivity.node_reaches_master(node) {
@@ -819,13 +798,13 @@ impl Driver {
                 self.metrics.partition_finishes_fenced += 1;
             }
         }
-        let state = &mut self.exec_state[executor.index()];
-        if state.dead || state.epoch != epoch {
+        if stale {
             // Stale completion for a task killed by a failure (or, in
             // detector mode, fenced out by a belief-kill's epoch bump).
             self.metrics.stale_finishes_fenced += 1;
             return;
         }
+        let state = &mut self.exec_state[executor.index()];
         let Some(running) = state.running.take() else {
             if self.detector.is_some() {
                 // A stale finish that slipped past epoch fencing — never
@@ -854,7 +833,7 @@ impl Driver {
                     &mut self.metrics,
                     &mut self.queue,
                 );
-                let kill = Kill::of(&running, &self.jobs, &self.apps, &self.exec_state);
+                let kill = Kill::of(&running, &self.jobs, &self.ledger, &self.exec_state);
                 let gate = kill.charge(&mut self.jobs[running.job_idx], d.retry, &mut d.rng, now);
                 if dropped {
                     self.refresh_all_preferred();
@@ -872,7 +851,7 @@ impl Driver {
             let p = h.fault_probability(node);
             if h.fault_rng.chance(p) {
                 self.metrics.task_faults_injected += 1;
-                let kill = Kill::of(&running, &self.jobs, &self.apps, &self.exec_state);
+                let kill = Kill::of(&running, &self.jobs, &self.ledger, &self.exec_state);
                 let job = &mut self.jobs[running.job_idx];
                 let gate = kill.charge(job, h.retry, &mut h.fault_rng, now);
                 self.on_attempt_fault(&running, kill, gate, now);
@@ -885,7 +864,7 @@ impl Driver {
                 .as_ref()
                 .is_some_and(|p| p.connectivity.split_active());
             let service_secs = now.saturating_since(running.launched_at).as_secs_f64();
-            if h.observe_service(
+            h.observe_service(
                 node,
                 service_secs,
                 now,
@@ -893,9 +872,7 @@ impl Driver {
                 &self.node_down,
                 &mut self.metrics,
                 &mut self.queue,
-            ) {
-                self.pool_generation += 1;
-            }
+            );
         }
         let key = (running.job_idx, running.stage, running.task);
         if let TaskState::Done { .. } = self.jobs[key.0].stages[key.1].tasks[key.2].state {
@@ -1071,7 +1048,7 @@ impl Driver {
     /// stale) and the job leaves the system as failed — its tasks stop
     /// counting as demand and its executors free up immediately.
     fn fail_job(&mut self, j: usize, now: SimTime) {
-        let held = &self.apps[self.jobs[j].app.index()].held;
+        let held = self.ledger.held(self.jobs[j].app.index());
         let runs_j = |e: &usize| self.exec_state[*e].running.is_some_and(|r| r.job_idx == j);
         let busy: Vec<usize> = held.iter().filter(runs_j).collect();
         for e in busy.into_iter().map(ExecutorId::new) {
@@ -1104,19 +1081,11 @@ impl Driver {
     /// pool shrinks, and any lease is dropped. Displaced-task keys are
     /// accumulated into `displaced` for disruption tracking.
     fn kill_executor(&mut self, e: ExecutorId, now: SimTime, displaced: &mut BTreeSet<TaskKey>) {
-        let state = &mut self.exec_state[e.index()];
-        if state.dead {
+        if !self.ledger.kill(e) {
             return;
         }
-        state.dead = true;
-        state.epoch += 1;
-        self.pool_generation += 1;
+        self.exec_state[e.index()].epoch += 1;
         self.abandon_attempt(e, now, displaced);
-        if let Some(owner) = self.exec_state[e.index()].owner.take() {
-            self.apps[owner.index()].held.remove(e.index());
-            self.view.apps[owner.index()].held -= 1;
-        }
-        self.pool.remove(e.index());
         if let Some(d) = &mut self.detector {
             d.leases.drop_lease(e);
         }
@@ -1140,7 +1109,7 @@ impl Driver {
         };
         st.idle_since = now;
         self.end_remote_read(&r);
-        let kill = Kill::of(&r, &self.jobs, &self.apps, &self.exec_state);
+        let kill = Kill::of(&r, &self.jobs, &self.ledger, &self.exec_state);
         if self.apply_kill(&r, kill, now) {
             displaced.insert((r.job_idx, r.stage, r.task));
         }
@@ -1303,24 +1272,18 @@ impl Driver {
     /// once new jobs are submitted". Static allocators re-grant released
     /// executors to their fixed owners, so their semantics are unchanged.
     fn release_idle_executors(&mut self) {
-        let mut released = 0;
         let mut idle = std::mem::take(&mut self.idle_scratch);
         for i in 0..self.apps.len() {
             self.idle_held(i, &mut idle);
-            self.view.apps[i].held -= idle.len();
-            for &e in &idle {
-                self.apps[i].held.remove(e.index());
-                self.exec_state[e.index()].owner = None;
-                self.pool.insert(e.index());
-                if let Some(d) = &mut self.detector {
+            self.ledger.release_idle(i, &idle);
+            if let Some(d) = &mut self.detector {
+                for &e in &idle {
                     d.leases.drop_lease(e); // released before expiry
                 }
-                released += 1;
             }
         }
         idle.clear();
         self.idle_scratch = idle;
-        self.released_since_round += released;
     }
 
     /// Step 2: one allocation round through the cluster manager.
@@ -1336,9 +1299,9 @@ impl Driver {
     /// installed health costs (no allocator draws in `allocate`, and
     /// `DynamicOffer` advances its cursor only on grants). A round's inputs
     /// are the kept round's when no job was added or marked (the demand
-    /// generation), no pool change happened but the release step's
-    /// (`pool_generation`), and the executors released since are exactly
-    /// the kept grants, all back in the pool. Then:
+    /// generation), the executor ledger's generation did not move (no pool
+    /// change but the release step's), and the executors released since
+    /// are exactly the kept grants, all back in the pool. Then:
     ///
     /// * **Demand-free** — the early return would fire again: skipped,
     ///   uncounted, as one `rounds_skipped`.
@@ -1352,9 +1315,13 @@ impl Driver {
     /// With the auditor on, every reuse is re-derived first
     /// (`audit_reused_round`).
     fn allocation_round(&mut self, now: SimTime) {
-        if self.pool.is_empty() {
+        if self.ledger.pool().is_empty() {
             self.kept_round.decision = Decision::None;
             return;
+        }
+        // The view's held counts are written here, for this round only.
+        for (i, app) in self.view.apps.iter_mut().enumerate() {
+            app.held = self.ledger.held(i).len();
         }
         let started = std::time::Instant::now();
         if self.inputs_unchanged() {
@@ -1397,7 +1364,8 @@ impl Driver {
         // O(pool), so it is built only for a round that can grant.
         if no_demand(&self.view.apps) {
             self.alloc_wall += started.elapsed();
-            self.released_since_round = 0;
+            // Grants nothing, and ends the round like any other.
+            self.ledger.grant(&[]);
             self.keep_round(Decision::DemandFree, Vec::new(), Vec::new());
             return;
         }
@@ -1436,11 +1404,7 @@ impl Driver {
             Decision::None | Decision::DemandFree => &[],
         };
         kept.demand_generation == self.cache.generation()
-            && kept.pool_generation == self.pool_generation
-            && self.released_since_round == grants.len()
-            && grants
-                .iter()
-                .all(|a| self.pool.contains(a.executor.index()))
+            && self.ledger.unchanged_since_round(grants)
     }
 
     /// Records this round's decision with the stamps it was decided on.
@@ -1448,36 +1412,27 @@ impl Driver {
         self.kept_round = KeptRound {
             decision,
             demand_generation: self.cache.generation(),
-            pool_generation: self.pool_generation,
             health_generation: self.health_generation(),
             idle,
             held,
         };
     }
 
-    /// Applies one round's grants: pool, owner, `held` and a lease per
-    /// grant. Ends the round: what is released from here on counts toward
-    /// the next one.
+    /// Applies one round's grants in the ledger, with a lease per grant.
     fn grant(&mut self, grants: &[Assignment], now: SimTime) {
+        self.ledger.grant(grants);
+        let Some(d) = &mut self.detector else { return };
+        // Every grant is a time-bounded lease; the host node's heartbeats
+        // renew it, silence revokes it.
+        let expiry = now + SimDuration::from_secs_f64(d.cp.lease_duration_secs);
         for a in grants {
-            let removed = self.pool.remove(a.executor.index());
-            assert!(removed, "allocator granted non-pooled executor");
-            self.exec_state[a.executor.index()].owner = Some(a.app);
-            self.apps[a.app.index()].held.insert(a.executor.index());
-            self.view.apps[a.app.index()].held += 1;
-            if let Some(d) = &mut self.detector {
-                // Every grant is a time-bounded lease; the host node's
-                // heartbeats renew it, silence revokes it.
-                let expiry = now + SimDuration::from_secs_f64(d.cp.lease_duration_secs);
-                d.leases.grant(a.executor, expiry);
-                if d.lease_deadline_at.is_none() {
-                    d.lease_deadline_at = Some(expiry);
-                    self.queue
-                        .schedule(expiry, Event::Detector(DetectorEvent::LeaseExpiry));
-                }
-            }
+            d.leases.grant(a.executor, expiry);
         }
-        self.released_since_round = 0;
+        if d.lease_deadline_at.is_none() && !grants.is_empty() {
+            d.lease_deadline_at = Some(expiry);
+            self.queue
+                .schedule(expiry, Event::Detector(DetectorEvent::LeaseExpiry));
+        }
     }
 
     /// The health layer's generation (0 without the layer).
@@ -1526,15 +1481,12 @@ impl Driver {
     /// The idle half of the allocator's view: the pooled executors it may
     /// grant, in executor-id order.
     fn idle_executors(&self) -> Vec<ExecutorInfo> {
-        let mut idle = Vec::with_capacity(self.pool.len());
-        let pooled = self
-            .pool
-            .iter()
-            .map(ExecutorId::new)
-            .map(|id| ExecutorInfo {
-                id,
-                node: self.cluster.node_of(id),
-            });
+        let pool = self.ledger.pool();
+        let mut idle = Vec::with_capacity(pool.len());
+        let pooled = pool.iter().map(ExecutorId::new).map(|id| ExecutorInfo {
+            id,
+            node: self.cluster.node_of(id),
+        });
         // Quarantined nodes' executors stay pooled but invisible: the
         // allocator can only grant what the view offers, so nothing is
         // ever placed on a node the health detector has excluded. Only a
@@ -1552,8 +1504,8 @@ impl Driver {
     fn idle_held(&self, i: usize, out: &mut Vec<ExecutorId>) {
         out.clear();
         out.extend(
-            self.apps[i]
-                .held
+            self.ledger
+                .held(i)
                 .iter()
                 .map(ExecutorId::new)
                 .filter(|e| self.exec_state[e.index()].running.is_none()),
@@ -1737,7 +1689,7 @@ impl Driver {
         // Every straggler without a clone, in (job, stage, task) order: an
         // uncloned original attempt on one of the app's executors. It is
         // its task's record-bound attempt, so the task runs since its launch.
-        let held = &self.apps[i].held;
+        let held = self.ledger.held(i);
         let mut candidates: Vec<(TaskKey, ExecutorId)> = held
             .iter()
             .filter_map(|e| Some((self.exec_state[e].running?, ExecutorId::new(e))))
@@ -2773,9 +2725,10 @@ mod tests {
         let mut driver = failslow_driver_until(|d| !d.idle_executors().is_empty());
         let idle = driver.idle_executors();
         let node = idle[0].node;
-        let held = driver.view.apps.iter().map(|a| a.held).collect();
+        let held = (0..driver.apps.len()).map(|i| driver.ledger.held(i).len());
+        let held = held.collect();
         driver.refresh_demand();
-        driver.released_since_round = 0;
+        driver.ledger.grant(&[]);
         driver.keep_round(Decision::Grants(Vec::new()), idle, held);
         assert!(driver.inputs_unchanged());
         if let Some(h) = &mut driver.health {
@@ -2898,8 +2851,14 @@ mod tests {
                     *local = r.local;
                 }
             };
-        auditor_catches_corrupted_held_count: "held count drifted" =>
-            |d| d.view.apps[0].held += 1;
+        auditor_catches_corrupted_held_count: "but the executor disagrees" =>
+            |d| {
+                // An executor in an app's held set whose owner says another.
+                let e = d.exec_state.iter().position(|st| st.running.is_some());
+                let e = ExecutorId::new(e.expect("some executor is busy"));
+                let from = d.ledger.owner(e).expect("a busy executor is held").index();
+                d.ledger.corrupt_owner(e, Some(AppId::new((from + 1) % d.apps.len())));
+            };
         auditor_catches_corrupted_pending_job: "stale demand cache" =>
             |d| {
                 let app = d.view.apps.iter_mut().find(|a| !a.pending_jobs.is_empty());
@@ -2907,15 +2866,14 @@ mod tests {
             };
         auditor_catches_attempt_on_another_apps_executor: "without being held by it" =>
             |d| {
+                // Moved through the ledger's own methods, so the ledger
+                // stays consistent and only the attempt check can object.
                 let e = d.exec_state.iter().position(|st| st.running.is_some());
-                let e = e.expect("some executor is busy");
-                let from = d.exec_state[e].owner.expect("a busy executor is held").index();
-                let to = (from + 1) % d.apps.len();
-                d.apps[from].held.remove(e);
-                d.apps[to].held.insert(e);
-                d.view.apps[from].held -= 1;
-                d.view.apps[to].held += 1;
-                d.exec_state[e].owner = Some(AppId::new(to));
+                let e = ExecutorId::new(e.expect("some executor is busy"));
+                let from = d.ledger.owner(e).expect("a busy executor is held");
+                let to = AppId::new((from.index() + 1) % d.apps.len());
+                d.ledger.release_idle(from.index(), &[e]);
+                d.ledger.grant(&[Assignment { executor: e, app: to, for_task: None }]);
             };
         auditor_catches_wake_without_event: "queued Wake events out of sync" =>
             |d| {

@@ -12,14 +12,16 @@
 //!
 //! The audited invariants:
 //!
-//! 1. **Executor conservation** — every executor is held by at most one
-//!    application, and `AppRuntime::held` is exactly the inverse of
-//!    `ExecState::owner`. An attempt runs only on an executor its job's
-//!    application holds, so an app's held set finds all its attempts.
-//!    Pool members are idle, alive, and unowned.
+//! 1. **Executor conservation** — in the executor ledger, every executor
+//!    is held by at most one application, each app's held set is exactly
+//!    the inverse of the owners, and pool members are alive and unowned
+//!    (the ledger's own self-check, `ExecutorLedger::audit`). An attempt
+//!    runs only on an executor its job's application holds, so an app's
+//!    held set finds all its attempts, and a pooled executor runs nothing.
 //! 2. **Death discipline** — a dead executor runs nothing, is owned by
-//!    nobody, sits in no pool, and its host node is recorded as down
-//!    (and vice versa: every down node's executors are dead).
+//!    nobody, sits in no pool (the ledger's half), and its host node is
+//!    recorded as down (and vice versa: every down node's executors are
+//!    dead).
 //! 3. **Remote-read conservation** — `remote_reads_in_flight` equals
 //!    the number of live attempts reading remote input.
 //! 4. **Attempt discipline** — a `Running` task has one or two live
@@ -30,7 +32,7 @@
 //!    `total_tasks`, `local_tasks`, and `local_jobs` in the kept
 //!    allocation view equal the sum of the credits the demand cache
 //!    recorded for its jobs (whose freshness against the task records is
-//!    invariant 9's), and its `held` count re-derives from its held set.
+//!    invariant 9's).
 //! 6. **Stage counters** — every stage's `launched`/`completed` counts
 //!    match its tasks' states.
 //! 7. **Wake conservation** — the times of the `Wake` events actually
@@ -89,7 +91,7 @@
 //!     read a corrupted replica* (enforced at completion by the
 //!     verified-read gate and re-asserted before `mark_done`).
 
-use custody_cluster::HealthState;
+use custody_cluster::{ExecutorId, HealthState};
 use custody_core::{AllocationView, Assignment, HealthCost};
 use custody_dfs::NodeId;
 use custody_scheduler::Placement;
@@ -344,9 +346,8 @@ impl Driver {
                 !c.master_reaches_node(node),
                 "ghost dispatch on a reachable node ({e})"
             );
-            let st = &self.exec_state[e.index()];
             assert!(
-                !st.dead && st.running.is_some(),
+                !self.ledger.is_dead(e) && self.exec_state[e.index()].running.is_some(),
                 "ghost dispatch on an executor ({e}) the master does not believe busy"
             );
         }
@@ -406,10 +407,11 @@ impl Driver {
             return;
         }
         for (e, st) in self.exec_state.iter().enumerate() {
-            let node = self.cluster.node_of(custody_cluster::ExecutorId::new(e));
+            let id = ExecutorId::new(e);
+            let node = self.cluster.node_of(id);
             assert!(
                 h.belief[node.index()].state != HealthState::Quarantined
-                    || st.owner.is_none()
+                    || self.ledger.owner(id).is_none()
                     || st.running.is_some(),
                 "idle executor {e} on quarantined node {node} is still held"
             );
@@ -446,65 +448,30 @@ impl Driver {
         }
     }
 
-    /// Invariants 1–3: ownership bijection, pool hygiene, death
-    /// discipline, remote-read conservation.
+    /// Invariants 1–3: the ledger's self-check (ownership bijection, pool
+    /// hygiene, the dead unowned and unpooled), then what needs the
+    /// running attempts: an attempt runs on an executor its app holds (so
+    /// the dead run nothing), the pooled run nothing, and remote reads
+    /// are conserved.
     fn audit_executors(&self) {
+        self.ledger.audit();
         let mut remote = 0usize;
         for (e, st) in self.exec_state.iter().enumerate() {
-            if st.dead {
-                assert!(st.running.is_none(), "dead executor {e} is running a task");
-                assert!(st.owner.is_none(), "dead executor {e} has an owner");
-                assert!(
-                    !self.pool.contains(e),
-                    "dead executor {e} sits in the idle pool"
-                );
-            }
-            if let Some(owner) = st.owner {
-                assert!(
-                    self.apps[owner.index()].held.contains(e),
-                    "executor {e} owned by {owner} but missing from its held set"
-                );
-            }
             if let Some(r) = st.running {
                 let app = self.jobs[r.job_idx].app;
                 assert_eq!(
-                    st.owner,
+                    self.ledger.owner(ExecutorId::new(e)),
                     Some(app),
                     "executor {e} runs a task of {app} without being held by it"
                 );
-                if r.remote_input {
-                    remote += 1;
-                }
+                remote += usize::from(r.remote_input);
             }
         }
-        let held_total: usize = self.apps.iter().map(|a| a.held.len()).sum();
-        let owned_total = self
-            .exec_state
-            .iter()
-            .filter(|st| st.owner.is_some())
-            .count();
-        assert_eq!(
-            held_total, owned_total,
-            "an executor is held by more than one application"
-        );
-        for (i, a) in self.apps.iter().enumerate() {
-            for e in a.held.iter() {
-                let st = &self.exec_state[e];
-                assert_eq!(
-                    st.owner.map(custody_workload::AppId::index),
-                    Some(i),
-                    "app {i} holds executor {e} but the executor disagrees"
-                );
-            }
-        }
-        for e in self.pool.iter() {
-            let st = &self.exec_state[e];
-            assert!(st.owner.is_none(), "pooled executor {e} still has an owner");
+        for e in self.ledger.pool().iter() {
             assert!(
-                st.running.is_none(),
+                self.exec_state[e].running.is_none(),
                 "pooled executor {e} is running a task"
             );
-            assert!(!st.dead, "pooled executor {e} is dead");
         }
         assert_eq!(
             self.remote_reads_in_flight, remote,
@@ -517,10 +484,8 @@ impl Driver {
         use std::collections::BTreeMap;
         let mut attempts: BTreeMap<(usize, usize, usize), Vec<&super::RunningTask>> =
             BTreeMap::new();
+        // Invariant 2 already found the dead running nothing.
         for st in &self.exec_state {
-            if st.dead {
-                continue;
-            }
             if let Some(r) = &st.running {
                 attempts
                     .entry((r.job_idx, r.stage, r.task))
@@ -564,11 +529,10 @@ impl Driver {
     }
 
     /// Invariants 5–6: the view's per-app counters sum the cache's
-    /// recorded credits, `held` re-derives from the held sets, and the
-    /// stage counters from the task records.
+    /// recorded credits, and the stage counters re-derive from the task
+    /// records.
     fn audit_accounting(&self) {
         for (i, (a, v)) in self.apps.iter().zip(&self.view.apps).enumerate() {
-            assert_eq!(v.held, a.held.len(), "app {i} held count drifted");
             let c = self.cache.credited(&a.jobs);
             assert_eq!(v.total_jobs, c.total_jobs, "app {i} job count drifted");
             assert_eq!(v.total_tasks, c.total_tasks, "app {i} total_tasks drifted");
@@ -636,11 +600,11 @@ impl Driver {
         let silenced = |node: NodeId, channel| {
             self.node_down[node.index()].is_some_and(|k: FaultKind| k.silences(channel))
         };
-        for (e, st) in self.exec_state.iter().enumerate() {
-            let node = self.cluster.node_of(custody_cluster::ExecutorId::new(e));
+        for e in 0..self.exec_state.len() {
+            let id = ExecutorId::new(e);
             assert_eq!(
-                st.dead,
-                silenced(node, HbChannel::Executor),
+                self.ledger.is_dead(id),
+                silenced(self.cluster.node_of(id), HbChannel::Executor),
                 "executor {e} liveness disagrees with its node's fault record"
             );
         }
@@ -661,16 +625,20 @@ impl Driver {
     /// timer covers the earliest expiry, and no stale completion ever
     /// slipped past epoch fencing.
     fn audit_detector(&self, d: &DetectorState) {
-        for (e, st) in self.exec_state.iter().enumerate() {
-            let node = self.cluster.node_of(custody_cluster::ExecutorId::new(e));
-            let believed_dead = d.channel(node, HbChannel::Executor).suspected || d.revoked[e];
+        for e in 0..self.exec_state.len() {
+            let id = ExecutorId::new(e);
+            let believed_dead = d
+                .channel(self.cluster.node_of(id), HbChannel::Executor)
+                .suspected
+                || d.revoked[e];
             assert_eq!(
-                st.dead, believed_dead,
+                self.ledger.is_dead(id),
+                believed_dead,
                 "executor {e} deadness disagrees with suspicion/revocation belief"
             );
             assert_eq!(
-                st.owner.is_some(),
-                d.leases.holds(custody_cluster::ExecutorId::new(e)),
+                self.ledger.owner(id).is_some(),
+                d.leases.holds(id),
                 "executor {e} ownership and lease disagree"
             );
         }

@@ -10,7 +10,6 @@
 //! In detector mode a fault changes only physical truth; the master
 //! learns of it through heartbeat silence (see the `detector` module).
 
-use custody_cluster::ExecutorId;
 use custody_dfs::NodeId;
 use custody_simcore::dist::{Distribution, Exponential};
 use custody_simcore::{EventQueue, SimDuration, SimRng, SimTime};
@@ -158,15 +157,12 @@ impl Driver {
         if kind.silences(HbChannel::DataNode) {
             self.namenode.recover_node(node);
         }
-        let executors: Vec<ExecutorId> = self.cluster.executors_on(node).to_vec();
-        for e in executors {
+        for &e in self.cluster.executors_on(node) {
             let state = &mut self.exec_state[e.index()];
-            debug_assert!(state.dead && state.running.is_none() && state.owner.is_none());
-            state.dead = false;
+            debug_assert!(state.running.is_none());
+            self.ledger.revive(e);
             state.idle_since = now;
-            self.pool.insert(e.index());
         }
         self.metrics.nodes_recovered += 1;
-        self.pool_generation += 1;
     }
 }

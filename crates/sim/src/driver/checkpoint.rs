@@ -183,7 +183,7 @@ fn assert_converged(live: &Driver, ghost: &Driver) {
     check!(namenode);
     check!(jobs);
     check!(exec_state);
-    check!(pool);
+    check!(ledger);
     check!(alloc_rng);
     check!(fail_rng);
     check!(noise_rng);
@@ -203,8 +203,6 @@ fn assert_converged(live: &Driver, ghost: &Driver) {
     check!(open_disruptions);
     check!(view);
     check!(cache);
-    check!(pool_generation);
-    check!(released_since_round);
     check!(kept_round);
     check!(health_costs);
     check!(shortcuts);
@@ -223,7 +221,7 @@ fn assert_converged(live: &Driver, ghost: &Driver) {
                 );)+
             };
         }
-        check_app!(jobs, held, metrics, declines);
+        check_app!(jobs, metrics, declines);
         // Set clocks decide placements; `Debug` dumps a scheduler whole.
         assert_eq!(
             format!("{:?}", a.scheduler),

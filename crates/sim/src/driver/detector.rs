@@ -104,8 +104,8 @@ pub(crate) struct Channel {
 /// The master's belief state plus the physical-truth bookkeeping needed
 /// to score it (detection latency, false suspicions, data loss).
 ///
-/// Belief lives in the channels' `suspected` flags and the executors'
-/// `dead` flags; physical truth lives in `Driver::node_down` and the
+/// Belief lives in the channels' `suspected` flags and the executor
+/// ledger's dead set; physical truth lives in `Driver::node_down` and the
 /// `phys_*` fields here. The invariant auditor checks the two sides stay
 /// coupled exactly as documented on each field.
 #[derive(Debug, Clone, PartialEq)]
@@ -348,7 +348,6 @@ impl Driver {
                     // incarnations that died while the master looked away.
                     HbChannel::Executor => {
                         let renew_to = now + SimDuration::from_secs_f64(d.cp.lease_duration_secs);
-                        let mut reinstated = false;
                         // Ghost reaping: a running attempt whose launch
                         // epoch no longer matches belongs to an
                         // incarnation that restarted underneath the
@@ -362,23 +361,18 @@ impl Driver {
                         for &e in self.cluster.executors_on(node) {
                             d.leases.renew(e, renew_to);
                             let st = &mut self.exec_state[e.index()];
-                            if st.dead {
+                            if self.ledger.is_dead(e) {
                                 // Belief-dead can only mean suspected or
                                 // lease-revoked; this heartbeat proves the
                                 // incarnation alive either way.
                                 debug_assert!(was_suspected || d.revoked[e.index()]);
-                                debug_assert!(st.running.is_none() && st.owner.is_none());
-                                st.dead = false;
+                                debug_assert!(st.running.is_none());
+                                self.ledger.revive(e);
                                 st.idle_since = now;
-                                self.pool.insert(e.index());
                                 d.revoked[e.index()] = false;
-                                reinstated = true;
                             } else if st.running.is_some_and(|r| r.launch_epoch != st.epoch) {
                                 ghosts.push(e);
                             }
-                        }
-                        if reinstated {
-                            self.pool_generation += 1;
                         }
                         self.disrupt(now, |d, displaced| {
                             for e in ghosts {
@@ -491,11 +485,11 @@ impl Driver {
         let executors: Vec<ExecutorId> = self.cluster.executors_on(node).to_vec();
         self.note_minority_discards(&executors);
         self.kill_executors_on(node, now);
-        // Moves the stamp even when lease expiry already belief-killed
-        // every executor here and the pool is unchanged: the round after
-        // a suspicion has always run in full, and the pinned round counts
-        // say so.
-        self.pool_generation += 1;
+        // Moves the ledger's generation even when lease expiry already
+        // belief-killed every executor here and the pool is unchanged: the
+        // round after a suspicion has always run in full, and the pinned
+        // round counts say so. Dropping it changes the pinned digests.
+        self.ledger.touch();
     }
 
     /// The master gave up on a node's DataNode: drop its replicas and

@@ -368,7 +368,7 @@ impl HealthLayer {
     /// Feeds one completed attempt's service time into the detector
     /// (detection on only) and advances the node's belief state machine.
     /// `split` marks an open partition, during which quarantines back
-    /// off. Returns whether the allocator's view of the pool changed.
+    /// off.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn observe_service(
         &mut self,
@@ -379,44 +379,36 @@ impl HealthLayer {
         node_down: &[Option<FaultKind>],
         metrics: &mut RunMetrics,
         queue: &mut EventQueue<Event>,
-    ) -> bool {
+    ) {
         if !self.cfg.detection {
-            return false;
+            return;
         }
-        let mut changed = match self.observe(node, service_secs) {
+        match self.observe(node, service_secs) {
             // Peer-relative service-time readings are poisoned while a
             // split is open (the comparison pool is skewed and the cut
             // already removes capacity); back off until the heal.
             Some(HealthState::Quarantined) if !split => {
-                match self.quarantine(node, now, node_down, metrics) {
-                    Some(delay) => {
-                        let probation = HealthEvent::ProbationStart { node };
-                        queue.schedule(now + delay, Event::Health(probation));
-                        true
-                    }
-                    None => false,
+                if let Some(delay) = self.quarantine(node, now, node_down, metrics) {
+                    let probation = HealthEvent::ProbationStart { node };
+                    queue.schedule(now + delay, Event::Health(probation));
                 }
             }
-            Some(HealthState::Quarantined) | None => false,
-            Some(next) => {
-                self.transition(node, next);
-                true
-            }
-        };
-        changed |= self.refresh_cost(node);
-        changed
+            Some(HealthState::Quarantined) | None => {}
+            Some(next) => self.transition(node, next),
+        }
+        self.refresh_cost(node);
     }
 
     /// Re-buckets the node's health cost from its current belief state
     /// and peer ratio (demotion on only). Suspects are priced at their
     /// measured ratio, probationers at the suspect threshold (weak
     /// evidence: the old window was discarded), healthy and quarantined
-    /// nodes at neutral. Returns whether the bucket changed: costs
-    /// reorder placements, so a skipped round must not replay them.
-    fn refresh_cost(&mut self, node: NodeId) -> bool {
+    /// nodes at neutral. A new bucket moves the generation: costs reorder
+    /// placements, so a round must not be replayed across one.
+    fn refresh_cost(&mut self, node: NodeId) {
         let cfg = self.cfg;
         if !(cfg.detection && cfg.demotion) {
-            return false;
+            return;
         }
         let next = match self.belief[node.index()].state {
             HealthState::Suspect => {
@@ -431,12 +423,10 @@ impl HealthLayer {
             HealthState::Healthy | HealthState::Quarantined => HealthCost::neutral(cfg.cost_scale),
         };
         let b = &mut self.belief[node.index()];
-        let changed = b.cost != next;
-        b.cost = next;
-        if changed {
+        if b.cost != next {
+            b.cost = next;
             self.generation += 1;
         }
-        changed
     }
 
     /// The per-node cost vector for the allocator (soft demotion): every
@@ -544,7 +534,7 @@ impl Driver {
                 b.samples.clear();
                 h.generation += 1;
                 h.refresh_cost(node);
-                self.pool_generation += 1;
+                self.ledger.touch();
             }
         }
     }
@@ -589,7 +579,7 @@ impl Driver {
             if b.probes_started >= cap {
                 // The node just stopped accepting placements; the cached
                 // idle view must not replay it as available.
-                self.pool_generation += 1;
+                self.ledger.touch();
             }
         }
     }

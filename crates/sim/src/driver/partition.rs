@@ -260,7 +260,7 @@ impl Driver {
         self.disrupt(now, |d, displaced| {
             for e in lost {
                 // A belief-killed executor was rolled back already.
-                if !d.exec_state[e.index()].dead && d.abandon_attempt(e, now, displaced) {
+                if !d.ledger.is_dead(e) && d.abandon_attempt(e, now, displaced) {
                     d.metrics.partition_work_discarded += 1;
                 }
             }
@@ -281,8 +281,7 @@ impl Driver {
             if !p.connectivity.in_minority(node) || self.node_down[node.index()].is_some() {
                 continue;
             }
-            let st = &self.exec_state[e.index()];
-            if !st.dead && st.running.is_some() {
+            if !self.ledger.is_dead(e) && self.exec_state[e.index()].running.is_some() {
                 self.metrics.partition_work_discarded += 1;
             }
         }
@@ -311,7 +310,7 @@ impl Driver {
             self.cluster
                 .executors_on(node)
                 .iter()
-                .all(|&e| !self.exec_state[e.index()].dead)
+                .all(|&e| !self.ledger.is_dead(e))
         });
         if settled {
             self.metrics
